@@ -34,6 +34,11 @@ log = logging.getLogger(__name__)
 ALGORITHM_IDS = ("ror05", "oe1", "oe2", "mutara60", "mutara180",
                  "hunt60", "hunt180")
 
+# LODSIG_LOG values, matched case-insensitively
+_LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
+              "warn": logging.WARNING, "warning": logging.WARNING,
+              "error": logging.ERROR}
+
 
 def _score(db: Database, algorithm_id: str,
            config: StudyConfig) -> RankedSignalList:
@@ -343,10 +348,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("LODSIG_LOG", "warn").upper()
-        .replace("WARN", "WARNING"),
-        format="%(levelname)s %(name)s: %(message)s")
+    level_name = os.environ.get("LODSIG_LOG", "warning")
+    level = _LOG_LEVELS.get(level_name.lower())
+    if level is None:
+        print(f"lodsig: LODSIG_LOG={level_name!r} is not a log level; "
+              f"valid levels: {', '.join(_LOG_LEVELS)}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
 
@@ -363,7 +372,7 @@ def main(argv=None) -> int:
             generate(None, data_dir, demo=True, seed=args.seed)
             manifest = RunManifest(
                 database_dir=str(data_dir),
-                drugs=["drug_x"],
+                drugs=["drug_x", "drug_other"],
                 algorithms=list(ALGORITHM_IDS),
                 output_dir=str(Path(args.output) / "results"),
                 seed=args.seed if args.seed is not None else 7,

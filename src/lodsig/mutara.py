@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list, rank_events
-from .store import (DAYS_12_MONTHS, Database, StudyConfig, _KEY_BASE,
-                    candidate_events, extract_exposures,
-                    first_exposure_per_patient)
+from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_events,
+                    episode_arrays, extract_exposures,
+                    first_exposure_per_patient, window_pairs)
 
 
 @dataclass(frozen=True)
@@ -66,59 +66,68 @@ def _background_starts(db: Database, seed: int, T: int) -> np.ndarray:
     return starts
 
 
-def _flags_by_patient(db, event_code, pts, wstart, wend):
-    """Boolean per pts row: does the patient have the event in [wstart, wend]."""
-    ep_pid, ep_day = db.events_of_code(event_code)
-    key = ep_pid * _KEY_BASE + ep_day
-    lo = np.searchsorted(key, pts * _KEY_BASE + wstart)
-    hi = np.searchsorted(key, pts * _KEY_BASE + wend, side="right")
-    return hi > lo
+def _window_supports(db: Database, pts, start, T: int, pre: int):
+    """Per-code supports of one window per pts row, at most 2 kernel calls.
+
+    Returns (rows with the code in (start, start + T], those of them
+    without it in [start - pre, start]), both indexed by event code.  A
+    pre of 0 disables the predictable filter.  Rows must be distinct
+    patients, so a row count is a patient count.
+    """
+    n_codes = len(db.event_codes)
+    row, code = window_pairs(db, pts, start + 1, start + T)
+    post = np.unique(row * n_codes + code)
+    if pre > 0:
+        row, code = window_pairs(db, pts, start - pre, start)
+        # unexpected = post pairs minus predictable pairs, per (row, code)
+        post_unexpected = post[~np.isin(post, row * n_codes + code)]
+    else:
+        post_unexpected = post
+    return (np.bincount(post % n_codes, minlength=n_codes),
+            np.bincount(post_unexpected % n_codes, minlength=n_codes))
+
+
+def _support_vectors(db: Database, exposures, config: StudyConfig,
+                     seed: int):
+    """SupportCounts fields for every code, with at most 4 kernel calls.
+
+    Returns (supp_x, supp_seq_unexpected, supp_seq, supp_bg_unexpected,
+    supp_bg, population); the four supports are indexed by event code.
+    """
+    exposures = first_exposure_per_patient(exposures)
+    T, pre = config.T, config.pre_window
+    x_pts, x_idx = episode_arrays(db, exposures)
+    seq, seq_unexpected = _window_supports(db, x_pts, x_idx, T, pre)
+
+    # never-exposed patients with a drawn window
+    background_starts = _background_starts(db, seed, T)
+    ever_x = np.zeros(db.n_patients, dtype=bool)
+    rx_pid, _ = db.prescriptions_of_drug(config.drug_code)
+    ever_x[rx_pid] = True
+    bg_pts = np.flatnonzero(~ever_x & (background_starts >= 0))
+    bg, bg_unexpected = _window_supports(db, bg_pts,
+                                         background_starts[bg_pts], T, pre)
+    return (len(exposures), seq_unexpected, seq, bg_unexpected, bg,
+            db.n_patients)
+
+
+def _support_counts_at(vectors, ci: int | None) -> SupportCounts:
+    """One event code's SupportCounts; ci None is a code absent from the db."""
+    supp_x, *supports, population = vectors
+    return SupportCounts(supp_x, *(0 if ci is None else int(v[ci])
+                                   for v in supports), population)
 
 
 def support_counts(db: Database, exposures, event_code: str,
-                   config: StudyConfig, seed: int,
-                   background_starts: np.ndarray | None = None) -> SupportCounts:
+                   config: StudyConfig, seed: int) -> SupportCounts:
     """All MUTARA/HUNT supports for one candidate event.
 
     Only the first qualifying episode per patient is used.  The
     predictable filter window is [index - pre_window, index] (the
     prescription day included); a pre_window of 0 disables filtering.
     """
-    exposures = first_exposure_per_patient(exposures)
-    T, pre = config.T, config.pre_window
-    if background_starts is None:
-        background_starts = _background_starts(db, seed, T)
-
-    x_pts = np.array([db.patient_index(e.patient_id) for e in exposures],
-                     dtype=np.int64)
-    x_idx = np.array([e.index_date for e in exposures], dtype=np.int64)
-    post = _flags_by_patient(db, event_code, x_pts, x_idx + 1, x_idx + T)
-    if pre > 0:
-        predictable = _flags_by_patient(db, event_code, x_pts, x_idx - pre,
-                                        x_idx)
-    else:
-        predictable = np.zeros(len(x_pts), dtype=bool)
-    supp_seq = int(post.sum())
-    supp_seq_unexpected = int((post & ~predictable).sum())
-
-    # never-exposed patients with a drawn window
-    ever_x = np.zeros(db.n_patients, dtype=bool)
-    rx_pid, _ = db.prescriptions_of_drug(config.drug_code)
-    ever_x[rx_pid] = True
-    bg_pts = np.flatnonzero(~ever_x & (background_starts >= 0))
-    bg_start = background_starts[bg_pts]
-    bg_post = _flags_by_patient(db, event_code, bg_pts, bg_start + 1,
-                                bg_start + T)
-    if pre > 0:
-        bg_predictable = _flags_by_patient(db, event_code, bg_pts,
-                                           bg_start - pre, bg_start)
-    else:
-        bg_predictable = np.zeros(len(bg_pts), dtype=bool)
-    supp_bg = int(bg_post.sum())
-    supp_bg_unexpected = int((bg_post & ~bg_predictable).sum())
-
-    return SupportCounts(len(exposures), supp_seq_unexpected, supp_seq,
-                         supp_bg_unexpected, supp_bg, db.n_patients)
+    return _support_counts_at(_support_vectors(db, exposures, config, seed),
+                              db.event_index(event_code))
 
 
 def unexlev_from_counts(c: SupportCounts) -> float:
@@ -154,10 +163,8 @@ def _all_support_counts(db: Database, config: StudyConfig):
     cands = sorted(candidate_events(db, all_episodes, config.T,
                                     config.excluded_event_codes,
                                     config.include_day0))
-    exposures = first_exposure_per_patient(all_episodes)
-    starts = _background_starts(db, config.rng_seed, config.T)
-    return {code: support_counts(db, exposures, code, config,
-                                 config.rng_seed, starts)
+    vectors = _support_vectors(db, all_episodes, config, config.rng_seed)
+    return {code: _support_counts_at(vectors, db.event_index(code))
             for code in cands}
 
 

@@ -84,20 +84,14 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
     were already collapsed at load so same-day repeats of one drug do not
     double-count an event date.
     """
-    if db.drug_index(drug_code) is None and candidates is None:
+    di = db.drug_index(drug_code)
+    if di is None and candidates is None:
         return {}
-    lo, hi = window_pairs(db, db.rx_pid, db.rx_day,
-                          db.rx_day + 1, db.rx_day + T)
-    counts = hi - lo
-    n_pairs = int(counts.sum())
-    # expand to one row per (prescription, in-window event) pair
-    pair_rx = np.repeat(np.arange(len(lo)), counts)
-    starts = np.cumsum(counts) - counts
-    flat = np.repeat(lo, counts) + np.arange(n_pairs) - np.repeat(starts, counts)
-    pair_event = db.ev_code[flat]
-    pair_is_x = db.rx_drug[pair_rx] == db.drug_index(drug_code) \
-        if db.drug_index(drug_code) is not None \
-        else np.zeros(n_pairs, dtype=bool)
+    pair_rx, pair_event = window_pairs(db, db.rx_pid, db.rx_day + 1,
+                                       db.rx_day + T)
+    n_pairs = len(pair_rx)
+    # an unknown drug matches no prescription (drug indices are >= 0)
+    pair_is_x = db.rx_drug[pair_rx] == (-1 if di is None else di)
 
     n_codes = len(db.event_codes)
     w00 = np.bincount(pair_event[pair_is_x], minlength=n_codes)

@@ -3,8 +3,10 @@
 Loads patient / prescription / medical-event CSV files into an immutable
 columnar store, applies the data-quality rules (12-month registration
 washout, 13-month first-prescription rule, 30-day active-follow-up rule)
-and serves the windowed count queries every detection algorithm is built
-on.  Dates are handled as proleptic-Gregorian day ordinals internally.
+and serves the windowed event queries every detection algorithm is built
+on through one kernel, `window_pairs`: each windowed count is a
+`bincount` over the (window, event code) pairs it returns for many
+windows at once.  Dates are proleptic-Gregorian day ordinals internally.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ DAYS_13_MONTHS = 395
 DAYS_12_MONTHS = 365
 DAYS_PER_MONTH = 30
 MIN_ACTIVE_FOLLOWUP_DAYS = 30
+
+# day ordinals are < 10**7, so this key packs (patient, day) collision-free
+_KEY_BASE = 10 ** 7
 
 
 class DataFormatError(ValueError):
@@ -131,7 +136,8 @@ class Database:
         # per-patient slices into the event / prescription columns
         self._ev_offsets = np.searchsorted(ev_pid, np.arange(n + 1))
         self._rx_offsets = np.searchsorted(rx_pid, np.arange(n + 1))
-        self._per_event_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # sorted packed (patient, day) key of every event, for window_pairs
+        self._ev_key = ev_pid * _KEY_BASE + ev_day
         self._per_drug_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- construction -----------------------------------------------------
@@ -243,17 +249,6 @@ class Database:
         lo, hi = self._rx_offsets[i], self._rx_offsets[i + 1]
         return self.rx_drug[lo:hi], self.rx_day[lo:hi]
 
-    def events_of_code(self, event_code: str):
-        """(patient_idx, day) arrays of one event code, sorted by patient, day."""
-        ci = self._event_index.get(event_code)
-        if ci is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if ci not in self._per_event_cache:
-            mask = self.ev_code == ci
-            self._per_event_cache[ci] = (self.ev_pid[mask], self.ev_day[mask])
-        return self._per_event_cache[ci]
-
     def prescriptions_of_drug(self, drug_code: str):
         di = self._drug_index.get(drug_code)
         if di is None:
@@ -328,10 +323,7 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
 
     rx_rows = load_records(prescriptions_path, "drug_code")
     ev_rows = load_records(events_path, "event_code")
-    try:
-        return Database.from_records(patient_rows, rx_rows, ev_rows)
-    except DataFormatError:
-        raise
+    return Database.from_records(patient_rows, rx_rows, ev_rows)
 
 
 # -- eligibility and windowed queries -------------------------------------
@@ -378,17 +370,46 @@ def first_exposure_per_patient(exposures) -> list[ExposureEpisode]:
     return out
 
 
+def episode_arrays(db: Database, exposures):
+    """(patient index, index date) int64 arrays of a list of episodes."""
+    pts = np.array([db.patient_index(e.patient_id) for e in exposures],
+                   dtype=np.int64)
+    idx = np.array([e.index_date for e in exposures], dtype=np.int64)
+    return pts, idx
+
+
+def window_pairs(db: Database, pts, lo_day, hi_day):
+    """(row, code) of every event in a window: the windowed-count kernel.
+
+    Window `row` is patient pts[row] over the inclusive days
+    [lo_day[row], hi_day[row]]; a window with lo_day > hi_day is empty.
+    Returns int64 arrays with one entry per event of that patient dated
+    in the window, rows ascending.  Windows may overlap and a patient may
+    have several.
+    """
+    lo = np.searchsorted(db._ev_key, pts * _KEY_BASE + lo_day)
+    hi = np.searchsorted(db._ev_key, pts * _KEY_BASE + hi_day,
+                         side="right")
+    counts = np.maximum(hi - lo, 0)
+    # expand to one entry per (window, in-window event) pair
+    row = np.repeat(np.arange(len(lo)), counts)
+    starts = np.cumsum(counts) - counts
+    flat = np.repeat(lo - starts, counts) + np.arange(len(row))
+    return row, db.ev_code[flat]
+
+
 def count_events_in_window(db: Database, patient_id: str, window_start,
                            window_end, event_code: str) -> int:
     """Events of one code for one patient in [window_start, window_end]."""
     start, end = to_ordinal(window_start), to_ordinal(window_end)
     if start > end:
         raise ValueError("window_start must not exceed window_end")
-    code, day = db.events_for_patient(patient_id)
+    pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
+    _, code = window_pairs(db, pts, start, end)
     ci = db.event_index(event_code)
     if ci is None:
         return 0
-    return int(np.count_nonzero((code == ci) & (day >= start) & (day <= end)))
+    return int(np.bincount(code, minlength=len(db.event_codes))[ci])
 
 
 def candidate_events(db: Database, exposures, T: int,
@@ -399,38 +420,10 @@ def candidate_events(db: Database, exposures, T: int,
     The default window is (index_date, index_date + T]; include_day0 pulls
     the prescription day itself into the window.
     """
-    if not exposures:
-        return set()
-    pt = np.array([db.patient_index(e.patient_id) for e in exposures])
-    idx = np.array([e.index_date for e in exposures])
-    order = np.argsort(pt, kind="stable")
-    pt, idx = pt[order], idx[order]
-
-    ev_key = db.ev_pid * _KEY_BASE + db.ev_day
-    lo_day = idx if include_day0 else idx + 1
-    lo = np.searchsorted(ev_key, pt * _KEY_BASE + lo_day)
-    hi = np.searchsorted(ev_key, pt * _KEY_BASE + idx + T, side="right")
-    found = set()
-    for a, b in zip(lo, hi):
-        if b > a:
-            found.update(db.ev_code[a:b].tolist())
-    return {db.event_codes[c] for c in found} - set(excluded)
-
-
-# day ordinals are < 10**7, so this key packs (patient, day) collision-free
-_KEY_BASE = 10 ** 7
-
-
-def window_pairs(db: Database, rx_pid, rx_day, lo_day, hi_day):
-    """For each prescription, the slice [lo, hi) of events in its window.
-
-    lo_day/hi_day are per-prescription inclusive day bounds.  Returns
-    (lo, hi) index arrays into the database's event columns.
-    """
-    ev_key = db.ev_pid * _KEY_BASE + db.ev_day
-    lo = np.searchsorted(ev_key, rx_pid * _KEY_BASE + lo_day)
-    hi = np.searchsorted(ev_key, rx_pid * _KEY_BASE + hi_day, side="right")
-    return lo, hi
+    pts, idx = episode_arrays(db, exposures)
+    _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
+                           idx + T)
+    return {db.event_codes[c] for c in np.unique(code)} - set(excluded)
 
 
 def cohort_summary(db: Database, drug_code: str) -> dict:

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
-from .store import (Database, Gender, StudyConfig, extract_exposures,
-                    first_exposure_per_patient, from_ordinal)
+from .store import (Database, Gender, StudyConfig, episode_arrays,
+                    extract_exposures, first_exposure_per_patient,
+                    from_ordinal, window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -224,8 +225,11 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
             continue
         exposures = first_exposure_per_patient(extract_exposures(
             db, StudyConfig(drug_code=inj.drug_code)))
-        observed = _window_occurrences(db, exposures, inj.event_code,
-                                       inj.latency_window_days)
+        pts, idx = episode_arrays(db, exposures)
+        _, code = window_pairs(db, pts, idx + 1,
+                               idx + inj.latency_window_days)
+        ci = db.event_index(inj.event_code)
+        observed = 0 if ci is None else int(np.count_nonzero(code == ci))
         if observed == 0:
             log.warning("injection (%s, %s) had no realized occurrences; "
                         "dropped from ground truth", inj.drug_code,
@@ -248,20 +252,6 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
         entries[(inj.drug_code, inj.event_code)] = AdrEntry(
             freq, inj.is_reaction_code)
     return AdrDictionary(entries)
-
-
-def _window_occurrences(db: Database, exposures, event_code: str,
-                        latency: int) -> int:
-    total = 0
-    for e in exposures:
-        code, day = db.events_for_patient(e.patient_id)
-        ci = db.event_index(event_code)
-        if ci is None:
-            return 0
-        mask = (code == ci) & (day > e.index_date) & \
-            (day <= e.index_date + latency)
-        total += int(mask.sum())
-    return total
 
 
 # -- file emission --------------------------------------------------------

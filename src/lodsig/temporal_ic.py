@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import gammaincinv
 
 from .ranking import RankedSignalList, build_ranked_list
-from .store import (DAYS_PER_MONTH, Database, StudyConfig, _KEY_BASE,
-                    candidate_events, extract_exposures)
+from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_events,
+                    episode_arrays, extract_exposures, window_pairs)
 
 
 class Period(Enum):
@@ -78,19 +77,12 @@ def ic(n_xy: float, expected: float) -> float:
 
 
 def gamma_quantile(shape: float, rate: float, q: float) -> float:
-    """Quantile of a Gamma(shape, rate) by bracketing root-find on the CDF."""
+    """Quantile of a Gamma(shape, rate) via the inverse incomplete gamma."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must be in (0, 1)")
     if shape <= 0 or rate <= 0:
         raise ValueError("shape and rate must be positive")
-
-    def f(x):
-        return gammainc(shape, rate * x) - q
-
-    hi = (shape + 10.0 * math.sqrt(shape) + 10.0) / rate
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return brentq(f, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    return float(gammaincinv(shape, q)) / rate
 
 
 def ic_credibility_bounds(n_xy: float, expected: float,
@@ -138,34 +130,24 @@ def period_window(period: Period, index_date, config: StudyConfig):
     raise ValueError(f"unknown period {period!r}")
 
 
-def _episode_arrays(db: Database, exposures):
-    if not exposures:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pts = np.array([db.patient_index(e.patient_id) for e in exposures])
-    idx = np.array([e.index_date for e in exposures])
-    return pts, idx
+def _patients_with_event(db: Database, episodes, period: Period,
+                         config: StudyConfig):
+    """(patients with each event code in the window, patients with coverage).
 
-
-def _patient_level_counts(db: Database, episode_arrays, event_code: str,
-                          period: Period, config: StudyConfig):
-    """(patients with event in window, patients with coverage) over episodes.
-
-    A patient counts once however many episodes or repeat events they
-    have; episodes whose registration-to-last-active span does not cover
-    the whole window are ignored for both counts.
+    The first item is indexed by event code.  A patient counts once
+    however many episodes or repeat events they have; episodes whose
+    registration-to-last-active span does not cover the whole window are
+    ignored for both counts.
     """
-    pts, idx = episode_arrays
-    if len(pts) == 0:
-        return 0, 0
+    pts, idx = episodes
     wstart, wend = period_window(period, idx, config)
     covered = (db.registration[pts] <= wstart) & (db.last_active[pts] >= wend)
-
-    ep_pid, ep_day = db.events_of_code(event_code)
-    key = ep_pid * _KEY_BASE + ep_day
-    lo = np.searchsorted(key, pts * _KEY_BASE + wstart)
-    hi = np.searchsorted(key, pts * _KEY_BASE + wend, side="right")
-    has_event = (hi > lo) & covered
-    return len(np.unique(pts[has_event])), len(np.unique(pts[covered]))
+    pts = pts[covered]
+    row, code = window_pairs(db, pts, wstart[covered], wend[covered])
+    n_codes = len(db.event_codes)
+    patient_code = np.unique(pts[row] * n_codes + code)
+    return (np.bincount(patient_code % n_codes, minlength=n_codes),
+            len(np.unique(pts)))
 
 
 def all_drug_exposures(db: Database, config: StudyConfig):
@@ -177,15 +159,34 @@ def all_drug_exposures(db: Database, config: StudyConfig):
     return episodes
 
 
+def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
+                    config: StudyConfig):
+    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one period for every code.
+
+    n_xy and n_dot_y are indexed by event code.  Two kernel calls: one
+    over the study-drug episodes, one over the all-drug episodes.
+    """
+    return (*_patients_with_event(db, x_episodes, period, config),
+            *_patients_with_event(db, any_episodes, period, config))
+
+
+def _period_counts_at(vectors, ci: int | None, period: Period) -> PeriodCounts:
+    """One event code's PeriodCounts; ci None is a code absent from the db."""
+    n_xy, n_x_dot, n_dot_y, n_dot_dot = vectors
+    if ci is None:
+        return PeriodCounts(0, n_x_dot, 0, n_dot_dot, period)
+    return PeriodCounts(int(n_xy[ci]), n_x_dot, int(n_dot_y[ci]), n_dot_dot,
+                        period)
+
+
 def period_counts(db: Database, exposures, event_code: str, period: Period,
                   config: StudyConfig, any_exposures=None) -> PeriodCounts:
     if any_exposures is None:
         any_exposures = all_drug_exposures(db, config)
-    n_xy, n_x_dot = _patient_level_counts(db, _episode_arrays(db, exposures),
-                                          event_code, period, config)
-    n_dot_y, n_dot_dot = _patient_level_counts(
-        db, _episode_arrays(db, any_exposures), event_code, period, config)
-    return PeriodCounts(n_xy, n_x_dot, n_dot_y, n_dot_dot, period)
+    vectors = _period_vectors(db, episode_arrays(db, exposures),
+                              episode_arrays(db, any_exposures), period,
+                              config)
+    return _period_counts_at(vectors, db.event_index(event_code), period)
 
 
 # -- scoring and ranking --------------------------------------------------
@@ -199,19 +200,16 @@ def oe_scores(db: Database, config: StudyConfig,
     cands = sorted(candidate_events(db, exposures, config.T,
                                     config.excluded_event_codes,
                                     config.include_day0))
-    any_exposures = all_drug_exposures(db, config)
-    x_arrays = _episode_arrays(db, exposures)
-    any_arrays = _episode_arrays(db, any_exposures)
+    x_episodes = episode_arrays(db, exposures)
+    any_episodes = episode_arrays(db, all_drug_exposures(db, config))
+    vectors = {p: _period_vectors(db, x_episodes, any_episodes, p, config)
+               for p in Period}
 
     results = {}
     for code in cands:
-        by_period = {}
-        for p in Period:
-            n_xy, n_x_dot = _patient_level_counts(db, x_arrays, code, p,
-                                                  config)
-            n_dot_y, n_dot_dot = _patient_level_counts(db, any_arrays, code,
-                                                       p, config)
-            by_period[p] = PeriodCounts(n_xy, n_x_dot, n_dot_y, n_dot_dot, p)
+        ci = db.event_index(code)
+        by_period = {p: _period_counts_at(v, ci, p)
+                     for p, v in vectors.items()}
         cu = by_period[Period.FOLLOWUP_U]
         cv = by_period[Period.CONTROL_V]
         e_u = expected_count(cu)

@@ -41,6 +41,16 @@ def brute_exposures(db, config):
     return out
 
 
+def brute_window_pairs(db, pts, lo_day, hi_day):
+    """Sorted (row, event_code) pairs: one per event of patient pts[row]
+    dated in [lo_day[row], hi_day[row]]."""
+    pairs = []
+    for row, (pt, lo, hi) in enumerate(zip(pts, lo_day, hi_day)):
+        _, events = patient_records(db, db.patient_ids[pt])
+        pairs += [(row, code) for code, d in events if lo <= d <= hi]
+    return sorted(pairs)
+
+
 def brute_srs_counts(db, drug_code, T=30):
     """Pair enumeration over every (prescription, in-window event)."""
     pairs = []

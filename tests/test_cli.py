@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import lodsig
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
                         demo_synth_config, main, run, synth_config_from_dict)
 from lodsig.synthgen import generate
@@ -118,6 +123,8 @@ class TestMain:
                      "--seed", "3"]) == 0
         results = out / "results"
         assert (results / "metrics_summary.csv").exists()
+        # the demo runs both demo drugs, so the significance tests run too
+        assert (results / "significance_map_all.csv").exists()
         assert main(["summarize", str(results)]) == 0
         for name in ("table_precision_10.csv", "table_precision_50.csv",
                      "chart_map_all.csv", "chart_map_rare.csv",
@@ -185,3 +192,34 @@ class TestMain:
                                   "repeat_rate": 0.1}},
         })
         assert config.drug_models["d"].indication_event == ("e", 3.0)
+
+
+def _main_with_log_level(level, output_dir):
+    """`lodsig summarize` in a fresh interpreter with LODSIG_LOG set."""
+    src = str(Path(lodsig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LODSIG_LOG=level, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lodsig.cli import main; sys.exit(main())",
+         "summarize", str(output_dir)],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("level", ["debug", "INFO", "warn", "warning",
+                                   "Warning", "error"])
+def test_log_level_accepted(level, tmp_path):
+    # summarize of an empty directory reports its missing input and
+    # exits 1, so reaching it shows the log level was accepted
+    proc = _main_with_log_level(level, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("level", ["bogus", "warningg"])
+def test_unknown_log_level_is_one_line_usage_error(level, tmp_path):
+    proc = _main_with_log_level(level, tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert "LODSIG_LOG" in lines[0] and "warning" in lines[0]

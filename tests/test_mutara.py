@@ -92,7 +92,7 @@ class TestSupportCounts:
         rng = np.random.default_rng(53)
         for trial in range(15):
             db = random_small_db(rng, n_patients=12)
-            for pre in (0, 60):
+            for pre in (0, 60, 180):
                 config = StudyConfig(drug_code="X", pre_window=pre,
                                      rng_seed=trial)
                 eps = first_exposure_per_patient(

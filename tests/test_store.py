@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lodsig import mutara, store, temporal_ic
+from lodsig.cli import _base_config, _score
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_events, cohort_summary,
                           count_events_in_window, extract_exposures,
-                          load_database)
+                          load_database, window_pairs)
 
 from conftest import day, make_db, random_small_db
-from oracles import brute_exposures
+from oracles import brute_exposures, brute_window_pairs
 
 
 def write_csvs(tmp_path, patients, prescriptions, events):
@@ -146,6 +148,56 @@ class TestCountEventsInWindow:
                         if c == "A" and lo <= d <= hi})
         assert count_events_in_window(db, "p1", day(lo), day(hi),
                                       "A") == expected
+
+
+class TestWindowPairs:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4),
+           st.lists(st.tuples(st.integers(0, 3), st.sampled_from("ABC"),
+                              st.integers(0, 60)), max_size=40),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(-5, 65),
+                              st.integers(-5, 65)), max_size=12))
+    def test_equals_per_patient_scan(self, n_patients, history, windows):
+        # windows may overlap, repeat a patient, hold no event or have
+        # lo > hi (empty)
+        db = make_db([(f"p{i}", 0, 900) for i in range(n_patients)],
+                     events=[(f"p{i % n_patients}", c, d)
+                             for i, c, d in history])
+        pts = np.array([i % n_patients for i, _, _ in windows],
+                       dtype=np.int64)
+        lo = np.array([day(a) for _, a, _ in windows], dtype=np.int64)
+        hi = np.array([day(b) for _, _, b in windows], dtype=np.int64)
+        row, code = window_pairs(db, pts, lo, hi)
+        got = sorted(zip(row.tolist(),
+                         [db.event_codes[c] for c in code.tolist()]))
+        assert got == brute_window_pairs(db, pts, lo, hi)
+        assert list(row) == sorted(row)
+
+    @pytest.mark.parametrize("algorithm_id, calls", [("oe1", 9),
+                                                     ("mutara60", 5)])
+    def test_calls_per_unit_independent_of_candidates(self, algorithm_id,
+                                                      calls, monkeypatch):
+        # one call selects the candidates; OE then makes 8 (4 periods x 2
+        # populations) and MUTARA 4 (post and predictable windows x
+        # exposed and background patients), however many codes there are
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return window_pairs(*args)
+        for module in (store, temporal_ic, mutara):
+            monkeypatch.setattr(module, "window_pairs", counting)
+        rng = np.random.default_rng(17)
+        n_candidates = set()
+        for codes in ("AC", "ABCDEFGHIJKL"):
+            db = random_small_db(rng, n_patients=40, codes=tuple(codes))
+            config = _base_config(algorithm_id, "X", 3, {})
+            seen.clear()
+            ranked = _score(db, algorithm_id, config)
+            assert len(seen) == calls
+            n_candidates.add(len(ranked.entries) + len(ranked.filtered))
+        assert len(n_candidates) == 2
 
 
 class TestCandidateEvents:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,19 +172,20 @@ class TestPeriodCounts:
         rng = np.random.default_rng(41)
         for _ in range(10):
             db = random_small_db(rng)
-            exposures = extract_exposures(db, simple_config)
-            any_exp = all_drug_exposures(db, simple_config)
-            for period in Period:
-                for code in ("A", "C"):
-                    got = period_counts(db, exposures, code, period,
-                                        simple_config, any_exp)
-                    want = brute_period_counts(
-                        db, [(e.patient_id, e.index_date)
-                             for e in exposures], code, period,
-                        simple_config,
-                        [(e.patient_id, e.index_date) for e in any_exp])
-                    assert (got.n_xy, got.n_x_dot, got.n_dot_y,
-                            got.n_dot_dot) == want
+            for config in (simple_config,
+                           dataclasses.replace(simple_config, T=60)):
+                exposures = extract_exposures(db, config)
+                any_exp = all_drug_exposures(db, config)
+                for period in Period:
+                    for code in ("A", "C"):
+                        got = period_counts(db, exposures, code, period,
+                                            config, any_exp)
+                        want = brute_period_counts(
+                            db, [(e.patient_id, e.index_date)
+                                 for e in exposures], code, period, config,
+                            [(e.patient_id, e.index_date) for e in any_exp])
+                        assert (got.n_xy, got.n_x_dot, got.n_dot_y,
+                                got.n_dot_dot) == want
 
 
 class TestRankOe:
