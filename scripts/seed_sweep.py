@@ -8,14 +8,13 @@ for checking that a tuned injection scenario is not a single-seed fluke.
 Usage: python scripts/seed_sweep.py [N_SEEDS] [N_PATIENTS]
 """
 
+import dataclasses
 import statistics
 import sys
 
-from lodsig.cli import ALGORITHM_IDS, _base_config, _score, demo_synth_config
+from lodsig.cli import ALGORITHM_IDS, demo_synth_config, score_drug
 from lodsig.evaluation import evaluate
 from lodsig.synthgen import build_database, realized_truth
-
-import dataclasses
 
 
 def main() -> int:
@@ -28,11 +27,10 @@ def main() -> int:
                                      n_patients=n_patients)
         db, _ = build_database(config)
         truth = realized_truth(db, config)
-        for algorithm_id in ALGORITHM_IDS:
-            study = _base_config(algorithm_id, "drug_x", seed, {})
-            report = evaluate(_score(db, algorithm_id, study), truth)
+        for ranked in score_drug(db, "drug_x", ALGORITHM_IDS, seed):
+            report = evaluate(ranked, truth)
             if report.map_all is not None:
-                maps[algorithm_id].append(report.map_all)
+                maps[ranked.algorithm].append(report.map_all)
 
     print(f"{'algorithm':<10} {'n':>3} {'mean':>7} {'min':>7} {'max':>7}")
     for algorithm_id in ALGORITHM_IDS:

@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -22,12 +23,13 @@ import yaml
 
 from . import synthgen
 from .evaluation import (AdrDictionary, SignificanceResult, compare_algorithms,
-                         emit_report, evaluate)
-from .mutara import rank_hunt, rank_mutara
+                         emit_report, evaluate, ranked_csv_path,
+                         write_ranked_csv)
+from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList
 from .srs import rank_ror
 from .store import Database, DataFormatError, StudyConfig, load_database
-from .temporal_ic import rank_oe
+from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
 
@@ -40,22 +42,6 @@ _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
               "error": logging.ERROR}
 
 
-def _score(db: Database, algorithm_id: str,
-           config: StudyConfig) -> RankedSignalList:
-    if algorithm_id == "ror05":
-        ranked = rank_ror(db, config)
-    elif algorithm_id in ("oe1", "oe2"):
-        ranked = rank_oe(db, config, variant=int(algorithm_id[-1]))
-    elif algorithm_id.startswith("mutara"):
-        ranked = rank_mutara(db, config)
-    elif algorithm_id.startswith("hunt"):
-        ranked = rank_hunt(db, config)
-    else:
-        raise ValueError(f"unknown algorithm id {algorithm_id!r}")
-    ranked.algorithm = algorithm_id
-    return ranked
-
-
 def _base_config(algorithm_id: str, drug: str, seed: int,
                  overrides: dict) -> StudyConfig:
     kwargs = {"drug_code": drug, "rng_seed": seed}
@@ -64,10 +50,42 @@ def _base_config(algorithm_id: str, drug: str, seed: int,
     elif algorithm_id.endswith("180"):
         kwargs["pre_window"] = 180
     kwargs.update(overrides or {})
-    if "excluded_event_codes" in kwargs:
-        kwargs["excluded_event_codes"] = frozenset(
-            kwargs["excluded_event_codes"])
+    # hashable containers, so equal configurations can share a pass
+    for key, kind in (("excluded_event_codes", frozenset),
+                      ("control_period", tuple)):
+        if key in kwargs:
+            kwargs[key] = kind(kwargs[key])
     return StudyConfig(**kwargs)
+
+
+def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
+               overrides: dict | None = None) -> list[RankedSignalList]:
+    """One ranked list per algorithm id, in the order given.
+
+    Ids with equal configurations share one scoring pass: oe1 and oe2
+    differ only in their filter, mutaraN and huntN only in how they rank
+    the same supports.
+    """
+    shared = functools.cache(lambda scoring_pass, config:
+                             scoring_pass(db, config))
+    ranked_lists = []
+    for algorithm_id in algorithms:
+        config = _base_config(algorithm_id, drug, seed,
+                              (overrides or {}).get(algorithm_id))
+        if algorithm_id == "ror05":
+            ranked = rank_ror(db, config)
+        elif algorithm_id in ("oe1", "oe2"):
+            ranked = oe_view(shared(oe_scores, config), config,
+                             int(algorithm_id[-1]))
+        elif algorithm_id.startswith("mutara"):
+            ranked = mutara_view(shared(candidate_supports, config), config)
+        elif algorithm_id.startswith("hunt"):
+            ranked = hunt_view(shared(candidate_supports, config), config)
+        else:
+            raise ValueError(f"unknown algorithm id {algorithm_id!r}")
+        ranked.algorithm = algorithm_id
+        ranked_lists.append(ranked)
+    return ranked_lists
 
 
 @dataclass
@@ -93,21 +111,32 @@ class RunManifest:
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         manifest = cls(**raw)
+        for key in ("drugs", "algorithms"):
+            value = getattr(manifest, key)
+            if not (isinstance(value, list) and value
+                    and all(isinstance(v, str) for v in value)):
+                raise ValueError(f"manifest {key} must be a non-empty list "
+                                 f"of strings, not {value!r}")
+        if not isinstance(manifest.overrides, dict):
+            raise ValueError("manifest overrides must be a mapping, not "
+                             f"{manifest.overrides!r}")
         if len(set(manifest.algorithms)) != len(manifest.algorithms):
             raise ValueError("duplicate algorithm ids in manifest")
-        bad = [a for a in manifest.algorithms if a not in ALGORITHM_IDS]
+        bad = [a for a in [*manifest.algorithms, *manifest.overrides]
+               if a not in ALGORITHM_IDS]
         if bad:
             raise ValueError(f"unknown algorithm ids {bad}; valid ids: "
                              f"{list(ALGORITHM_IDS)}")
-        if not manifest.drugs:
-            raise ValueError("manifest lists no drugs")
+        keys = {f.name for f in dataclasses.fields(StudyConfig)}
+        keys.discard("drug_code")
+        for algorithm_id, values in manifest.overrides.items():
+            if not isinstance(values, dict) or not set(values) <= keys:
+                raise ValueError(f"overrides for {algorithm_id} must map "
+                                 f"keys of {sorted(keys)}, not {values!r}")
         return manifest
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-_WORKER_DB: Database | None = None
 
 
 def _load_db(database_dir) -> Database:
@@ -116,38 +145,27 @@ def _load_db(database_dir) -> Database:
                          data / "patients.csv")
 
 
-def _init_worker(database_dir: str) -> None:
-    # each worker loads its own copy, so no start-method assumptions
-    global _WORKER_DB
-    _WORKER_DB = _load_db(database_dir)
-
-
-def _score_unit(args):
-    drug, algorithm_id, seed, overrides = args
-    config = _base_config(algorithm_id, drug, seed, overrides)
-    return _score(_WORKER_DB, algorithm_id, config)
-
-
 def run(manifest: RunManifest, jobs: int = 1) -> int:
-    """Execute every (drug, algorithm) unit and write all artifacts."""
-    global _WORKER_DB
+    """Score every drug of the manifest and write all artifacts."""
     db = _load_db(manifest.database_dir)
+    for drug in manifest.drugs:
+        if db.drug_index(drug) is None:
+            raise DataFormatError(f"drug {drug!r} has no prescriptions in "
+                                  f"the database at {manifest.database_dir}")
     dictionary = None
     if manifest.ground_truth is not None:
         dictionary = AdrDictionary.from_csv(manifest.ground_truth)
 
-    units = [(drug, algo, manifest.seed,
-              manifest.overrides.get(algo, {}))
-             for drug in manifest.drugs for algo in manifest.algorithms]
+    score = functools.partial(score_drug, db, algorithms=manifest.algorithms,
+                              seed=manifest.seed, overrides=manifest.overrides)
     if jobs > 1:
+        # the pool pickles the loaded database to its workers
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker,
-                initargs=(str(manifest.database_dir),)) as pool:
-            ranked_lists = list(pool.map(_score_unit, units))
+                max_workers=min(jobs, len(manifest.drugs))) as pool:
+            per_drug = list(pool.map(score, manifest.drugs))
     else:
-        _WORKER_DB = db
-        ranked_lists = [_score_unit(u) for u in units]
-        _WORKER_DB = None
+        per_drug = map(score, manifest.drugs)
+    ranked_lists = [ranked for lists in per_drug for ranked in lists]
 
     out = Path(manifest.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -160,16 +178,13 @@ def run(manifest: RunManifest, jobs: int = 1) -> int:
                 _write_significance(out / f"significance_{metric}.csv",
                                     result)
     else:
-        from .evaluation import truth_vector, write_ranked_csv, \
-            ranked_csv_path
         for ranked in ranked_lists:
             write_ranked_csv(ranked_csv_path(out, ranked.drug_code,
                                              ranked.algorithm),
                              ranked, [0] * len(ranked.entries))
 
-    resolved = manifest.to_dict()
     with open(out / "manifest_resolved.yaml", "w", encoding="utf-8") as fh:
-        yaml.safe_dump(resolved, fh, sort_keys=True)
+        yaml.safe_dump(manifest.to_dict(), fh, sort_keys=True)
     return 0
 
 

@@ -11,6 +11,7 @@ import csv
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,9 +82,6 @@ class EvalReport:
     map_reaction_codes: float | None
     n_candidates: int
     n_known_adrs_in_list: int
-
-    def metric(self, name: str):
-        return getattr(self, name)
 
 
 def truth_vector(ranked: RankedSignalList, dictionary: AdrDictionary,
@@ -180,10 +178,7 @@ def _average_ranks(values):
 
 
 def _tie_correction(values):
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(t ** 3 - t for t in counts.values()) / 48
+    return sum(t ** 3 - t for t in Counter(values).values()) / 48
 
 
 @dataclass
@@ -204,7 +199,8 @@ def compare_algorithms(reports, metric: str = "map_all",
     drug, with Bonferroni correction over all ordered pairs."""
     by_algo: dict[str, dict[str, float]] = {}
     for r in reports:
-        by_algo.setdefault(r.algorithm_id, {})[r.drug_code] = r.metric(metric)
+        by_algo.setdefault(r.algorithm_id, {})[r.drug_code] = \
+            getattr(r, metric)
     algorithms = sorted(by_algo)
     if len(algorithms) < 2:
         raise ValueError("need at least two algorithms to compare")

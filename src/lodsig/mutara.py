@@ -156,7 +156,9 @@ def leverage(db: Database, exposures, event_code: str, config: StudyConfig,
         support_counts(db, exposures, event_code, config, seed))
 
 
-def _all_support_counts(db: Database, config: StudyConfig):
+def candidate_supports(db: Database,
+                       config: StudyConfig) -> dict[str, SupportCounts]:
+    """SupportCounts of every candidate: the pass MUTARA and HUNT rank."""
     all_episodes = extract_exposures(db, config)
     # candidate set is shared across algorithms, so derive it from every
     # episode even though scoring uses only the first episode per patient
@@ -168,21 +170,29 @@ def _all_support_counts(db: Database, config: StudyConfig):
             for code in cands}
 
 
-def rank_mutara(db: Database, config: StudyConfig) -> RankedSignalList:
+def mutara_view(supports: dict[str, SupportCounts],
+                config: StudyConfig) -> RankedSignalList:
     """Candidates in descending unexpected-leverage order."""
-    counts = _all_support_counts(db, config)
-    scores = {code: unexlev_from_counts(c) for code, c in counts.items()}
+    scores = {code: unexlev_from_counts(c) for code, c in supports.items()}
     return build_ranked_list("mutara", config.drug_code, scores,
                              seed=config.rng_seed)
 
 
-def rank_hunt(db: Database, config: StudyConfig) -> RankedSignalList:
+def hunt_view(supports: dict[str, SupportCounts],
+              config: StudyConfig) -> RankedSignalList:
     """Candidates in descending rank-ratio (leverage rank / unexlev rank)."""
-    counts = _all_support_counts(db, config)
-    unex = {code: unexlev_from_counts(c) for code, c in counts.items()}
-    lev = {code: leverage_from_counts(c) for code, c in counts.items()}
+    unex = {code: unexlev_from_counts(c) for code, c in supports.items()}
+    lev = {code: leverage_from_counts(c) for code, c in supports.items()}
     rank_unex = rank_events(unex)
     rank_lev = rank_events(lev)
-    rr = {code: rank_lev[code] / rank_unex[code] for code in counts}
+    rr = {code: rank_lev[code] / rank_unex[code] for code in supports}
     return build_ranked_list("hunt", config.drug_code, rr,
                              seed=config.rng_seed)
+
+
+def rank_mutara(db: Database, config: StudyConfig) -> RankedSignalList:
+    return mutara_view(candidate_supports(db, config), config)
+
+
+def rank_hunt(db: Database, config: StudyConfig) -> RankedSignalList:
+    return hunt_view(candidate_supports(db, config), config)

@@ -36,27 +36,19 @@ class ContingencyTable:
         return self.w00 + self.w01 + self.w10 + self.w11
 
 
-@dataclass(frozen=True)
-class RorScore:
-    event_code: str
-    ror: float | None
-    ror05: float | None
-    corrected: bool
-
-
 def _cells(table: ContingencyTable, correct: bool):
     cells = (table.w00, table.w01, table.w10, table.w11)
     if min(cells) > 0:
-        return cells, False
+        return cells
     if not correct:
-        return None, False
+        return None
     # Haldane-Anscombe continuity correction
-    return tuple(c + 0.5 for c in cells), True
+    return tuple(c + 0.5 for c in cells)
 
 
 def ror(table: ContingencyTable, correct: bool = True) -> float | None:
     """Reporting odds ratio (w00/w10)/(w01/w11); None when undefined."""
-    cells, _ = _cells(table, correct)
+    cells = _cells(table, correct)
     if cells is None:
         return None
     a, b, c, d = cells
@@ -65,7 +57,7 @@ def ror(table: ContingencyTable, correct: bool = True) -> float | None:
 
 def ror05(table: ContingencyTable, correct: bool = True) -> float | None:
     """Left bound of the 90% CI of the ROR; None when undefined."""
-    cells, _ = _cells(table, correct)
+    cells = _cells(table, correct)
     if cells is None:
         return None
     a, b, c, d = cells
@@ -89,7 +81,6 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
         return {}
     pair_rx, pair_event = window_pairs(db, db.rx_pid, db.rx_day + 1,
                                        db.rx_day + T)
-    n_pairs = len(pair_rx)
     # an unknown drug matches no prescription (drug indices are >= 0)
     pair_is_x = db.rx_drug[pair_rx] == (-1 if di is None else di)
 
@@ -98,7 +89,7 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
     y_total = np.bincount(pair_event, minlength=n_codes)
     w10 = y_total - w00
     total_x = int(pair_is_x.sum())
-    total = n_pairs
+    total = len(pair_rx)
 
     if candidates is None:
         wanted = [db.event_codes[c] for c in np.flatnonzero(w00 + w10)]

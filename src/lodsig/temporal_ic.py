@@ -3,9 +3,9 @@
 Contrasts how often an event follows a first-in-13-months prescription
 with a self-controlled period 27 to 21 months earlier, using the shrunk
 information component log2((n + 1/2)/(E + 1/2)) and its Gamma-posterior
-credibility interval.  Two filter variants remove events that are already
-elevated the month before the prescription (variant 1) or on the
-prescription day itself (variant 2).
+credibility interval.  Both filter variants remove events more elevated
+the month before the prescription than after it; variant 2 also removes
+those more elevated on the prescription day itself.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ class Period(Enum):
     DAY_OF_PRESCRIPTION = "day_of_prescription"
 
 
-class FilterReason(Enum):
-    NONE = "none"
-    PRIOR_MONTH = "prior_month"
-    DAY_OF_PRESCRIPTION = "day_of_prescription"
-
-
 @dataclass(frozen=True)
 class PeriodCounts:
     n_xy: int       # patients with study drug then event in the period
@@ -56,10 +50,6 @@ class IcResult:
     ic_u: float
     ic_v: float
     ic_delta: float
-    ci_low: float
-    ci_high: float
-    filtered: bool
-    filter_reason: FilterReason
     ic_prior: float = math.nan
     ic_day0: float = math.nan
 
@@ -191,11 +181,8 @@ def period_counts(db: Database, exposures, event_code: str, period: Period,
 
 # -- scoring and ranking --------------------------------------------------
 
-def oe_scores(db: Database, config: StudyConfig,
-              variant: int = 1) -> dict[str, IcResult]:
-    """Per-candidate IC delta scores with the variant's filter decisions."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
+def oe_scores(db: Database, config: StudyConfig) -> dict[str, IcResult]:
+    """Per-candidate IC scores of every period: the pass both variants rank."""
     exposures = extract_exposures(db, config)
     cands = sorted(candidate_events(db, exposures, config.T,
                                     config.excluded_event_codes,
@@ -212,33 +199,33 @@ def oe_scores(db: Database, config: StudyConfig,
                      for p, v in vectors.items()}
         cu = by_period[Period.FOLLOWUP_U]
         cv = by_period[Period.CONTROL_V]
-        e_u = expected_count(cu)
-        ic_u = ic(cu.n_xy, e_u)
+        ic_u = ic(cu.n_xy, expected_count(cu))
         ic_v = ic(cv.n_xy, expected_count(cv))
-        delta = ic_delta(cu, cv)
         cm = by_period[Period.MONTH_PRIOR]
         c0 = by_period[Period.DAY_OF_PRESCRIPTION]
-        ic_prior = ic(cm.n_xy, expected_count(cm))
-        ic_day0 = ic(c0.n_xy, expected_count(c0))
-        ci_low, ci_high = ic_credibility_bounds(cu.n_xy, e_u)
-
-        if ic_prior > ic_u:
-            filtered, reason = True, FilterReason.PRIOR_MONTH
-        elif variant == 2 and ic_day0 > ic_u:
-            filtered, reason = True, FilterReason.DAY_OF_PRESCRIPTION
-        else:
-            filtered, reason = False, FilterReason.NONE
-        results[code] = IcResult(code, ic_u, ic_v, delta, ci_low, ci_high,
-                                 filtered, reason, ic_prior, ic_day0)
+        results[code] = IcResult(code, ic_u, ic_v, ic_delta(cu, cv),
+                                 ic(cm.n_xy, expected_count(cm)),
+                                 ic(c0.n_xy, expected_count(c0)))
     return results
+
+
+def oe_view(results: dict[str, IcResult], config: StudyConfig,
+            variant: int = 1) -> RankedSignalList:
+    """Candidates the variant's filter keeps, in descending IC delta order."""
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    scores, filtered = {}, {}
+    for code, r in results.items():
+        if r.ic_prior > r.ic_u:
+            filtered[code] = "prior_month"
+        elif variant == 2 and r.ic_day0 > r.ic_u:
+            filtered[code] = "day_of_prescription"
+        else:
+            scores[code] = r.ic_delta
+    return build_ranked_list(f"oe{variant}", config.drug_code, scores,
+                             filtered=filtered)
 
 
 def rank_oe(db: Database, config: StudyConfig,
             variant: int = 1) -> RankedSignalList:
-    """Rank unfiltered candidates by IC delta descending."""
-    results = oe_scores(db, config, variant)
-    scores = {c: r.ic_delta for c, r in results.items() if not r.filtered}
-    filtered = {c: r.filter_reason.value for c, r in results.items()
-                if r.filtered}
-    return build_ranked_list(f"oe{variant}", config.drug_code, scores,
-                             filtered=filtered)
+    return oe_view(oe_scores(db, config), config, variant)

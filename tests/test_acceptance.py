@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from lodsig.cli import ALGORITHM_IDS, _base_config, _score, demo_synth_config
+from lodsig.cli import ALGORITHM_IDS, _base_config, demo_synth_config, \
+    score_drug
 from lodsig.evaluation import evaluate, map_score, precision_k, \
     signed_rank_one_sided
 from lodsig.mutara import rank_hunt, rank_mutara, support_counts
@@ -170,10 +171,8 @@ def test_criterion_5_injection_recovery():
     truth = realized_truth(db, _recovery_config(seed=404))
     assert len(truth.entries) == 5
     maps = {}
-    for algorithm_id in ALGORITHM_IDS:
-        config = _base_config(algorithm_id, "drug_x", 404, {})
-        report = evaluate(_score(db, algorithm_id, config), truth)
-        maps[algorithm_id] = report.map_all
+    for ranked in score_drug(db, "drug_x", ALGORITHM_IDS, 404):
+        maps[ranked.algorithm] = evaluate(ranked, truth).map_all
     recovered = all(m is not None and m >= 0.3 for m in maps.values())
 
     # part 2: MUTARA and HUNT demote the therapeutic-failure event

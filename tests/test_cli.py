@@ -4,13 +4,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lodsig
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
-                        demo_synth_config, main, run, synth_config_from_dict)
+                        demo_synth_config, main, run, score_drug,
+                        synth_config_from_dict)
+from lodsig.mutara import rank_hunt, rank_mutara
+from lodsig.srs import rank_ror
 from lodsig.synthgen import generate
+from lodsig.temporal_ic import rank_oe
+
+from conftest import random_small_db
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +62,26 @@ class TestManifest:
                                    "algorithms": ["ror05", "ror05"],
                                    "output_dir": "o"})
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"drugs": "drug_x"}, "drugs must be a non-empty list of strings"),
+        ({"drugs": [1]}, "drugs must be a non-empty list of strings"),
+        ({"algorithms": "ror05"},
+         "algorithms must be a non-empty list of strings"),
+        ({"overrides": ["oe1"]}, "overrides must be a mapping"),
+        ({"overrides": {"oe9": {"T": 60}}}, "unknown algorithm ids"),
+        ({"overrides": {"oe1": 60}}, "overrides for oe1 must map keys"),
+        ({"overrides": {"oe1": {"TT": 60}}}, "overrides for oe1 must map"),
+        ({"overrides": {"oe1": {"drug_code": "y"}}},
+         "overrides for oe1 must map"),
+    ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
+            "overrides_list", "override_unknown_id", "override_scalar",
+            "override_unknown_key", "override_drug_code"])
+    def test_bad_field_rejected(self, changes, message):
+        raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
+               "output_dir": "o", **changes}
+        with pytest.raises(ValueError, match=message):
+            RunManifest.from_dict(raw)
+
     def test_yaml_round_trip(self, tmp_path):
         m = RunManifest("d", ["x"], ["oe1"], "o", seed=3,
                         overrides={"oe1": {"T": 60}})
@@ -73,6 +104,46 @@ class TestBaseConfig:
         config = _base_config("ror05", "x", 0,
                               {"excluded_event_codes": ["a", "b"]})
         assert config.excluded_event_codes == frozenset({"a", "b"})
+
+    def test_control_period_becomes_tuple(self):
+        # YAML gives a list; configurations must stay hashable
+        config = _base_config("oe1", "x", 0, {"control_period": [24, 18]})
+        assert config.control_period == (24, 18)
+        assert hash(config) == hash(_base_config("oe1", "x", 0, {
+            "control_period": (24, 18)}))
+
+
+def _rank_alone(db, algorithm_id, config):
+    """The public per-configuration ranking of one algorithm id."""
+    if algorithm_id == "ror05":
+        return rank_ror(db, config)
+    if algorithm_id.startswith("oe"):
+        return rank_oe(db, config, int(algorithm_id[-1]))
+    if algorithm_id.startswith("mutara"):
+        return rank_mutara(db, config)
+    return rank_hunt(db, config)
+
+
+class TestScoreDrug:
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"oe2": {"T": 60}},                      # splits the OE pair
+        {"hunt60": {"pre_window": 0}},           # splits the 60-day pair
+        {"oe1": {"control_period": [24, 18]}},   # a list, as YAML gives it
+    ], ids=["none", "oe_split", "pair60_split", "control_period_list"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_shared_passes_never_change_a_list(self, overrides, seed):
+        db = random_small_db(np.random.default_rng(seed), n_patients=30)
+        shared = score_drug(db, "X", ALGORITHM_IDS, seed % 1000, overrides)
+        assert [r.algorithm for r in shared] == list(ALGORITHM_IDS)
+        for ranked in shared:
+            config = _base_config(ranked.algorithm, "X", seed % 1000,
+                                  overrides.get(ranked.algorithm, {}))
+            alone = _rank_alone(db, ranked.algorithm, config)
+            assert ranked.entries == alone.entries, ranked.algorithm
+            assert ranked.filtered == alone.filtered, ranked.algorithm
 
 
 class TestRun:
@@ -162,6 +233,37 @@ class TestMain:
             assert main(["run", "--manifest", str(path)]) == 1
         assert "run failed" in caplog.text
 
+    def test_bad_override_key_is_usage_error_before_load(
+            self, demo_data, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lodsig.cli, "_load_db", None)  # never reached
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["oe1"], "output_dir": str(tmp_path / "res"),
+            "overrides": {"oe1": {"TT": 60}}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "Traceback" not in "\n".join(err)
+        assert "overrides for oe1" in err[-1] and "TT" in err[-1]
+        assert not (tmp_path / "res").exists()
+
+    def test_drug_missing_from_database_is_data_error(
+            self, demo_data, tmp_path, caplog):
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_typo"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        with caplog.at_level("ERROR"):
+            assert main(["run", "--manifest", str(path)]) == 1
+        failures = [r.getMessage() for r in caplog.records
+                    if "run failed" in r.getMessage()]
+        assert len(failures) == 1
+        assert "drug_typo" in failures[0]
+        assert str(demo_data[1]) in failures[0]
+        assert not (tmp_path / "res").exists()
+
     def test_bad_manifest_exits_via_parser_error(self, tmp_path, capsys):
         path = tmp_path / "m.yaml"
         path.write_text(yaml.safe_dump({"database_dir": "d",
@@ -194,11 +296,24 @@ class TestMain:
         assert config.drug_models["d"].indication_event == ("e", 3.0)
 
 
-def _main_with_log_level(level, output_dir):
-    """`lodsig summarize` in a fresh interpreter with LODSIG_LOG set."""
+def _env_with_src(**extra):
     src = str(Path(lodsig.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, LODSIG_LOG=level, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_seed_sweep_script_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "seed_sweep.py"), "1", "300"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == list(ALGORITHM_IDS)
+
+
+def _main_with_log_level(level, output_dir):
+    """`lodsig summarize` in a fresh interpreter with LODSIG_LOG set."""
+    env = _env_with_src(LODSIG_LOG=level)
     return subprocess.run(
         [sys.executable, "-c",
          "import sys; from lodsig.cli import main; sys.exit(main())",

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig import mutara, store, temporal_ic
-from lodsig.cli import _base_config, _score
+from lodsig import mutara, srs, store, temporal_ic
+from lodsig.cli import ALGORITHM_IDS, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_events, cohort_summary,
                           count_events_in_window, extract_exposures,
@@ -174,29 +174,32 @@ class TestWindowPairs:
         assert got == brute_window_pairs(db, pts, lo, hi)
         assert list(row) == sorted(row)
 
-    @pytest.mark.parametrize("algorithm_id, calls", [("oe1", 9),
-                                                     ("mutara60", 5)])
-    def test_calls_per_unit_independent_of_candidates(self, algorithm_id,
-                                                      calls, monkeypatch):
-        # one call selects the candidates; OE then makes 8 (4 periods x 2
-        # populations) and MUTARA 4 (post and predictable windows x
-        # exposed and background patients), however many codes there are
+    @pytest.mark.parametrize("modules, calls", [
+        ((store, temporal_ic, mutara), 20),
+        ((store, temporal_ic, mutara, srs), 21)], ids=["no_srs", "srs"])
+    def test_calls_per_drug_independent_of_candidates(self, modules, calls,
+                                                      monkeypatch):
+        # each of the four scoring passes (ror05; oe1+oe2; mutara60+hunt60;
+        # mutara180+hunt180) selects its candidates with one call; OE then
+        # makes 8 (4 periods x 2 populations), each support pass 4 (post
+        # and predictable windows x exposed and background patients) and
+        # SRS 1, however many codes there are
         seen = []
 
         def counting(*args):
             seen.append(args)
             return window_pairs(*args)
-        for module in (store, temporal_ic, mutara):
+        for module in modules:
             monkeypatch.setattr(module, "window_pairs", counting)
         rng = np.random.default_rng(17)
         n_candidates = set()
         for codes in ("AC", "ABCDEFGHIJKL"):
             db = random_small_db(rng, n_patients=40, codes=tuple(codes))
-            config = _base_config(algorithm_id, "X", 3, {})
             seen.clear()
-            ranked = _score(db, algorithm_id, config)
+            ranked = score_drug(db, "X", ALGORITHM_IDS, 3)
             assert len(seen) == calls
-            n_candidates.add(len(ranked.entries) + len(ranked.filtered))
+            oe1 = ranked[ALGORITHM_IDS.index("oe1")]
+            n_candidates.add(len(oe1.entries) + len(oe1.filtered))
         assert len(n_candidates) == 2
 
 
