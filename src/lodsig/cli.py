@@ -117,6 +117,10 @@ class RunManifest:
                     and all(isinstance(v, str) for v in value)):
                 raise ValueError(f"manifest {key} must be a non-empty list "
                                  f"of strings, not {value!r}")
+        for drug in manifest.drugs:
+            if drug in (".", "..") or set(drug) & set("/\\\0"):
+                raise ValueError(f"drug code {drug!r} cannot name output "
+                                 "files (no '/', '\\', NUL, '.' or '..')")
         if not isinstance(manifest.overrides, dict):
             raise ValueError("manifest overrides must be a mapping, not "
                              f"{manifest.overrides!r}")

@@ -1,7 +1,9 @@
 """Indexed longitudinal patient record store.
 
-Loads patient / prescription / medical-event CSV files into an immutable
-columnar store, applies the data-quality rules (12-month registration
+Loads patient / prescription / medical-event CSV files, each in one
+streaming pass that interns every column's values, so that stripping,
+checks and date parsing run once per distinct value, into an immutable
+columnar store; applies the data-quality rules (12-month registration
 washout, 13-month first-prescription rule, 30-day active-follow-up rule)
 and serves the windowed event queries every detection algorithm is built
 on through one kernel, `window_pairs`: each windowed count is a
@@ -11,6 +13,7 @@ windows at once.  Dates are proleptic-Gregorian day ordinals internally.
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime
 import logging
@@ -143,72 +146,69 @@ class Database:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_records(cls, patient_rows, rx_rows, ev_rows):
-        """Build a database from parsed in-memory rows.
+    def from_columns(cls, patient_rows, rx, ev):
+        """Build a database from patient rows and two record tables.
 
         patient_rows: (patient_id, year_of_birth, Gender, reg_ord, death_ord|None)
-        rx_rows: (patient_id, drug_code, day_ord)
-        ev_rows: (patient_id, event_code, day_ord)
+        rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
+        record i is pid_values[pid_index[i]], code_values[code_index[i]]
+        and day_ord[i] (int64 arrays; every listed code is used).
         """
         patient_ids = sorted(r[0] for r in patient_rows)
         if len(patient_ids) != len(set(patient_ids)):
             raise DataFormatError("duplicate patient_id in patients input")
         pt_index = {pid: i for i, pid in enumerate(patient_ids)}
 
-        drug_codes = sorted({r[1] for r in rx_rows})
-        event_codes = sorted({r[1] for r in ev_rows})
-        drug_index = {d: i for i, d in enumerate(drug_codes)}
-        event_index = {e: i for i, e in enumerate(event_codes)}
-
-        def columns(rows, code_index, kind):
-            pid = np.empty(len(rows), dtype=np.int64)
-            code = np.empty(len(rows), dtype=np.int64)
-            day = np.empty(len(rows), dtype=np.int64)
-            for i, (p, c, d) in enumerate(rows):
-                j = pt_index.get(p)
-                if j is None:
-                    raise DataFormatError(
-                        f"unknown patient_id {p!r} in {kind} input")
-                pid[i], code[i], day[i] = j, code_index[c], d
+        def columns(pid_values, pid_index, code_values, code_index, day,
+                    kind):
+            codes = sorted(set(code_values))
+            code_of = {c: i for i, c in enumerate(codes)}
+            pid = np.array([pt_index.get(p, -1) for p in pid_values],
+                           dtype=np.int64)[pid_index]
+            if np.any(pid < 0):
+                p = pid_values[pid_index[np.argmax(pid < 0)]]
+                raise DataFormatError(
+                    f"unknown patient_id {p!r} in {kind} input")
+            code = np.array([code_of[c] for c in code_values],
+                            dtype=np.int64)[code_index]
             order = np.lexsort((code, day, pid))
-            pid, code, day = pid[order], code[order], day[order]
-            if len(pid):
-                stacked = np.stack([pid, code, day])
-                keep = np.ones(len(pid), dtype=bool)
-                keep[1:] = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
-                dropped = int((~keep).sum())
-                pid, code, day = pid[keep], code[keep], day[keep]
-            else:
-                dropped = 0
-            return pid, code, day, dropped
+            stacked = np.stack([pid[order], code[order], day[order]])
+            keep = np.ones(len(pid), dtype=bool)
+            keep[1:] = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
+            pid, code, day = stacked[:, keep]
+            return codes, pid, code, day, int((~keep).sum())
 
-        rx_pid, rx_drug, rx_day, rx_dropped = columns(rx_rows, drug_index,
-                                                      "prescriptions")
-        ev_pid, ev_code, ev_day, ev_dropped = columns(ev_rows, event_index,
-                                                      "events")
+        drug_codes, rx_pid, rx_drug, rx_day, rx_dropped = columns(
+            *rx, "prescriptions")
+        event_codes, ev_pid, ev_code, ev_day, ev_dropped = columns(
+            *ev, "events")
         dropped = rx_dropped + ev_dropped
         if dropped:
             log.warning("collapsed %d duplicate record rows", dropped)
 
         # last_active = max date of any record, or death date if later
-        last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min,
-                           dtype=np.int64)
+        last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min)
         for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
-            if len(arr_pid):
-                np.maximum.at(last_rec, arr_pid, arr_day)
+            np.maximum.at(last_rec, arr_pid, arr_day)
 
         patients = {}
-        for pid_str, yob, gender, reg, death in patient_rows:
-            candidates = [reg, int(last_rec[pt_index[pid_str]])]
-            if death is not None:
-                candidates.append(death)
-            patients[pid_str] = Patient(pid_str, yob, gender, reg,
-                                        max(candidates), death)
+        for pid, yob, gender, reg, death in patient_rows:
+            last = max(reg, int(last_rec[pt_index[pid]]), death or reg)
+            patients[pid] = Patient(pid, yob, gender, reg, last, death)
 
         db = cls(patients, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
                  patient_ids, drug_codes, event_codes, dropped)
         db._validate()
         return db
+
+    @classmethod
+    def from_records(cls, patient_rows, rx_rows, ev_rows):
+        """Build a database from (patient_id, code, day_ord) record rows."""
+        def table(rows):
+            each = np.arange(len(rows))
+            return ([r[0] for r in rows], each, [r[1] for r in rows], each,
+                    np.array([r[2] for r in rows], dtype=np.int64))
+        return cls.from_columns(patient_rows, table(rx_rows), table(ev_rows))
 
     def _validate(self):
         for arr_pid, arr_day, kind in ((self.ev_pid, self.ev_day, "event"),
@@ -262,23 +262,79 @@ class Database:
 
 # -- CSV loading ----------------------------------------------------------
 
-def _parse_date(text: str, path, row_no: int) -> int:
-    try:
-        return datetime.date.fromisoformat(text.strip()).toordinal()
-    except ValueError:
-        raise DataFormatError(
-            f"{path}, row {row_no}: bad date {text!r}") from None
+def _read_columns(path, required, optional=()):
+    """Read the named columns of a CSV file in one pass, interning values.
 
-
-def _read_csv(path, required_columns):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required_columns if c not in header]
+    Returns {column: (distinct raw values, int64 index of each record's
+    value)}.  Record i is row i + 2 (blank lines are not counted); the
+    missing fields of a short row or optional column read "".
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
         if missing:
             raise DataFormatError(f"{path}: missing columns {missing}")
-        for row_no, row in enumerate(reader, start=2):
-            yield row_no, row
+        # a repeated column name reads the last column of that name
+        where = {name: i for i, name in enumerate(header)}
+        names = [c for c in (*required, *optional) if c in where]
+        columns = [(where[c], {}, array.array("q")) for c in names]
+        width = max(where[c] for c in names) + 1
+        for row in filter(None, reader):  # skips blank lines
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            for i, table, index in columns:
+                index.append(table.setdefault(row[i], len(table)))
+    n_rows = len(columns[0][2])
+    return {**{c: ([""], np.zeros(n_rows, dtype=np.int64)) for c in optional},
+            **{c: (list(table), np.frombuffer(index, dtype=np.int64))
+               for c, (_, table, index) in zip(names, columns)}}
+
+
+def _read_table(path, fields, optional=()):
+    """Read, parse and check the named columns of a CSV file.
+
+    fields: (column, parse, message) in the order a row is checked; parse
+    runs once per distinct raw text, and message(text) describes a text
+    it maps to None or "" or rejects with ValueError.  Returns
+    {column: (parsed distinct texts, int64 index of each row's text)}.
+    """
+    columns = _read_columns(
+        path, [f[0] for f in fields if f[0] not in optional], optional)
+    out, errors = {}, []
+    for order, (name, parse, message) in enumerate(fields):
+        texts, index = columns[name]
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except ValueError:
+                values.append(None)
+        bad = np.array([v in (None, "") for v in values], dtype=bool)[index]
+        if bad.any():
+            row = int(np.argmax(bad))
+            errors.append((row, order, message(texts[index[row]])))
+        out[name] = (values, index)
+    if errors:
+        row, _, message = min(errors)
+        raise DataFormatError(f"{path}, row {row + 2}: {message}")
+    return out
+
+
+def _day(text):
+    return datetime.date.fromisoformat(text.strip()).toordinal()
+
+
+def _load_records(path, code_column):
+    """(pid_values, pid_index, code_values, code_index, day_ord) of a file."""
+    missing = f"missing patient_id or {code_column}"
+    columns = _read_table(path, [
+        ("patient_id", str.strip, lambda t: missing),
+        (code_column, str.strip, lambda t: missing),
+        ("date", _day, lambda t: f"bad date {t!r}")])
+    days, date = columns["date"]
+    return (*columns["patient_id"], *columns[code_column],
+            np.array(days, dtype=np.int64)[date])
 
 
 def load_database(prescriptions_path, events_path, patients_path) -> Database:
@@ -287,43 +343,23 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
     Hard errors (DataFormatError) name the offending file and row; exact
     duplicate rows are collapsed with a warning counter on the result.
     """
-    patient_rows = []
-    for row_no, row in _read_csv(patients_path,
-                                 ["patient_id", "year_of_birth", "gender",
-                                  "registration_date"]):
-        pid = (row["patient_id"] or "").strip()
-        if not pid:
-            raise DataFormatError(f"{patients_path}, row {row_no}: "
-                                  "missing patient_id")
-        try:
-            yob = int(row["year_of_birth"])
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{patients_path}, row {row_no}: bad year_of_birth "
-                f"{row['year_of_birth']!r}") from None
-        gender = _GENDER_ALIASES.get((row["gender"] or "").strip().lower())
-        if gender is None:
-            raise DataFormatError(f"{patients_path}, row {row_no}: "
-                                  f"bad gender {row['gender']!r}")
-        reg = _parse_date(row["registration_date"], patients_path, row_no)
-        death_text = (row.get("death_date") or "").strip()
-        death = _parse_date(death_text, patients_path, row_no) if death_text else None
-        patient_rows.append((pid, yob, gender, reg, death))
+    fields = [
+        ("patient_id", str.strip, lambda t: "missing patient_id"),
+        ("year_of_birth", int, lambda t: f"bad year_of_birth {t!r}"),
+        ("gender", lambda t: _GENDER_ALIASES.get(t.strip().lower()),
+         lambda t: f"bad gender {t!r}"),
+        ("registration_date", _day, lambda t: f"bad date {t!r}"),
+        # no date is ordinal 0, so 0 stands for an empty death date
+        ("death_date", lambda t: _day(t) if t.strip() else 0,
+         lambda t: f"bad date {t.strip()!r}")]
+    columns = _read_table(patients_path, fields, optional=("death_date",))
+    patient_rows = [(*row[:4], row[4] or None) for row in zip(
+        *([values[i] for i in index.tolist()]
+          for values, index in (columns[f[0]] for f in fields)))]
 
-    def load_records(path, code_column):
-        rows = []
-        for row_no, row in _read_csv(path, ["patient_id", code_column, "date"]):
-            pid = (row["patient_id"] or "").strip()
-            code = (row[code_column] or "").strip()
-            if not pid or not code:
-                raise DataFormatError(f"{path}, row {row_no}: missing "
-                                      f"patient_id or {code_column}")
-            rows.append((pid, code, _parse_date(row["date"], path, row_no)))
-        return rows
-
-    rx_rows = load_records(prescriptions_path, "drug_code")
-    ev_rows = load_records(events_path, "event_code")
-    return Database.from_records(patient_rows, rx_rows, ev_rows)
+    rx = _load_records(prescriptions_path, "drug_code")
+    ev = _load_records(events_path, "event_code")
+    return Database.from_columns(patient_rows, rx, ev)
 
 
 # -- eligibility and windowed queries -------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .ranking import RankedSignalList, build_ranked_list
 from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_events,
@@ -72,6 +71,7 @@ def gamma_quantile(shape: float, rate: float, q: float) -> float:
         raise ValueError("quantile level must be in (0, 1)")
     if shape <= 0 or rate <= 0:
         raise ValueError("shape and rate must be positive")
+    from scipy.special import gammaincinv  # lazy: slow to import
     return float(gammaincinv(shape, q)) / rate
 
 

@@ -5,11 +5,16 @@ database accessors, deliberately avoiding the vectorized counting paths
 in the package.
 """
 
+import csv
+import datetime
 import hashlib
 import math
 
-from lodsig.store import (DAYS_12_MONTHS, DAYS_13_MONTHS, DAYS_PER_MONTH,
-                          MIN_ACTIVE_FOLLOWUP_DAYS)
+import numpy as np
+
+from lodsig.store import (_GENDER_ALIASES, DAYS_12_MONTHS, DAYS_13_MONTHS,
+                          DAYS_PER_MONTH, MIN_ACTIVE_FOLLOWUP_DAYS, Database,
+                          DataFormatError, Patient)
 from lodsig.temporal_ic import Period
 
 
@@ -19,6 +24,130 @@ def patient_records(db, pid):
     drugs, rx_days = db.prescriptions_for_patient(pid)
     rx = [(db.drug_codes[c], int(d)) for c, d in zip(drugs, rx_days)]
     return rx, events
+
+
+def _parse_date(text: str, path, row_no: int) -> int:
+    try:
+        return datetime.date.fromisoformat(text.strip()).toordinal()
+    except ValueError:
+        raise DataFormatError(
+            f"{path}, row {row_no}: bad date {text!r}") from None
+
+
+def _read_csv(path, required_columns):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, restval="")
+        header = reader.fieldnames or []
+        missing = [c for c in required_columns if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing columns {missing}")
+        for row_no, row in enumerate(reader, start=2):
+            yield row_no, row
+
+
+def brute_load_database(prescriptions_path, events_path, patients_path):
+    """The row-at-a-time `DictReader` loader `store.load_database` replaced.
+
+    Kept as it was, except that it reads a UTF-8 BOM and gives the
+    missing fields of a short row the value "" (they were None, which
+    ended a short record row in an AttributeError).
+    """
+    patient_rows = []
+    for row_no, row in _read_csv(patients_path,
+                                 ["patient_id", "year_of_birth", "gender",
+                                  "registration_date"]):
+        pid = (row["patient_id"] or "").strip()
+        if not pid:
+            raise DataFormatError(f"{patients_path}, row {row_no}: "
+                                  "missing patient_id")
+        try:
+            yob = int(row["year_of_birth"])
+        except (TypeError, ValueError):
+            raise DataFormatError(
+                f"{patients_path}, row {row_no}: bad year_of_birth "
+                f"{row['year_of_birth']!r}") from None
+        gender = _GENDER_ALIASES.get((row["gender"] or "").strip().lower())
+        if gender is None:
+            raise DataFormatError(f"{patients_path}, row {row_no}: "
+                                  f"bad gender {row['gender']!r}")
+        reg = _parse_date(row["registration_date"], patients_path, row_no)
+        death_text = (row.get("death_date") or "").strip()
+        death = _parse_date(death_text, patients_path, row_no) if death_text else None
+        patient_rows.append((pid, yob, gender, reg, death))
+
+    def load_records(path, code_column):
+        rows = []
+        for row_no, row in _read_csv(path, ["patient_id", code_column, "date"]):
+            pid = (row["patient_id"] or "").strip()
+            code = (row[code_column] or "").strip()
+            if not pid or not code:
+                raise DataFormatError(f"{path}, row {row_no}: missing "
+                                      f"patient_id or {code_column}")
+            rows.append((pid, code, _parse_date(row["date"], path, row_no)))
+        return rows
+
+    rx_rows = load_records(prescriptions_path, "drug_code")
+    ev_rows = load_records(events_path, "event_code")
+    return brute_from_records(patient_rows, rx_rows, ev_rows)
+
+
+def brute_from_records(patient_rows, rx_rows, ev_rows):
+    """The per-row `Database.from_records` that `from_columns` replaced."""
+    patient_ids = sorted(r[0] for r in patient_rows)
+    if len(patient_ids) != len(set(patient_ids)):
+        raise DataFormatError("duplicate patient_id in patients input")
+    pt_index = {pid: i for i, pid in enumerate(patient_ids)}
+
+    drug_codes = sorted({r[1] for r in rx_rows})
+    event_codes = sorted({r[1] for r in ev_rows})
+    drug_index = {d: i for i, d in enumerate(drug_codes)}
+    event_index = {e: i for i, e in enumerate(event_codes)}
+
+    def columns(rows, code_index, kind):
+        pid = np.empty(len(rows), dtype=np.int64)
+        code = np.empty(len(rows), dtype=np.int64)
+        day = np.empty(len(rows), dtype=np.int64)
+        for i, (p, c, d) in enumerate(rows):
+            j = pt_index.get(p)
+            if j is None:
+                raise DataFormatError(
+                    f"unknown patient_id {p!r} in {kind} input")
+            pid[i], code[i], day[i] = j, code_index[c], d
+        order = np.lexsort((code, day, pid))
+        pid, code, day = pid[order], code[order], day[order]
+        if len(pid):
+            stacked = np.stack([pid, code, day])
+            keep = np.ones(len(pid), dtype=bool)
+            keep[1:] = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
+            dropped = int((~keep).sum())
+            pid, code, day = pid[keep], code[keep], day[keep]
+        else:
+            dropped = 0
+        return pid, code, day, dropped
+
+    rx_pid, rx_drug, rx_day, rx_dropped = columns(rx_rows, drug_index,
+                                                  "prescriptions")
+    ev_pid, ev_code, ev_day, ev_dropped = columns(ev_rows, event_index,
+                                                  "events")
+    last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min,
+                       dtype=np.int64)
+    for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
+        if len(arr_pid):
+            np.maximum.at(last_rec, arr_pid, arr_day)
+
+    patients = {}
+    for pid_str, yob, gender, reg, death in patient_rows:
+        candidates = [reg, int(last_rec[pt_index[pid_str]])]
+        if death is not None:
+            candidates.append(death)
+        patients[pid_str] = Patient(pid_str, yob, gender, reg,
+                                    max(candidates), death)
+
+    db = Database(patients, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
+                  patient_ids, drug_codes, event_codes,
+                  rx_dropped + ev_dropped)
+    db._validate()
+    return db
 
 
 def brute_exposures(db, config):

@@ -73,9 +73,15 @@ class TestManifest:
         ({"overrides": {"oe1": {"TT": 60}}}, "overrides for oe1 must map"),
         ({"overrides": {"oe1": {"drug_code": "y"}}},
          "overrides for oe1 must map"),
+        ({"drugs": ["x", "a/b"]}, "cannot name output files"),
+        ({"drugs": ["a\\b"]}, "cannot name output files"),
+        ({"drugs": ["a\0b"]}, "cannot name output files"),
+        ({"drugs": ["."]}, "cannot name output files"),
+        ({"drugs": [".."]}, "cannot name output files"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
-            "override_unknown_key", "override_drug_code"])
+            "override_unknown_key", "override_drug_code", "drug_slash",
+            "drug_backslash", "drug_nul", "drug_dot", "drug_dotdot"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
@@ -249,6 +255,21 @@ class TestMain:
         assert "overrides for oe1" in err[-1] and "TT" in err[-1]
         assert not (tmp_path / "res").exists()
 
+    def test_drug_code_with_slash_is_usage_error_before_load(
+            self, demo_data, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lodsig.cli, "_load_db", None)  # never reached
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x", "a/b"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "Traceback" not in "\n".join(err)
+        assert "'a/b'" in err[-1]
+        assert not (tmp_path / "res").exists()
+
     def test_drug_missing_from_database_is_data_error(
             self, demo_data, tmp_path, caplog):
         path = tmp_path / "m.yaml"
@@ -309,6 +330,14 @@ def test_seed_sweep_script_runs():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == list(ALGORITHM_IDS)
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lodsig.cli; assert 'scipy' not in sys.modules"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _main_with_log_level(level, output_dir):

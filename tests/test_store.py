@@ -1,4 +1,6 @@
 import datetime
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           load_database, window_pairs)
 
 from conftest import day, make_db, random_small_db
-from oracles import brute_exposures, brute_window_pairs
+from oracles import brute_exposures, brute_load_database, brute_window_pairs
 
 
 def write_csvs(tmp_path, patients, prescriptions, events):
@@ -71,6 +73,216 @@ class TestLoad:
     def test_record_before_registration_rejected(self):
         with pytest.raises(DataFormatError, match="before registration"):
             make_db([("p1", 100, 900)], events=[("p1", "A", 50)])
+
+
+P = "patient_id,year_of_birth,gender,registration_date,death_date\n"
+RX = "patient_id,drug_code,date\n"
+EV = "patient_id,event_code,date\n"
+P1 = "p1,1950,F,2015-01-01,\n"
+P2 = "p2,1970,M,2014-06-01,2019-03-01\n"
+GOOD_RX = "p1,X,2016-02-01\n"
+GOOD_EV = "p1,A,2016-03-01\n"
+
+
+def _load_outcome(load, paths):
+    try:
+        return load(*paths)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def assert_loads_like_oracle(directory, patients, prescriptions, events):
+    """Both loaders raise the same DataFormatError or build equal databases.
+
+    Texts are written byte for byte, so their line ends and quoting reach
+    the CSV parser unchanged.
+    """
+    paths = []
+    for name, text in (("prescriptions", prescriptions), ("events", events),
+                       ("patients", patients)):
+        path = Path(directory) / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        paths.append(path)
+    got = _load_outcome(load_database, paths)
+    want = _load_outcome(brute_load_database, paths)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return got
+    arrays = sorted(k for k, v in vars(want).items()
+                    if isinstance(v, np.ndarray))
+    assert arrays == sorted(k for k, v in vars(got).items()
+                            if isinstance(v, np.ndarray))
+    for name in arrays:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.patients == want.patients
+    assert got.patient_ids == want.patient_ids
+    assert got.drug_codes == want.drug_codes
+    assert got.event_codes == want.event_codes
+    assert got.duplicates_dropped == want.duplicates_dropped
+    return got
+
+
+_DATES = ["20150105", "2015-W01-1", "2015-01-05T00:00", "0000-01-01",
+          "2015-02-29", "2020-13-40"]
+
+# (patients, prescriptions, events) texts, headers included
+LOADER_CASES = {
+    "quoted_fields": (
+        P + '"p1","1950","F","2015-01-01",""\n',
+        RX + '"p1","X, Y","2016-02-01"\n',
+        EV + '"p1","A\nB",2016-03-01\n"p1",A,"2016-03-02"\n'),
+    "quoted_newline_then_bad_row": (
+        P + P1, RX + GOOD_RX,
+        EV + '"p1","A\nB",2016-03-01\np1,A,2016-13-01\n'),
+    "crlf": ((P + P1 + P2).replace("\n", "\r\n"),
+             (RX + GOOD_RX).replace("\n", "\r\n"),
+             (EV + GOOD_EV + "p2,C,2015-09-01\n").replace("\n", "\r\n")),
+    "mixed_line_ends": (P + P1.replace("\n", "\r\n") + P2, RX + GOOD_RX,
+                        EV + "p1,A,2016-03-01\r\np2,C,2015-09-01\n"),
+    "no_final_newline": (P + P1, RX + GOOD_RX.rstrip(),
+                         EV + GOOD_EV.rstrip()),
+    "blank_lines": (P + "\n" + P1 + "\n\n" + P2, RX + "\n" + GOOD_RX,
+                    EV + GOOD_EV + "\n\n" + "p2,C,2015-09-01\n"),
+    "blank_lines_then_bad_row": (P + "\n" + P1 + "\n\n" + P2,
+                                 RX + GOOD_RX,
+                                 EV + "\n\n" + GOOD_EV + "\np2,C,bad\n"),
+    "spaces_around_fields": (
+        P + " p1 , 1950 , f , 2015-01-01 , \n"
+            "p2,1970, Male ,2014-06-01, 2019-03-01 \n",
+        RX + " p1 , X ,2016-02-01\np1,X , 2016-02-01 \n",
+        EV + "p1, A,2016-03-01\n p1,A , 2016-03-02\np2 ,C,2015-09-01\n"),
+    "spaced_pid_merges_with_plain": (
+        P + P1, RX + GOOD_RX, EV + "p1,A,2016-03-01\n p1 ,A,2016-03-05\n"),
+    "reordered_and_extra_columns": (
+        "gender,death_date,extra,registration_date,year_of_birth,"
+        "patient_id\nF,,zz,2015-01-01,1950,p1\n",
+        "date,drug_code,patient_id,note\n2016-02-01,X,p1,n\n",
+        "event_code,x,date,patient_id\nA,1,2016-03-01,p1\n"),
+    "no_death_date_column": (
+        "patient_id,year_of_birth,gender,registration_date\n"
+        "p1,1950,F,2015-01-01\n", RX + GOOD_RX, EV + GOOD_EV),
+    "duplicate_header_column": (
+        P + P1, "patient_id,drug_code,drug_code,date\np1,A,X,2016-02-01\n",
+        EV + GOOD_EV),
+    "long_rows": (P + "p1,1950,F,2015-01-01,,x,y\n", RX + GOOD_RX,
+                  EV + "p1,A,2016-03-01,extra\n"),
+    "short_patient_row_without_death": (P + "p1,1950,F,2015-01-01\n" + P2,
+                                        RX + GOOD_RX, EV + GOOD_EV),
+    "short_patient_row_without_date": (P + P1 + "p2,1970\n", RX + GOOD_RX,
+                                       EV + GOOD_EV),
+    "short_patient_row_without_year": (P + P1 + "p2\n", RX + GOOD_RX,
+                                       EV + GOOD_EV),
+    "short_record_row_without_code": (P + P1, RX + GOOD_RX,
+                                      EV + GOOD_EV + "p1\n"),
+    "short_record_row_without_date": (P + P1, RX + GOOD_RX + "p1,X\n",
+                                      EV + GOOD_EV),
+    **{f"event_date_{text}": (P + P1, RX + GOOD_RX,
+                              EV + GOOD_EV + f"p1,B,{text}\n")
+       for text in _DATES},
+    **{f"registration_date_{text}": (
+        P + f"p1,1950,F,{text},\n", RX, EV + GOOD_EV) for text in _DATES},
+    **{f"death_date_{text}": (
+        P + f"p1,1950,F,2014-01-01, {text} \n", RX, EV + GOOD_EV)
+       for text in _DATES},
+    "bad_year_of_birth": (P + P1 + "p2,19x0,M,2014-06-01,\n", RX, EV),
+    "bad_gender": (P + P1 + "p2,1970,Q,2014-06-01,\n", RX, EV),
+    "empty_pid_in_patients": (P + P1 + " ,1970,M,2014-06-01,\n", RX, EV),
+    "empty_pid_in_events": (P + P1, RX + GOOD_RX,
+                            EV + GOOD_EV + ",A,2016-03-01\n"),
+    "empty_code_in_prescriptions": (P + P1,
+                                    RX + GOOD_RX + "p1, ,2016-03-01\n",
+                                    EV + GOOD_EV),
+    "unknown_patient": (P + P1, RX + GOOD_RX, EV + "ghost,A,2016-01-01\n"),
+    "unknown_patient_in_both_record_files": (
+        P + P1, RX + "ghost_rx,X,2016-01-01\n",
+        EV + "ghost_ev,A,2016-01-01\n"),
+    "duplicate_patient": (P + P1 + " p1,1960,M,2014-01-01,\n", RX, EV),
+    "duplicate_patient_and_bad_event_date": (
+        P + P1 + P1, RX + GOOD_RX, EV + "p1,A,2016-02-30\n"),
+    "duplicate_rows": (P + P1, RX + GOOD_RX * 3,
+                       EV + GOOD_EV + " p1,A,2016-03-01\n" + GOOD_EV),
+    "record_before_registration": (P + P1, RX + GOOD_RX,
+                                   EV + "p1,A,2014-03-01\n"),
+    "bad_rows_date_then_code": (
+        P + P1, RX + GOOD_RX,
+        EV + GOOD_EV + "p1,A,2016-02-30\np1,,2016-03-01\n"),
+    "bad_rows_code_then_date": (
+        P + P1, RX + GOOD_RX,
+        EV + GOOD_EV + "p1,,2016-03-01\np1,A,2016-02-30\n"),
+    "missing_field_before_bad_date_in_one_row": (
+        P + P1, RX + GOOD_RX, EV + "p1,,2016-02-30\n"),
+    "patient_row_with_every_fault": (P + " ,19x0,Q,bad,worse\n", RX, EV),
+    "patient_row_with_bad_gender_and_dates": (P + "p1,1950,Q,bad,worse\n",
+                                              RX, EV),
+    "bad_rows_in_both_record_files": (P + P1, RX + "p1,X,2016-02-30\n",
+                                      EV + "p1,,2016-03-01\n"),
+    "bad_rows_in_patients_and_records": (
+        P + "p1,1950,F,2015-01-01,2015-02-29\n", RX + "p1,X,bad\n",
+        EV + "p1,,2016-03-01\n"),
+    "header_only_record_files": (P + P1 + P2, RX, EV),
+    "empty_events_file": (P + P1, RX + GOOD_RX, ""),
+    "blank_first_line": (P + P1, "\n" + RX + GOOD_RX, EV + GOOD_EV),
+    "missing_column": (P + P1, "patient_id,date\np1,2016-02-01\n", EV),
+}
+
+
+class TestLoaderMatchesOracle:
+
+    @pytest.mark.parametrize("texts", LOADER_CASES.values(),
+                             ids=LOADER_CASES.keys())
+    def test_pinned_case(self, texts, tmp_path):
+        assert_loads_like_oracle(tmp_path, *texts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_written_csv_text(self, data):
+        pids = ["p1", "p2", "p3", " p1", "p2 ", "ghost", ""]
+        dates = ["2016-02-01", "2016-02-01 ", "2017-05-05", "20160707",
+                 "2016-W10-2", "2013-01-01", "2016-02-30", "x"]
+        draw = data.draw
+
+        def field(options):
+            return draw(st.sampled_from(options))
+
+        def lines(header, n, make_row):
+            rows = [header] + [make_row() for _ in range(n)]
+            quote = draw(st.booleans())
+            out = []
+            for row in rows:
+                if draw(st.integers(0, 5)) == 0:
+                    out.append([])  # a blank line
+                out.append(row)
+            end = draw(st.sampled_from(["\n", "\r\n"]))
+            return "".join(
+                ",".join(f'"{f}"' if quote else f for f in row) + end
+                for row in out)
+
+        patients = lines(
+            ["patient_id", "year_of_birth", "gender", "registration_date",
+             "death_date"],
+            draw(st.integers(0, 4)),
+            lambda: [field(pids[:5] + ["p1", "p2", "p3"]),
+                     field(["1950", " 1960", "1970", "19x0"]),
+                     field(["F", "m", " male", "", "Q"]),
+                     field(["2014-01-01", " 2015-06-01", "20140305",
+                            "2014-02-30"]),
+                     field(["", "", "2019-03-01", " 2018-01-01 ", "bad"])])
+        records = [
+            lines(["patient_id", column, "date"], draw(st.integers(0, 6)),
+                  lambda: [field(pids), field(codes), field(dates)])
+            for column, codes in (("drug_code", ["X", " X", "Y", ""]),
+                                  ("event_code", ["A", "B ", "C", ""]))]
+        with tempfile.TemporaryDirectory() as directory:
+            assert_loads_like_oracle(directory, patients, *records)
+
+    def test_utf8_bom_is_read(self, tmp_path):
+        bom = "\ufeff"
+        db = assert_loads_like_oracle(tmp_path, bom + P + P1,
+                                      bom + RX + GOOD_RX, bom + EV + GOOD_EV)
+        assert db.patient_ids == ["p1"]
+        assert (db.drug_codes, db.event_codes) == (["X"], ["A"])
 
 
 class TestExtractExposures:
