@@ -106,11 +106,19 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
+        if not isinstance(raw, dict):
+            raise ValueError("a manifest must be a mapping of keys, not a "
+                             f"{type(raw).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         manifest = cls(**raw)
+        # bool is an int subclass, but `seed: true` is not a seed
+        if isinstance(manifest.seed, bool) or \
+                not isinstance(manifest.seed, int):
+            raise ValueError("manifest seed must be an integer, not "
+                             f"{manifest.seed!r}")
         for key in ("drugs", "algorithms"):
             value = getattr(manifest, key)
             if not (isinstance(value, list) and value
@@ -151,14 +159,15 @@ def _load_db(database_dir) -> Database:
 
 def run(manifest: RunManifest, jobs: int = 1) -> int:
     """Score every drug of the manifest and write all artifacts."""
+    # the small ground-truth file is checked before the database load
+    dictionary = None
+    if manifest.ground_truth is not None:
+        dictionary = AdrDictionary.from_csv(manifest.ground_truth)
     db = _load_db(manifest.database_dir)
     for drug in manifest.drugs:
         if db.drug_index(drug) is None:
             raise DataFormatError(f"drug {drug!r} has no prescriptions in "
                                   f"the database at {manifest.database_dir}")
-    dictionary = None
-    if manifest.ground_truth is not None:
-        dictionary = AdrDictionary.from_csv(manifest.ground_truth)
 
     score = functools.partial(score_drug, db, algorithms=manifest.algorithms,
                               seed=manifest.seed, overrides=manifest.overrides)
@@ -169,7 +178,11 @@ def run(manifest: RunManifest, jobs: int = 1) -> int:
             per_drug = list(pool.map(score, manifest.drugs))
     else:
         per_drug = map(score, manifest.drugs)
-    ranked_lists = [ranked for lists in per_drug for ranked in lists]
+    ranked_lists = []
+    for drug, lists in zip(manifest.drugs, per_drug):
+        log.info("scored %s: %s", drug, ", ".join(
+            f"{r.algorithm} {len(r.entries)}" for r in lists))
+        ranked_lists += lists
 
     out = Path(manifest.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -357,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "seven configurations")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the manifest seed")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (at least 1)")
     p_run.add_argument("--output", default=None,
                        help="override the manifest output directory")
 
@@ -384,6 +398,8 @@ def main(argv=None) -> int:
         return generate(args.config, args.output, args.demo, args.seed)
 
     if args.command == "run":
+        if args.jobs < 1:
+            parser.error(f"--jobs must be at least 1, not {args.jobs}")
         if args.generate_demo:
             if not args.output:
                 parser.error("run --generate-demo needs --output")

@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ranking import RankedSignalList
+from .store import DataFormatError, unreadable_csv
 
 log = logging.getLogger(__name__)
 
 FREQUENCY_CLASSES = ("frequent", "less_frequent", "rare")
 TRUTH_MODES = ("all", "rare", "reaction_codes")
+TRUTH_COLUMNS = ("drug_code", "event_code", "frequency_class",
+                 "is_reaction_code")
 
 
 @dataclass(frozen=True)
@@ -52,20 +55,35 @@ class AdrDictionary:
 
     @classmethod
     def from_csv(cls, path) -> "AdrDictionary":
+        """Read a ground-truth CSV; DataFormatError names a bad file row."""
         entries = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["drug_code"].strip(), row["event_code"].strip())
-                entries[key] = AdrEntry(
-                    row["frequency_class"].strip(),
-                    row["is_reaction_code"].strip().lower() in ("1", "true"))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh, restval="")
+            try:
+                missing = [c for c in TRUTH_COLUMNS
+                           if c not in (reader.fieldnames or [])]
+                if missing:
+                    raise DataFormatError(
+                        f"{path}, line 1: missing columns {missing}")
+                for row in reader:
+                    frequency = row["frequency_class"].strip()
+                    if frequency not in FREQUENCY_CLASSES:
+                        raise DataFormatError(
+                            f"{path}, line {reader.line_num}: unknown "
+                            f"frequency_class {frequency!r}")
+                    key = (row["drug_code"].strip(),
+                           row["event_code"].strip())
+                    entries[key] = AdrEntry(
+                        frequency, row["is_reaction_code"].strip().lower()
+                        in ("1", "true"))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise unreadable_csv(path, reader, exc) from None
         return cls(entries)
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["drug_code", "event_code", "frequency_class",
-                             "is_reaction_code"])
+            writer.writerow(TRUTH_COLUMNS)
             for (drug, event), entry in sorted(self.entries.items()):
                 writer.writerow([drug, event, entry.frequency_class,
                                  str(entry.is_reaction_code).lower()])
@@ -114,12 +132,16 @@ def map_score(y) -> float | None:
 
 def evaluate(ranked: RankedSignalList,
              dictionary: AdrDictionary) -> EvalReport:
+    """Metrics of one ranked list; precision at k beyond the length of
+    the list is over the whole list (emit_report logs one line for all
+    such lists, not one warning per list)."""
     y_all = truth_vector(ranked, dictionary, "all")
+    top = len(y_all)
     return EvalReport(
         algorithm_id=ranked.algorithm,
         drug_code=ranked.drug_code,
-        precision_10=precision_k(y_all, 10) if y_all else 0.0,
-        precision_50=precision_k(y_all, 50) if y_all else 0.0,
+        precision_10=precision_k(y_all, min(10, top)) if y_all else 0.0,
+        precision_50=precision_k(y_all, min(50, top)) if y_all else 0.0,
         map_all=map_score(y_all),
         map_rare=map_score(truth_vector(ranked, dictionary, "rare")),
         map_reaction_codes=map_score(
@@ -296,6 +318,11 @@ def emit_report(output_dir, ranked_lists, dictionary: AdrDictionary,
         path = ranked_csv_path(out, ranked.drug_code, ranked.algorithm)
         write_ranked_csv(path, ranked, y)
         written.append(path)
+    short = sum(r.n_candidates < 50 for r in reports)
+    if short:
+        log.warning("%d of %d ranked lists have fewer than 50 entries; "
+                    "their precision at k beyond the list length is over "
+                    "the whole list", short, len(reports))
     metrics = out / "metrics_summary.csv"
     write_metrics_csv(metrics, reports)
     chart = out / "map_chart.csv"

@@ -271,24 +271,46 @@ def _read_columns(path, required, optional=()):
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing}")
-        # a repeated column name reads the last column of that name
-        where = {name: i for i, name in enumerate(header)}
-        names = [c for c in (*required, *optional) if c in where]
-        columns = [(where[c], {}, array.array("q")) for c in names]
-        width = max(where[c] for c in names) + 1
-        for row in filter(None, reader):  # skips blank lines
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            for i, table, index in columns:
-                index.append(table.setdefault(row[i], len(table)))
+        try:
+            header = next(reader, [])
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise DataFormatError(f"{path}: missing columns {missing}")
+            # a repeated column name reads the last column of that name
+            where = {name: i for i, name in enumerate(header)}
+            names = [c for c in (*required, *optional) if c in where]
+            columns = [(where[c], {}, array.array("q")) for c in names]
+            width = max(where[c] for c in names) + 1
+            for row in filter(None, reader):  # skips blank lines
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                for i, table, index in columns:
+                    index.append(table.setdefault(row[i], len(table)))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise unreadable_csv(path, reader, exc) from None
     n_rows = len(columns[0][2])
     return {**{c: ([""], np.zeros(n_rows, dtype=np.int64)) for c in optional},
             **{c: (list(table), np.frombuffer(index, dtype=np.int64))
                for c, (_, table, index) in zip(names, columns)}}
+
+
+def unreadable_csv(path, reader, exc) -> DataFormatError:
+    """The error for a CSV file that is not UTF-8 text or not valid CSV.
+
+    A decoding error names the line of its first bad byte: the text layer
+    decodes ahead of the reader, so reader.line_num can lag behind it.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            line = data.count(b"\n", 0, first.start) + 1
+            return DataFormatError(
+                f"{path}, line {line}: not UTF-8 text "
+                f"(byte {data[first.start:first.start + 1]!r})")
+    return DataFormatError(f"{path}, line {reader.line_num}: {exc}")
 
 
 def _read_table(path, fields, optional=()):

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
+import io
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -103,27 +106,78 @@ def _bernoulli_prob(relative_risk: float, base_rate: float, window_days: int,
 
 @dataclass
 class GenerationResult:
+    """The generated records of one synthetic database, as columns.
+
+    patient_rows holds (patient_id, year_of_birth, Gender, registration,
+    death or None) in generation order.  rx and ev are record tables as
+    `Database.from_columns` takes them: (pid_values, pid_index,
+    code_values, code_index, day_ord), listing only the codes in use.
+    Records are in no particular order and keep exact duplicates.
+    """
     patient_rows: list
-    rx_rows: list
-    ev_rows: list
+    rx: tuple
+    ev: tuple
     injected_counts: dict[tuple[str, str], int]   # (drug, event) -> rows added
+
+    @property
+    def rx_rows(self) -> list:
+        """(patient_id, drug_code, day_ord) tuples of the prescriptions."""
+        return _rows(self.rx)
+
+    @property
+    def ev_rows(self) -> list:
+        """(patient_id, event_code, day_ord) tuples of the events."""
+        return _rows(self.ev)
+
+
+def _rows(table) -> list:
+    pid_values, pid, code_values, code, day = table
+    return [(pid_values[p], code_values[c], d)
+            for p, c, d in zip(pid.tolist(), code.tolist(), day.tolist())]
+
+
+def _table(pid_values, records, code_values):
+    """A from_columns record table of int (patient, code, day) rows."""
+    pid, code, day = np.asarray(records, dtype=np.int64).reshape(-1, 3).T
+    used, code = np.unique(code, return_inverse=True)
+    return (pid_values, pid, [code_values[c] for c in used.tolist()], code,
+            day)
 
 
 def generate_tables(config: SynthConfig) -> GenerationResult:
-    """Raw record rows for one synthetic database (deterministic per seed)."""
+    """Record columns of one synthetic database (deterministic per seed).
+
+    Each patient draws from its own `default_rng([seed, index])` stream,
+    in a fixed order that defines the output.  Background events are kept
+    as per-patient counts and day arrays; the few visit, indication,
+    injected and prescription rows as flat (patient, code, day) ints.
+    """
+    n = config.n_patients
     span_days = config.years_span * 365
     codes = sorted(config.background_event_rates)
     rates = np.array([config.background_event_rates[c] for c in codes])
+    # event code indices: the background codes in sorted order, then the
+    # visit marker and any indication code without a background rate
+    event_index = {code: i for i, code in enumerate(codes)}
+    visit = event_index.setdefault(VISIT_CODE, len(event_index))
+    for model in config.drug_models.values():
+        if model.indication_event is not None:
+            event_index.setdefault(model.indication_event[0],
+                                   len(event_index))
+    drugs = sorted(config.drug_models)
     inj_by_drug: dict[str, list[Injection]] = {}
     for inj in config.injections:
         inj_by_drug.setdefault(inj.drug_code, []).append(inj)
 
-    patient_rows, rx_rows, ev_rows = [], [], []
+    patient_rows = []
+    reg_end = np.empty((n, 2), dtype=np.int64)
+    counts = np.empty((n, len(codes)), dtype=np.int64)
+    bg_days = [np.empty(0, dtype=np.int64)]
+    rx, extra = [], []   # flat (patient, code index, day) ints
     injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
 
-    for i in range(config.n_patients):
+    for i in range(n):
         rng = np.random.default_rng([config.rng_seed, i])
-        pid = f"p{i:07d}"
         reg = ORIGIN + int(rng.integers(0, max(1, span_days - 540)))
         end = ORIGIN + span_days
         if rng.random() < config.dropout_prob and reg + 540 < end:
@@ -131,20 +185,15 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
         death = end if rng.random() < config.death_prob else None
         yob = ORIGIN_YEAR - int(rng.integers(20, 86))
         gender = Gender.FEMALE if rng.random() < 0.5 else Gender.MALE
-        patient_rows.append((pid, yob, gender, reg, death))
+        patient_rows.append((f"p{i:07d}", yob, gender, reg, death))
+        reg_end[i] = reg, end
 
-        ev_rows.append((pid, VISIT_CODE, reg))
-        ev_rows.append((pid, VISIT_CODE, end))
-
-        active_years = (end - reg) / 365.0
-        counts = rng.poisson(rates * active_years)
-        total = int(counts.sum())
+        counts[i] = rng.poisson(rates * ((end - reg) / 365.0))
+        total = int(counts[i].sum())
         if total:
-            days = rng.integers(reg, end + 1, size=total)
-            for code, day in zip(np.repeat(codes, counts), days):
-                ev_rows.append((pid, str(code), int(day)))
+            bg_days.append(rng.integers(reg, end + 1, size=total))
 
-        for drug in sorted(config.drug_models):
+        for d, drug in enumerate(drugs):
             model = config.drug_models[drug]
             if rng.random() >= model.prescription_rate:
                 continue
@@ -152,10 +201,10 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
             if hi <= lo:
                 continue
             t0 = int(rng.integers(lo, hi + 1))
-            rx_rows.append((pid, drug, t0))
+            rx += (i, d, t0)
             k = 1
             while rng.random() < model.repeat_rate and t0 + 28 * k <= end:
-                rx_rows.append((pid, drug, t0 + 28 * k))
+                rx += (i, d, t0 + 28 * k)
                 k += 1
 
             if model.indication_event is not None:
@@ -163,52 +212,61 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
                 base = config.background_event_rates.get(code, 0.0)
                 n_extra = int(rng.poisson(max(0.0, (mult - 1) * base
                                               * 60 / 365.0)))
-                for day in rng.integers(t0 - 60, t0, size=n_extra):
-                    ev_rows.append((pid, code, int(day)))
+                for day in rng.integers(t0 - 60, t0, size=n_extra).tolist():
+                    extra += (i, event_index[code], day)
 
             for inj in inj_by_drug.get(drug, ()):
                 base = config.background_event_rates[inj.event_code]
+                code = event_index[inj.event_code]
                 if inj.kind == "adr":
                     p = _bernoulli_prob(inj.relative_risk, base,
                                         inj.latency_window_days)
                     if rng.random() < p:
-                        day = t0 + 1 + int(rng.integers(
-                            0, inj.latency_window_days))
-                        ev_rows.append((pid, inj.event_code, day))
+                        extra += (i, code, t0 + 1 + int(rng.integers(
+                            0, inj.latency_window_days)))
                         injected[(drug, inj.event_code)] += 1
                 elif inj.kind == "therapeutic_failure":
                     p_post = _bernoulli_prob(inj.relative_risk, base, 30,
                                              cap=0.9)
                     if rng.random() < p_post:
-                        day = t0 + 1 + int(rng.integers(0, 30))
-                        ev_rows.append((pid, inj.event_code, day))
+                        extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
                         injected[(drug, inj.event_code)] += 1
                     # pre-exposure excess sits in [t0-180, t0-31] so the
                     # month directly before the prescription stays clean
                     p_pre = _bernoulli_prob(inj.relative_risk, base, 150,
                                             cap=0.9)
                     if rng.random() < p_pre:
-                        day = t0 - 180 + int(rng.integers(0, 150))
-                        ev_rows.append((pid, inj.event_code, day))
+                        extra += (i, code,
+                                  t0 - 180 + int(rng.integers(0, 150)))
                 else:  # day0_artifact: an ADR-like excess that is reported
                     # on the prescription day itself much of the time, so
                     # the day-0 IC dominates the follow-up IC
                     p = _bernoulli_prob(inj.relative_risk, base, 30)
                     if rng.random() < p:
-                        ev_rows.append((pid, inj.event_code, t0))
+                        extra += (i, code, t0)
                         injected[(drug, inj.event_code)] += 1
                     if rng.random() < 0.5 * p:
-                        day = t0 + 1 + int(rng.integers(0, 30))
-                        ev_rows.append((pid, inj.event_code, day))
+                        extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
                         injected[(drug, inj.event_code)] += 1
 
-    return GenerationResult(patient_rows, rx_rows, ev_rows, injected)
+    patients = np.arange(n)
+    background = np.stack([
+        np.repeat(patients, counts.sum(axis=1)),
+        np.repeat(np.tile(np.arange(len(codes)), n), counts.ravel()),
+        np.concatenate(bg_days)], axis=1)
+    visits = np.stack([np.repeat(patients, 2), np.full(2 * n, visit),
+                       reg_end.ravel()], axis=1)
+    events = np.concatenate([visits, background,
+                             np.array(extra, dtype=np.int64).reshape(-1, 3)])
+    pid_values = [row[0] for row in patient_rows]
+    return GenerationResult(patient_rows, _table(pid_values, rx, drugs),
+                            _table(pid_values, events, list(event_index)),
+                            injected)
 
 
 def build_database(config: SynthConfig) -> tuple[Database, GenerationResult]:
     result = generate_tables(config)
-    db = Database.from_records(result.patient_rows, result.rx_rows,
-                               result.ev_rows)
+    db = Database.from_columns(result.patient_rows, result.rx, result.ev)
     return db, result
 
 
@@ -256,6 +314,53 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
 
 # -- file emission --------------------------------------------------------
 
+def _ranks(texts) -> np.ndarray:
+    """Position of each text in sorted order."""
+    rank = np.empty(len(texts), dtype=np.int64)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = \
+        np.arange(len(texts))
+    return rank
+
+
+def _csv_fields(texts) -> np.ndarray:
+    """Each text as csv.writer writes it in a row of several fields.
+
+    A lone empty field is written as "" but an empty field among others
+    is not, so each text is written in a row with a second, empty field;
+    its piece keeps the delimiter.  Returns an object array.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    # writerow returns the number of characters it wrote
+    ends = list(itertools.accumulate(writer.writerow((t, "")) for t in texts))
+    text = buf.getvalue()
+    return np.array([text[a:b - len(writer.dialect.lineterminator)]
+                     for a, b in zip([0, *ends], ends)], dtype=object)
+
+
+def _write_records(path, header, table) -> None:
+    """A record CSV in sorted (patient_id, code, day) order.
+
+    Rows are those csv.writer writes for the sorted (patient_id, code,
+    day) tuples, duplicates included: ids and codes sort by the rank of
+    their strings, and each distinct id, code and day is formatted once.
+    """
+    pid_values, pid, code_values, code, day = table
+    order = np.lexsort((day, _ranks(code_values)[code],
+                        _ranks(pid_values)[pid]))
+    days, day_index = np.unique(day[order], return_inverse=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        dates = np.array([from_ordinal(d).isoformat()
+                          + writer.dialect.lineterminator
+                          for d in days.tolist()], dtype=object)
+        columns = (_csv_fields(pid_values)[pid[order]],
+                   _csv_fields(code_values)[code[order]], dates[day_index])
+        fh.write("".join(itertools.chain.from_iterable(
+            zip(*(column.tolist() for column in columns)))))
+
+
 def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
     """Write the CSV database plus ground_truth.csv; returns the paths."""
     out = Path(out_dir)
@@ -268,25 +373,19 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
         "events": out / "events.csv",
         "ground_truth": out / "ground_truth.csv",
     }
+    iso = functools.cache(lambda day: from_ordinal(day).isoformat())
     with open(paths["patients"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "year_of_birth", "gender",
                          "registration_date", "death_date"])
-        for pid, yob, gender, reg, death in result.patient_rows:
-            writer.writerow([pid, yob, gender.value,
-                             from_ordinal(reg).isoformat(),
-                             from_ordinal(death).isoformat() if death else ""])
-    with open(paths["prescriptions"], "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "drug_code", "date"])
-        for pid, drug, day in sorted(result.rx_rows):
-            writer.writerow([pid, drug, from_ordinal(day).isoformat()])
-    with open(paths["events"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "event_code", "date"])
-        for pid, code, day in sorted(result.ev_rows):
-            writer.writerow([pid, code, from_ordinal(day).isoformat()])
+        writer.writerows([pid, yob, gender.value, iso(reg),
+                          iso(death) if death else ""]
+                         for pid, yob, gender, reg, death
+                         in result.patient_rows)
+    _write_records(paths["prescriptions"], ["patient_id", "drug_code", "date"],
+                   result.rx)
+    _write_records(paths["events"], ["patient_id", "event_code", "date"],
+                   result.ev)
 
     realized_truth(db, config).to_csv(paths["ground_truth"])
     return paths

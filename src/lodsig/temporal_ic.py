@@ -195,17 +195,20 @@ def oe_scores(db: Database, config: StudyConfig) -> dict[str, IcResult]:
     results = {}
     for code in cands:
         ci = db.event_index(code)
-        by_period = {p: _period_counts_at(v, ci, p)
-                     for p, v in vectors.items()}
-        cu = by_period[Period.FOLLOWUP_U]
-        cv = by_period[Period.CONTROL_V]
-        ic_u = ic(cu.n_xy, expected_count(cu))
-        ic_v = ic(cv.n_xy, expected_count(cv))
-        cm = by_period[Period.MONTH_PRIOR]
-        c0 = by_period[Period.DAY_OF_PRESCRIPTION]
-        results[code] = IcResult(code, ic_u, ic_v, ic_delta(cu, cv),
-                                 ic(cm.n_xy, expected_count(cm)),
-                                 ic(c0.n_xy, expected_count(c0)))
+        # a period no episode covers (often the control period of short
+        # histories) expects nothing: its IC is 0, and IC delta falls back
+        # to the follow-up IC through the shrunk control ratio
+        n, e = {}, {}
+        for period, vector in vectors.items():
+            counts = _period_counts_at(vector, ci, period)
+            n[period] = counts.n_xy
+            e[period] = expected_count(counts) if counts.n_dot_dot else 0.0
+        ics = {period: ic(n[period], e[period]) for period in Period}
+        u, v = Period.FOLLOWUP_U, Period.CONTROL_V
+        results[code] = IcResult(code, ics[u], ics[v],
+                                 ic_delta_from(n[u], e[u], n[v], e[v]),
+                                 ics[Period.MONTH_PRIOR],
+                                 ics[Period.DAY_OF_PRESCRIPTION])
     return results
 
 

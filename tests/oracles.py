@@ -14,7 +14,8 @@ import numpy as np
 
 from lodsig.store import (_GENDER_ALIASES, DAYS_12_MONTHS, DAYS_13_MONTHS,
                           DAYS_PER_MONTH, MIN_ACTIVE_FOLLOWUP_DAYS, Database,
-                          DataFormatError, Patient)
+                          DataFormatError, Gender, Patient, from_ordinal)
+from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
 
@@ -148,6 +149,125 @@ def brute_from_records(patient_rows, rx_rows, ev_rows):
                   rx_dropped + ev_dropped)
     db._validate()
     return db
+
+
+def brute_generate_tables(config):
+    """The per-row tuple generator that `synthgen.generate_tables` replaced.
+
+    Returns (patient_rows, rx_rows, ev_rows, injected_counts); records are
+    (patient_id, code, day ordinal) tuples.
+    """
+    span_days = config.years_span * 365
+    codes = sorted(config.background_event_rates)
+    rates = np.array([config.background_event_rates[c] for c in codes])
+    inj_by_drug = {}
+    for inj in config.injections:
+        inj_by_drug.setdefault(inj.drug_code, []).append(inj)
+
+    patient_rows, rx_rows, ev_rows = [], [], []
+    injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
+
+    for i in range(config.n_patients):
+        rng = np.random.default_rng([config.rng_seed, i])
+        pid = f"p{i:07d}"
+        reg = ORIGIN + int(rng.integers(0, max(1, span_days - 540)))
+        end = ORIGIN + span_days
+        if rng.random() < config.dropout_prob and reg + 540 < end:
+            end = reg + 540 + int(rng.integers(0, end - reg - 540))
+        death = end if rng.random() < config.death_prob else None
+        yob = ORIGIN_YEAR - int(rng.integers(20, 86))
+        gender = Gender.FEMALE if rng.random() < 0.5 else Gender.MALE
+        patient_rows.append((pid, yob, gender, reg, death))
+
+        ev_rows.append((pid, VISIT_CODE, reg))
+        ev_rows.append((pid, VISIT_CODE, end))
+
+        active_years = (end - reg) / 365.0
+        counts = rng.poisson(rates * active_years)
+        total = int(counts.sum())
+        if total:
+            days = rng.integers(reg, end + 1, size=total)
+            for code, day in zip(np.repeat(codes, counts), days):
+                ev_rows.append((pid, str(code), int(day)))
+
+        for drug in sorted(config.drug_models):
+            model = config.drug_models[drug]
+            if rng.random() >= model.prescription_rate:
+                continue
+            lo, hi = reg + 380, end - 45
+            if hi <= lo:
+                continue
+            t0 = int(rng.integers(lo, hi + 1))
+            rx_rows.append((pid, drug, t0))
+            k = 1
+            while rng.random() < model.repeat_rate and t0 + 28 * k <= end:
+                rx_rows.append((pid, drug, t0 + 28 * k))
+                k += 1
+
+            if model.indication_event is not None:
+                code, mult = model.indication_event
+                base = config.background_event_rates.get(code, 0.0)
+                n_extra = int(rng.poisson(max(0.0, (mult - 1) * base
+                                              * 60 / 365.0)))
+                for day in rng.integers(t0 - 60, t0, size=n_extra):
+                    ev_rows.append((pid, code, int(day)))
+
+            for inj in inj_by_drug.get(drug, ()):
+                base = config.background_event_rates[inj.event_code]
+                if inj.kind == "adr":
+                    p = _bernoulli_prob(inj.relative_risk, base,
+                                        inj.latency_window_days)
+                    if rng.random() < p:
+                        day = t0 + 1 + int(rng.integers(
+                            0, inj.latency_window_days))
+                        ev_rows.append((pid, inj.event_code, day))
+                        injected[(drug, inj.event_code)] += 1
+                elif inj.kind == "therapeutic_failure":
+                    p_post = _bernoulli_prob(inj.relative_risk, base, 30,
+                                             cap=0.9)
+                    if rng.random() < p_post:
+                        day = t0 + 1 + int(rng.integers(0, 30))
+                        ev_rows.append((pid, inj.event_code, day))
+                        injected[(drug, inj.event_code)] += 1
+                    p_pre = _bernoulli_prob(inj.relative_risk, base, 150,
+                                            cap=0.9)
+                    if rng.random() < p_pre:
+                        day = t0 - 180 + int(rng.integers(0, 150))
+                        ev_rows.append((pid, inj.event_code, day))
+                else:
+                    p = _bernoulli_prob(inj.relative_risk, base, 30)
+                    if rng.random() < p:
+                        ev_rows.append((pid, inj.event_code, t0))
+                        injected[(drug, inj.event_code)] += 1
+                    if rng.random() < 0.5 * p:
+                        day = t0 + 1 + int(rng.integers(0, 30))
+                        ev_rows.append((pid, inj.event_code, day))
+                        injected[(drug, inj.event_code)] += 1
+
+    return patient_rows, rx_rows, ev_rows, injected
+
+
+def brute_write_tables(patient_rows, rx_rows, ev_rows, out):
+    """The `sorted(tuples)` CSV writer that `synthgen.generate` replaced."""
+    with open(out / "patients.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "year_of_birth", "gender",
+                         "registration_date", "death_date"])
+        for pid, yob, gender, reg, death in patient_rows:
+            writer.writerow([pid, yob, gender.value,
+                             from_ordinal(reg).isoformat(),
+                             from_ordinal(death).isoformat() if death else ""])
+    with open(out / "prescriptions.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "drug_code", "date"])
+        for pid, drug, day in sorted(rx_rows):
+            writer.writerow([pid, drug, from_ordinal(day).isoformat()])
+    with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["patient_id", "event_code", "date"])
+        for pid, code, day in sorted(ev_rows):
+            writer.writerow([pid, code, from_ordinal(day).isoformat()])
 
 
 def brute_exposures(db, config):

@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,14 +79,26 @@ class TestManifest:
         ({"drugs": ["a\0b"]}, "cannot name output files"),
         ({"drugs": ["."]}, "cannot name output files"),
         ({"drugs": [".."]}, "cannot name output files"),
+        ({"seed": "abc"}, "seed must be an integer, not 'abc'"),
+        ({"seed": "7"}, "seed must be an integer, not '7'"),
+        ({"seed": True}, "seed must be an integer, not True"),
+        ({"seed": 7.5}, "seed must be an integer, not 7.5"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
             "override_unknown_key", "override_drug_code", "drug_slash",
-            "drug_backslash", "drug_nul", "drug_dot", "drug_dotdot"])
+            "drug_backslash", "drug_nul", "drug_dot", "drug_dotdot",
+            "seed_string", "seed_numeric_string", "seed_bool",
+            "seed_float"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
         with pytest.raises(ValueError, match=message):
+            RunManifest.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [["database_dir", "d"], "d", 3],
+                             ids=["list", "string", "int"])
+    def test_manifest_must_be_a_mapping(self, raw):
+        with pytest.raises(ValueError, match="must be a mapping"):
             RunManifest.from_dict(raw)
 
     def test_yaml_round_trip(self, tmp_path):
@@ -180,6 +193,22 @@ class TestRun:
             if a.name == "manifest_resolved.yaml":
                 continue  # records the differing output_dir by design
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_one_short_list_warning_per_run(self, demo_data, tmp_path,
+                                            caplog):
+        manifest = demo_manifest(demo_data, tmp_path / "res", ALGORITHM_IDS)
+        manifest.drugs = ["drug_x", "drug_other"]
+        with caplog.at_level("INFO"):
+            assert run(manifest, jobs=1) == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "lodsig.evaluation"]
+        assert len(warnings) == 1, warnings
+        assert warnings[0].startswith("14 of 14 ranked lists have fewer "
+                                      "than 50 entries")
+        progress = [r.getMessage() for r in caplog.records
+                    if r.levelname == "INFO" and "scored" in r.getMessage()]
+        assert [m.split(":")[0] for m in progress] == \
+            ["scored drug_x", "scored drug_other"]
 
     def test_run_without_ground_truth(self, demo_data, tmp_path):
         manifest = demo_manifest(demo_data, tmp_path / "res")
@@ -294,6 +323,87 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["run", "--manifest", str(path)])
         assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("- drug_x\n- drug_other\n", "a manifest must be a mapping"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\n"
+         "output_dir: o\nseed: abc\n", "seed must be an integer"),
+    ], ids=["list", "string_seed"])
+    def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch, text,
+                                                  message):
+        monkeypatch.setattr(lodsig.cli, "_load_db", None)  # never reached
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err.splitlines()[-1]
+
+    def test_jobs_below_one_is_usage_error(self, demo_data, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.setattr(lodsig.cli, "_load_db", None)  # never reached
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(path), "--jobs", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "--jobs must be at least 1" in err[-1]
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("events.csv", b"p0000001,\xff,2012-01-01\n", "not UTF-8 text"),
+        ("prescriptions.csv",
+         b"p0000001,drug_x," + b"9" * 200_000 + b"\n",
+         "field larger than field limit"),
+    ], ids=["non_utf8", "csv_error"])
+    def test_unreadable_csv_is_one_line_data_error(
+            self, demo_data, tmp_path, caplog, name, line, message):
+        data = tmp_path / "data"
+        shutil.copytree(demo_data[1], data)
+        bad = data / name
+        n_lines = len(bad.read_bytes().splitlines()) + 1
+        bad.write_bytes(bad.read_bytes() + line)
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(data), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        with caplog.at_level("ERROR"):
+            assert main(["run", "--manifest", str(path)]) == 1
+        failures = [r.getMessage() for r in caplog.records
+                    if r.levelname == "ERROR"]
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            f"run failed: {bad}, line {n_lines}: {message}")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("drug_code,event_code,is_reaction_code\nX,A,false\n",
+         "line 1: missing columns ['frequency_class']"),
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,often,false\n", "line 2: unknown frequency_class 'often'"),
+    ], ids=["missing_column", "unknown_frequency_class"])
+    def test_bad_ground_truth_is_data_error_before_load(
+            self, demo_data, tmp_path, caplog, monkeypatch, text, message):
+        monkeypatch.setattr(lodsig.cli, "_load_db", None)  # never reached
+        truth = tmp_path / "truth.csv"
+        truth.write_text(text)
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res"),
+            "ground_truth": str(truth)}))
+        with caplog.at_level("ERROR"):
+            assert main(["run", "--manifest", str(path)]) == 1
+        failures = [r.getMessage() for r in caplog.records
+                    if r.levelname == "ERROR"]
+        assert failures == [f"run failed: {truth}, {message}"]
+        assert not (tmp_path / "res").exists()
 
     def test_seed_override_changes_demo_data(self, tmp_path):
         out_a = tmp_path / "a"

@@ -10,6 +10,7 @@ from lodsig.evaluation import (AdrDictionary, AdrEntry, compare_algorithms,
                                signed_rank_one_sided, truth_vector,
                                write_ranked_csv)
 from lodsig.ranking import build_ranked_list
+from lodsig.store import DataFormatError
 
 from oracles import brute_map
 
@@ -112,6 +113,33 @@ class TestTruthAndEvaluate:
         path = tmp_path / "adr.csv"
         d.to_csv(path)
         assert AdrDictionary.from_csv(path).entries == d.entries
+
+    def test_dictionary_reads_utf8_bom(self, tmp_path):
+        path = tmp_path / "adr.csv"
+        self._dictionary().to_csv(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert AdrDictionary.from_csv(path).entries == \
+            self._dictionary().entries
+
+    @pytest.mark.parametrize("text, message", [
+        ("drug_code,event_code,is_reaction_code\nX,A,false\n",
+         "line 1: missing columns ['frequency_class']"),
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,rare,false\nX,B,sometimes,true\n",
+         "line 3: unknown frequency_class 'sometimes'"),
+        (b"drug_code,event_code,frequency_class,is_reaction_code\n"
+         b"X,A\xfe,rare,false\n", "line 2: not UTF-8 text"),
+    ], ids=["missing_column", "unknown_frequency_class", "non_utf8"])
+    def test_bad_dictionary_names_file_and_line(self, tmp_path, text,
+                                                message):
+        path = tmp_path / "adr.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            AdrDictionary.from_csv(path)
+        assert str(exc.value).startswith(f"{path}, {message}")
 
     def test_ranked_csv_round_trip(self, tmp_path):
         r = ranked(["A", "C", "D"])

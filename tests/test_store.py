@@ -70,6 +70,26 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="ghost"):
             load_database(*paths)
 
+    @pytest.mark.parametrize("line", [2, 3000])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, line):
+        # line 3000 lies beyond the text layer's first decoded chunk
+        rx, ev, p = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,\n"], [],
+                               ["p1,A,2016-01-01\n"] * (line - 2))
+        ev.write_bytes(ev.read_bytes() + b"p1,\xffA,2016-01-01\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_database(rx, ev, p)
+        assert str(exc.value) == (f"{ev}, line {line}: not UTF-8 text "
+                                  "(byte b'\\xff')")
+
+    def test_csv_error_names_file_and_line(self, tmp_path):
+        rx, ev, p = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,\n"],
+                               ["p1,X,2016-01-01\n",
+                                "p1," + "X" * 200_000 + ",2016-01-01\n"],
+                               [])
+        with pytest.raises(DataFormatError) as exc:
+            load_database(rx, ev, p)
+        assert str(exc.value).startswith(f"{rx}, line 3: field larger than")
+
     def test_record_before_registration_rejected(self):
         with pytest.raises(DataFormatError, match="before registration"):
             make_db([("p1", 100, 900)], events=[("p1", "A", 50)])

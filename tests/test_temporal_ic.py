@@ -230,6 +230,19 @@ class TestRankOe:
         assert "F" not in r1.event_codes() and "F" not in r1.filtered
         assert "G" in r1.event_codes()
 
+    def test_uncovered_control_period_falls_back_to_followup_ic(
+            self, simple_config):
+        # registered 400 days before the prescription: no patient covers
+        # the control period 27 to 21 months before it
+        patients = [(f"p{i}", -400, 1000) for i in range(4)]
+        rx = [("p0", "X", 0), ("p1", "X", 0), ("p2", "B", 0)]
+        events = [("p0", "F", 5), ("p1", "F", 6), ("p3", "F", 7)]
+        db = make_db(patients, rx=rx, events=events)
+        result = oe_scores(db, simple_config)["F"]
+        assert result.ic_v == 0.0
+        assert result.ic_delta == result.ic_u
+        assert rank_oe(db, simple_config, 1).event_codes() == ["F"]
+
     def test_scores_are_ic_delta(self, simple_config):
         db = self._filter_db()
         results = oe_scores(db, simple_config)
