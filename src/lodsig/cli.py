@@ -22,9 +22,9 @@ from pathlib import Path
 import yaml
 
 from . import synthgen
-from .evaluation import (AdrDictionary, SignificanceResult, compare_algorithms,
-                         emit_report, evaluate, ranked_csv_path,
-                         write_ranked_csv)
+from .evaluation import (SCORE_COLUMNS, AdrDictionary, SignificanceResult,
+                         compare_algorithms, emit_report, evaluate,
+                         ranked_csv_path, write_csv, write_ranked_csv)
 from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList
 from .srs import rank_ror
@@ -171,13 +171,10 @@ def run(manifest: RunManifest, jobs: int = 1) -> int:
 
     score = functools.partial(score_drug, db, algorithms=manifest.algorithms,
                               seed=manifest.seed, overrides=manifest.overrides)
-    if jobs > 1:
-        # the pool pickles the loaded database to its workers
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(manifest.drugs))) as pool:
-            per_drug = list(pool.map(score, manifest.drugs))
-    else:
-        per_drug = map(score, manifest.drugs)
+    # threads share the one loaded database and the arrays it caches
+    with concurrent.futures.ThreadPoolExecutor(
+            min(jobs, len(manifest.drugs))) as pool:
+        per_drug = list(pool.map(score, manifest.drugs))
     ranked_lists = []
     for drug, lists in zip(manifest.drugs, per_drug):
         log.info("scored %s: %s", drug, ", ".join(
@@ -206,16 +203,13 @@ def run(manifest: RunManifest, jobs: int = 1) -> int:
 
 
 def _write_significance(path, result: SignificanceResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "algorithm_a", "algorithm_b", "p_raw",
-                         "p_adjusted", "significant", "degenerate"])
-        for (a, b) in sorted(result.p_raw):
-            writer.writerow([result.metric, a, b,
-                             repr(result.p_raw[(a, b)]),
-                             repr(result.p_adjusted[(a, b)]),
-                             str(result.significant[(a, b)]).lower(),
-                             str(result.degenerate[(a, b)]).lower()])
+    write_csv(path, ["metric", "algorithm_a", "algorithm_b", "p_raw",
+                     "p_adjusted", "significant", "degenerate"], (
+        [result.metric, *pair, repr(result.p_raw[pair]),
+         repr(result.p_adjusted[pair]),
+         str(result.significant[pair]).lower(),
+         str(result.degenerate[pair]).lower()]
+        for pair in sorted(result.p_raw)))
 
 
 # -- summarize ------------------------------------------------------------
@@ -228,47 +222,45 @@ def summarize(output_dir) -> int:
         log.error("no metrics_summary.csv in %s", out)
         return 1
     with open(metrics_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    warnings = 0
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in ("algorithm", "drug_code", *SCORE_COLUMNS)
+               if c not in (reader.fieldnames or [])]
+    if missing:
+        raise DataFormatError(f"{metrics_path}: missing columns {missing}")
+    values = {}   # (metric, algorithm, drug) -> float, None when empty
+    for row_no, r in enumerate(rows, start=2):
+        for metric in SCORE_COLUMNS:
+            try:
+                values[metric, r["algorithm"], r["drug_code"]] = \
+                    float(r[metric]) if r[metric] else None
+            except ValueError:
+                raise DataFormatError(
+                    f"{metrics_path}, row {row_no}: bad {metric} value "
+                    f"{r[metric]!r}") from None
     algorithms = sorted({r["algorithm"] for r in rows})
     drugs = sorted({r["drug_code"] for r in rows})
+    warnings = 0
 
     for metric in ("precision_10", "precision_50"):
-        values = {(r["algorithm"], r["drug_code"]):
-                  (float(r[metric]) if r[metric] else None) for r in rows}
-        path = out / f"table_{metric}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["drug"] + algorithms)
-            for drug in drugs:
-                line = [drug]
-                for algo in algorithms:
-                    v = values.get((algo, drug))
-                    if v is None:
-                        warnings += 1
-                        line.append("")
-                    else:
-                        line.append(f"{v:.3f}")
-                writer.writerow(line)
-            means = []
-            for algo in algorithms:
-                col = [values[(algo, d)] for d in drugs
-                       if values.get((algo, d)) is not None]
-                means.append(f"{sum(col) / len(col):.3f}" if col else "")
-            writer.writerow(["Mean (3dp)"] + means)
+        table = [[values.get((metric, a, d)) for a in algorithms]
+                 for d in drugs]
+        warnings += sum(v is None for line in table for v in line)
+        present = [[v for v in col if v is not None] for col in zip(*table)]
+        write_csv(out / f"table_{metric}.csv", ["drug"] + algorithms, [
+            *([d] + ["" if v is None else f"{v:.3f}" for v in line]
+              for d, line in zip(drugs, table)),
+            ["Mean (3dp)"] + [f"{sum(col) / len(col):.3f}" if col else ""
+                              for col in present]])
 
-    for panel, column in (("all", "map_all"), ("rare", "map_rare"),
-                          ("reaction_codes", "map_reaction_codes")):
-        path = out / f"chart_map_{panel}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["panel", "drug", "algorithm", "map"])
-            for r in sorted(rows, key=lambda r: (r["drug_code"],
-                                                 r["algorithm"])):
-                if not r[column]:
-                    warnings += 1
-                writer.writerow([panel, r["drug_code"], r["algorithm"],
-                                 r[column]])
+    ordered = sorted(rows, key=lambda r: (r["drug_code"], r["algorithm"]))
+    for panel in ("all", "rare", "reaction_codes"):
+        column = f"map_{panel}"
+        warnings += sum(not r[column] for r in rows)
+        write_csv(out / f"chart_{column}.csv",
+                  ["panel", "drug", "algorithm", "map"],
+                  ([panel, r["drug_code"], r["algorithm"], r[column]]
+                   for r in ordered))
     if warnings:
         log.warning("summary has %d missing metric values", warnings)
     return 0
@@ -371,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the manifest seed")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (at least 1)")
+                       help="worker threads (at least 1)")
     p_run.add_argument("--output", default=None,
                        help="override the manifest output directory")
 
@@ -426,15 +418,14 @@ def main(argv=None) -> int:
         # in demo mode --output already shaped the data/results layout
         if args.output is not None and not args.generate_demo:
             manifest.output_dir = args.output
-        try:
-            return run(manifest, jobs=args.jobs)
-        except (OSError, DataFormatError) as exc:
-            log.error("run failed: %s", exc)
-            return 1
-
-    if args.command == "summarize":
-        return summarize(args.output_dir)
-    return 2
+        command = functools.partial(run, manifest, jobs=args.jobs)
+    else:
+        command = functools.partial(summarize, args.output_dir)
+    try:
+        return command()
+    except (OSError, DataFormatError) as exc:
+        log.error("%s failed: %s", args.command, exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -81,12 +81,10 @@ class AdrDictionary:
         return cls(entries)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRUTH_COLUMNS)
-            for (drug, event), entry in sorted(self.entries.items()):
-                writer.writerow([drug, event, entry.frequency_class,
-                                 str(entry.is_reaction_code).lower()])
+        write_csv(path, TRUTH_COLUMNS, (
+            [drug, event, entry.frequency_class,
+             str(entry.is_reaction_code).lower()]
+            for (drug, event), entry in sorted(self.entries.items())))
 
 
 @dataclass(frozen=True)
@@ -185,18 +183,12 @@ def signed_rank_one_sided(a, b) -> tuple[float, bool]:
 
 
 def _average_ranks(values):
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """1-based ranks of values; tied values share their mean rank."""
+    first, last = {}, {}
+    for i, v in enumerate(sorted(values)):
+        first.setdefault(v, i)
+        last[v] = i
+    return [(first[v] + last[v]) / 2 + 1 for v in values]
 
 
 def _tie_correction(values):
@@ -256,17 +248,21 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def ranked_csv_path(output_dir, drug_code: str, algorithm: str) -> Path:
     return Path(output_dir) / f"ranked_{drug_code}_{algorithm}.csv"
 
 
 def write_ranked_csv(path, ranked: RankedSignalList, y) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "event_code", "score", "y"])
-        for entry, label in zip(ranked.entries, y):
-            writer.writerow([entry.rank, entry.event_code, _fmt(entry.score),
-                             label])
+    write_csv(path, ["rank", "event_code", "score", "y"], (
+        [entry.rank, entry.event_code, _fmt(entry.score), label]
+        for entry, label in zip(ranked.entries, y)))
 
 
 def read_truth_from_ranked_csv(path) -> list[int]:
@@ -274,35 +270,25 @@ def read_truth_from_ranked_csv(path) -> list[int]:
         return [int(row["y"]) for row in csv.DictReader(fh)]
 
 
-METRIC_COLUMNS = ["precision_10", "precision_50", "map_all", "map_rare",
-                  "map_reaction_codes", "n_candidates",
-                  "n_known_adrs_in_list"]
+SCORE_COLUMNS = ["precision_10", "precision_50", "map_all", "map_rare",
+                 "map_reaction_codes"]
+METRIC_COLUMNS = SCORE_COLUMNS + ["n_candidates", "n_known_adrs_in_list"]
 
 
 def write_metrics_csv(path, reports) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "drug_code"] + METRIC_COLUMNS)
-        for r in sorted(reports, key=lambda r: (r.algorithm_id, r.drug_code)):
-            writer.writerow(
-                [r.algorithm_id, r.drug_code,
-                 _fmt(r.precision_10), _fmt(r.precision_50), _fmt(r.map_all),
-                 _fmt(r.map_rare), _fmt(r.map_reaction_codes),
-                 r.n_candidates, r.n_known_adrs_in_list])
+    write_csv(path, ["algorithm", "drug_code"] + METRIC_COLUMNS, (
+        [r.algorithm_id, r.drug_code,
+         *(_fmt(getattr(r, c)) for c in SCORE_COLUMNS),
+         r.n_candidates, r.n_known_adrs_in_list]
+        for r in sorted(reports, key=lambda r: (r.algorithm_id, r.drug_code))))
 
 
 def write_chart_csv(path, reports) -> None:
     """Tidy (panel, drug, algorithm, map) rows for the three MAP panels."""
-    panels = [("all", "map_all"), ("rare", "map_rare"),
-              ("reaction_codes", "map_reaction_codes")]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["panel", "drug", "algorithm", "map"])
-        for panel, attr in panels:
-            for r in sorted(reports,
-                            key=lambda r: (r.drug_code, r.algorithm_id)):
-                writer.writerow([panel, r.drug_code, r.algorithm_id,
-                                 _fmt(getattr(r, attr))])
+    ordered = sorted(reports, key=lambda r: (r.drug_code, r.algorithm_id))
+    write_csv(path, ["panel", "drug", "algorithm", "map"], (
+        [panel, r.drug_code, r.algorithm_id, _fmt(getattr(r, f"map_{panel}"))]
+        for panel in ("all", "rare", "reaction_codes") for r in ordered))
 
 
 def emit_report(output_dir, ranked_lists, dictionary: AdrDictionary,

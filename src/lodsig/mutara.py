@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list, rank_events
-from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_events,
-                    episode_arrays, extract_exposures,
-                    first_exposure_per_patient, window_pairs)
+from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_codes,
+                    episode_arrays, first_per_patient, window_pairs)
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,11 @@ class SupportCounts:
             raise ValueError(f"inconsistent support counts: {self}")
 
 
+def _digest(seed: int, patient_id: str) -> int:
+    return int.from_bytes(hashlib.blake2b(f"{seed}|{patient_id}".encode(),
+                                          digest_size=8).digest(), "big")
+
+
 def background_window_start(seed: int, patient_id: str, registration: int,
                             last_active: int, T: int) -> int | None:
     """Deterministic random T-day background window start for one patient.
@@ -51,19 +55,25 @@ def background_window_start(seed: int, patient_id: str, registration: int,
     hi = last_active - T
     if hi < lo:
         return None
-    digest = hashlib.blake2b(f"{seed}|{patient_id}".encode(),
-                             digest_size=8).digest()
-    return lo + int.from_bytes(digest, "big") % (hi - lo + 1)
+    return lo + _digest(seed, patient_id) % (hi - lo + 1)
+
+
+def _background_digests(db: Database, seed: int) -> np.ndarray:
+    """Every patient's window digest; it depends on neither T nor drug."""
+    return np.fromiter((_digest(seed, pid) for pid in db.patient_ids),
+                       dtype=np.uint64, count=db.n_patients)
 
 
 def _background_starts(db: Database, seed: int, T: int) -> np.ndarray:
-    """Per-patient window starts; -1 marks patients without a window."""
-    starts = np.empty(db.n_patients, dtype=np.int64)
-    for i, pid in enumerate(db.patient_ids):
-        s = background_window_start(seed, pid, int(db.registration[i]),
-                                    int(db.last_active[i]), T)
-        starts[i] = -1 if s is None else s
-    return starts
+    """`background_window_start` of every patient; -1 marks no window."""
+    digests = db.cached(("background digests", seed),
+                        lambda: _background_digests(db, seed))
+    lo = db.registration + DAYS_12_MONTHS
+    span = db.last_active - T - lo + 1
+    fits = span > 0
+    # uint64 by uint64: a uint64 % int64 would go through float64
+    offset = digests % np.where(fits, span, 1).astype(np.uint64)
+    return np.where(fits, lo + offset.astype(np.int64), -1)
 
 
 def _window_supports(db: Database, pts, start, T: int, pre: int):
@@ -87,27 +97,25 @@ def _window_supports(db: Database, pts, start, T: int, pre: int):
             np.bincount(post_unexpected % n_codes, minlength=n_codes))
 
 
-def _support_vectors(db: Database, exposures, config: StudyConfig,
+def _support_vectors(db: Database, episodes, config: StudyConfig,
                      seed: int):
     """SupportCounts fields for every code, with at most 4 kernel calls.
 
-    Returns (supp_x, supp_seq_unexpected, supp_seq, supp_bg_unexpected,
-    supp_bg, population); the four supports are indexed by event code.
+    Only each patient's first episode counts.  Returns (supp_x,
+    supp_seq_unexpected, supp_seq, supp_bg_unexpected, supp_bg,
+    population); the four supports are indexed by event code.
     """
-    exposures = first_exposure_per_patient(exposures)
     T, pre = config.T, config.pre_window
-    x_pts, x_idx = episode_arrays(db, exposures)
+    x_pts, x_idx = first_per_patient(*episodes)
     seq, seq_unexpected = _window_supports(db, x_pts, x_idx, T, pre)
 
     # never-exposed patients with a drawn window
     background_starts = _background_starts(db, seed, T)
-    ever_x = np.zeros(db.n_patients, dtype=bool)
-    rx_pid, _ = db.prescriptions_of_drug(config.drug_code)
-    ever_x[rx_pid] = True
-    bg_pts = np.flatnonzero(~ever_x & (background_starts >= 0))
+    bg_pts = np.setdiff1d(np.flatnonzero(background_starts >= 0),
+                          db.prescriptions_of_drug(config.drug_code)[0])
     bg, bg_unexpected = _window_supports(db, bg_pts,
                                          background_starts[bg_pts], T, pre)
-    return (len(exposures), seq_unexpected, seq, bg_unexpected, bg,
+    return (len(x_pts), seq_unexpected, seq, bg_unexpected, bg,
             db.n_patients)
 
 
@@ -126,8 +134,9 @@ def support_counts(db: Database, exposures, event_code: str,
     predictable filter window is [index - pre_window, index] (the
     prescription day included); a pre_window of 0 disables filtering.
     """
-    return _support_counts_at(_support_vectors(db, exposures, config, seed),
-                              db.event_index(event_code))
+    return _support_counts_at(
+        _support_vectors(db, episode_arrays(db, exposures), config, seed),
+        db.event_index(event_code))
 
 
 def unexlev_from_counts(c: SupportCounts) -> float:
@@ -159,13 +168,12 @@ def leverage(db: Database, exposures, event_code: str, config: StudyConfig,
 def candidate_supports(db: Database,
                        config: StudyConfig) -> dict[str, SupportCounts]:
     """SupportCounts of every candidate: the pass MUTARA and HUNT rank."""
-    all_episodes = extract_exposures(db, config)
+    episodes = db.episodes(config.drug_code)
     # candidate set is shared across algorithms, so derive it from every
     # episode even though scoring uses only the first episode per patient
-    cands = sorted(candidate_events(db, all_episodes, config.T,
-                                    config.excluded_event_codes,
-                                    config.include_day0))
-    vectors = _support_vectors(db, all_episodes, config, config.rng_seed)
+    cands = candidate_codes(db, episodes, config.T,
+                            config.excluded_event_codes, config.include_day0)
+    vectors = _support_vectors(db, episodes, config, config.rng_seed)
     return {code: _support_counts_at(vectors, db.event_index(code))
             for code in cands}
 
@@ -183,8 +191,8 @@ def hunt_view(supports: dict[str, SupportCounts],
     """Candidates in descending rank-ratio (leverage rank / unexlev rank)."""
     unex = {code: unexlev_from_counts(c) for code, c in supports.items()}
     lev = {code: leverage_from_counts(c) for code, c in supports.items()}
-    rank_unex = rank_events(unex)
-    rank_lev = rank_events(lev)
+    rank_unex = rank_events(unex, "hunt", config.drug_code)
+    rank_lev = rank_events(lev, "hunt", config.drug_code)
     rr = {code: rank_lev[code] / rank_unex[code] for code in supports}
     return build_ranked_list("hunt", config.drug_code, rr,
                              seed=config.rng_seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -38,9 +39,19 @@ def _sort_key(item):
     return (0, -score, code)
 
 
-def rank_events(scores: dict[str, float | None]) -> dict[str, int]:
+def _ordered(scores, algorithm: str, drug_code: str):
+    """Items by score descending, ties and None by code; NaN is an error."""
+    for code, score in scores.items():
+        if score is not None and math.isnan(score):
+            raise ValueError(f"{algorithm} score of event {code!r} for drug "
+                             f"{drug_code!r} is NaN; it cannot be ranked")
+    return sorted(scores.items(), key=_sort_key)
+
+
+def rank_events(scores: dict[str, float | None], algorithm: str,
+                drug_code: str) -> dict[str, int]:
     """1-based ranks: score descending, ties and None broken by event code."""
-    ordered = sorted(scores.items(), key=_sort_key)
+    ordered = _ordered(scores, algorithm, drug_code)
     return {code: i + 1 for i, (code, _) in enumerate(ordered)}
 
 
@@ -48,7 +59,7 @@ def build_ranked_list(algorithm: str, drug_code: str,
                       scores: dict[str, float | None],
                       seed: int | None = None,
                       filtered: dict[str, str] | None = None) -> RankedSignalList:
-    ordered = sorted(scores.items(), key=_sort_key)
+    ordered = _ordered(scores, algorithm, drug_code)
     entries = [RankedEntry(code, score, i + 1)
                for i, (code, score) in enumerate(ordered)]
     return RankedSignalList(algorithm, drug_code, entries, seed,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list
-from .store import Database, StudyConfig, candidate_events, extract_exposures, \
-    window_pairs
+from .store import Database, StudyConfig, candidate_codes, window_pairs
 
 Z_90_ONE_SIDED = 1.645
 
@@ -107,9 +106,8 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
 
 def rank_ror(db: Database, config: StudyConfig) -> RankedSignalList:
     """Rank candidate events by ROR05 descending (undefined scores last)."""
-    exposures = extract_exposures(db, config)
-    cands = candidate_events(db, exposures, config.T,
-                             config.excluded_event_codes, config.include_day0)
+    cands = candidate_codes(db, db.episodes(config.drug_code), config.T,
+                            config.excluded_event_codes, config.include_day0)
     tables = build_srs_counts(db, config.drug_code, config.T, cands)
     scores = {code: ror05(tables[code]) for code in tables}
     return build_ranked_list("ror05", config.drug_code, scores)

@@ -17,6 +17,8 @@ import array
 import csv
 import datetime
 import logging
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -106,7 +108,8 @@ class Database:
     """Immutable indexed store of patients, prescriptions and events.
 
     Record columns are numpy arrays sorted by (patient index, day, code
-    index); all queries are read-only and safe for concurrent use.
+    index).  Queries are read-only; the derived arrays they cache are
+    built once under a lock, so the store stays safe for concurrent use.
     """
 
     def __init__(self, patients, rx_pid, rx_drug, rx_day,
@@ -141,7 +144,8 @@ class Database:
         self._rx_offsets = np.searchsorted(rx_pid, np.arange(n + 1))
         # sorted packed (patient, day) key of every event, for window_pairs
         self._ev_key = ev_pid * _KEY_BASE + ev_day
-        self._per_drug_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict = {}
+        self._cache_lock = threading.RLock()
 
     # -- construction -----------------------------------------------------
 
@@ -249,15 +253,28 @@ class Database:
         lo, hi = self._rx_offsets[i], self._rx_offsets[i + 1]
         return self.rx_drug[lo:hi], self.rx_day[lo:hi]
 
+    def cached(self, key, build):
+        """build(), once per key; concurrent callers wait for that build."""
+        with self._cache_lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
     def prescriptions_of_drug(self, drug_code: str):
-        di = self._drug_index.get(drug_code)
-        if di is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        if di not in self._per_drug_cache:
-            mask = self.rx_drug == di
-            self._per_drug_cache[di] = (self.rx_pid[mask], self.rx_day[mask])
-        return self._per_drug_cache[di]
+        """(patient index, day) arrays of one drug's prescriptions."""
+        mask = self.rx_drug == self._drug_index.get(drug_code, -1)
+        return self.rx_pid[mask], self.rx_day[mask]
+
+    def episodes(self, drug_code: str | None = None):
+        """(patient index, index day) arrays of the qualifying episodes of
+        one drug, in (patient, day) order, or of all drugs, drug by drug."""
+        drug, pts, idx = self.cached("episodes",
+                                     lambda: _qualifying_episodes(self))
+        if drug_code is None:
+            return pts, idx
+        di = self._drug_index.get(drug_code, -1)
+        lo, hi = np.searchsorted(drug, [di, di + 1])
+        return pts[lo:hi], idx[lo:hi]
 
 
 # -- CSV loading ----------------------------------------------------------
@@ -386,46 +403,52 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
 
 # -- eligibility and windowed queries -------------------------------------
 
-def extract_exposures(db: Database, config: StudyConfig) -> list[ExposureEpisode]:
-    """Qualifying first-in-13-months prescriptions of the study drug.
+def _qualifying_episodes(db: Database):
+    """(drug, patient, day) arrays of every qualifying prescription.
 
     A prescription qualifies when no same-drug prescription precedes it by
     395 days or fewer, the patient has at least 365 days of history since
     registration, and the patient remains active for 30 days after.
-    Patients may contribute several episodes; output is sorted by
-    (patient_id, index_date) and independent of input row order.
+    Output is in (drug, patient, day) order.
     """
-    pid, day = db.prescriptions_of_drug(config.drug_code)
-    if len(pid) == 0:
-        return []
-    same_patient = np.zeros(len(pid), dtype=bool)
-    same_patient[1:] = pid[1:] == pid[:-1]
-    gap_ok = np.ones(len(pid), dtype=bool)
-    gap_ok[1:] = day[1:] - day[:-1] > DAYS_13_MONTHS
-    qualifies = (~same_patient | gap_ok)
+    # rx is sorted by (patient, day): a stable sort by drug puts each row
+    # after the latest earlier one of its drug and patient, if any
+    order = np.argsort(db.rx_drug, kind="stable")
+    drug, pid, day = db.rx_drug[order], db.rx_pid[order], db.rx_day[order]
+    qualifies = np.ones(len(pid), dtype=bool)
+    qualifies[1:] = ((drug[1:] != drug[:-1]) | (pid[1:] != pid[:-1])
+                     | (day[1:] - day[:-1] > DAYS_13_MONTHS))
     qualifies &= day - db.registration[pid] >= DAYS_12_MONTHS
     qualifies &= db.last_active[pid] - day >= MIN_ACTIVE_FOLLOWUP_DAYS
+    return drug[qualifies], pid[qualifies], day[qualifies]
 
-    episodes = []
-    for i in np.flatnonzero(qualifies):
-        p = db.patient_ids[pid[i]]
-        idx = int(day[i])
-        episodes.append(ExposureEpisode(
-            p, config.drug_code, idx,
-            min(idx + config.T, int(db.last_active[pid[i]]))))
-    episodes.sort(key=lambda e: (e.patient_id, e.index_date))
-    return episodes
+
+def first_per_patient(pts, idx):
+    """Each patient's first episode (MUTARA/HUNT convention), by patient."""
+    _, first = np.unique(pts, return_index=True)
+    return pts[first], idx[first]
+
+
+def extract_exposures(db: Database, config: StudyConfig) -> list[ExposureEpisode]:
+    """Qualifying first-in-13-months prescriptions of the study drug.
+
+    The list form of `Database.episodes`: patients may contribute several
+    episodes; output is sorted by (patient_id, index_date) and
+    independent of input row order.
+    """
+    pts, idx = db.episodes(config.drug_code)
+    return [ExposureEpisode(db.patient_ids[p], config.drug_code, i,
+                            min(i + config.T, last))
+            for p, i, last in zip(pts.tolist(), idx.tolist(),
+                                  db.last_active[pts].tolist())]
 
 
 def first_exposure_per_patient(exposures) -> list[ExposureEpisode]:
-    """Keep only each patient's earliest episode (MUTARA/HUNT convention)."""
-    seen = set()
-    out = []
-    for e in exposures:  # already sorted by (patient, index_date)
-        if e.patient_id not in seen:
-            seen.add(e.patient_id)
-            out.append(e)
-    return out
+    """Keep only each patient's earliest episode of a sorted list."""
+    first = {}
+    for e in exposures:
+        first.setdefault(e.patient_id, e)
+    return list(first.values())
 
 
 def episode_arrays(db: Database, exposures):
@@ -464,24 +487,30 @@ def count_events_in_window(db: Database, patient_id: str, window_start,
         raise ValueError("window_start must not exceed window_end")
     pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
     _, code = window_pairs(db, pts, start, end)
-    ci = db.event_index(event_code)
-    if ci is None:
-        return 0
-    return int(np.bincount(code, minlength=len(db.event_codes))[ci])
+    return int(np.count_nonzero(code == db._event_index.get(event_code, -1)))
+
+
+def candidate_codes(db: Database, episodes, T: int,
+                    excluded: frozenset[str] = frozenset(),
+                    include_day0: bool = False) -> list[str]:
+    """Sorted codes of the events in the risk window of >=1 episode.
+
+    The default window is (index_date, index_date + T]; include_day0
+    pulls the prescription day itself into the window.
+    """
+    pts, idx = episodes
+    _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
+                           idx + T)
+    codes = (db.event_codes[c] for c in np.unique(code).tolist())
+    return [c for c in codes if c not in excluded]
 
 
 def candidate_events(db: Database, exposures, T: int,
                      excluded: frozenset[str] = frozenset(),
                      include_day0: bool = False) -> set[str]:
-    """Event codes occurring in the post-exposure risk window of >=1 episode.
-
-    The default window is (index_date, index_date + T]; include_day0 pulls
-    the prescription day itself into the window.
-    """
-    pts, idx = episode_arrays(db, exposures)
-    _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
-                           idx + T)
-    return {db.event_codes[c] for c in np.unique(code)} - set(excluded)
+    """`candidate_codes` of a list of episodes, as a set."""
+    return set(candidate_codes(db, episode_arrays(db, exposures), T,
+                               excluded, include_day0))
 
 
 def cohort_summary(db: Database, drug_code: str) -> dict:
@@ -494,27 +523,23 @@ def cohort_summary(db: Database, drug_code: str) -> dict:
     no male prescriptions exist).
     """
     pid, day = db.prescriptions_of_drug(drug_code)
-    total = int(len(pid))
-    if total == 0:
+    if len(pid) == 0:
         return {"total": 0, "first": 0, "thirteen_month": 0,
                 "mean_age": None, "sd_age": None, "gender_ratio": None}
-    first_mask = np.ones(total, dtype=bool)
-    first_mask[1:] = pid[1:] != pid[:-1]
-    gap = np.ones(total, dtype=bool)
-    gap[1:] = (pid[1:] != pid[:-1]) | (day[1:] - day[:-1] > DAYS_13_MONTHS)
-
-    years = np.array([from_ordinal(int(d)).year for d in day])
-    yob = np.array([db.patients[db.patient_ids[i]].year_of_birth for i in pid])
-    ages = years - yob
-    genders = np.array([db.patients[db.patient_ids[i]].gender.value
-                        for i in pid])
-    females = int(np.count_nonzero(genders == "F"))
-    males = int(np.count_nonzero(genders == "M"))
+    first = np.ones(len(pid), dtype=bool)
+    first[1:] = pid[1:] != pid[:-1]
+    gap = first.copy()
+    gap[1:] |= day[1:] - day[:-1] > DAYS_13_MONTHS
+    patients = [db.patients[db.patient_ids[i]] for i in pid.tolist()]
+    ages = np.array([from_ordinal(d).year - p.year_of_birth
+                     for d, p in zip(day.tolist(), patients)])
+    genders = Counter(p.gender for p in patients)
+    males = genders[Gender.MALE]
     return {
-        "total": total,
-        "first": int(first_mask.sum()),
+        "total": len(pid),
+        "first": int(first.sum()),
         "thirteen_month": int(gap.sum()),
         "mean_age": float(ages.mean()),
         "sd_age": float(ages.std(ddof=0)),
-        "gender_ratio": (females / males) if males else None,
+        "gender_ratio": genders[Gender.FEMALE] / males if males else None,
     }

@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
-from .store import (Database, Gender, StudyConfig, episode_arrays,
-                    extract_exposures, first_exposure_per_patient,
-                    from_ordinal, window_pairs)
+from .store import (Database, Gender, first_per_patient, from_ordinal,
+                    window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -281,9 +280,7 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
     for inj in config.injections:
         if inj.kind != "adr":
             continue
-        exposures = first_exposure_per_patient(extract_exposures(
-            db, StudyConfig(drug_code=inj.drug_code)))
-        pts, idx = episode_arrays(db, exposures)
+        pts, idx = first_per_patient(*db.episodes(inj.drug_code))
         _, code = window_pairs(db, pts, idx + 1,
                                idx + inj.latency_window_days)
         ci = db.event_index(inj.event_code)
@@ -293,20 +290,15 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
                         "dropped from ground truth", inj.drug_code,
                         inj.event_code)
             continue
-        incidence = observed / max(1, len(exposures))
+        incidence = observed / max(1, len(pts))
         realized.append((incidence, inj))
 
     entries = {}
     ordered = sorted(realized,
                      key=lambda t: (t[0], t[1].drug_code, t[1].event_code))
     n = len(ordered)
-    for pos, (_, inj) in enumerate(ordered):
-        if pos * 3 < n:
-            freq = "rare"
-        elif pos * 3 < 2 * n:
-            freq = "less_frequent"
-        else:
-            freq = "frequent"
+    for pos, (_, inj) in enumerate(ordered):   # by incidence tercile
+        freq = ("rare", "less_frequent", "frequent")[pos * 3 // n]
         entries[(inj.drug_code, inj.event_code)] = AdrEntry(
             freq, inj.is_reaction_code)
     return AdrDictionary(entries)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list
-from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_events,
+from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_codes,
                     episode_arrays, extract_exposures, window_pairs)
 
 
@@ -108,16 +108,12 @@ def ic_delta(counts_u: PeriodCounts, counts_v: PeriodCounts) -> float:
 def period_window(period: Period, index_date, config: StudyConfig):
     """Inclusive (start, end) day bounds of a period relative to one index."""
     idx = index_date
-    if period is Period.FOLLOWUP_U:
-        return idx + 1, idx + config.T
-    if period is Period.CONTROL_V:
-        a, b = config.control_period
-        return idx - a * DAYS_PER_MONTH, idx - b * DAYS_PER_MONTH - 1
-    if period is Period.MONTH_PRIOR:
-        return idx - DAYS_PER_MONTH, idx - 1
-    if period is Period.DAY_OF_PRESCRIPTION:
-        return idx, idx
-    raise ValueError(f"unknown period {period!r}")
+    a, b = config.control_period
+    return {Period.FOLLOWUP_U: (idx + 1, idx + config.T),
+            Period.CONTROL_V: (idx - a * DAYS_PER_MONTH,
+                               idx - b * DAYS_PER_MONTH - 1),
+            Period.MONTH_PRIOR: (idx - DAYS_PER_MONTH, idx - 1),
+            Period.DAY_OF_PRESCRIPTION: (idx, idx)}[period]
 
 
 def _patients_with_event(db: Database, episodes, period: Period,
@@ -141,12 +137,9 @@ def _patients_with_event(db: Database, episodes, period: Period,
 
 
 def all_drug_exposures(db: Database, config: StudyConfig):
-    """First-in-13-months episodes of every drug (for the n.. denominators)."""
-    episodes = []
-    for drug in db.drug_codes:
-        episodes.extend(extract_exposures(
-            db, dataclasses.replace(config, drug_code=drug)))
-    return episodes
+    """The list form of `Database.episodes()` (the n.. denominators)."""
+    return [e for drug in db.drug_codes for e in extract_exposures(
+        db, dataclasses.replace(config, drug_code=drug))]
 
 
 def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
@@ -171,11 +164,10 @@ def _period_counts_at(vectors, ci: int | None, period: Period) -> PeriodCounts:
 
 def period_counts(db: Database, exposures, event_code: str, period: Period,
                   config: StudyConfig, any_exposures=None) -> PeriodCounts:
-    if any_exposures is None:
-        any_exposures = all_drug_exposures(db, config)
+    any_episodes = (db.episodes() if any_exposures is None
+                    else episode_arrays(db, any_exposures))
     vectors = _period_vectors(db, episode_arrays(db, exposures),
-                              episode_arrays(db, any_exposures), period,
-                              config)
+                              any_episodes, period, config)
     return _period_counts_at(vectors, db.event_index(event_code), period)
 
 
@@ -183,13 +175,10 @@ def period_counts(db: Database, exposures, event_code: str, period: Period,
 
 def oe_scores(db: Database, config: StudyConfig) -> dict[str, IcResult]:
     """Per-candidate IC scores of every period: the pass both variants rank."""
-    exposures = extract_exposures(db, config)
-    cands = sorted(candidate_events(db, exposures, config.T,
-                                    config.excluded_event_codes,
-                                    config.include_day0))
-    x_episodes = episode_arrays(db, exposures)
-    any_episodes = episode_arrays(db, all_drug_exposures(db, config))
-    vectors = {p: _period_vectors(db, x_episodes, any_episodes, p, config)
+    x_episodes = db.episodes(config.drug_code)
+    cands = candidate_codes(db, x_episodes, config.T,
+                            config.excluded_event_codes, config.include_day0)
+    vectors = {p: _period_vectors(db, x_episodes, db.episodes(), p, config)
                for p in Period}
 
     results = {}

@@ -6,6 +6,7 @@ in the package.
 """
 
 import csv
+import dataclasses
 import datetime
 import hashlib
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from lodsig.store import (_GENDER_ALIASES, DAYS_12_MONTHS, DAYS_13_MONTHS,
                           DAYS_PER_MONTH, MIN_ACTIVE_FOLLOWUP_DAYS, Database,
-                          DataFormatError, Gender, Patient, from_ordinal)
+                          DataFormatError, ExposureEpisode, Gender, Patient,
+                          from_ordinal)
 from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
@@ -288,6 +290,50 @@ def brute_exposures(db, config):
                 continue
             out.append((pid, d))
     return out
+
+
+def brute_extract_exposures(db, config):
+    """The per-row episode loop and sort `store.extract_exposures` replaced."""
+    pid, day = db.prescriptions_of_drug(config.drug_code)
+    if len(pid) == 0:
+        return []
+    same_patient = np.zeros(len(pid), dtype=bool)
+    same_patient[1:] = pid[1:] == pid[:-1]
+    gap_ok = np.ones(len(pid), dtype=bool)
+    gap_ok[1:] = day[1:] - day[:-1] > DAYS_13_MONTHS
+    qualifies = (~same_patient | gap_ok)
+    qualifies &= day - db.registration[pid] >= DAYS_12_MONTHS
+    qualifies &= db.last_active[pid] - day >= MIN_ACTIVE_FOLLOWUP_DAYS
+
+    episodes = []
+    for i in np.flatnonzero(qualifies):
+        p = db.patient_ids[pid[i]]
+        idx = int(day[i])
+        episodes.append(ExposureEpisode(
+            p, config.drug_code, idx,
+            min(idx + config.T, int(db.last_active[pid[i]]))))
+    episodes.sort(key=lambda e: (e.patient_id, e.index_date))
+    return episodes
+
+
+def brute_first_exposure_per_patient(exposures):
+    """Each patient's earliest episode of a (patient, index date) sorted list."""
+    seen = set()
+    out = []
+    for e in exposures:
+        if e.patient_id not in seen:
+            seen.add(e.patient_id)
+            out.append(e)
+    return out
+
+
+def brute_all_drug_exposures(db, config):
+    """Every drug's episodes, one `brute_extract_exposures` per drug."""
+    episodes = []
+    for drug in db.drug_codes:
+        episodes.extend(brute_extract_exposures(
+            db, dataclasses.replace(config, drug_code=drug)))
+    return episodes
 
 
 def brute_window_pairs(db, pts, lo_day, hi_day):

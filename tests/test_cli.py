@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
                         synth_config_from_dict)
 from lodsig.mutara import rank_hunt, rank_mutara
 from lodsig.srs import rank_ror
-from lodsig.synthgen import generate
+from lodsig.synthgen import DrugModel, generate
 from lodsig.temporal_ic import rank_oe
 
 from conftest import random_small_db
@@ -193,6 +194,29 @@ class TestRun:
             if a.name == "manifest_resolved.yaml":
                 continue  # records the differing output_dir by design
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_threads_share_one_database_byte_identical(self, tmp_path):
+        # three drugs on two threads: one thread scores two drugs, and
+        # both fill the database's shared caches at the same time
+        config = demo_synth_config(seed=5)
+        config = dataclasses.replace(config, n_patients=800, drug_models={
+            **config.drug_models,
+            "drug_third": DrugModel(0.3, ("indication_x", 2.0), 0.1)})
+        paths = generate(config, tmp_path / "data")
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            manifest = RunManifest(
+                database_dir=str(tmp_path / "data"),
+                drugs=["drug_x", "drug_other", "drug_third"],
+                algorithms=list(ALGORITHM_IDS), output_dir=str(out),
+                seed=5, ground_truth=str(paths["ground_truth"]))
+            assert run(manifest, jobs=jobs) == 0
+            trees.append({p.name: p.read_bytes()
+                          for p in sorted(out.iterdir())
+                          if p.name != "manifest_resolved.yaml"})
+        assert len(trees[0]) == 3 * len(ALGORITHM_IDS) + 5
+        assert trees[0] == trees[1]
 
     def test_one_short_list_warning_per_run(self, demo_data, tmp_path,
                                             caplog):
@@ -477,3 +501,29 @@ def test_unknown_log_level_is_one_line_usage_error(level, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert "LODSIG_LOG" in lines[0] and "warning" in lines[0]
+
+
+METRICS_HEADER = ("algorithm,drug_code,precision_10,precision_50,map_all,"
+                  "map_rare,map_reaction_codes,n_candidates,"
+                  "n_known_adrs_in_list\n")
+METRICS_ROW = "oe1,drug_x,0.5,0.2,0.4,,0.1,12,3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (METRICS_HEADER + METRICS_ROW + METRICS_ROW.replace("0.5", "abc"),
+     "row 3: bad precision_10 value 'abc'"),
+    (METRICS_HEADER + METRICS_ROW.replace(",,", ",x,"),
+     "row 2: bad map_rare value 'x'"),
+    (METRICS_HEADER.replace("precision_50,", "") + METRICS_ROW,
+     "missing columns ['precision_50']"),
+], ids=["precision", "map", "missing_column"])
+def test_summarize_bad_metric_is_one_line_data_error(text, message,
+                                                     tmp_path):
+    (tmp_path / "metrics_summary.csv").write_text(text)
+    proc = _main_with_log_level("warning", tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("ERROR lodsig.cli: summarize failed: ")
+    assert str(tmp_path / "metrics_summary.csv") in lines[0]
+    assert lines[0].endswith(message)

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lodsig import mutara
 from lodsig.mutara import (SupportCounts, background_window_start,
                            leverage_from_counts, rank_hunt, rank_mutara,
                            support_counts, unexlev, unexlev_from_counts)
@@ -35,6 +38,28 @@ class TestBackgroundWindow:
                 assert background_window_start(seed, pid, day(0), day(900),
                                                60) == \
                     brute_background_start(seed, pid, day(0), day(900), 60)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), T=st.sampled_from([1, 30, 60, 180]),
+           spans=st.lists(st.tuples(
+               st.integers(0, 50),
+               # active days beyond the 365 + T a window needs: windows
+               # that cannot fit, fit in 1 or 2 ways, or spans wider than
+               # any float64 mantissa step at 2**64
+               st.one_of(st.integers(-2, 1), st.integers(-400, 300),
+                         st.integers(2_000, 2_500_000))),
+               min_size=1, max_size=8))
+    def test_vectorised_starts_match_per_patient(self, seed, T, spans):
+        db = make_db([(f"p{i}", reg, reg + max(0, 365 + T + extra))
+                      for i, (reg, extra) in enumerate(spans)])
+        starts = mutara._background_starts(db, seed, T)
+        assert starts.dtype == np.int64
+        for i, pid in enumerate(db.patient_ids):
+            reg, last = int(db.registration[i]), int(db.last_active[i])
+            want = background_window_start(seed, pid, reg, last, T)
+            assert want == brute_background_start(seed, pid, reg, last, T)
+            assert starts[i] == (-1 if want is None else want), pid
 
 
 class TestSupportCounts:

@@ -1,5 +1,9 @@
 import datetime
+import functools
+import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +16,15 @@ from lodsig.cli import ALGORITHM_IDS, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_events, cohort_summary,
                           count_events_in_window, extract_exposures,
+                          first_exposure_per_patient, first_per_patient,
                           load_database, window_pairs)
+from lodsig.temporal_ic import all_drug_exposures
 
 from conftest import day, make_db, random_small_db
-from oracles import brute_exposures, brute_load_database, brute_window_pairs
+from oracles import (brute_all_drug_exposures, brute_exposures,
+                     brute_extract_exposures,
+                     brute_first_exposure_per_patient, brute_load_database,
+                     brute_window_pairs)
 
 
 def write_csvs(tmp_path, patients, prescriptions, events):
@@ -346,6 +355,92 @@ class TestExtractExposures:
             extract_exposures(db2, simple_config)
 
 
+@st.composite
+def edge_databases(draw):
+    """Databases whose prescriptions sit on the rule edges: 0, 364 and 365
+    days after registration, 30 and 29 days before the end of follow-up,
+    and 1, 395 or 396 days after the same drug's previous prescription."""
+    patients, rx = [], []
+    for i in range(draw(st.integers(1, 4))):
+        pid = f"q{(3 * i) % 4}"   # listed out of id order
+        reg = draw(st.integers(0, 30))
+        until = reg + draw(st.integers(400, 1600))
+        patients.append((pid, reg, until))
+        for drug in draw(st.lists(st.sampled_from("XBC"), max_size=3,
+                                  unique=True)):
+            d = draw(st.sampled_from([reg, reg + 364, reg + 365,
+                                      until - 30, until - 29]))
+            for _ in range(draw(st.integers(1, 3))):
+                if d > until:
+                    break
+                rx.append((pid, drug, d))
+                d += draw(st.sampled_from([1, 30, 395, 396, 700]))
+    return make_db(patients, rx=rx)
+
+
+def episode_pairs(db, episodes):
+    pts, idx = episodes
+    assert pts.dtype == idx.dtype == np.int64
+    return [(db.patient_ids[p], d) for p, d in zip(pts.tolist(),
+                                                   idx.tolist())]
+
+
+def assert_exposures_match_oracle(db, T):
+    """The episode arrays and their list adapters against the per-row
+    loop they replaced, for every drug, an absent drug and all drugs."""
+    for drug in (*db.drug_codes, "absent"):
+        config = StudyConfig(drug_code=drug, T=T)
+        want = brute_extract_exposures(db, config)
+        assert episode_pairs(db, db.episodes(drug)) == \
+            [(e.patient_id, e.index_date) for e in want]
+        assert extract_exposures(db, config) == want
+        first = brute_first_exposure_per_patient(want)
+        assert first_exposure_per_patient(want) == first
+        assert episode_pairs(db, first_per_patient(*db.episodes(drug))) == \
+            [(e.patient_id, e.index_date) for e in first]
+        # the old loop's sort was a no-op: patient indices follow sorted
+        # ids and one drug's prescriptions are in (patient, day) order
+        pid, day_ = db.prescriptions_of_drug(drug)
+        assert db.patient_ids == sorted(db.patient_ids)
+        assert np.array_equal(np.lexsort((day_, pid)), np.arange(len(pid)))
+    config = StudyConfig(drug_code="X", T=T)
+    want = brute_all_drug_exposures(db, config)
+    assert episode_pairs(db, db.episodes()) == \
+        [(e.patient_id, e.index_date) for e in want]
+    assert all_drug_exposures(db, config) == want
+
+
+class TestExposureArrays:
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           T=st.sampled_from([1, 29, 30, 31, 90, 400]))
+    def test_random_databases_match_oracle(self, seed, T):
+        db = random_small_db(np.random.default_rng(seed), n_patients=12,
+                             drugs=("X", "B", "C"))
+        assert_exposures_match_oracle(db, T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(db=edge_databases(), T=st.sampled_from([1, 29, 30, 31, 400]))
+    def test_rule_edges_match_oracle(self, db, T):
+        assert_exposures_match_oracle(db, T)
+
+    def test_rule_edges_pinned(self):
+        db = make_db([("p1", 0, 2000), ("p2", 0, 1000), ("p3", 0, 1000)],
+                     rx=[("p1", "X", 365), ("p1", "X", 760),
+                         ("p1", "X", 1156), ("p1", "B", 364),
+                         ("p2", "X", 970), ("p3", "X", 971)])
+        config = StudyConfig(drug_code="X", T=60)
+        # 760 is 395 days after 365, 1156 is 396 after 760; p2 keeps
+        # exactly 30 days of follow-up and p3 29
+        assert [(e.patient_id, e.index_date, e.followup_end)
+                for e in extract_exposures(db, config)] == [
+            ("p1", day(365), day(425)), ("p1", day(1156), day(1216)),
+            ("p2", day(970), day(1000))]
+        assert extract_exposures(db, StudyConfig(drug_code="B")) == []
+        assert_exposures_match_oracle(db, 60)
+
+
 class TestCountEventsInWindow:
 
     def test_empty_history(self):
@@ -433,6 +528,55 @@ class TestWindowPairs:
             oe1 = ranked[ALGORITHM_IDS.index("oe1")]
             n_candidates.add(len(oe1.entries) + len(oe1.filtered))
         assert len(n_candidates) == 2
+
+
+    def test_exposure_arrays_and_digests_built_once(self, monkeypatch):
+        # one score_drug over all seven ids reads one episode pass and one
+        # digest array per seed; a second drug reuses both
+        built = []
+
+        def counting(name, build):
+            def wrapper(*args):
+                built.append((name, *args[1:]))
+                return build(*args)
+            return wrapper
+        monkeypatch.setattr(store, "_qualifying_episodes",
+                            counting("episodes", store._qualifying_episodes))
+        monkeypatch.setattr(mutara, "_background_digests",
+                            counting("digests", mutara._background_digests))
+        db = random_small_db(np.random.default_rng(17), n_patients=40)
+        score_drug(db, "X", ALGORITHM_IDS, 3)
+        assert built == [("episodes",), ("digests", 3)]
+        score_drug(db, "B", ALGORITHM_IDS, 3,
+                   {"hunt180": {"rng_seed": 4}})
+        assert built == [("episodes",), ("digests", 3), ("digests", 4)]
+
+
+    def test_concurrent_scoring_shares_cached_arrays(self):
+        # more threads than cores and a short switch interval, so fills of
+        # one cache entry race; each must return the one stored entry
+        drugs = ["X", "B", "C"] * 4
+        fresh = functools.partial(random_small_db, n_patients=40,
+                                  drugs=("X", "B", "C"))
+        want = {d: score_drug(fresh(np.random.default_rng(23)), d,
+                              ALGORITHM_IDS, 3) for d in set(drugs)}
+        db = fresh(np.random.default_rng(23))
+        barrier = threading.Barrier(len(drugs))
+
+        def score(drug):
+            barrier.wait(timeout=30)
+            return score_drug(db, drug, ALGORITHM_IDS, 3), db.episodes()[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(drugs)) as pool:
+                got = list(pool.map(score, drugs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for drug, (lists, pts) in zip(drugs, got):
+            assert [r.entries for r in lists] == \
+                [r.entries for r in want[drug]]
+            assert pts is got[0][1]
 
 
 class TestCandidateEvents:
