@@ -28,7 +28,8 @@ from .evaluation import (SCORE_COLUMNS, AdrDictionary, SignificanceResult,
 from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList
 from .srs import rank_ror
-from .store import Database, DataFormatError, StudyConfig, load_database
+from .store import (Database, DataFormatError, StudyConfig, load_database,
+                    unreadable_csv)
 from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
@@ -223,7 +224,11 @@ def summarize(output_dir) -> int:
         return 1
     with open(metrics_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # DictReader's own line_num lags behind a row that fails
+            raise unreadable_csv(metrics_path, reader.reader, exc) from None
     missing = [c for c in ("algorithm", "drug_code", *SCORE_COLUMNS)
                if c not in (reader.fieldnames or [])]
     if missing:

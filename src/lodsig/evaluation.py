@@ -77,7 +77,8 @@ class AdrDictionary:
                         frequency, row["is_reaction_code"].strip().lower()
                         in ("1", "true"))
             except (UnicodeDecodeError, csv.Error) as exc:
-                raise unreadable_csv(path, reader, exc) from None
+                # DictReader's own line_num lags behind a row that fails
+                raise unreadable_csv(path, reader.reader, exc) from None
         return cls(entries)
 
     def to_csv(self, path):

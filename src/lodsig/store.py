@@ -1,14 +1,16 @@
 """Indexed longitudinal patient record store.
 
-Loads patient / prescription / medical-event CSV files, each in one
-streaming pass that interns every column's values, so that stripping,
-checks and date parsing run once per distinct value, into an immutable
-columnar store; applies the data-quality rules (12-month registration
-washout, 13-month first-prescription rule, 30-day active-follow-up rule)
-and serves the windowed event queries every detection algorithm is built
-on through one kernel, `window_pairs`: each windowed count is a
-`bincount` over the (window, event code) pairs it returns for many
-windows at once.  Dates are proleptic-Gregorian day ordinals internally.
+Loads patient / prescription / medical-event CSV files, interning every
+column's values so that stripping, checks and date parsing run once per
+distinct value, into an immutable columnar store.  A file that needs no
+CSV quoting rules is split and interned with numpy a block at a time;
+csv.reader reads any other, with the same result.  The store applies
+the data-quality rules (12-month registration washout, 13-month
+first-prescription rule, 30-day active-follow-up rule) and serves the
+windowed event queries every detection algorithm is built on through
+one kernel, `window_pairs`: each windowed count is a `bincount` over
+the (window, event code) pairs it returns for many windows at once.
+Dates are proleptic-Gregorian day ordinals internally.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import array
 import csv
 import datetime
+import functools
 import logging
 import threading
 from collections import Counter
@@ -156,7 +159,8 @@ class Database:
         patient_rows: (patient_id, year_of_birth, Gender, reg_ord, death_ord|None)
         rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
         record i is pid_values[pid_index[i]], code_values[code_index[i]]
-        and day_ord[i] (int64 arrays; every listed code is used).
+        and day_ord[i] (int64 arrays; every listed code is used; days lie
+        in [0, _KEY_BASE)).
         """
         patient_ids = sorted(r[0] for r in patient_rows)
         if len(patient_ids) != len(set(patient_ids)):
@@ -166,29 +170,30 @@ class Database:
         def columns(pid_values, pid_index, code_values, code_index, day,
                     kind):
             codes = sorted(set(code_values))
-            code_of = {c: i for i, c in enumerate(codes)}
-            pid = np.array([pt_index.get(p, -1) for p in pid_values],
-                           dtype=np.int64)[pid_index]
-            if np.any(pid < 0):
-                p = pid_values[pid_index[np.argmax(pid < 0)]]
+            pid_of = np.array([pt_index.get(p, -1) for p in pid_values],
+                              dtype=np.int64)
+            unknown = (pid_of < 0)[pid_index]
+            if unknown.any():
+                p = pid_values[pid_index[np.argmax(unknown)]]
                 raise DataFormatError(
                     f"unknown patient_id {p!r} in {kind} input")
+            code_of = {c: i for i, c in enumerate(codes)}
             code = np.array([code_of[c] for c in code_values],
                             dtype=np.int64)[code_index]
-            order = np.lexsort((code, day, pid))
-            stacked = np.stack([pid[order], code[order], day[order]])
-            keep = np.ones(len(pid), dtype=bool)
-            keep[1:] = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
-            pid, code, day = stacked[:, keep]
-            return codes, pid, code, day, int((~keep).sum())
+            key, code = _sorted_records(pid_of[pid_index] * _KEY_BASE + day,
+                                        code)
+            # an exact duplicate follows its first copy
+            keep = np.ones(len(key), dtype=bool)
+            keep[1:] = (key[1:] != key[:-1]) | (code[1:] != code[:-1])
+            key, code = key[keep], code[keep]
+            pid, day = np.divmod(key, _KEY_BASE)
+            return codes, pid, code, day, len(keep) - len(key)
 
         drug_codes, rx_pid, rx_drug, rx_day, rx_dropped = columns(
             *rx, "prescriptions")
         event_codes, ev_pid, ev_code, ev_day, ev_dropped = columns(
             *ev, "events")
         dropped = rx_dropped + ev_dropped
-        if dropped:
-            log.warning("collapsed %d duplicate record rows", dropped)
 
         # last_active = max date of any record, or death date if later
         last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min)
@@ -277,15 +282,232 @@ class Database:
         return pts[lo:hi], idx[lo:hi]
 
 
+def _sorted_records(key, code):
+    """key and code in the order of np.lexsort((code, key)), by two stable
+    argsorts (faster on int64); key packs (patient, day).  A function of
+    its own, so that its temporaries are freed before the caller's next
+    allocation of their size."""
+    order = np.argsort(code, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
+    return key[order], code[order]
+
+
 # -- CSV loading ----------------------------------------------------------
 
+# the numpy reader takes a file in blocks of about this many bytes, each
+# cut after a newline: its temporaries stay small and are reused block
+# after block, so they add little to a load's peak memory
+_BLOCK_BYTES = 1 << 17
+# _MASKS[n] keeps the first n bytes of a little-endian uint64 word
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+class _Declined(Exception):
+    """A file the numpy reader leaves to csv.reader; args[0] says why."""
+
+
 def _read_columns(path, required, optional=()):
-    """Read the named columns of a CSV file in one pass, interning values.
+    """Read the named columns of a CSV file, interning values.
 
     Returns {column: (distinct raw values, int64 index of each record's
     value)}.  Record i is row i + 2 (blank lines are not counted); the
-    missing fields of a short row or optional column read "".
+    missing fields of a short row or optional column read "".  A file
+    that needs no CSV quoting rules is split with numpy; csv.reader reads
+    any other, with the same result and the same errors.
     """
+    try:
+        columns = _numpy_columns(path, required, optional)
+        log.debug("%s: read by numpy", path)
+    except _Declined as why:
+        log.debug("%s: read by csv.reader (%s)", path, why)
+        columns = _reader_columns(path, required, optional)
+    n_rows = len(columns[required[0]][1])
+    return {**{c: ([""], np.zeros(n_rows, dtype=np.int64)) for c in optional},
+            **columns}
+
+
+def _numpy_columns(path, required, optional):
+    """_reader_columns of a file whose rows are its lines split at the
+    commas, or _Declined for any other file.
+
+    Such a file has no quote, no NUL and no CR outside a CRLF, is UTF-8,
+    has every row exactly as wide as its header and no field longer than
+    csv.field_size_limit() bytes.  Each block's fields are read as
+    zero-padded uint64 words (no NUL, so the padding is unambiguous),
+    hashed and factorised; every field is checked word for word against
+    the one field kept for its hash, and only the distinct texts are
+    decoded.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        line = line[3:] if line.startswith(b"\xef\xbb\xbf") else line
+        _check_text(line, len(line))
+        line = line[:-2] if line.endswith(b"\r\n") else line.rstrip(b"\n")
+        if b"\r" in line:
+            raise _Declined("lone CR")
+        header = line.decode().split(",") if line else []
+        if any(c not in header for c in required):
+            raise _Declined("missing column")
+        where = {name: i for i, name in enumerate(header)}
+        names = [c for c in (*required, *optional) if c in where]
+        # each index is allocated once, at most one row per line left
+        body = fh.tell()
+        n_lines = 1 + sum(
+            np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+            for chunk in iter(functools.partial(fh.read, _BLOCK_BYTES), b""))
+        fh.seek(body)
+        index = {c: np.empty(n_lines, dtype=np.int64) for c in names}
+        texts = {c: _Texts() for c in names}
+        row, tail = 0, b""
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            # 8 zero bytes: a word may read past the last field's end
+            data = b"".join((tail, chunk, bytes(8)))
+            n = len(data) - 8
+            cut = data.rfind(b"\n", 0, n) + 1 if chunk else n
+            if cut:
+                _check_text(data, cut)
+                fields = _split_block(data, cut, len(header))
+                for c in names:
+                    hashes, local, words = _intern(data, *fields(where[c]))
+                    np.take(texts[c].ids(hashes, words), local,
+                            out=index[c][row:row + len(local)], mode="clip")
+                row += len(local)
+            if not chunk:
+                break
+            tail = data[cut:n]
+    return {c: (texts[c].decoded(), index[c][:row]) for c in names}
+
+
+def _check_text(data, end):
+    """Raise _Declined for a quote, a NUL or a non-UTF-8 byte in data[:end]."""
+    for byte, why in ((b'"', "quote"), (b"\0", "NUL")):
+        if data.find(byte, 0, end) >= 0:
+            raise _Declined(why)
+    if not data.isascii():
+        try:
+            str(memoryview(data)[:end], "utf-8")
+        except UnicodeDecodeError:
+            raise _Declined("non-UTF-8 byte") from None
+
+
+def _split_block(data, end, width):
+    """fields(j): (start, end) byte offsets of column j in each row of the
+    whole lines in data[:end], skipping blank lines; or _Declined for a
+    lone CR, a row not `width` fields wide or an over-long field."""
+    a = np.frombuffer(data, dtype=np.uint8, count=end)
+    stops = np.flatnonzero(a == 10)
+    if data[end - 1] != 10:             # the last line has no newline
+        stops = np.append(stops, end)
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    # a[-1], read at a stop at 0, is a newline unless the block ends
+    # without one, and then it must not be a CR
+    crlf = a[stops - 1] == 13
+    if data[end - 1] == 13 or np.count_nonzero(a == 13) != crlf.sum():
+        raise _Declined("lone CR")
+    stops -= crlf
+    rows = stops > starts
+    starts, stops = starts[rows], stops[rows]
+    commas = np.flatnonzero(a == 44)
+    if len(commas) != len(starts) * (width - 1):
+        raise _Declined("ragged row")
+    commas = commas.reshape(len(starts), width - 1)
+    if width > 1 and not ((commas[:, 0] >= starts).all()
+                          and (commas[:, -1] < stops).all()):
+        raise _Declined("ragged row")
+    limit = csv.field_size_limit()
+    if len(starts) and (stops - starts).max() > limit:
+        edges = np.column_stack((starts - 1, commas, stops))
+        if (np.diff(edges, axis=1) - 1).max() > limit:
+            raise _Declined("long field")
+
+    def fields(j):
+        return (starts if j == 0 else commas[:, j - 1] + 1,
+                stops if j == width - 1 else commas[:, j])
+    return fields
+
+
+def _hash_words(words):
+    """A uint64 hash of each column of words; zero words add nothing, so
+    a text hashes alike at any padding."""
+    h = words[0].copy()
+    factor = 1
+    for k in range(1, len(words)):
+        factor = factor * 0x9E3779B97F4A7C15 % 2 ** 64
+        h += words[k] * np.uint64(factor)
+    return h
+
+
+def _intern(data, starts, stops):
+    """(hashes, index into them, their words) of the fields
+    data[starts[i]:stops[i]]; each field equals the one its hash keeps."""
+    length = stops - starts
+    n_words = max(1, (int(length.max(initial=0)) + 7) // 8)
+    # element i holds bytes i to i + 7; a word past a field's end reads
+    # from the end and is masked to 0
+    u64 = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
+                     strides=(1,))
+    words = np.empty((n_words, len(starts)), dtype="<u8")
+    for k in range(n_words):
+        words[k] = u64[np.minimum(starts + 8 * k, stops)]
+        if length.min(initial=8 * k + 8) < 8 * k + 8:
+            words[k] &= _MASKS[np.clip(length - 8 * k, 0, 8)]
+    hashes, index = np.unique(_hash_words(words), return_inverse=True)
+    kept = np.empty(len(hashes), dtype=np.int64)
+    kept[index] = np.arange(len(index))
+    same = kept[index]
+    if not all(np.array_equal(w[same], w) for w in words):
+        raise _Declined("hash collision")
+    return hashes, index, words[:, kept]
+
+
+class _Texts:
+    """The distinct texts of a column, numbered in the order first met."""
+
+    def __init__(self):
+        self.hashes = np.zeros(0, dtype=np.uint64)      # sorted
+        self.numbers = np.zeros(0, dtype=np.int64)      # of each hash
+        self.words = np.zeros((1, 0), dtype="<u8")      # of each hash
+
+    def ids(self, hashes, words):
+        """The numbers of a block's distinct (sorted hashes, words)."""
+        n_words = max(len(words), len(self.words))
+        self.words, words = _pad(self.words, n_words), _pad(words, n_words)
+        at = np.searchsorted(self.hashes, hashes)
+        known = at < len(self.hashes)
+        known[known] = self.hashes[at[known]] == hashes[known]
+        if not (self.words[:, at[known]] == words[:, known]).all():
+            raise _Declined("hash collision")
+        ids = np.empty(len(hashes), dtype=np.int64)
+        ids[known] = self.numbers[at[known]]
+        new = ~known
+        if new.any():
+            ids[new] = np.arange(len(self.hashes),
+                                 len(self.hashes) + np.count_nonzero(new))
+            self.hashes = np.insert(self.hashes, at[new], hashes[new])
+            self.numbers = np.insert(self.numbers, at[new], ids[new])
+            self.words = np.insert(self.words, at[new], words[:, new],
+                                   axis=1)
+        return ids
+
+    def decoded(self):
+        """The texts in number order; an S dtype drops the zero padding."""
+        words = self.words[:, np.argsort(self.numbers)]
+        texts = np.ascontiguousarray(words.T).view(f"S{8 * len(words)}")
+        return [t.decode() for t in texts.ravel().tolist()]
+
+
+def _pad(words, n_words):
+    """words with zero rows added up to n_words rows."""
+    if len(words) == n_words:
+        return words
+    return np.concatenate(
+        (words, np.zeros((n_words - len(words), words.shape[1]),
+                         dtype=words.dtype)))
+
+
+def _reader_columns(path, required, optional):
+    """The named columns of any CSV file, read by csv.reader."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -305,10 +527,8 @@ def _read_columns(path, required, optional=()):
                     index.append(table.setdefault(row[i], len(table)))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise unreadable_csv(path, reader, exc) from None
-    n_rows = len(columns[0][2])
-    return {**{c: ([""], np.zeros(n_rows, dtype=np.int64)) for c in optional},
-            **{c: (list(table), np.frombuffer(index, dtype=np.int64))
-               for c, (_, table, index) in zip(names, columns)}}
+    return {c: (list(table), np.frombuffer(index, dtype=np.int64))
+            for c, (_, table, index) in zip(names, columns)}
 
 
 def unreadable_csv(path, reader, exc) -> DataFormatError:
@@ -398,7 +618,11 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
 
     rx = _load_records(prescriptions_path, "drug_code")
     ev = _load_records(events_path, "event_code")
-    return Database.from_columns(patient_rows, rx, ev)
+    db = Database.from_columns(patient_rows, rx, ev)
+    if db.duplicates_dropped:
+        log.warning("collapsed %d duplicate record rows",
+                    db.duplicates_dropped)
+    return db
 
 
 # -- eligibility and windowed queries -------------------------------------

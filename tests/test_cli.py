@@ -527,3 +527,29 @@ def test_summarize_bad_metric_is_one_line_data_error(text, message,
     assert lines[0].startswith("ERROR lodsig.cli: summarize failed: ")
     assert str(tmp_path / "metrics_summary.csv") in lines[0]
     assert lines[0].endswith(message)
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"oe1,drug_x,0.5,\xff,0.4,,0.1,12,3\n",
+     "line 2: not UTF-8 text (byte b'\\xff')"),
+    (b"oe1,drug_x," + b"9" * 200_000 + b"\n",
+     "line 2: field larger than field limit (131072)"),
+], ids=["non_utf8", "csv_error"])
+def test_summarize_unreadable_file_is_one_line_data_error(tail, message,
+                                                          tmp_path):
+    path = tmp_path / "metrics_summary.csv"
+    path.write_bytes(METRICS_HEADER.encode() + tail)
+    proc = _main_with_log_level("warning", tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines == [f"ERROR lodsig.cli: summarize failed: {path}, "
+                     f"{message}"], proc.stderr
+
+
+def test_generate_demo_logs_duplicates_once(tmp_path, caplog):
+    with caplog.at_level("WARNING"):
+        assert main(["run", "--generate-demo", "--output",
+                     str(tmp_path / "exp")]) == 0
+    collapsed = [r.getMessage() for r in caplog.records
+                 if "duplicate record rows" in r.getMessage()]
+    assert len(collapsed) == 1, collapsed

@@ -129,7 +129,11 @@ class TestTruthAndEvaluate:
          "line 3: unknown frequency_class 'sometimes'"),
         (b"drug_code,event_code,frequency_class,is_reaction_code\n"
          b"X,A\xfe,rare,false\n", "line 2: not UTF-8 text"),
-    ], ids=["missing_column", "unknown_frequency_class", "non_utf8"])
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,rare,false\nX," + "B" * 200_000 + ",rare,false\n",
+         "line 3: field larger than field limit"),
+    ], ids=["missing_column", "unknown_frequency_class", "non_utf8",
+            "csv_error"])
     def test_bad_dictionary_names_file_and_line(self, tmp_path, text,
                                                 message):
         path = tmp_path / "adr.csv"

@@ -1,8 +1,10 @@
+import dataclasses
 import datetime
 import functools
 import sys
 import tempfile
 import threading
+from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           count_events_in_window, extract_exposures,
                           first_exposure_per_patient, first_per_patient,
                           load_database, window_pairs)
+from lodsig.cli import demo_synth_config
+from lodsig.synthgen import generate
 from lodsig.temporal_ic import all_drug_exposures
 
 from conftest import day, make_db, random_small_db
@@ -254,6 +258,51 @@ LOADER_CASES = {
     "empty_events_file": (P + P1, RX + GOOD_RX, ""),
     "blank_first_line": (P + P1, "\n" + RX + GOOD_RX, EV + GOOD_EV),
     "missing_column": (P + P1, "patient_id,date\np1,2016-02-01\n", EV),
+    # files the numpy reader leaves to csv.reader (see READERS)
+    "quote_inside_unquoted_field": (P + P1, RX + GOOD_RX,
+                                    EV + 'p1,A"B,2016-03-01\n'),
+    "nul_byte": (P + P1, RX + GOOD_RX, EV + "p1,A\0B,2016-03-01\n"),
+    "lone_cr": (P + P1, RX + GOOD_RX,
+                EV + "p1,A,2016-03-01\rp1,B,2016-03-02\n"),
+    "lone_cr_at_end": (P + P1, RX + GOOD_RX, EV + GOOD_EV + "p1,B\r"),
+    # 70000 characters, within csv.field_size_limit(), in 140000 bytes
+    "field_over_limit_in_bytes": (P + P1, RX + GOOD_RX,
+                                  EV + "p1," + "\u00e9" * 70_000
+                                  + ",2016-03-01\n"),
+    # as many commas as rows of the header's width, but not row by row
+    "long_row_then_short_row": (
+        P + "p1,1950,F,2015-01-01,,x\np2,1970,M,2014-06-01\n",
+        RX + GOOD_RX, EV + GOOD_EV),
+    "utf8_bom": ("\ufeff" + P + P1, "\ufeff" + RX + GOOD_RX,
+                 "\ufeff" + EV + GOOD_EV),
+    "multibyte_utf8": (P + "p\u00e9,1950,F,2015-01-01,\n",
+                       RX + "p\u00e9,\u65e5\u672c,2016-02-01\n",
+                       EV + "p\u00e9,\u00e9v\u00e9nement,2016-03-01\n"),
+}
+
+# file -> why csv.reader reads it, for the LOADER_CASES that are not
+# all read by numpy
+READERS = {
+    "quoted_fields": {"patients": "quote", "prescriptions": "quote",
+                      "events": "quote"},
+    "quoted_newline_then_bad_row": {"events": "quote"},
+    "long_rows": {"patients": "ragged row", "events": "ragged row"},
+    "short_patient_row_without_death": {"patients": "ragged row"},
+    "short_record_row_without_code": {"events": "ragged row"},
+    "long_row_then_short_row": {"patients": "ragged row"},
+    "duplicate_header_column": {},
+    "blank_first_line": {"prescriptions": "missing column"},
+    "quote_inside_unquoted_field": {"events": "quote"},
+    "nul_byte": {"events": "NUL"},
+    "lone_cr": {"events": "lone CR"},
+    "lone_cr_at_end": {"events": "lone CR"},
+    "field_over_limit_in_bytes": {"events": "long field"},
+    "crlf": {},
+    "mixed_line_ends": {},
+    "blank_lines": {},
+    "no_final_newline": {},
+    "multibyte_utf8": {},
+    "utf8_bom": {},
 }
 
 
@@ -312,6 +361,150 @@ class TestLoaderMatchesOracle:
                                       bom + RX + GOOD_RX, bom + EV + GOOD_EV)
         assert db.patient_ids == ["p1"]
         assert (db.drug_codes, db.event_codes) == (["X"], ["A"])
+
+
+def reader_log(caplog):
+    """{file stem: reader} of the "read by" debug lines, one per file."""
+    lines = [r.getMessage().split(": read by ") for r in caplog.records
+             if ": read by " in r.getMessage()]
+    readers = {Path(path).stem: reader for path, reader in lines}
+    assert len(readers) == len(lines), lines
+    return readers
+
+
+# fields for the tokenizer property: lengths around the 8-byte words,
+# multi-byte UTF-8 and texts that agree in their first 8 bytes
+_FIELDS = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmno",
+           "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefgh2",
+           "abcdefghijklmnopqr", "\u00e9", "abcdefg\u00e9",
+           "\u65e5\u672c\u8a9e", " x ", "\x0b\x0c\x1c\u2028\ufeff"]
+_FIELD = st.one_of(st.sampled_from(_FIELDS), st.text(st.characters(
+    blacklist_characters=',"\r\n\0', blacklist_categories=("Cs",)),
+    max_size=17))
+
+
+class TestNumpyReader:
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_split_matches_csv_reader(self, data):
+        draw = data.draw
+        width = draw(st.integers(1, 4))
+        names = [f"c{i}" for i in range(width)]
+        lines = [",".join(names)]
+        for _ in range(draw(st.integers(0, 12))):
+            if draw(st.integers(0, 3)) == 0:
+                lines.append("")  # a blank line
+            lines.append(",".join(draw(st.lists(_FIELD, min_size=width,
+                                                max_size=width))))
+        if draw(st.booleans()):
+            lines.append("")
+        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+        if draw(st.booleans()):
+            ends[-1] = ""  # no final newline
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if draw(st.booleans()):
+            text = "\ufeff" + text
+        block = draw(st.sampled_from([1, 2, 5, 8, 9, 16, 31, 64, 1 << 17]))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(store, "_BLOCK_BYTES", block):
+                got = store._numpy_columns(path, names, ())
+            want = store._reader_columns(path, names, ())
+        for c in names:
+            assert ([got[c][0][i] for i in got[c][1]]
+                    == [want[c][0][i] for i in want[c][1]]), c
+            assert got[c][1].dtype == np.int64
+
+    @pytest.mark.parametrize("case", READERS)
+    def test_debug_log_names_the_reader(self, case, tmp_path, caplog):
+        with caplog.at_level("DEBUG", logger="lodsig.store"):
+            assert_loads_like_oracle(tmp_path, *LOADER_CASES[case])
+        readers = reader_log(caplog)
+        assert set(READERS[case]) <= set(readers)
+        assert readers == {name: f"csv.reader ({READERS[case][name]})"
+                           if name in READERS[case] else "numpy"
+                           for name in readers}
+
+    def test_non_utf8_byte_is_left_to_csv_reader(self, tmp_path, caplog):
+        rx, ev, p = write_csvs(tmp_path, [P1], [], [GOOD_EV])
+        ev.write_bytes(ev.read_bytes() + b"p1,\xffA,2016-01-01\n")
+        with caplog.at_level("DEBUG", logger="lodsig.store"):
+            with pytest.raises(DataFormatError) as exc:
+                load_database(rx, ev, p)
+        assert str(exc.value) == (f"{ev}, line 3: not UTF-8 text "
+                                  "(byte b'\\xff')")
+        assert reader_log(caplog)["events"] == \
+            "csv.reader (non-UTF-8 byte)"
+
+    @pytest.mark.parametrize("block", [1, 1 << 17])
+    @pytest.mark.parametrize("case", ["spaces_around_fields", "crlf",
+                                      "duplicate_rows", "blank_lines"])
+    def test_hash_collision_gives_the_oracle_database(
+            self, case, block, tmp_path, caplog, monkeypatch):
+        # every text hashes alike; one-line blocks meet the collisions
+        # only when blocks are merged
+        monkeypatch.setattr(store, "_hash_words",
+                            lambda words: np.zeros(words.shape[1],
+                                                   dtype=np.uint64))
+        monkeypatch.setattr(store, "_BLOCK_BYTES", block)
+        with caplog.at_level("DEBUG", logger="lodsig.store"):
+            assert_loads_like_oracle(tmp_path, *LOADER_CASES[case])
+        assert reader_log(caplog)["events"] == "csv.reader (hash collision)"
+
+    def test_synthgen_files_take_the_numpy_path(self, tmp_path, caplog):
+        config = dataclasses.replace(demo_synth_config(), n_patients=200)
+        paths = generate(config, tmp_path)
+        with caplog.at_level("DEBUG", logger="lodsig.store"):
+            load_database(paths["prescriptions"], paths["events"],
+                          paths["patients"])
+        assert reader_log(caplog) == dict.fromkeys(
+            ["patients", "prescriptions", "events"], "numpy")
+
+
+class TestFromColumns:
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_order_is_lexsort_of_code_day_patient(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 300))
+        # few values per column, so rows repeat exactly
+        pid_values = list(rng.choice(["q3", "q1", "q2", "q0"],
+                                     int(rng.integers(1, 6))))
+        code_values = list(rng.choice(["D", "B", "A", "C"],
+                                      int(rng.integers(1, 6))))
+        pid_index = rng.integers(0, len(pid_values), n)
+        code_index = rng.integers(0, len(code_values), n)
+        day = rng.integers(730_000, 730_000 + int(rng.integers(1, 20)), n)
+        patient_rows = [(p, 1950, Gender.FEMALE, 730_000, None)
+                        for p in sorted(set(pid_values))]
+        none = np.zeros(0, dtype=np.int64)
+        db = Database.from_columns(
+            patient_rows, ([], none, [], none, none),
+            (pid_values, pid_index, code_values, code_index, day))
+
+        pid = np.array([db.patient_index(p) for p in pid_values])[pid_index]
+        code = np.array([db.event_codes.index(c)
+                         for c in code_values])[code_index]
+        rows = np.stack([pid, code, day])[:, np.lexsort((code, day, pid))]
+        keep = np.ones(n, dtype=bool)
+        keep[1:] = np.any(rows[:, 1:] != rows[:, :-1], axis=0)
+        np.testing.assert_array_equal(db.ev_pid, rows[0, keep])
+        np.testing.assert_array_equal(db.ev_code, rows[1, keep])
+        np.testing.assert_array_equal(db.ev_day, rows[2, keep])
+        assert db.duplicates_dropped == n - keep.sum()
+        assert db.ev_pid.dtype == db.ev_code.dtype == np.int64
+
+    def test_duplicates_logged_once_per_csv_load(self, tmp_path, caplog):
+        paths = write_csvs(tmp_path, [P1], [GOOD_RX] * 2, [GOOD_EV] * 3)
+        with caplog.at_level("WARNING", logger="lodsig.store"):
+            db = load_database(*paths)
+            make_db([("p1", 0, 900)], events=[("p1", "A", 5)] * 2)
+        assert db.duplicates_dropped == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "collapsed 3 duplicate record rows"]
 
 
 class TestExtractExposures:
