@@ -126,6 +126,9 @@ class RunManifest:
                     and all(isinstance(v, str) for v in value)):
                 raise ValueError(f"manifest {key} must be a non-empty list "
                                  f"of strings, not {value!r}")
+            repeated = sorted({v for v in value if value.count(v) > 1})
+            if repeated:
+                raise ValueError(f"duplicate manifest {key}: {repeated}")
         for drug in manifest.drugs:
             if drug in (".", "..") or set(drug) & set("/\\\0"):
                 raise ValueError(f"drug code {drug!r} cannot name output "
@@ -133,8 +136,6 @@ class RunManifest:
         if not isinstance(manifest.overrides, dict):
             raise ValueError("manifest overrides must be a mapping, not "
                              f"{manifest.overrides!r}")
-        if len(set(manifest.algorithms)) != len(manifest.algorithms):
-            raise ValueError("duplicate algorithm ids in manifest")
         bad = [a for a in [*manifest.algorithms, *manifest.overrides]
                if a not in ALGORITHM_IDS]
         if bad:

@@ -2,7 +2,8 @@
 
 Loads patient / prescription / medical-event CSV files, interning every
 column's values so that stripping, checks and date parsing run once per
-distinct value, into an immutable columnar store.  A file that needs no
+distinct value, into an immutable columnar store: one array per patient
+field beside the sorted record columns.  A file that needs no
 CSV quoting rules is split and interned with numpy a block at a time;
 csv.reader reads any other, with the same result.  The store applies
 the data-quality rules (12-month registration washout, 13-month
@@ -21,7 +22,6 @@ import datetime
 import functools
 import logging
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,6 +54,8 @@ _GENDER_ALIASES = {
     "m": Gender.MALE, "male": Gender.MALE,
     "u": Gender.UNKNOWN, "unknown": Gender.UNKNOWN, "": Gender.UNKNOWN,
 }
+# day ordinal of numpy's datetime64 epoch, 1970-01-01
+_EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
 def to_ordinal(d) -> int:
@@ -110,24 +112,33 @@ class StudyConfig:
 class Database:
     """Immutable indexed store of patients, prescriptions and events.
 
-    Record columns are numpy arrays sorted by (patient index, day, code
-    index).  Queries are read-only; the derived arrays they cache are
-    built once under a lock, so the store stays safe for concurrent use.
+    Patient columns are indexed like the sorted `patient_ids`, with each
+    `gender` as its Gender value letter and a `death` of 0 for none;
+    `last_active` is the latest of registration, death and any record
+    day.  Record columns are sorted by (patient index, day, code index).
+    Queries are read-only; the derived arrays they cache are built once
+    under a lock, so the store stays safe for concurrent use.
     """
 
-    def __init__(self, patients, rx_pid, rx_drug, rx_day,
-                 ev_pid, ev_code, ev_day,
-                 patient_ids, drug_codes, event_codes,
-                 duplicates_dropped=0):
-        self.patients: dict[str, Patient] = patients
-        self.patient_ids: list[str] = patient_ids
-        self.drug_codes: list[str] = drug_codes
-        self.event_codes: list[str] = event_codes
+    def __init__(self, pt_index, year_of_birth, gender, registration,
+                 death, last_active,
+                 rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day, ev_key,
+                 drug_index, event_index, duplicates_dropped=0):
+        # each {id or code: index} dict lists its keys in index order
+        self.patient_ids: list[str] = list(pt_index)
+        self.drug_codes: list[str] = list(drug_index)
+        self.event_codes: list[str] = list(event_index)
         self.duplicates_dropped = int(duplicates_dropped)
 
-        self._pt_index = {pid: i for i, pid in enumerate(patient_ids)}
-        self._drug_index = {d: i for i, d in enumerate(drug_codes)}
-        self._event_index = {e: i for i, e in enumerate(event_codes)}
+        self._pt_index = pt_index
+        self._drug_index = drug_index
+        self._event_index = event_index
+
+        self.year_of_birth = year_of_birth
+        self.gender = gender
+        self.registration = registration
+        self.death = death
+        self.last_active = last_active
 
         self.rx_pid = rx_pid
         self.rx_drug = rx_drug
@@ -135,41 +146,41 @@ class Database:
         self.ev_pid = ev_pid
         self.ev_code = ev_code
         self.ev_day = ev_day
-
-        n = len(patient_ids)
-        self.registration = np.array(
-            [patients[p].registration for p in patient_ids], dtype=np.int64)
-        self.last_active = np.array(
-            [patients[p].last_active for p in patient_ids], dtype=np.int64)
-
-        # per-patient slices into the event / prescription columns
-        self._ev_offsets = np.searchsorted(ev_pid, np.arange(n + 1))
-        self._rx_offsets = np.searchsorted(rx_pid, np.arange(n + 1))
-        # sorted packed (patient, day) key of every event, for window_pairs
-        self._ev_key = ev_pid * _KEY_BASE + ev_day
+        self._ev_key = ev_key
         self._cache: dict = {}
         self._cache_lock = threading.RLock()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_columns(cls, patient_rows, rx, ev):
-        """Build a database from patient rows and two record tables.
+    def from_columns(cls, patients, rx, ev):
+        """Build a database from a patient table and two record tables.
 
-        patient_rows: (patient_id, year_of_birth, Gender, reg_ord, death_ord|None)
+        patients: (values, index) of patient_id, year_of_birth, Gender,
+        registration day and death day (0 or None for none); patient i
+        has values[index[i]] of each.
         rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
         record i is pid_values[pid_index[i]], code_values[code_index[i]]
         and day_ord[i] (int64 arrays; every listed code is used; days lie
         in [0, _KEY_BASE)).
         """
-        patient_ids = sorted(r[0] for r in patient_rows)
-        if len(patient_ids) != len(set(patient_ids)):
+        (pid_values, pid_index), yob, genders, reg, deaths = patients
+        ids = [pid_values[i] for i in pid_index.tolist()]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        pt_index = {ids[i]: n for n, i in enumerate(order)}
+        if len(pt_index) != len(ids):
             raise DataFormatError("duplicate patient_id in patients input")
-        pt_index = {pid: i for i, pid in enumerate(patient_ids)}
+
+        def column(values, index, dtype=np.int64):
+            return np.array(values, dtype=dtype)[index[order]]
+        year_of_birth = column(*yob)
+        gender = column([g.value for g in genders[0]], genders[1], "U1")
+        registration = column(*reg)
+        death = column([d or 0 for d in deaths[0]], deaths[1])
 
         def columns(pid_values, pid_index, code_values, code_index, day,
                     kind):
-            codes = sorted(set(code_values))
+            code_of = {c: i for i, c in enumerate(sorted(set(code_values)))}
             pid_of = np.array([pt_index.get(p, -1) for p in pid_values],
                               dtype=np.int64)
             unknown = (pid_of < 0)[pid_index]
@@ -177,7 +188,6 @@ class Database:
                 p = pid_values[pid_index[np.argmax(unknown)]]
                 raise DataFormatError(
                     f"unknown patient_id {p!r} in {kind} input")
-            code_of = {c: i for i, c in enumerate(codes)}
             code = np.array([code_of[c] for c in code_values],
                             dtype=np.int64)[code_index]
             key, code = _sorted_records(pid_of[pid_index] * _KEY_BASE + day,
@@ -187,47 +197,48 @@ class Database:
             keep[1:] = (key[1:] != key[:-1]) | (code[1:] != code[:-1])
             key, code = key[keep], code[keep]
             pid, day = np.divmod(key, _KEY_BASE)
-            return codes, pid, code, day, len(keep) - len(key)
+            return code_of, pid, code, day, key, len(keep) - len(key)
 
-        drug_codes, rx_pid, rx_drug, rx_day, rx_dropped = columns(
+        drug_index, rx_pid, rx_drug, rx_day, _, rx_dropped = columns(
             *rx, "prescriptions")
-        event_codes, ev_pid, ev_code, ev_day, ev_dropped = columns(
+        event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = columns(
             *ev, "events")
-        dropped = rx_dropped + ev_dropped
 
-        # last_active = max date of any record, or death date if later
-        last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min)
+        last_active = np.maximum(registration, death)
         for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
-            np.maximum.at(last_rec, arr_pid, arr_day)
+            np.maximum.at(last_active, arr_pid, arr_day)
 
-        patients = {}
-        for pid, yob, gender, reg, death in patient_rows:
-            last = max(reg, int(last_rec[pt_index[pid]]), death or reg)
-            patients[pid] = Patient(pid, yob, gender, reg, last, death)
-
-        db = cls(patients, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
-                 patient_ids, drug_codes, event_codes, dropped)
+        db = cls(pt_index, year_of_birth, gender, registration, death,
+                 last_active, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
+                 ev_key, drug_index, event_index, rx_dropped + ev_dropped)
         db._validate()
         return db
 
     @classmethod
     def from_records(cls, patient_rows, rx_rows, ev_rows):
-        """Build a database from (patient_id, code, day_ord) record rows."""
+        """Build a database from (patient_id, year_of_birth, Gender,
+        registration, death or None) patient rows and (patient_id, code,
+        day_ord) record rows."""
         def table(rows):
-            each = np.arange(len(rows))
-            return ([r[0] for r in rows], each, [r[1] for r in rows], each,
-                    np.array([r[2] for r in rows], dtype=np.int64))
-        return cls.from_columns(patient_rows, table(rx_rows), table(ev_rows))
+            (pid, each), (code, _), (day, _) = row_columns(rows, 3)
+            return pid, each, code, each, np.array(day, dtype=np.int64)
+        return cls.from_columns(row_columns(patient_rows, 5), table(rx_rows),
+                                table(ev_rows))
 
     def _validate(self):
-        for arr_pid, arr_day, kind in ((self.ev_pid, self.ev_day, "event"),
-                                       (self.rx_pid, self.rx_day,
-                                        "prescription")):
-            if len(arr_pid) and np.any(arr_day < self.registration[arr_pid]):
-                i = int(np.argmax(arr_day < self.registration[arr_pid]))
-                pid = self.patient_ids[arr_pid[i]]
-                raise DataFormatError(
-                    f"{kind} for patient {pid} dated before registration")
+        dead = np.flatnonzero(self.death)
+        # no death date is a death after every day ordinal
+        death = np.where(self.death > 0, self.death, _KEY_BASE)
+        for pid, day, kind in ((dead, self.death[dead], "death"),
+                               (self.ev_pid, self.ev_day, "event"),
+                               (self.rx_pid, self.rx_day, "prescription")):
+            for bad, when in ((day < self.registration[pid],
+                               "before registration"),
+                              (day > death[pid], "after death")):
+                if bad.any():
+                    patient = self.patient_ids[pid[np.argmax(bad)]]
+                    raise DataFormatError(
+                        f"{kind} for patient {patient} dated {when}")
 
     # -- indexed access ---------------------------------------------------
 
@@ -241,6 +252,14 @@ class Database:
         except KeyError:
             raise KeyError(f"unknown patient_id {patient_id!r}") from None
 
+    def patient(self, patient_id: str) -> Patient:
+        """One patient's fields, built from the columns on demand."""
+        i = self.patient_index(patient_id)
+        return Patient(patient_id, int(self.year_of_birth[i]),
+                       Gender(self.gender[i]),
+                       int(self.registration[i]), int(self.last_active[i]),
+                       int(self.death[i]) or None)
+
     def drug_index(self, drug_code: str) -> int | None:
         return self._drug_index.get(drug_code)
 
@@ -250,12 +269,12 @@ class Database:
     def events_for_patient(self, patient_id):
         """(code_idx, day) arrays for one patient, sorted by day."""
         i = self.patient_index(patient_id)
-        lo, hi = self._ev_offsets[i], self._ev_offsets[i + 1]
+        lo, hi = np.searchsorted(self.ev_pid, [i, i + 1])
         return self.ev_code[lo:hi], self.ev_day[lo:hi]
 
     def prescriptions_for_patient(self, patient_id):
         i = self.patient_index(patient_id)
-        lo, hi = self._rx_offsets[i], self._rx_offsets[i + 1]
+        lo, hi = np.searchsorted(self.rx_pid, [i, i + 1])
         return self.rx_drug[lo:hi], self.rx_day[lo:hi]
 
     def cached(self, key, build):
@@ -280,6 +299,13 @@ class Database:
         di = self._drug_index.get(drug_code, -1)
         lo, hi = np.searchsorted(drug, [di, di + 1])
         return pts[lo:hi], idx[lo:hi]
+
+
+def row_columns(rows, width):
+    """(values, index) of each of the `width` columns of a list of rows."""
+    each = np.arange(len(rows))
+    return [(list(column), each) for column in zip(*rows)] or \
+        [([], each)] * width
 
 
 def _sorted_records(key, code):
@@ -604,7 +630,9 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
     """
     fields = [
         ("patient_id", str.strip, lambda t: "missing patient_id"),
-        ("year_of_birth", int, lambda t: f"bad year_of_birth {t!r}"),
+        # a year of birth must fit its int64 column
+        ("year_of_birth", lambda t: int(t) if abs(int(t)) < 2 ** 63 else None,
+         lambda t: f"bad year_of_birth {t!r}"),
         ("gender", lambda t: _GENDER_ALIASES.get(t.strip().lower()),
          lambda t: f"bad gender {t!r}"),
         ("registration_date", _day, lambda t: f"bad date {t!r}"),
@@ -612,13 +640,9 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
         ("death_date", lambda t: _day(t) if t.strip() else 0,
          lambda t: f"bad date {t.strip()!r}")]
     columns = _read_table(patients_path, fields, optional=("death_date",))
-    patient_rows = [(*row[:4], row[4] or None) for row in zip(
-        *([values[i] for i in index.tolist()]
-          for values, index in (columns[f[0]] for f in fields)))]
-
     rx = _load_records(prescriptions_path, "drug_code")
     ev = _load_records(events_path, "event_code")
-    db = Database.from_columns(patient_rows, rx, ev)
+    db = Database.from_columns([columns[f[0]] for f in fields], rx, ev)
     if db.duplicates_dropped:
         log.warning("collapsed %d duplicate record rows",
                     db.duplicates_dropped)
@@ -754,16 +778,16 @@ def cohort_summary(db: Database, drug_code: str) -> dict:
     first[1:] = pid[1:] != pid[:-1]
     gap = first.copy()
     gap[1:] |= day[1:] - day[:-1] > DAYS_13_MONTHS
-    patients = [db.patients[db.patient_ids[i]] for i in pid.tolist()]
-    ages = np.array([from_ordinal(d).year - p.year_of_birth
-                     for d, p in zip(day.tolist(), patients)])
-    genders = Counter(p.gender for p in patients)
-    males = genders[Gender.MALE]
+    years = (day - _EPOCH).astype("datetime64[D]").astype("datetime64[Y]")
+    ages = years.astype(np.int64) + 1970 - db.year_of_birth[pid]
+    gender = db.gender[pid]
+    males = np.count_nonzero(gender == Gender.MALE.value)
+    females = np.count_nonzero(gender == Gender.FEMALE.value)
     return {
         "total": len(pid),
         "first": int(first.sum()),
         "thirteen_month": int(gap.sum()),
         "mean_age": float(ages.mean()),
         "sd_age": float(ages.std(ddof=0)),
-        "gender_ratio": genders[Gender.FEMALE] / males if males else None,
+        "gender_ratio": females / males if males else None,
     }

@@ -24,7 +24,7 @@ import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
 from .store import (Database, Gender, first_per_patient, from_ordinal,
-                    window_pairs)
+                    row_columns, window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -265,7 +265,8 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
 
 def build_database(config: SynthConfig) -> tuple[Database, GenerationResult]:
     result = generate_tables(config)
-    db = Database.from_columns(result.patient_rows, result.rx, result.ev)
+    db = Database.from_columns(row_columns(result.patient_rows, 5),
+                               result.rx, result.ev)
     return db, result
 
 

@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from lodsig.store import (_GENDER_ALIASES, DAYS_12_MONTHS, DAYS_13_MONTHS,
-                          DAYS_PER_MONTH, MIN_ACTIVE_FOLLOWUP_DAYS, Database,
-                          DataFormatError, ExposureEpisode, Gender, Patient,
-                          from_ordinal)
+from lodsig.store import (_GENDER_ALIASES, _KEY_BASE, DAYS_12_MONTHS,
+                          DAYS_13_MONTHS, DAYS_PER_MONTH,
+                          MIN_ACTIVE_FOLLOWUP_DAYS, Database, DataFormatError,
+                          ExposureEpisode, Gender, from_ordinal)
 from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
@@ -138,17 +138,27 @@ def brute_from_records(patient_rows, rx_rows, ev_rows):
         if len(arr_pid):
             np.maximum.at(last_rec, arr_pid, arr_day)
 
-    patients = {}
+    n = len(patient_ids)
+    year_of_birth, registration, death_day, last_active = (
+        np.empty(n, dtype=np.int64) for _ in range(4))
+    gender_letter = np.empty(n, dtype="U1")
     for pid_str, yob, gender, reg, death in patient_rows:
-        candidates = [reg, int(last_rec[pt_index[pid_str]])]
+        i = pt_index[pid_str]
+        candidates = [reg, int(last_rec[i])]
         if death is not None:
             candidates.append(death)
-        patients[pid_str] = Patient(pid_str, yob, gender, reg,
-                                    max(candidates), death)
+        year_of_birth[i] = yob
+        gender_letter[i] = gender.value
+        registration[i] = reg
+        death_day[i] = 0 if death is None else death
+        last_active[i] = max(candidates)
+    ev_key = np.array([p * _KEY_BASE + d for p, d in zip(ev_pid, ev_day)],
+                      dtype=np.int64)
 
-    db = Database(patients, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
-                  patient_ids, drug_codes, event_codes,
-                  rx_dropped + ev_dropped)
+    db = Database(pt_index, year_of_birth, gender_letter, registration,
+                  death_day, last_active,
+                  rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day, ev_key,
+                  drug_index, event_index, rx_dropped + ev_dropped)
     db._validate()
     return db
 
@@ -276,7 +286,7 @@ def brute_exposures(db, config):
     """Triple-rule eligibility scan, one prescription at a time."""
     out = []
     for pid in db.patient_ids:
-        patient = db.patients[pid]
+        patient = db.patient(pid)
         rx, _ = patient_records(db, pid)
         drug_days = sorted(d for drug, d in rx if drug == config.drug_code)
         for d in drug_days:
@@ -382,7 +392,7 @@ def brute_period_counts(db, exposures, event_code, period, config,
     def count(episodes):
         with_event, covered = set(), set()
         for pid, idx in episodes:
-            patient = db.patients[pid]
+            patient = db.patient(pid)
             lo, hi = _window(period, idx, config)
             if not (patient.registration <= lo and patient.last_active >= hi):
                 continue
@@ -432,7 +442,7 @@ def brute_support_counts(db, exposures, event_code, config, seed):
     for pid in db.patient_ids:
         if pid in ever_x:
             continue
-        patient = db.patients[pid]
+        patient = db.patient(pid)
         start = brute_background_start(seed, pid, patient.registration,
                                        patient.last_active, T)
         if start is None:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import datetime
 import os
 import shutil
 import subprocess
@@ -84,12 +85,14 @@ class TestManifest:
         ({"seed": "7"}, "seed must be an integer, not '7'"),
         ({"seed": True}, "seed must be an integer, not True"),
         ({"seed": 7.5}, "seed must be an integer, not 7.5"),
+        ({"drugs": ["drug_x", "drug_x", "drug_other"]},
+         r"duplicate manifest drugs: \['drug_x'\]"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
             "override_unknown_key", "override_drug_code", "drug_slash",
             "drug_backslash", "drug_nul", "drug_dot", "drug_dotdot",
             "seed_string", "seed_numeric_string", "seed_bool",
-            "seed_float"])
+            "seed_float", "repeated_drug"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
@@ -352,7 +355,10 @@ class TestMain:
         ("- drug_x\n- drug_other\n", "a manifest must be a mapping"),
         ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\n"
          "output_dir: o\nseed: abc\n", "seed must be an integer"),
-    ], ids=["list", "string_seed"])
+        ("database_dir: d\ndrugs: [drug_x, drug_x, drug_other]\n"
+         "algorithms: [ror05]\noutput_dir: o\n",
+         "duplicate manifest drugs: ['drug_x']"),
+    ], ids=["list", "string_seed", "repeated_drug"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -404,6 +410,32 @@ class TestMain:
         assert len(failures) == 1
         assert failures[0].startswith(
             f"run failed: {bad}, line {n_lines}: {message}")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("shift, message", [
+        (-1, "death for patient p0000000 dated before registration"),
+        (1, "event for patient p0000000 dated after death"),
+    ], ids=["death_before_registration", "record_after_death"])
+    def test_impossible_death_date_is_one_line_data_error(
+            self, demo_data, tmp_path, caplog, shift, message):
+        data = tmp_path / "data"
+        shutil.copytree(demo_data[1], data)
+        with open(data / "patients.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        # the first patient dies a day before or after registering
+        registered = datetime.date.fromisoformat(rows[1][3])
+        rows[1][4] = (registered + datetime.timedelta(shift)).isoformat()
+        with open(data / "patients.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(data), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        with caplog.at_level("ERROR"):
+            assert main(["run", "--manifest", str(path)]) == 1
+        failures = [r.getMessage() for r in caplog.records
+                    if r.levelname == "ERROR"]
+        assert failures == [f"run failed: {message}"]
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("text, message", [

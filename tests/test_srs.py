@@ -131,9 +131,9 @@ class TestRankRor:
         db = random_small_db(rng, n_patients=12)
         ranked = rank_ror(db, StudyConfig(drug_code="X"))
         # rebuild with reversed record insertion
-        patients = [(p, db.patients[p].year_of_birth,
-                     db.patients[p].gender, db.patients[p].registration,
-                     db.patients[p].death) for p in db.patient_ids]
+        patients = [(p, db.patient(p).year_of_birth,
+                     db.patient(p).gender, db.patient(p).registration,
+                     db.patient(p).death) for p in db.patient_ids]
         rx = [(db.patient_ids[p], db.drug_codes[c], int(d)) for p, c, d in
               zip(db.rx_pid, db.rx_drug, db.rx_day)]
         ev = [(db.patient_ids[p], db.event_codes[c], int(d)) for p, c, d in

@@ -19,7 +19,7 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_events, cohort_summary,
                           count_events_in_window, extract_exposures,
                           first_exposure_per_patient, first_per_patient,
-                          load_database, window_pairs)
+                          from_ordinal, load_database, window_pairs)
 from lodsig.cli import demo_synth_config
 from lodsig.synthgen import generate
 from lodsig.temporal_ic import all_drug_exposures
@@ -56,9 +56,9 @@ class TestLoad:
         assert list(days) == sorted(days)
         assert db.duplicates_dropped == 0
         # last_active derives from records / death
-        assert db.patients["p1"].last_active == \
+        assert db.patient("p1").last_active == \
             datetime.date(2016, 3, 1).toordinal()
-        assert db.patients["p2"].last_active == \
+        assert db.patient("p2").last_active == \
             datetime.date(2019, 3, 1).toordinal()
 
     def test_bad_date_names_the_row(self, tmp_path):
@@ -107,6 +107,63 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="before registration"):
             make_db([("p1", 100, 900)], events=[("p1", "A", 50)])
 
+    @pytest.mark.parametrize("death, rx, message", [
+        ("2014-12-31", [], "death for patient p1 dated before registration"),
+        ("2016-02-15", ["p1,X,2016-02-01\n"],
+         "event for patient p1 dated after death"),
+        ("2016-03-15", ["p1,X,2016-04-01\n"],
+         "prescription for patient p1 dated after death"),
+    ], ids=["death_before_registration", "event_after_death",
+            "prescription_after_death"])
+    def test_impossible_death_date_rejected(self, tmp_path, death, rx,
+                                            message):
+        paths = write_csvs(tmp_path, [f"p1,1950,F,2015-01-01,{death}\n"],
+                           rx, [GOOD_EV])
+        with pytest.raises(DataFormatError) as exc:
+            load_database(*paths)
+        assert str(exc.value) == message
+
+    def test_record_after_death_rejected_in_memory(self):
+        with pytest.raises(DataFormatError,
+                           match="event for patient p1 dated after death"):
+            make_db([("p1", 0, 100)], events=[("p1", "A", 101)])
+
+    def test_records_on_the_death_day_pass(self, tmp_path):
+        paths = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,2016-03-01\n"],
+                           [GOOD_RX], [GOOD_EV])
+        db = load_database(*paths)
+        assert db.patient("p1").death == db.patient("p1").last_active == \
+            datetime.date(2016, 3, 1).toordinal()
+
+    def test_year_of_birth_beyond_int64_is_bad(self, tmp_path):
+        paths = write_csvs(tmp_path, ["p1,99999999999999999999,F,"
+                                      "2015-01-01,\n"], [], [])
+        with pytest.raises(DataFormatError) as exc:
+            load_database(*paths)
+        assert str(exc.value) == (f"{paths[2]}, row 2: bad year_of_birth "
+                                  "'99999999999999999999'")
+
+    def test_patients_are_columns_and_never_objects(self, tmp_path,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Patient was built")
+        monkeypatch.setattr(store, "Patient", refuse)
+        config = dataclasses.replace(demo_synth_config(), n_patients=300)
+        paths = generate(config, tmp_path)
+        db = load_database(paths["prescriptions"], paths["events"],
+                           paths["patients"])
+        for drug in db.drug_codes:
+            score_drug(db, drug, ALGORITHM_IDS, seed=7)
+        assert not hasattr(db, "patients")
+        columns = {k: v for k, v in vars(db).items()
+                   if isinstance(v, np.ndarray)}
+        assert {"year_of_birth", "gender", "registration", "death",
+                "last_active"} <= set(columns)
+        assert all(v.dtype != object for v in columns.values())
+        assert all(len(columns[k]) == db.n_patients for k in
+                   ("year_of_birth", "gender", "registration", "death",
+                    "last_active"))
+
 
 P = "patient_id,year_of_birth,gender,registration_date,death_date\n"
 RX = "patient_id,drug_code,date\n"
@@ -149,7 +206,8 @@ def assert_loads_like_oracle(directory, patients, prescriptions, events):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert got.patients == want.patients
+    for p in want.patient_ids:
+        assert got.patient(p) == want.patient(p)
     assert got.patient_ids == want.patient_ids
     assert got.drug_codes == want.drug_codes
     assert got.event_codes == want.event_codes
@@ -478,11 +536,13 @@ class TestFromColumns:
         pid_index = rng.integers(0, len(pid_values), n)
         code_index = rng.integers(0, len(code_values), n)
         day = rng.integers(730_000, 730_000 + int(rng.integers(1, 20)), n)
-        patient_rows = [(p, 1950, Gender.FEMALE, 730_000, None)
-                        for p in sorted(set(pid_values))]
+        patients = sorted(set(pid_values))
+        same = np.zeros(len(patients), dtype=np.int64)  # value 0 each
         none = np.zeros(0, dtype=np.int64)
         db = Database.from_columns(
-            patient_rows, ([], none, [], none, none),
+            [(patients, np.arange(len(patients))), ([1950], same),
+             ([Gender.FEMALE], same), ([730_000], same), ([None], same)],
+            ([], none, [], none, none),
             (pid_values, pid_index, code_values, code_index, day))
 
         pid = np.array([db.patient_index(p) for p in pid_values])[pid_index]
@@ -845,6 +905,53 @@ class TestCohortSummary:
                          if p2 == pid and d - 395 <= x < d]
                 thirteen += not prior
             assert s["thirteen_month"] == thirteen
+
+    def test_age_is_prescription_year_minus_year_of_birth(self):
+        # born 1960; prescribed on 2015-12-31 and on 2016-01-01
+        db = make_db([("p1", -400, 900)],
+                     rx=[("p1", "X", 364), ("p1", "X", 365)])
+        s = cohort_summary(db, "X")
+        assert (s["mean_age"], s["sd_age"]) == (55.5, 0.5)
+
+    def test_ages_and_gender_ratio_match_brute_force(self):
+        rng = np.random.default_rng(5)
+        ratios = 0
+        for _ in range(20):
+            db = random_small_db(rng, n_patients=12)
+            # the same records with varied years of birth and genders
+            patients = [(p, int(rng.integers(1920, 2000)),
+                         list(Gender)[i % 3], db.patient(p).registration,
+                         db.patient(p).death)
+                        for i, p in enumerate(db.patient_ids)]
+            db = Database.from_records(
+                patients,
+                [(db.patient_ids[p], db.drug_codes[c], d) for p, c, d in
+                 zip(db.rx_pid.tolist(), db.rx_drug.tolist(),
+                     db.rx_day.tolist())],
+                [(db.patient_ids[p], db.event_codes[c], d) for p, c, d in
+                 zip(db.ev_pid.tolist(), db.ev_code.tolist(),
+                     db.ev_day.tolist())])
+            assert set(db.gender) == {"F", "M", "U"}
+            rows = []
+            for pid in db.patient_ids:
+                drugs, days = db.prescriptions_for_patient(pid)
+                rows += [(db.patient(pid), int(d)) for c, d in
+                         zip(drugs, days) if db.drug_codes[c] == "X"]
+            s = cohort_summary(db, "X")
+            if not rows:
+                assert s["mean_age"] is s["sd_age"] is None
+                continue
+            ages = [from_ordinal(d).year - p.year_of_birth for p, d in rows]
+            mean = sum(ages) / len(ages)
+            sd = (sum((a - mean) ** 2 for a in ages) / len(ages)) ** 0.5
+            assert s["mean_age"] == pytest.approx(mean, abs=1e-9)
+            assert s["sd_age"] == pytest.approx(sd, abs=1e-9)
+            genders = [p.gender for p, _ in rows]
+            males = genders.count(Gender.MALE)
+            assert s["gender_ratio"] == (
+                genders.count(Gender.FEMALE) / males if males else None)
+            ratios += males > 0
+        assert ratios >= 5
 
 
 class TestStudyConfig:

@@ -71,7 +71,7 @@ class TestGenerateTables:
     def test_visit_markers_pin_last_active(self):
         db, result = build_database(small_config(seed=1))
         for pid, _, _, reg, death in result.patient_rows:
-            p = db.patients[pid]
+            p = db.patient(pid)
             assert p.registration == reg
             assert p.last_active >= reg + 540 or death is not None
 

@@ -71,7 +71,8 @@ def assert_same_database(got: Database, want: Database):
     for name, value in want_arrays.items():
         assert got_arrays[name].dtype == value.dtype, name
         assert np.array_equal(got_arrays[name], value), name
-    assert got.patients == want.patients
+    for p in want.patient_ids:
+        assert got.patient(p) == want.patient(p)
     assert got.patient_ids == want.patient_ids
     assert got.drug_codes == want.drug_codes
     assert got.event_codes == want.event_codes
