@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import functools
 import logging
@@ -29,7 +28,7 @@ from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList
 from .srs import rank_ror
 from .store import (Database, DataFormatError, StudyConfig, load_database,
-                    unreadable_csv)
+                    read_rows)
 from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
@@ -101,9 +100,7 @@ class RunManifest:
 
     @classmethod
     def from_file(cls, path) -> "RunManifest":
-        with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-        return cls.from_dict(raw)
+        return _read_yaml(path, lambda raw: cls.from_dict(raw or {}))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
@@ -147,10 +144,34 @@ class RunManifest:
             if not isinstance(values, dict) or not set(values) <= keys:
                 raise ValueError(f"overrides for {algorithm_id} must map "
                                  f"keys of {sorted(keys)}, not {values!r}")
+            # a bad value fails here, before the load, not in a scoring pass
+            try:
+                _base_config(algorithm_id, manifest.drugs[0], manifest.seed,
+                             values)
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"bad overrides for {algorithm_id} "
+                                 f"{values!r}: {exc}") from None
         return manifest
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _read_yaml(path, parse):
+    """parse(the YAML document in a file).  A file that cannot be read,
+    is not YAML or that parse rejects is one ValueError line naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(yaml.safe_load(fh))
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: "
+                         + " ".join(str(exc).split())) from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: no {exc} key") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_db(database_dir) -> Database:
@@ -216,6 +237,13 @@ def _write_significance(path, result: SignificanceResult) -> None:
 
 # -- summarize ------------------------------------------------------------
 
+def _metric(text):
+    """A metric value's text, once checked: empty or a float."""
+    if text:
+        float(text)
+    return text
+
+
 def summarize(output_dir) -> int:
     """Pivot the metric summary into per-drug tables and chart data files."""
     out = Path(output_dir)
@@ -223,34 +251,19 @@ def summarize(output_dir) -> int:
     if not metrics_path.exists():
         log.error("no metrics_summary.csv in %s", out)
         return 1
-    with open(metrics_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            rows = list(reader)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            # DictReader's own line_num lags behind a row that fails
-            raise unreadable_csv(metrics_path, reader.reader, exc) from None
-    missing = [c for c in ("algorithm", "drug_code", *SCORE_COLUMNS)
-               if c not in (reader.fieldnames or [])]
-    if missing:
-        raise DataFormatError(f"{metrics_path}: missing columns {missing}")
-    values = {}   # (metric, algorithm, drug) -> float, None when empty
-    for row_no, r in enumerate(rows, start=2):
-        for metric in SCORE_COLUMNS:
-            try:
-                values[metric, r["algorithm"], r["drug_code"]] = \
-                    float(r[metric]) if r[metric] else None
-            except ValueError:
-                raise DataFormatError(
-                    f"{metrics_path}, row {row_no}: bad {metric} value "
-                    f"{r[metric]!r}") from None
+    names = ["algorithm", "drug_code", *SCORE_COLUMNS]
+    fields = [(name, str, None) for name in names[:2]] + [
+        (metric, _metric, lambda t, metric=metric: f"bad {metric} value {t!r}")
+        for metric in SCORE_COLUMNS]
+    rows = [dict(zip(names, row)) for row in read_rows(metrics_path, fields)]
     algorithms = sorted({r["algorithm"] for r in rows})
     drugs = sorted({r["drug_code"] for r in rows})
     warnings = 0
 
     for metric in ("precision_10", "precision_50"):
-        table = [[values.get((metric, a, d)) for a in algorithms]
-                 for d in drugs]
+        value = {(r["algorithm"], r["drug_code"]):
+                 float(r[metric]) if r[metric] else None for r in rows}
+        table = [[value.get((a, d)) for a in algorithms] for d in drugs]
         warnings += sum(v is None for line in table for v in line)
         present = [[v for v in col if v is not None] for col in zip(*table)]
         write_csv(out / f"table_{metric}.csv", ["drug"] + algorithms, [
@@ -302,6 +315,9 @@ def demo_synth_config(seed: int = 7) -> synthgen.SynthConfig:
 
 
 def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
+    if not isinstance(raw, dict):
+        raise ValueError("a scenario must be a mapping of keys, not a "
+                         f"{type(raw).__name__}")
     models = {}
     for drug, spec in (raw.get("drug_models") or {}).items():
         indication = spec.get("indication_event")
@@ -328,11 +344,9 @@ def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
 
 def generate(config_path, output_dir, demo: bool = False,
              seed: int | None = None) -> int:
-    if demo:
-        config = demo_synth_config()
-    else:
-        with open(config_path, encoding="utf-8") as fh:
-            config = synth_config_from_dict(yaml.safe_load(fh))
+    """Write a synthetic database; ValueError names a bad scenario file."""
+    config = (demo_synth_config() if demo
+              else _read_yaml(config_path, synth_config_from_dict))
     if seed is not None:
         config = dataclasses.replace(config, rng_seed=seed)
     paths = synthgen.generate(config, output_dir)
@@ -393,7 +407,10 @@ def main(argv=None) -> int:
     if args.command == "generate":
         if not args.demo and not args.config:
             parser.error("generate needs --config or --demo")
-        return generate(args.config, args.output, args.demo, args.seed)
+        try:
+            return generate(args.config, args.output, args.demo, args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if args.command == "run":
         if args.jobs < 1:

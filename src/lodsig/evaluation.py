@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ranking import RankedSignalList
-from .store import DataFormatError, unreadable_csv
+from .store import read_rows
 
 log = logging.getLogger(__name__)
 
 FREQUENCY_CLASSES = ("frequent", "less_frequent", "rare")
-TRUTH_MODES = ("all", "rare", "reaction_codes")
 TRUTH_COLUMNS = ("drug_code", "event_code", "frequency_class",
                  "is_reaction_code")
 
@@ -55,31 +54,18 @@ class AdrDictionary:
 
     @classmethod
     def from_csv(cls, path) -> "AdrDictionary":
-        """Read a ground-truth CSV; DataFormatError names a bad file row."""
-        entries = {}
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh, restval="")
-            try:
-                missing = [c for c in TRUTH_COLUMNS
-                           if c not in (reader.fieldnames or [])]
-                if missing:
-                    raise DataFormatError(
-                        f"{path}, line 1: missing columns {missing}")
-                for row in reader:
-                    frequency = row["frequency_class"].strip()
-                    if frequency not in FREQUENCY_CLASSES:
-                        raise DataFormatError(
-                            f"{path}, line {reader.line_num}: unknown "
-                            f"frequency_class {frequency!r}")
-                    key = (row["drug_code"].strip(),
-                           row["event_code"].strip())
-                    entries[key] = AdrEntry(
-                        frequency, row["is_reaction_code"].strip().lower()
-                        in ("1", "true"))
-            except (UnicodeDecodeError, csv.Error) as exc:
-                # DictReader's own line_num lags behind a row that fails
-                raise unreadable_csv(path, reader.reader, exc) from None
-        return cls(entries)
+        """Read a ground-truth CSV; DataFormatError names a bad file row.
+        A (drug, event) pair listed twice keeps its last row."""
+        rows = read_rows(path, [
+            ("drug_code", str.strip, None),
+            ("event_code", str.strip, None),
+            ("frequency_class",
+             lambda t: t.strip() if t.strip() in FREQUENCY_CLASSES else None,
+             lambda t: f"unknown frequency_class {t.strip()!r}"),
+            ("is_reaction_code", lambda t: t.strip().lower() in ("1", "true"),
+             None)])
+        return cls({(drug, event): AdrEntry(frequency, reaction)
+                    for drug, event, frequency, reaction in rows})
 
     def to_csv(self, path):
         write_csv(path, TRUTH_COLUMNS, (
@@ -267,8 +253,8 @@ def write_ranked_csv(path, ranked: RankedSignalList, y) -> None:
 
 
 def read_truth_from_ranked_csv(path) -> list[int]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [int(row["y"]) for row in csv.DictReader(fh)]
+    rows = read_rows(path, [("y", int, lambda t: f"bad y {t!r}")])
+    return [y for (y,) in rows]
 
 
 SCORE_COLUMNS = ["precision_10", "precision_50", "map_all", "map_rare",
@@ -293,26 +279,17 @@ def write_chart_csv(path, reports) -> None:
 
 
 def emit_report(output_dir, ranked_lists, dictionary: AdrDictionary,
-                reports=None) -> list[Path]:
-    """Write per-drug ranked CSVs, the metric summary and chart data."""
+                reports) -> None:
+    """Write per-drug ranked CSVs, the metric summary and chart data into
+    an existing directory; reports are the evaluations of ranked_lists."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if reports is None:
-        reports = [evaluate(r, dictionary) for r in ranked_lists]
-    written = []
     for ranked in ranked_lists:
-        y = truth_vector(ranked, dictionary, "all")
         path = ranked_csv_path(out, ranked.drug_code, ranked.algorithm)
-        write_ranked_csv(path, ranked, y)
-        written.append(path)
+        write_ranked_csv(path, ranked, truth_vector(ranked, dictionary, "all"))
     short = sum(r.n_candidates < 50 for r in reports)
     if short:
         log.warning("%d of %d ranked lists have fewer than 50 entries; "
                     "their precision at k beyond the list length is over "
                     "the whole list", short, len(reports))
-    metrics = out / "metrics_summary.csv"
-    write_metrics_csv(metrics, reports)
-    chart = out / "map_chart.csv"
-    write_chart_csv(chart, reports)
-    written += [metrics, chart]
-    return written
+    write_metrics_csv(out / "metrics_summary.csv", reports)
+    write_chart_csv(out / "map_chart.csv", reports)

@@ -326,30 +326,14 @@ def _sorted_records(key, code):
 _BLOCK_BYTES = 1 << 17
 # _MASKS[n] keeps the first n bytes of a little-endian uint64 word
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# zero-padded to the longest, a block's fields and the texts kept so far
+# may take at most this many times (their bytes + 8 each); a field far
+# longer than the rest of its column is left to csv.reader
+_MAX_SPREAD = 8
 
 
 class _Declined(Exception):
     """A file the numpy reader leaves to csv.reader; args[0] says why."""
-
-
-def _read_columns(path, required, optional=()):
-    """Read the named columns of a CSV file, interning values.
-
-    Returns {column: (distinct raw values, int64 index of each record's
-    value)}.  Record i is row i + 2 (blank lines are not counted); the
-    missing fields of a short row or optional column read "".  A file
-    that needs no CSV quoting rules is split with numpy; csv.reader reads
-    any other, with the same result and the same errors.
-    """
-    try:
-        columns = _numpy_columns(path, required, optional)
-        log.debug("%s: read by numpy", path)
-    except _Declined as why:
-        log.debug("%s: read by csv.reader (%s)", path, why)
-        columns = _reader_columns(path, required, optional)
-    n_rows = len(columns[required[0]][1])
-    return {**{c: ([""], np.zeros(n_rows, dtype=np.int64)) for c in optional},
-            **columns}
 
 
 def _numpy_columns(path, required, optional):
@@ -357,8 +341,9 @@ def _numpy_columns(path, required, optional):
     commas, or _Declined for any other file.
 
     Such a file has no quote, no NUL and no CR outside a CRLF, is UTF-8,
-    has every row exactly as wide as its header and no field longer than
-    csv.field_size_limit() bytes.  Each block's fields are read as
+    has every row exactly as wide as its header, no field longer than
+    csv.field_size_limit() bytes and none far longer than the rest of its
+    column (see _MAX_SPREAD).  Each block's fields are read as
     zero-padded uint64 words (no NUL, so the padding is unambiguous),
     hashed and factorised; every field is checked word for word against
     the one field kept for its hash, and only the distinct texts are
@@ -395,8 +380,9 @@ def _numpy_columns(path, required, optional):
                 _check_text(data, cut)
                 fields = _split_block(data, cut, len(header))
                 for c in names:
-                    hashes, local, words = _intern(data, *fields(where[c]))
-                    np.take(texts[c].ids(hashes, words), local,
+                    hashes, local, words, length = _intern(
+                        data, *fields(where[c]), texts[c])
+                    np.take(texts[c].ids(hashes, words, length), local,
                             out=index[c][row:row + len(local)], mode="clip")
                 row += len(local)
             if not chunk:
@@ -464,11 +450,15 @@ def _hash_words(words):
     return h
 
 
-def _intern(data, starts, stops):
-    """(hashes, index into them, their words) of the fields
-    data[starts[i]:stops[i]]; each field equals the one its hash keeps."""
+def _intern(data, starts, stops, texts):
+    """(hashes, index into them, their words, their lengths) of the fields
+    data[starts[i]:stops[i]], which join the _Texts texts; each field
+    equals the one its hash keeps."""
     length = stops - starts
     n_words = max(1, (int(length.max(initial=0)) + 7) // 8)
+    if 8 * max(n_words, len(texts.words)) * (len(starts) + len(texts.hashes)) \
+            > _MAX_SPREAD * (int(length.sum()) + 8 * len(starts) + texts.size):
+        raise _Declined("long field")
     # element i holds bytes i to i + 7; a word past a field's end reads
     # from the end and is masked to 0
     u64 = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
@@ -484,7 +474,7 @@ def _intern(data, starts, stops):
     same = kept[index]
     if not all(np.array_equal(w[same], w) for w in words):
         raise _Declined("hash collision")
-    return hashes, index, words[:, kept]
+    return hashes, index, words[:, kept], length[kept]
 
 
 class _Texts:
@@ -494,9 +484,11 @@ class _Texts:
         self.hashes = np.zeros(0, dtype=np.uint64)      # sorted
         self.numbers = np.zeros(0, dtype=np.int64)      # of each hash
         self.words = np.zeros((1, 0), dtype="<u8")      # of each hash
+        self.size = 0                       # bytes of all texts, 8 more each
 
-    def ids(self, hashes, words):
-        """The numbers of a block's distinct (sorted hashes, words)."""
+    def ids(self, hashes, words, length):
+        """The numbers of a block's distinct (sorted hashes, words,
+        lengths)."""
         n_words = max(len(words), len(self.words))
         self.words, words = _pad(self.words, n_words), _pad(words, n_words)
         at = np.searchsorted(self.hashes, hashes)
@@ -507,6 +499,7 @@ class _Texts:
         ids = np.empty(len(hashes), dtype=np.int64)
         ids[known] = self.numbers[at[known]]
         new = ~known
+        self.size += int(length[new].sum()) + 8 * np.count_nonzero(new)
         if new.any():
             ids[new] = np.arange(len(self.hashes),
                                  len(self.hashes) + np.count_nonzero(new))
@@ -551,51 +544,56 @@ def _reader_columns(path, required, optional):
                     row += [""] * (width - len(row))
                 for i, table, index in columns:
                     index.append(table.setdefault(row[i], len(table)))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise unreadable_csv(path, reader, exc) from None
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the reader, whose line_num
+            # can lag: name the line of the first byte that is not UTF-8
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                line = data.count(b"\n", 0, first.start) + 1
+                raise DataFormatError(
+                    f"{path}, line {line}: not UTF-8 text "
+                    f"(byte {data[first.start:first.start + 1]!r})") from None
+        except csv.Error as exc:
+            raise DataFormatError(
+                f"{path}, line {reader.line_num}: {exc}") from None
     return {c: (list(table), np.frombuffer(index, dtype=np.int64))
             for c, (_, table, index) in zip(names, columns)}
 
 
-def unreadable_csv(path, reader, exc) -> DataFormatError:
-    """The error for a CSV file that is not UTF-8 text or not valid CSV.
-
-    A decoding error names the line of its first bad byte: the text layer
-    decodes ahead of the reader, so reader.line_num can lag behind it.
+def read_table(path, fields, optional=()):
+    """Read, parse and check the named columns of a CSV file: the
+    package's one CSV reader (numpy splits a file that needs no quoting
+    rules, csv.reader any other, alike).  A UTF-8 BOM and blank lines are
+    skipped; a short row's missing fields read "".  fields: (column,
+    parse, message) in the order a row is checked; parse runs once per
+    distinct raw text and returns None or raises ValueError for a bad
+    one, which message(text) describes.  An error names the file and the
+    row (record i is row i + 2), or the line of text that is not UTF-8 or
+    not CSV.  Returns {column: (parsed distinct texts, int64 index of
+    each row's text)}.
     """
-    if isinstance(exc, UnicodeDecodeError):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as first:
-            line = data.count(b"\n", 0, first.start) + 1
-            return DataFormatError(
-                f"{path}, line {line}: not UTF-8 text "
-                f"(byte {data[first.start:first.start + 1]!r})")
-    return DataFormatError(f"{path}, line {reader.line_num}: {exc}")
-
-
-def _read_table(path, fields, optional=()):
-    """Read, parse and check the named columns of a CSV file.
-
-    fields: (column, parse, message) in the order a row is checked; parse
-    runs once per distinct raw text, and message(text) describes a text
-    it maps to None or "" or rejects with ValueError.  Returns
-    {column: (parsed distinct texts, int64 index of each row's text)}.
-    """
-    columns = _read_columns(
-        path, [f[0] for f in fields if f[0] not in optional], optional)
+    required = [f[0] for f in fields if f[0] not in optional]
+    try:
+        columns = _numpy_columns(path, required, optional)
+        log.debug("%s: read by numpy", path)
+    except _Declined as why:
+        log.debug("%s: read by csv.reader (%s)", path, why)
+        columns = _reader_columns(path, required, optional)
+    n_rows = len(columns[required[0]][1])
     out, errors = {}, []
     for order, (name, parse, message) in enumerate(fields):
-        texts, index = columns[name]
+        texts, index = columns.get(name) or \
+            ([""], np.zeros(n_rows, dtype=np.int64))
         values = []
         for text in texts:
             try:
                 values.append(parse(text))
             except ValueError:
                 values.append(None)
-        bad = np.array([v in (None, "") for v in values], dtype=bool)[index]
+        bad = np.array([v is None for v in values], dtype=bool)[index]
         if bad.any():
             row = int(np.argmax(bad))
             errors.append((row, order, message(texts[index[row]])))
@@ -606,6 +604,12 @@ def _read_table(path, fields, optional=()):
     return out
 
 
+def read_rows(path, fields):
+    """The rows of read_table, each a tuple of its values in field order."""
+    return list(zip(*([values[i] for i in index.tolist()]
+                      for values, index in read_table(path, fields).values())))
+
+
 def _day(text):
     return datetime.date.fromisoformat(text.strip()).toordinal()
 
@@ -613,9 +617,9 @@ def _day(text):
 def _load_records(path, code_column):
     """(pid_values, pid_index, code_values, code_index, day_ord) of a file."""
     missing = f"missing patient_id or {code_column}"
-    columns = _read_table(path, [
-        ("patient_id", str.strip, lambda t: missing),
-        (code_column, str.strip, lambda t: missing),
+    columns = read_table(path, [
+        ("patient_id", lambda t: t.strip() or None, lambda t: missing),
+        (code_column, lambda t: t.strip() or None, lambda t: missing),
         ("date", _day, lambda t: f"bad date {t!r}")])
     days, date = columns["date"]
     return (*columns["patient_id"], *columns[code_column],
@@ -629,7 +633,8 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
     duplicate rows are collapsed with a warning counter on the result.
     """
     fields = [
-        ("patient_id", str.strip, lambda t: "missing patient_id"),
+        ("patient_id", lambda t: t.strip() or None,
+         lambda t: "missing patient_id"),
         # a year of birth must fit its int64 column
         ("year_of_birth", lambda t: int(t) if abs(int(t)) < 2 ** 63 else None,
          lambda t: f"bad year_of_birth {t!r}"),
@@ -639,7 +644,7 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
         # no date is ordinal 0, so 0 stands for an empty death date
         ("death_date", lambda t: _day(t) if t.strip() else 0,
          lambda t: f"bad date {t.strip()!r}")]
-    columns = _read_table(patients_path, fields, optional=("death_date",))
+    columns = read_table(patients_path, fields, optional=("death_date",))
     rx = _load_records(prescriptions_path, "drug_code")
     ev = _load_records(events_path, "event_code")
     db = Database.from_columns([columns[f[0]] for f in fields], rx, ev)

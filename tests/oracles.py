@@ -17,6 +17,7 @@ from lodsig.store import (_GENDER_ALIASES, _KEY_BASE, DAYS_12_MONTHS,
                           DAYS_13_MONTHS, DAYS_PER_MONTH,
                           MIN_ACTIVE_FOLLOWUP_DAYS, Database, DataFormatError,
                           ExposureEpisode, Gender, from_ordinal)
+from lodsig.evaluation import FREQUENCY_CLASSES, TRUTH_COLUMNS, AdrEntry
 from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
@@ -92,6 +93,30 @@ def brute_load_database(prescriptions_path, events_path, patients_path):
     rx_rows = load_records(prescriptions_path, "drug_code")
     ev_rows = load_records(events_path, "event_code")
     return brute_from_records(patient_rows, rx_rows, ev_rows)
+
+
+def brute_truth_from_csv(path):
+    """The `csv.DictReader` loop `AdrDictionary.from_csv` replaced, as it
+    was: {(drug, event): AdrEntry}; errors name the physical line."""
+    entries = {}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in TRUTH_COLUMNS
+                   if c not in (reader.fieldnames or [])]
+        if missing:
+            raise DataFormatError(
+                f"{path}, line 1: missing columns {missing}")
+        for row in reader:
+            frequency = row["frequency_class"].strip()
+            if frequency not in FREQUENCY_CLASSES:
+                raise DataFormatError(
+                    f"{path}, line {reader.line_num}: unknown "
+                    f"frequency_class {frequency!r}")
+            key = (row["drug_code"].strip(), row["event_code"].strip())
+            entries[key] = AdrEntry(
+                frequency, row["is_reaction_code"].strip().lower()
+                in ("1", "true"))
+    return entries
 
 
 def brute_from_records(patient_rows, rx_rows, ev_rows):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import datetime
+import hashlib
 import os
 import shutil
 import subprocess
@@ -87,12 +88,22 @@ class TestManifest:
         ({"seed": 7.5}, "seed must be an integer, not 7.5"),
         ({"drugs": ["drug_x", "drug_x", "drug_other"]},
          r"duplicate manifest drugs: \['drug_x'\]"),
+        ({"overrides": {"oe1": {"T": 0}}},
+         "bad overrides for oe1 {'T': 0}: T must be positive"),
+        ({"overrides": {"oe1": {"T": "abc"}}},
+         "bad overrides for oe1 {'T': 'abc'}: '<=' not supported"),
+        ({"overrides": {"mutara60": {"control_period": [1, 2]}}},
+         r"bad overrides for mutara60 .*: control_period must be"),
+        ({"overrides": {"ror05": {"excluded_event_codes": 5}}},
+         "bad overrides for ror05 .*not iterable"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
             "override_unknown_key", "override_drug_code", "drug_slash",
             "drug_backslash", "drug_nul", "drug_dot", "drug_dotdot",
             "seed_string", "seed_numeric_string", "seed_bool",
-            "seed_float", "repeated_drug"])
+            "seed_float", "repeated_drug", "override_T_zero",
+            "override_T_text", "override_control_period",
+            "override_excluded_codes_scalar"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
@@ -358,7 +369,17 @@ class TestMain:
         ("database_dir: d\ndrugs: [drug_x, drug_x, drug_other]\n"
          "algorithms: [ror05]\noutput_dir: o\n",
          "duplicate manifest drugs: ['drug_x']"),
-    ], ids=["list", "string_seed", "repeated_drug"])
+        ("database_dir: d\ndrugs: [unclosed\n", "not valid YAML"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: 0}}\n", "T must be positive"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: abc}}\n", "bad overrides for oe1"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [mutara60]\n"
+         "output_dir: o\noverrides: {mutara60: {control_period: [1, 2]}}\n",
+         "control_period must be"),
+    ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
+            "override_T_zero", "override_T_text",
+            "override_control_period"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -371,6 +392,45 @@ class TestMain:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err.splitlines()[-1]
+
+    def test_missing_manifest_is_one_line_usage_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "absent.yaml"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{path}: No such file or directory" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("n_patients: 10\nbackground_event_rates: {e: 0.1}\n",
+         "no 'years_span' key"),
+        ("n_patients: ten\nyears_span: 2\nbackground_event_rates: {e: 1}\n",
+         "invalid literal for int() with base 10: 'ten'"),
+        ("- n_patients: 10\n- years_span: 2\n",
+         "a scenario must be a mapping of keys, not a list"),
+        ("n_patients: 0\nyears_span: 2\nbackground_event_rates: {e: 1}\n",
+         "n_patients and years_span must be positive"),
+        ("n_patients: [10\n", "not valid YAML"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: 0.3}\n",
+         "'float' object has no attribute 'get'"),
+    ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
+            "malformed_yaml", "scalar_drug_model"])
+    def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
+                                                  text, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--config", str(path), "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"lodsig: error: {path}: {message}")
+        assert not out.exists()
 
     def test_jobs_below_one_is_usage_error(self, demo_data, tmp_path,
                                            capsys, monkeypatch):
@@ -440,9 +500,9 @@ class TestMain:
 
     @pytest.mark.parametrize("text, message", [
         ("drug_code,event_code,is_reaction_code\nX,A,false\n",
-         "line 1: missing columns ['frequency_class']"),
+         ": missing columns ['frequency_class']"),
         ("drug_code,event_code,frequency_class,is_reaction_code\n"
-         "X,A,often,false\n", "line 2: unknown frequency_class 'often'"),
+         "X,A,often,false\n", ", row 2: unknown frequency_class 'often'"),
     ], ids=["missing_column", "unknown_frequency_class"])
     def test_bad_ground_truth_is_data_error_before_load(
             self, demo_data, tmp_path, caplog, monkeypatch, text, message):
@@ -458,7 +518,7 @@ class TestMain:
             assert main(["run", "--manifest", str(path)]) == 1
         failures = [r.getMessage() for r in caplog.records
                     if r.levelname == "ERROR"]
-        assert failures == [f"run failed: {truth}, {message}"]
+        assert failures == [f"run failed: {truth}{message}"]
         assert not (tmp_path / "res").exists()
 
     def test_seed_override_changes_demo_data(self, tmp_path):
@@ -559,6 +619,50 @@ def test_summarize_bad_metric_is_one_line_data_error(text, message,
     assert lines[0].startswith("ERROR lodsig.cli: summarize failed: ")
     assert str(tmp_path / "metrics_summary.csv") in lines[0]
     assert lines[0].endswith(message)
+
+
+SUMMARY_FILES = ("table_precision_10.csv", "table_precision_50.csv",
+                 "chart_map_all.csv", "chart_map_rare.csv",
+                 "chart_map_reaction_codes.csv")
+
+
+def test_summarize_reads_utf8_bom(tmp_path):
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    for out, prefix in ((plain, ""), (bom, "\ufeff")):
+        out.mkdir()
+        (out / "metrics_summary.csv").write_text(
+            prefix + METRICS_HEADER + METRICS_ROW
+            + METRICS_ROW.replace("oe1", "oe2"),
+            encoding="utf-8")
+        proc = _main_with_log_level("warning", out)
+        assert proc.returncode == 0, proc.stderr
+    for name in SUMMARY_FILES:
+        assert (bom / name).read_bytes() == (plain / name).read_bytes(), name
+    assert (bom / "table_precision_10.csv").read_text().splitlines() == [
+        "drug,oe1,oe2", "drug_x,0.500,0.500", "Mean (3dp),0.500,0.500"]
+
+
+def test_summarize_of_seed7_demo_is_pinned(tmp_path):
+    # sha256 of the files summarize wrote for this demo before it read
+    # metrics_summary.csv through the store's reader
+    want = {
+        "table_precision_10.csv": "f53b9872c47272a361e7b0c6b9e34aa1"
+                                  "33aeb4106a60dbae7ee41f31854ce676",
+        "table_precision_50.csv": "06e2e26522d7cf3196e2f06b9e322499"
+                                  "f3019f15b4d48a83510137bf25cf5a1f",
+        "chart_map_all.csv": "818e430d9bec3f717c5fdece5d55a79f"
+                             "1f409184b21a194de981f9afae571adb",
+        "chart_map_rare.csv": "0ffbad96675a0977454b7f9742c154fa"
+                              "d992bfd9e2cdf5dffed5250ef4ef710a",
+        "chart_map_reaction_codes.csv": "0a902be89c890f2dab2540835ad2a9cd"
+                                        "6389a12ddb7fc97ed532029629f41756",
+    }
+    out = tmp_path / "exp"
+    assert main(["run", "--generate-demo", "--output", str(out),
+                 "--seed", "7"]) == 0
+    assert main(["summarize", str(out / "results")]) == 0
+    assert {name: hashlib.sha256((out / "results" / name).read_bytes())
+            .hexdigest() for name in SUMMARY_FILES} == want
 
 
 @pytest.mark.parametrize("tail, message", [

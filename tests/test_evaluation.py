@@ -12,7 +12,27 @@ from lodsig.evaluation import (AdrDictionary, AdrEntry, compare_algorithms,
 from lodsig.ranking import build_ranked_list
 from lodsig.store import DataFormatError
 
-from oracles import brute_map
+from oracles import brute_map, brute_truth_from_csv
+
+TRUTH_HEADER = "drug_code,event_code,frequency_class,is_reaction_code"
+# ground-truth files the store's reader must read as the DictReader loop did
+TRUTH_CASES = {
+    "bom_and_crlf": "\ufeff" + TRUTH_HEADER + "\r\nX,A,rare,true\r\n"
+                    "X,B,frequent,false\r\n",
+    "blank_lines_and_short_rows": TRUTH_HEADER + "\n\nX,A,rare\n\n"
+                                  "Y,B,frequent,1\n\n",
+    "quoted_fields_and_extra_columns":
+        TRUTH_HEADER + ',note\n"X","A, b","rare","TRUE","x"\n'
+        'X,"C ""c""",less_frequent,false,y,z\n"Y","D\nd",frequent,1\n',
+    "surrounding_spaces": TRUTH_HEADER + "\n X , A ,  rare ,  True \n"
+                          "\tY,B\t,frequent\t, 0\n",
+    "repeated_key": TRUTH_HEADER + "\nX,A,rare,true\nX,B,rare,false\n"
+                    " X,A ,frequent,false\n",
+    "columns_reordered_and_repeated":
+        "is_reaction_code,event_code,frequency_class,drug_code,drug_code\n"
+        "true,A,rare,Q,X\n",
+    "header_only": TRUTH_HEADER + "\n",
+}
 
 
 def ranked(codes, algorithm="a1", drug="X"):
@@ -123,15 +143,15 @@ class TestTruthAndEvaluate:
 
     @pytest.mark.parametrize("text, message", [
         ("drug_code,event_code,is_reaction_code\nX,A,false\n",
-         "line 1: missing columns ['frequency_class']"),
+         ": missing columns ['frequency_class']"),
         ("drug_code,event_code,frequency_class,is_reaction_code\n"
          "X,A,rare,false\nX,B,sometimes,true\n",
-         "line 3: unknown frequency_class 'sometimes'"),
+         ", row 3: unknown frequency_class 'sometimes'"),
         (b"drug_code,event_code,frequency_class,is_reaction_code\n"
-         b"X,A\xfe,rare,false\n", "line 2: not UTF-8 text"),
+         b"X,A\xfe,rare,false\n", ", line 2: not UTF-8 text"),
         ("drug_code,event_code,frequency_class,is_reaction_code\n"
          "X,A,rare,false\nX," + "B" * 200_000 + ",rare,false\n",
-         "line 3: field larger than field limit"),
+         ", line 3: field larger than field limit"),
     ], ids=["missing_column", "unknown_frequency_class", "non_utf8",
             "csv_error"])
     def test_bad_dictionary_names_file_and_line(self, tmp_path, text,
@@ -143,7 +163,56 @@ class TestTruthAndEvaluate:
             path.write_text(text)
         with pytest.raises(DataFormatError) as exc:
             AdrDictionary.from_csv(path)
-        assert str(exc.value).startswith(f"{path}, {message}")
+        assert str(exc.value).startswith(f"{path}{message}")
+
+    def test_bad_row_is_counted_by_record_like_the_database(self, tmp_path):
+        path = tmp_path / "adr.csv"
+        path.write_text(TRUTH_HEADER + "\n\nX,A,rare,false\n\n"
+                        '"X","B\nb",rare,false\nX,C,often,true\n')
+        with pytest.raises(DataFormatError) as exc:
+            AdrDictionary.from_csv(path)
+        # the fourth record, on the seventh line
+        assert str(exc.value) == \
+            f"{path}, row 4: unknown frequency_class 'often'"
+
+    @pytest.mark.parametrize("text", TRUTH_CASES.values(),
+                             ids=TRUTH_CASES.keys())
+    def test_dictionary_reads_like_dictreader_loop(self, tmp_path, text):
+        path = tmp_path / "adr.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = brute_truth_from_csv(path)
+        assert AdrDictionary.from_csv(path).entries == want
+        assert list(AdrDictionary.from_csv(path).entries) == list(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dictionary_matches_dictreader_loop_on_written_text(
+            self, tmp_path_factory, data):
+        draw = data.draw
+        rows = [TRUTH_HEADER.split(",")]
+        for _ in range(draw(st.integers(0, 6))):
+            row = [draw(st.sampled_from(options)) for options in (
+                ["X", " X", "Y"], ["A", "B ", "A, b", ""],
+                ["rare", " frequent", "less_frequent", "often", ""],
+                ["true", "1", "FALSE", " True ", ""])]
+            rows.append(row[:draw(st.integers(3, 5))] if draw(
+                st.booleans()) else row)
+            if draw(st.integers(0, 4)) == 0:
+                rows.append([])  # a blank line
+        quote = draw(st.booleans())
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        text = "".join(",".join(f'"{f}"' if quote or "," in f else f
+                                for f in row) + end for row in rows)
+        path = tmp_path_factory.mktemp("truth") / "adr.csv"
+        path.write_bytes(
+            (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8"))
+        try:
+            want = brute_truth_from_csv(path)
+        except DataFormatError:
+            with pytest.raises(DataFormatError, match="unknown frequency"):
+                AdrDictionary.from_csv(path)
+        else:
+            assert AdrDictionary.from_csv(path).entries == want
 
     def test_ranked_csv_round_trip(self, tmp_path):
         r = ranked(["A", "C", "D"])

@@ -1,9 +1,11 @@
 import dataclasses
 import datetime
 import functools
+import importlib.util
 import sys
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,7 +22,7 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           count_events_in_window, extract_exposures,
                           first_exposure_per_patient, first_per_patient,
                           from_ordinal, load_database, window_pairs)
-from lodsig.cli import demo_synth_config
+from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import generate
 from lodsig.temporal_ic import all_drug_exposures
 
@@ -29,6 +31,9 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient, brute_load_database,
                      brute_window_pairs)
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_csvs(tmp_path, patients, prescriptions, events):
@@ -519,6 +524,87 @@ class TestNumpyReader:
                           paths["patients"])
         assert reader_log(caplog) == dict.fromkeys(
             ["patients", "prescriptions", "events"], "numpy")
+
+
+def _read_by_csv_reader(path, names):
+    columns = store._reader_columns(path, names, ())
+    return {c: [texts[i] for i in index] for c, (texts, index)
+            in columns.items()}
+
+
+def _peak_bytes(read, *args):
+    tracemalloc.start()
+    try:
+        result = read(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLongFields:
+    """A field far longer than the rest of its column would make the numpy
+    reader zero-pad every field of its block, or every distinct text kept,
+    to that length; such a file is left to csv.reader."""
+
+    NAMES = ["patient_id", "event_code", "date"]
+    FIELDS = [(name, str, None) for name in NAMES]
+
+    @pytest.mark.parametrize("at", [0, 1500, 3000])
+    @pytest.mark.parametrize("distinct_codes", [3, 3000])
+    def test_long_code_reads_like_csv_reader_in_little_memory(
+            self, tmp_path, at, distinct_codes):
+        rows = [f"p{i:07d},e{i % distinct_codes:05d},2016-01-01\n"
+                for i in range(3000)]
+        rows.insert(at, "p0000001," + "x" * 40_000 + ",2016-01-02\n")
+        path = tmp_path / "events.csv"
+        path.write_text("patient_id,event_code,date\n" + "".join(rows))
+        got, peak = _peak_bytes(store.read_table, path, self.FIELDS)
+        assert {c: [texts[i] for i in index]
+                for c, (texts, index) in got.items()} == \
+            _read_by_csv_reader(path, self.NAMES)
+        # a 40000-byte field padded across a 3000-row block was 120 MB
+        assert peak < 4 * 2 ** 20, peak
+
+    def test_long_field_alone_in_the_last_block_is_declined(
+            self, tmp_path, monkeypatch):
+        # the last line, longer than a block, makes a block of its own, so
+        # only the texts kept from earlier blocks would be padded to it
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 1 << 14)
+        path = tmp_path / "events.csv"
+        path.write_text("patient_id,event_code,date\n" + "".join(
+            f"p{i:07d},e1,2016-01-01\n" for i in range(3000))
+            + "p" * 40_000 + ",e1,2016-01-02\n")
+        with pytest.raises(store._Declined, match="long field"):
+            store._numpy_columns(path, self.NAMES, ())
+        _, peak = _peak_bytes(store.read_table, path, self.FIELDS)
+        assert peak < 4 * 2 ** 20, peak
+
+    def test_long_field_in_a_full_block_is_declined(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("patient_id,event_code,date\n" + "".join(
+            f"p{i:07d},{'x' * 40_000 if i == 10 else 'e1'},2016-01-01\n"
+            for i in range(3000)))
+        with pytest.raises(store._Declined, match="long field"):
+            store._numpy_columns(path, self.NAMES, ())
+
+    def test_benchmark_shaped_files_are_read_by_numpy(self, tmp_path,
+                                                      caplog, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in ("recovery", "wide"):
+            scenario = getattr(workloads, f"{name}_scenario")(7)
+            scenario["n_patients"] = 300
+            paths = generate(synth_config_from_dict(scenario),
+                             tmp_path / name)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="lodsig.store"):
+                load_database(paths["prescriptions"], paths["events"],
+                              paths["patients"])
+            assert reader_log(caplog) == dict.fromkeys(
+                ["patients", "prescriptions", "events"], "numpy"), name
 
 
 class TestFromColumns:
