@@ -174,19 +174,20 @@ def _read_yaml(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_db(database_dir) -> Database:
+def _load_db(database_dir, cache: bool = True) -> Database:
     data = Path(database_dir)
     return load_database(data / "prescriptions.csv", data / "events.csv",
-                         data / "patients.csv")
+                         data / "patients.csv", cache=cache)
 
 
-def run(manifest: RunManifest, jobs: int = 1) -> int:
-    """Score every drug of the manifest and write all artifacts."""
+def run(manifest: RunManifest, jobs: int = 1, cache: bool = True) -> int:
+    """Score every drug of the manifest and write all artifacts; cache
+    says whether the load may read and write the load cache."""
     # the small ground-truth file is checked before the database load
     dictionary = None
     if manifest.ground_truth is not None:
         dictionary = AdrDictionary.from_csv(manifest.ground_truth)
-    db = _load_db(manifest.database_dir)
+    db = _load_db(manifest.database_dir, cache)
     for drug in manifest.drugs:
         if db.drug_index(drug) is None:
             raise DataFormatError(f"drug {drug!r} has no prescriptions in "
@@ -256,6 +257,15 @@ def summarize(output_dir) -> int:
         (metric, _metric, lambda t, metric=metric: f"bad {metric} value {t!r}")
         for metric in SCORE_COLUMNS]
     rows = [dict(zip(names, row)) for row in read_rows(metrics_path, fields)]
+    first = {}
+    for n, r in enumerate(rows):
+        unit = first.setdefault((r["algorithm"], r["drug_code"]), n)
+        if unit != n:
+            # the tables could keep only one of them, the charts list both
+            raise DataFormatError(
+                f"{metrics_path}, row {n + 2}: repeats algorithm "
+                f"{r['algorithm']!r} and drug {r['drug_code']!r} of row "
+                f"{unit + 2}")
     algorithms = sorted({r["algorithm"] for r in rows})
     drugs = sorted({r["drug_code"] for r in rows})
     warnings = 0
@@ -343,13 +353,14 @@ def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
 
 
 def generate(config_path, output_dir, demo: bool = False,
-             seed: int | None = None) -> int:
-    """Write a synthetic database; ValueError names a bad scenario file."""
+             seed: int | None = None, cache: bool = True) -> int:
+    """Write a synthetic database and, with cache, its load cache entry;
+    ValueError names a bad scenario file."""
     config = (demo_synth_config() if demo
               else _read_yaml(config_path, synth_config_from_dict))
     if seed is not None:
         config = dataclasses.replace(config, rng_seed=seed)
-    paths = synthgen.generate(config, output_dir)
+    paths = synthgen.generate(config, output_dir, cache)
     for name, path in paths.items():
         log.info("wrote %s: %s", name, path)
     return 0
@@ -371,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="use the bundled demo configuration")
     p_gen.add_argument("--output", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--no-cache", action="store_true",
+                       help="neither read nor write the load cache")
 
     p_run = sub.add_parser("run", help="run algorithms per the manifest")
     p_run.add_argument("--manifest", help="run-manifest YAML path")
@@ -386,6 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker threads (at least 1)")
     p_run.add_argument("--output", default=None,
                        help="override the manifest output directory")
+    p_run.add_argument("--no-cache", action="store_true",
+                       help="neither read nor write the load cache")
 
     p_sum = sub.add_parser("summarize", help="pivot metrics into tables")
     p_sum.add_argument("output_dir")
@@ -408,7 +423,8 @@ def main(argv=None) -> int:
         if not args.demo and not args.config:
             parser.error("generate needs --config or --demo")
         try:
-            return generate(args.config, args.output, args.demo, args.seed)
+            return generate(args.config, args.output, args.demo, args.seed,
+                            not args.no_cache)
         except ValueError as exc:
             parser.error(str(exc))
 
@@ -419,7 +435,8 @@ def main(argv=None) -> int:
             if not args.output:
                 parser.error("run --generate-demo needs --output")
             data_dir = Path(args.output) / "data"
-            generate(None, data_dir, demo=True, seed=args.seed)
+            generate(None, data_dir, demo=True, seed=args.seed,
+                     cache=not args.no_cache)
             manifest = RunManifest(
                 database_dir=str(data_dir),
                 drugs=["drug_x", "drug_other"],
@@ -441,7 +458,8 @@ def main(argv=None) -> int:
         # in demo mode --output already shaped the data/results layout
         if args.output is not None and not args.generate_demo:
             manifest.output_dir = args.output
-        command = functools.partial(run, manifest, jobs=args.jobs)
+        command = functools.partial(run, manifest, jobs=args.jobs,
+                                    cache=not args.no_cache)
     else:
         command = functools.partial(summarize, args.output_dir)
     try:

@@ -12,6 +12,14 @@ windowed event queries every detection algorithm is built on through
 one kernel, `window_pairs`: each windowed count is a `bincount` over
 the (window, event code) pairs it returns for many windows at once.
 Dates are proleptic-Gregorian day ordinals internally.
+
+`load_database` keeps a load cache in `cache_dir()`: one `.npz` slot of
+a Database's columns per set of three resolved CSV paths, served only
+when its key matches (each file's size and sha256, this module's source
+and the Python and numpy versions), read without unpickling, and
+written to a temporary file that is renamed over the slot.  Any file
+that is not a valid entry for that key is a miss, and a cache that
+cannot be written leaves the load uncached; neither fails a load.
 """
 
 from __future__ import annotations
@@ -20,10 +28,15 @@ import array
 import csv
 import datetime
 import functools
+import hashlib
 import logging
+import os
+import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +120,11 @@ class StudyConfig:
         if not (a > b > 0):
             raise ValueError("control_period must be (start, end) month offsets "
                              "with start > end > 0 before the index date")
+        # bool is an int subclass, but `T: true` is not a window length
+        for name in ("T", "pre_window", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class Database:
@@ -626,12 +644,39 @@ def _load_records(path, code_column):
             np.array(days, dtype=np.int64)[date])
 
 
-def load_database(prescriptions_path, events_path, patients_path) -> Database:
+def load_database(prescriptions_path, events_path, patients_path,
+                  cache: bool = True) -> Database:
     """Load and index the three-file CSV database.
 
     Hard errors (DataFormatError) name the offending file and row; exact
     duplicate rows are collapsed with a warning counter on the result.
+    With cache, a load cache entry of these three files' contents is
+    served in place of parsing them, and a load that parses them stores
+    one (see _cache_entry).
     """
+    paths = (prescriptions_path, events_path, patients_path)
+    entry = _cache_entry(paths) if cache else None
+    found = _read_cache(*entry) if entry else None
+    if isinstance(found, Database):
+        log.info("load cache hit: %s", entry[0])
+        db = found
+    else:
+        db = _parse_database(*paths)
+        if not cache:
+            log.info("load cache off: parsed the CSVs")
+        elif entry is None or _cache_entry(paths) != entry:
+            log.info("load cache unused: a CSV could not be hashed or "
+                     "changed while it was parsed")
+        else:
+            log.info("load cache miss (%s): %s", found,
+                     _write_cache(db, *entry))
+    if db.duplicates_dropped:
+        log.warning("collapsed %d duplicate record rows",
+                    db.duplicates_dropped)
+    return db
+
+
+def _parse_database(prescriptions_path, events_path, patients_path):
     fields = [
         ("patient_id", lambda t: t.strip() or None,
          lambda t: "missing patient_id"),
@@ -647,11 +692,142 @@ def load_database(prescriptions_path, events_path, patients_path) -> Database:
     columns = read_table(patients_path, fields, optional=("death_date",))
     rx = _load_records(prescriptions_path, "drug_code")
     ev = _load_records(events_path, "event_code")
-    db = Database.from_columns([columns[f[0]] for f in fields], rx, ev)
-    if db.duplicates_dropped:
-        log.warning("collapsed %d duplicate record rows",
-                    db.duplicates_dropped)
-    return db
+    return Database.from_columns([columns[f[0]] for f in fields], rx, ev)
+
+
+# -- load cache -----------------------------------------------------------
+
+# the array members of a cache file, in groups of equal length: the key,
+# the ids and codes as NUL-separated UTF-8, the counts (patients, drugs,
+# event codes, duplicates dropped) and the Database's columns
+_CACHE_GROUPS = (("key",), ("texts",), ("counts",),
+                 ("year_of_birth", "gender", "registration", "death",
+                  "last_active"),
+                 ("rx_pid", "rx_drug", "rx_day"),
+                 ("ev_pid", "ev_code", "ev_day", "_ev_key"))
+# each member is one-dimensional, of dtype int64 unless named here
+_CACHE_DTYPES = {"key": np.uint8, "texts": np.uint8, "gender": "<U1"}
+
+
+def cache_dir() -> Path:
+    """The load cache directory: $XDG_CACHE_HOME/lodsig, or
+    ~/.cache/lodsig when that variable is unset (or not absolute)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = Path.home() / ".cache"
+    return Path(base) / "lodsig"
+
+
+@functools.cache
+def _source_digest() -> bytes:
+    """What a cached Database depends on besides its files: this module's
+    loading rules and the Python and numpy that ran them."""
+    with open(__file__, "rb") as fh:
+        source = hashlib.sha256(fh.read()).hexdigest()
+    return f"{source}|{sys.version}|{np.__version__}".encode()
+
+
+def _cache_entry(paths):
+    """(slot file, key) of three CSV paths, or None when one cannot be read.
+
+    Each set of resolved paths has one slot, so the cache holds one entry
+    per database.  The key is the size and sha256 of each file with
+    _source_digest(): an entry is served only for the bytes it was built
+    from, by the rules that built it.
+    """
+    key = hashlib.sha256(_source_digest())
+    try:
+        for path in paths:
+            digest, size = hashlib.sha256(), 0
+            with open(path, "rb") as fh:
+                for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+                    digest.update(chunk)
+                    size += len(chunk)
+            key.update(b"%d:" % size + digest.digest())
+        slot = "\0".join(str(Path(p).resolve()) for p in paths)
+    except OSError:
+        return None
+    name = hashlib.sha256(slot.encode(errors="surrogateescape")).hexdigest()
+    return cache_dir() / f"{name[:32]}.npz", key.digest()
+
+
+def _read_cache(slot, key) -> Database | str:
+    """The Database a cache file holds under this key, or why there is
+    none: a missing, stale, truncated, foreign or pickled file."""
+    try:
+        with np.load(slot, allow_pickle=False) as npz:
+            a = {n: npz[n] for group in _CACHE_GROUPS for n in group}
+        if a["key"].tobytes() != key:
+            return "stale entry"
+        if any(v.ndim != 1 or v.dtype != _CACHE_DTYPES.get(n, np.int64)
+               for n, v in a.items()) or any(
+                len({len(a[n]) for n in g}) != 1 for g in _CACHE_GROUPS):
+            return "malformed entry"
+        n_patients, n_drugs, n_events, dropped = a["counts"].tolist()
+        total = n_patients + n_drugs + n_events
+        texts = a["texts"].tobytes().decode().split("\0") if total else []
+        if len(texts) != total or len(a["death"]) != n_patients:
+            return "malformed entry"
+    except FileNotFoundError:
+        return "no entry"
+    # a file that cannot be read as an entry is a miss, never a failed
+    # run: besides OSError, BadZipFile, a ValueError for a pickle and a
+    # KeyError for a missing member, a corrupt zip or .npy header can
+    # raise NotImplementedError, EOFError or tokenize.TokenError
+    except Exception as exc:
+        return f"unreadable entry: {type(exc).__name__}"
+
+    def index(names):
+        return dict(zip(names, range(len(names))))
+    return Database(
+        index(texts[:n_patients]), *(a[n] for g in _CACHE_GROUPS[3:]
+                                     for n in g),
+        index(texts[n_patients:n_patients + n_drugs]),
+        index(texts[n_patients + n_drugs:]), dropped)
+
+
+def _write_cache(db: Database, slot, key) -> str:
+    """Store db in a cache slot under key; says what happened.
+
+    The file is written beside the slot and renamed over it, so a reader
+    never sees it half written.  A cache that cannot be written leaves
+    the run uncached.
+    """
+    texts = [*db.patient_ids, *db.drug_codes, *db.event_codes]
+    joined = "\0".join(texts)
+    if joined.count("\0") != max(len(texts) - 1, 0):
+        return "not written: an id or code holds a NUL"
+    try:
+        members = {
+            "key": np.frombuffer(key, dtype=np.uint8),
+            "texts": np.frombuffer(joined.encode(), dtype=np.uint8),
+            "counts": np.array([db.n_patients, len(db.drug_codes),
+                                len(db.event_codes), db.duplicates_dropped],
+                               dtype=np.int64),
+            **{n: getattr(db, n) for g in _CACHE_GROUPS[3:] for n in g}}
+        slot.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=slot.parent, prefix=slot.stem,
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **members)
+            os.replace(tmp, slot)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except (OSError, ValueError) as exc:
+        return f"not written: {exc}"
+    return f"wrote {slot}"
+
+
+def cache_database(db: Database, prescriptions_path, events_path,
+                   patients_path) -> str:
+    """Store db as load_database's result for three files, which the
+    caller vouches it is; says what happened."""
+    entry = _cache_entry((prescriptions_path, events_path, patients_path))
+    if entry is None:
+        return "not written: a CSV could not be hashed"
+    return _write_cache(db, *entry)
 
 
 # -- eligibility and windowed queries -------------------------------------
@@ -719,10 +895,13 @@ def window_pairs(db: Database, pts, lo_day, hi_day):
     [lo_day[row], hi_day[row]]; a window with lo_day > hi_day is empty.
     Returns int64 arrays with one entry per event of that patient dated
     in the window, rows ascending.  Windows may overlap and a patient may
-    have several.
+    have several, and may reach past the key's day range, which holds
+    every record day: clipped to it, a window stays inside its patient's
+    keys, and an empty one stays empty.
     """
-    lo = np.searchsorted(db._ev_key, pts * _KEY_BASE + lo_day)
-    hi = np.searchsorted(db._ev_key, pts * _KEY_BASE + hi_day,
+    base = pts * _KEY_BASE
+    lo = np.searchsorted(db._ev_key, base + np.clip(lo_day, 0, _KEY_BASE))
+    hi = np.searchsorted(db._ev_key, base + np.clip(hi_day, -1, _KEY_BASE - 1),
                          side="right")
     counts = np.maximum(hi - lo, 0)
     # expand to one entry per (window, in-window event) pair

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
-from .store import (Database, Gender, first_per_patient, from_ordinal,
-                    row_columns, window_pairs)
+from .store import (Database, Gender, cache_database, first_per_patient,
+                    from_ordinal, row_columns, window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -354,8 +354,14 @@ def _write_records(path, header, table) -> None:
             zip(*(column.tolist() for column in columns)))))
 
 
-def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
-    """Write the CSV database plus ground_truth.csv; returns the paths."""
+def generate(config: SynthConfig, out_dir, cache: bool = True
+             ) -> dict[str, Path]:
+    """Write the CSV database plus ground_truth.csv; returns the paths.
+
+    With cache, the database built here is stored in the load cache as
+    the files' load_database result, if it is that result: when every id
+    and code is a text that the load keeps as written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     db, result = build_database(config)
@@ -381,4 +387,14 @@ def generate(config: SynthConfig, out_dir) -> dict[str, Path]:
                    result.ev)
 
     realized_truth(db, config).to_csv(paths["ground_truth"])
+    if cache:
+        texts = itertools.chain(db.patient_ids, db.drug_codes,
+                                db.event_codes)
+        # the load strips each text and refuses an empty one
+        if all(isinstance(t, str) and t and t == t.strip() for t in texts):
+            outcome = cache_database(db, paths["prescriptions"],
+                                     paths["events"], paths["patients"])
+        else:
+            outcome = "not written: an id or code would load differently"
+        log.info("load cache: %s", outcome)
     return paths

@@ -44,6 +44,16 @@ def random_small_db(rng: np.random.Generator, n_patients=10,
     return make_db(patients, rx=rx, events=events)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_load_cache(tmp_path_factory):
+    """The tests load through a load cache of their own, never the
+    user's; session-scoped, so it is in place before any module-scoped
+    fixture generates a database."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg")))
+        yield
+
+
 @pytest.fixture
 def simple_config():
     return StudyConfig(drug_code="X", rng_seed=11)

@@ -377,9 +377,25 @@ class TestMain:
         ("database_dir: d\ndrugs: [x]\nalgorithms: [mutara60]\n"
          "output_dir: o\noverrides: {mutara60: {control_period: [1, 2]}}\n",
          "control_period must be"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: 30.5}}\n",
+         "bad overrides for oe1 {'T': 30.5}: T must be an integer, not 30.5"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: o\n"
+         "overrides: {ror05: {T: true}}\n",
+         "bad overrides for ror05 {'T': True}: T must be an integer, "
+         "not True"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [mutara60]\n"
+         "output_dir: o\noverrides: {mutara60: {rng_seed: abc}}\n",
+         "bad overrides for mutara60 {'rng_seed': 'abc'}: rng_seed must be "
+         "an integer, not 'abc'"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [hunt180]\n"
+         "output_dir: o\noverrides: {hunt180: {pre_window: 1.5}}\n",
+         "pre_window must be an integer, not 1.5"),
     ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
             "override_T_zero", "override_T_text",
-            "override_control_period"])
+            "override_control_period", "override_T_float",
+            "override_T_bool", "override_rng_seed_text",
+            "override_pre_window_float"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -608,7 +624,10 @@ METRICS_ROW = "oe1,drug_x,0.5,0.2,0.4,,0.1,12,3\n"
      "row 2: bad map_rare value 'x'"),
     (METRICS_HEADER.replace("precision_50,", "") + METRICS_ROW,
      "missing columns ['precision_50']"),
-], ids=["precision", "map", "missing_column"])
+    (METRICS_HEADER + METRICS_ROW + METRICS_ROW.replace("oe1", "oe2")
+     + METRICS_ROW.replace("0.5", "0.9"),
+     "row 4: repeats algorithm 'oe1' and drug 'drug_x' of row 2"),
+], ids=["precision", "map", "missing_column", "repeated_row"])
 def test_summarize_bad_metric_is_one_line_data_error(text, message,
                                                      tmp_path):
     (tmp_path / "metrics_summary.csv").write_text(text)

@@ -30,6 +30,7 @@ from conftest import day, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient, brute_load_database,
+                     brute_srs_counts, brute_support_counts,
                      brute_window_pairs)
 
 
@@ -519,9 +520,10 @@ class TestNumpyReader:
     def test_synthgen_files_take_the_numpy_path(self, tmp_path, caplog):
         config = dataclasses.replace(demo_synth_config(), n_patients=200)
         paths = generate(config, tmp_path)
+        # generate cached the database: the reader runs with no cache
         with caplog.at_level("DEBUG", logger="lodsig.store"):
             load_database(paths["prescriptions"], paths["events"],
-                          paths["patients"])
+                          paths["patients"], cache=False)
         assert reader_log(caplog) == dict.fromkeys(
             ["patients", "prescriptions", "events"], "numpy")
 
@@ -602,7 +604,7 @@ class TestLongFields:
             caplog.clear()
             with caplog.at_level("DEBUG", logger="lodsig.store"):
                 load_database(paths["prescriptions"], paths["events"],
-                              paths["patients"])
+                              paths["patients"], cache=False)
             assert reader_log(caplog) == dict.fromkeys(
                 ["patients", "prescriptions", "events"], "numpy"), name
 
@@ -839,6 +841,35 @@ class TestWindowPairs:
                          [db.event_codes[c] for c in code.tolist()]))
         assert got == brute_window_pairs(db, pts, lo, hi)
         assert list(row) == sorted(row)
+
+    @pytest.mark.parametrize("T, pre_window", [
+        (10 ** 7, 60), (60, 10_500_000), (10 ** 7, 10_500_000)],
+        ids=["long_T", "long_pre_window", "both"])
+    def test_long_windows_stay_inside_one_patient(self, T, pre_window):
+        # a window reaching past the packed key's day range once read the
+        # neighbouring patients' events
+        rng = np.random.default_rng(2024)
+        config = StudyConfig(drug_code="X", T=T, pre_window=pre_window,
+                             rng_seed=5)
+        for trial in range(20):
+            db = random_small_db(rng, n_patients=10)
+            pts, idx = db.episodes("X")
+            for lo, hi in ((idx + 1, idx + T), (idx - pre_window, idx)):
+                row, code = window_pairs(db, pts, lo, hi)
+                got = sorted(zip(row.tolist(),
+                                 [db.event_codes[c] for c in code.tolist()]))
+                assert got == brute_window_pairs(db, pts, lo, hi)
+            tables = srs.build_srs_counts(db, "X", T)
+            assert {c: (t.w00, t.w01, t.w10, t.w11)
+                    for c, t in tables.items()} == brute_srs_counts(db, "X", T)
+            firsts = first_exposure_per_patient(extract_exposures(db, config))
+            pairs = [(e.patient_id, e.index_date) for e in firsts]
+            for code in ("A", "C", "D"):
+                c = mutara.support_counts(db, firsts, code, config,
+                                          seed=trial)
+                assert (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
+                        c.supp_bg_unexpected, c.supp_bg, c.population) == \
+                    brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
         ((store, temporal_ic, mutara), 20),
