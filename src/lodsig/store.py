@@ -19,7 +19,8 @@ when its key matches (each file's size and sha256, this module's source
 and the Python and numpy versions), read without unpickling, and
 written to a temporary file that is renamed over the slot.  Any file
 that is not a valid entry for that key is a miss, and a cache that
-cannot be written leaves the load uncached; neither fails a load.
+cannot be written, or no cache directory, leaves the load uncached; none
+of these fails a load.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import csv
 import datetime
 import functools
 import hashlib
+import itertools
 import logging
+import operator
 import os
 import sys
 import tempfile
@@ -120,11 +123,17 @@ class StudyConfig:
         if not (a > b > 0):
             raise ValueError("control_period must be (start, end) month offsets "
                              "with start > end > 0 before the index date")
-        # bool is an int subclass, but `T: true` is not a window length
+        # any integer type, numpy's too, is kept as an int; operator.index
+        # takes a bool as well, but `T: true` is not a window length
         for name in ("T", "pre_window", "rng_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, not {value!r}") from None
 
 
 class Database:
@@ -628,6 +637,11 @@ def read_rows(path, fields):
                       for values, index in read_table(path, fields).values())))
 
 
+def _id(text):
+    """A patient id or a code as the load keeps it; None when empty."""
+    return text.strip() or None
+
+
 def _day(text):
     return datetime.date.fromisoformat(text.strip()).toordinal()
 
@@ -636,8 +650,8 @@ def _load_records(path, code_column):
     """(pid_values, pid_index, code_values, code_index, day_ord) of a file."""
     missing = f"missing patient_id or {code_column}"
     columns = read_table(path, [
-        ("patient_id", lambda t: t.strip() or None, lambda t: missing),
-        (code_column, lambda t: t.strip() or None, lambda t: missing),
+        ("patient_id", _id, lambda t: missing),
+        (code_column, _id, lambda t: missing),
         ("date", _day, lambda t: f"bad date {t!r}")])
     days, date = columns["date"]
     return (*columns["patient_id"], *columns[code_column],
@@ -665,8 +679,8 @@ def load_database(prescriptions_path, events_path, patients_path,
         if not cache:
             log.info("load cache off: parsed the CSVs")
         elif entry is None or _cache_entry(paths) != entry:
-            log.info("load cache unused: a CSV could not be hashed or "
-                     "changed while it was parsed")
+            log.info("load cache unused: no cache directory, or a CSV "
+                     "could not be hashed or changed while it was parsed")
         else:
             log.info("load cache miss (%s): %s", found,
                      _write_cache(db, *entry))
@@ -678,8 +692,7 @@ def load_database(prescriptions_path, events_path, patients_path,
 
 def _parse_database(prescriptions_path, events_path, patients_path):
     fields = [
-        ("patient_id", lambda t: t.strip() or None,
-         lambda t: "missing patient_id"),
+        ("patient_id", _id, lambda t: "missing patient_id"),
         # a year of birth must fit its int64 column
         ("year_of_birth", lambda t: int(t) if abs(int(t)) < 2 ** 63 else None,
          lambda t: f"bad year_of_birth {t!r}"),
@@ -728,7 +741,8 @@ def _source_digest() -> bytes:
 
 
 def _cache_entry(paths):
-    """(slot file, key) of three CSV paths, or None when one cannot be read.
+    """(slot file, key) of three CSV paths, or None when one cannot be
+    read or there is no cache directory (no home directory to put it in).
 
     Each set of resolved paths has one slot, so the cache holds one entry
     per database.  The key is the size and sha256 of each file with
@@ -745,10 +759,13 @@ def _cache_entry(paths):
                     size += len(chunk)
             key.update(b"%d:" % size + digest.digest())
         slot = "\0".join(str(Path(p).resolve()) for p in paths)
-    except OSError:
+        directory = cache_dir()
+    # Path.home() raises RuntimeError (KeyError before Python 3.12) when
+    # neither HOME nor the password database names a home directory
+    except (OSError, RuntimeError, KeyError):
         return None
     name = hashlib.sha256(slot.encode(errors="surrogateescape")).hexdigest()
-    return cache_dir() / f"{name[:32]}.npz", key.digest()
+    return directory / f"{name[:32]}.npz", key.digest()
 
 
 def _read_cache(slot, key) -> Database | str:
@@ -823,10 +840,14 @@ def _write_cache(db: Database, slot, key) -> str:
 def cache_database(db: Database, prescriptions_path, events_path,
                    patients_path) -> str:
     """Store db as load_database's result for three files, which the
-    caller vouches it is; says what happened."""
+    caller vouches it is but for the ids and codes: db is not stored when
+    one of them would load differently (see _id).  Says what happened."""
+    texts = itertools.chain(db.patient_ids, db.drug_codes, db.event_codes)
+    if not all(isinstance(t, str) and _id(t) == t for t in texts):
+        return "not written: an id or code would load differently"
     entry = _cache_entry((prescriptions_path, events_path, patients_path))
     if entry is None:
-        return "not written: a CSV could not be hashed"
+        return "not written: no cache directory, or a CSV could not be hashed"
     return _write_cache(db, *entry)
 
 

@@ -359,8 +359,7 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
     """Write the CSV database plus ground_truth.csv; returns the paths.
 
     With cache, the database built here is stored in the load cache as
-    the files' load_database result, if it is that result: when every id
-    and code is a text that the load keeps as written.
+    the files' load_database result (see store.cache_database).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -388,13 +387,6 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
 
     realized_truth(db, config).to_csv(paths["ground_truth"])
     if cache:
-        texts = itertools.chain(db.patient_ids, db.drug_codes,
-                                db.event_codes)
-        # the load strips each text and refuses an empty one
-        if all(isinstance(t, str) and t and t == t.strip() for t in texts):
-            outcome = cache_database(db, paths["prescriptions"],
-                                     paths["events"], paths["patients"])
-        else:
-            outcome = "not written: an id or code would load differently"
-        log.info("load cache: %s", outcome)
+        log.info("load cache: %s", cache_database(
+            db, paths["prescriptions"], paths["events"], paths["patients"]))
     return paths

@@ -161,6 +161,20 @@ def unwritable(paths, slot):
     return load_twice(paths, slot)
 
 
+def no_home(paths, slot):
+    # no XDG_CACHE_HOME, no HOME and no password entry: no cache directory
+    slot.unlink()
+    with mock.patch.dict(os.environ), mock.patch.object(
+            Path, "home", side_effect=RuntimeError("no home directory")):
+        os.environ.pop("XDG_CACHE_HOME")
+        os.environ.pop("HOME", None)
+        dbs = load_twice(paths, slot)
+        assert store.cache_database(dbs[0], *paths) == (
+            "not written: no cache directory, or a CSV could not be hashed")
+    assert not any(slot.parent.iterdir())
+    return dbs
+
+
 def two_threads(paths, slot):
     slot.unlink()
     # both threads are parsing at once, so neither read the other's entry
@@ -217,6 +231,7 @@ CASES = {
     "unwritable": (unwritable, [
         r"load cache miss \(unreadable entry: NotADirectoryError\): "
         r"not written: .*"] * 2),
+    "no_home": (no_home, [r"load cache unused: no cache directory, .*"] * 2),
     "two_threads": (two_threads, [wrote("no entry")] * 2 + [HIT]),
     "no_cache": (no_cache, ["load cache off: parsed the CSVs"] * 2),
 }

@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def demo_data(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo_data")
     config = demo_synth_config(seed=7)
-    return generate(config, out), out
+    # uncached, so the first run parses the CSVs (and caches them)
+    return generate(config, out, cache=False), out
 
 
 def demo_manifest(demo_data, out_dir, algorithms=("ror05", "mutara60")):

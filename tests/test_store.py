@@ -157,7 +157,7 @@ class TestLoad:
         config = dataclasses.replace(demo_synth_config(), n_patients=300)
         paths = generate(config, tmp_path)
         db = load_database(paths["prescriptions"], paths["events"],
-                           paths["patients"])
+                           paths["patients"], cache=False)
         for drug in db.drug_codes:
             score_drug(db, drug, ALGORITHM_IDS, seed=7)
         assert not hasattr(db, "patients")
@@ -1078,3 +1078,17 @@ class TestStudyConfig:
             StudyConfig(drug_code="X", T=0)
         with pytest.raises(ValueError):
             StudyConfig(drug_code="X", control_period=(21, 27))
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        config = StudyConfig(drug_code="X", T=np.int64(30),
+                             pre_window=np.int32(60), rng_seed=np.uint8(7))
+        assert config == StudyConfig(drug_code="X", T=30, pre_window=60,
+                                     rng_seed=7)
+        assert all(type(v) is int for v in
+                   (config.T, config.pre_window, config.rng_seed))
+
+    @pytest.mark.parametrize("value", [30.5, np.float64(30.0), True,
+                                       np.bool_(True)])
+    def test_non_integers_are_refused(self, value):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            StudyConfig(drug_code="X", T=value)

@@ -144,7 +144,7 @@ class TestGenerateFiles:
         config = small_config(seed=9, injections=[inj])
         paths = generate(config, tmp_path)
         db = load_database(paths["prescriptions"], paths["events"],
-                           paths["patients"])
+                           paths["patients"], cache=False)
         assert db.n_patients == config.n_patients
         exposures = extract_exposures(db, StudyConfig(drug_code="drug_x"))
         assert exposures
