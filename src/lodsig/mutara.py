@@ -21,7 +21,7 @@ import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list, rank_events
 from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_codes,
-                    episode_arrays, first_per_patient, window_pairs)
+                    first_per_patient, window_pairs)
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,6 @@ def _digest(seed: int, patient_id: str) -> int:
                                           digest_size=8).digest(), "big")
 
 
-def background_window_start(seed: int, patient_id: str, registration: int,
-                            last_active: int, T: int) -> int | None:
-    """Deterministic random T-day background window start for one patient.
-
-    Uniform over [registration + 365, last_active - T]; None when the
-    active span cannot fit a window.
-    """
-    lo = registration + DAYS_12_MONTHS
-    hi = last_active - T
-    if hi < lo:
-        return None
-    return lo + _digest(seed, patient_id) % (hi - lo + 1)
-
-
 def _background_digests(db: Database, seed: int) -> np.ndarray:
     """Every patient's window digest; it depends on neither T nor drug."""
     return np.fromiter((_digest(seed, pid) for pid in db.patient_ids),
@@ -65,7 +51,12 @@ def _background_digests(db: Database, seed: int) -> np.ndarray:
 
 
 def _background_starts(db: Database, seed: int, T: int) -> np.ndarray:
-    """`background_window_start` of every patient; -1 marks no window."""
+    """Every patient's T-day background window start, -1 for a patient
+    whose active span cannot fit one.
+
+    A start is uniform over [registration + 365, last_active - T], drawn
+    by the (seed, patient_id) digest.
+    """
     digests = db.cached(("background digests", seed),
                         lambda: _background_digests(db, seed))
     lo = db.registration + DAYS_12_MONTHS
@@ -126,19 +117,6 @@ def _support_counts_at(vectors, ci: int | None) -> SupportCounts:
                                    for v in supports), population)
 
 
-def support_counts(db: Database, exposures, event_code: str,
-                   config: StudyConfig, seed: int) -> SupportCounts:
-    """All MUTARA/HUNT supports for one candidate event.
-
-    Only the first qualifying episode per patient is used.  The
-    predictable filter window is [index - pre_window, index] (the
-    prescription day included); a pre_window of 0 disables filtering.
-    """
-    return _support_counts_at(
-        _support_vectors(db, episode_arrays(db, exposures), config, seed),
-        db.event_index(event_code))
-
-
 def unexlev_from_counts(c: SupportCounts) -> float:
     observed = c.supp_seq_unexpected
     background = c.supp_bg_unexpected + c.supp_seq_unexpected
@@ -149,20 +127,6 @@ def leverage_from_counts(c: SupportCounts) -> float:
     observed = c.supp_seq
     background = c.supp_bg + c.supp_seq
     return observed - c.supp_x * background / c.population
-
-
-def unexlev(db: Database, exposures, event_code: str, config: StudyConfig,
-            seed: int | None = None) -> float:
-    seed = config.rng_seed if seed is None else seed
-    return unexlev_from_counts(
-        support_counts(db, exposures, event_code, config, seed))
-
-
-def leverage(db: Database, exposures, event_code: str, config: StudyConfig,
-             seed: int | None = None) -> float:
-    seed = config.rng_seed if seed is None else seed
-    return leverage_from_counts(
-        support_counts(db, exposures, event_code, config, seed))
 
 
 def candidate_supports(db: Database,
@@ -188,7 +152,7 @@ def mutara_view(supports: dict[str, SupportCounts],
 
 def hunt_view(supports: dict[str, SupportCounts],
               config: StudyConfig) -> RankedSignalList:
-    """Candidates in descending rank-ratio (leverage rank / unexlev rank)."""
+    """Candidates in descending leverage rank / unexpected-leverage rank."""
     unex = {code: unexlev_from_counts(c) for code, c in supports.items()}
     lev = {code: leverage_from_counts(c) for code, c in supports.items()}
     rank_unex = rank_events(unex, "hunt", config.drug_code)

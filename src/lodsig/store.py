@@ -37,7 +37,7 @@ import os
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -74,25 +74,8 @@ _GENDER_ALIASES = {
 _EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
-def to_ordinal(d) -> int:
-    """Accept a datetime.date or an int day ordinal."""
-    if isinstance(d, datetime.date):
-        return d.toordinal()
-    return int(d)
-
-
 def from_ordinal(o: int) -> datetime.date:
     return datetime.date.fromordinal(o)
-
-
-@dataclass(frozen=True)
-class Patient:
-    patient_id: str
-    year_of_birth: int
-    gender: Gender
-    registration: int          # day ordinal
-    last_active: int           # max(record dates, death date), >= registration
-    death: int | None = None
 
 
 @dataclass(frozen=True)
@@ -134,6 +117,14 @@ class StudyConfig:
             except TypeError:
                 raise ValueError(
                     f"{name} must be an integer, not {value!r}") from None
+        # a window is shorter than the packed key's day range, which
+        # window_pairs clips every window to; far longer ones would also
+        # overflow `index day + T` in int64
+        for name, days in (("T", self.T), ("pre_window", self.pre_window),
+                           ("control_period start", a * DAYS_PER_MONTH)):
+            if days >= _KEY_BASE:
+                raise ValueError(f"{name} must be under {_KEY_BASE} days, "
+                                 f"not {days}")
 
 
 class Database:
@@ -241,17 +232,6 @@ class Database:
         db._validate()
         return db
 
-    @classmethod
-    def from_records(cls, patient_rows, rx_rows, ev_rows):
-        """Build a database from (patient_id, year_of_birth, Gender,
-        registration, death or None) patient rows and (patient_id, code,
-        day_ord) record rows."""
-        def table(rows):
-            (pid, each), (code, _), (day, _) = row_columns(rows, 3)
-            return pid, each, code, each, np.array(day, dtype=np.int64)
-        return cls.from_columns(row_columns(patient_rows, 5), table(rx_rows),
-                                table(ev_rows))
-
     def _validate(self):
         dead = np.flatnonzero(self.death)
         # no death date is a death after every day ordinal
@@ -279,30 +259,11 @@ class Database:
         except KeyError:
             raise KeyError(f"unknown patient_id {patient_id!r}") from None
 
-    def patient(self, patient_id: str) -> Patient:
-        """One patient's fields, built from the columns on demand."""
-        i = self.patient_index(patient_id)
-        return Patient(patient_id, int(self.year_of_birth[i]),
-                       Gender(self.gender[i]),
-                       int(self.registration[i]), int(self.last_active[i]),
-                       int(self.death[i]) or None)
-
     def drug_index(self, drug_code: str) -> int | None:
         return self._drug_index.get(drug_code)
 
     def event_index(self, event_code: str) -> int | None:
         return self._event_index.get(event_code)
-
-    def events_for_patient(self, patient_id):
-        """(code_idx, day) arrays for one patient, sorted by day."""
-        i = self.patient_index(patient_id)
-        lo, hi = np.searchsorted(self.ev_pid, [i, i + 1])
-        return self.ev_code[lo:hi], self.ev_day[lo:hi]
-
-    def prescriptions_for_patient(self, patient_id):
-        i = self.patient_index(patient_id)
-        lo, hi = np.searchsorted(self.rx_pid, [i, i + 1])
-        return self.rx_drug[lo:hi], self.rx_day[lo:hi]
 
     def cached(self, key, build):
         """build(), once per key; concurrent callers wait for that build."""
@@ -880,33 +841,17 @@ def first_per_patient(pts, idx):
 
 
 def extract_exposures(db: Database, config: StudyConfig) -> list[ExposureEpisode]:
-    """Qualifying first-in-13-months prescriptions of the study drug.
+    """`Database.episodes` of the study drug as a list, sorted by
+    (patient_id, index_date).
 
-    The list form of `Database.episodes`: patients may contribute several
-    episodes; output is sorted by (patient_id, index_date) and
-    independent of input row order.
+    Kept with `candidate_events` for perfbench/run.py, whose input-size
+    probe calls both by name; the package itself uses the arrays.
     """
     pts, idx = db.episodes(config.drug_code)
     return [ExposureEpisode(db.patient_ids[p], config.drug_code, i,
                             min(i + config.T, last))
             for p, i, last in zip(pts.tolist(), idx.tolist(),
                                   db.last_active[pts].tolist())]
-
-
-def first_exposure_per_patient(exposures) -> list[ExposureEpisode]:
-    """Keep only each patient's earliest episode of a sorted list."""
-    first = {}
-    for e in exposures:
-        first.setdefault(e.patient_id, e)
-    return list(first.values())
-
-
-def episode_arrays(db: Database, exposures):
-    """(patient index, index date) int64 arrays of a list of episodes."""
-    pts = np.array([db.patient_index(e.patient_id) for e in exposures],
-                   dtype=np.int64)
-    idx = np.array([e.index_date for e in exposures], dtype=np.int64)
-    return pts, idx
 
 
 def window_pairs(db: Database, pts, lo_day, hi_day):
@@ -932,17 +877,6 @@ def window_pairs(db: Database, pts, lo_day, hi_day):
     return row, db.ev_code[flat]
 
 
-def count_events_in_window(db: Database, patient_id: str, window_start,
-                           window_end, event_code: str) -> int:
-    """Events of one code for one patient in [window_start, window_end]."""
-    start, end = to_ordinal(window_start), to_ordinal(window_end)
-    if start > end:
-        raise ValueError("window_start must not exceed window_end")
-    pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
-    _, code = window_pairs(db, pts, start, end)
-    return int(np.count_nonzero(code == db._event_index.get(event_code, -1)))
-
-
 def candidate_codes(db: Database, episodes, T: int,
                     excluded: frozenset[str] = frozenset(),
                     include_day0: bool = False) -> list[str]:
@@ -961,9 +895,12 @@ def candidate_codes(db: Database, episodes, T: int,
 def candidate_events(db: Database, exposures, T: int,
                      excluded: frozenset[str] = frozenset(),
                      include_day0: bool = False) -> set[str]:
-    """`candidate_codes` of a list of episodes, as a set."""
-    return set(candidate_codes(db, episode_arrays(db, exposures), T,
-                               excluded, include_day0))
+    """`candidate_codes` of an `extract_exposures` list, as a set (for
+    the perfbench probe, like `extract_exposures`)."""
+    pts = np.array([db.patient_index(e.patient_id) for e in exposures],
+                   dtype=np.int64)
+    idx = np.array([e.index_date for e in exposures], dtype=np.int64)
+    return set(candidate_codes(db, (pts, idx), T, excluded, include_day0))
 
 
 def cohort_summary(db: Database, drug_code: str) -> dict:

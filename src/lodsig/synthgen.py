@@ -118,22 +118,6 @@ class GenerationResult:
     ev: tuple
     injected_counts: dict[tuple[str, str], int]   # (drug, event) -> rows added
 
-    @property
-    def rx_rows(self) -> list:
-        """(patient_id, drug_code, day_ord) tuples of the prescriptions."""
-        return _rows(self.rx)
-
-    @property
-    def ev_rows(self) -> list:
-        """(patient_id, event_code, day_ord) tuples of the events."""
-        return _rows(self.ev)
-
-
-def _rows(table) -> list:
-    pid_values, pid, code_values, code, day = table
-    return [(pid_values[p], code_values[c], d)
-            for p, c, d in zip(pid.tolist(), code.tolist(), day.tolist())]
-
 
 def _table(pid_values, records, code_values):
     """A from_columns record table of int (patient, code, day) rows."""

@@ -10,7 +10,6 @@ those more elevated on the prescription day itself.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +18,7 @@ import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list
 from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_codes,
-                    episode_arrays, extract_exposures, window_pairs)
+                    window_pairs)
 
 
 class Period(Enum):
@@ -136,12 +135,6 @@ def _patients_with_event(db: Database, episodes, period: Period,
             len(np.unique(pts)))
 
 
-def all_drug_exposures(db: Database, config: StudyConfig):
-    """The list form of `Database.episodes()` (the n.. denominators)."""
-    return [e for drug in db.drug_codes for e in extract_exposures(
-        db, dataclasses.replace(config, drug_code=drug))]
-
-
 def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
                     config: StudyConfig):
     """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one period for every code.
@@ -160,15 +153,6 @@ def _period_counts_at(vectors, ci: int | None, period: Period) -> PeriodCounts:
         return PeriodCounts(0, n_x_dot, 0, n_dot_dot, period)
     return PeriodCounts(int(n_xy[ci]), n_x_dot, int(n_dot_y[ci]), n_dot_dot,
                         period)
-
-
-def period_counts(db: Database, exposures, event_code: str, period: Period,
-                  config: StudyConfig, any_exposures=None) -> PeriodCounts:
-    any_episodes = (db.episodes() if any_exposures is None
-                    else episode_arrays(db, any_exposures))
-    vectors = _period_vectors(db, episode_arrays(db, exposures),
-                              any_episodes, period, config)
-    return _period_counts_at(vectors, db.event_index(event_code), period)
 
 
 # -- scoring and ranking --------------------------------------------------

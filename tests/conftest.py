@@ -3,13 +3,29 @@ import datetime
 import numpy as np
 import pytest
 
-from lodsig.store import Database, Gender, StudyConfig
+from lodsig.store import Database, Gender, StudyConfig, row_columns
 
 BASE = datetime.date(2015, 1, 1).toordinal()
 
 
 def day(n: int) -> int:
     return BASE + n
+
+
+def db_from_rows(patient_rows, rx_rows, ev_rows):
+    """Database.from_columns of patient rows and (pid, code, day) rows."""
+    def table(rows):
+        (pid, each), (code, _), (days, _) = row_columns(rows, 3)
+        return pid, each, code, each, np.array(days, dtype=np.int64)
+    return Database.from_columns(row_columns(patient_rows, 5), table(rx_rows),
+                                 table(ev_rows))
+
+
+def table_rows(table):
+    """(patient_id, code, day) rows of a from_columns record table."""
+    pid_values, pid, code_values, code, days = table
+    return [(pid_values[p], code_values[c], d)
+            for p, c, d in zip(pid.tolist(), code.tolist(), days.tolist())]
 
 
 def make_db(patients, rx=(), events=()):
@@ -23,7 +39,7 @@ def make_db(patients, rx=(), events=()):
                     for pid, reg, until in patients]
     rx_rows = [(pid, drug, day(d)) for pid, drug, d in rx]
     ev_rows = [(pid, code, day(d)) for pid, code, d in events]
-    return Database.from_records(patient_rows, rx_rows, ev_rows)
+    return db_from_rows(patient_rows, rx_rows, ev_rows)
 
 
 def random_small_db(rng: np.random.Generator, n_patients=10,

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is written as plain per-patient loops against the public
-database accessors, deliberately avoiding the vectorized counting paths
+Everything here is written as plain per-patient loops over the
+database's columns, deliberately avoiding the vectorized counting paths
 in the package.
 """
 
@@ -16,18 +16,24 @@ import numpy as np
 from lodsig.store import (_GENDER_ALIASES, _KEY_BASE, DAYS_12_MONTHS,
                           DAYS_13_MONTHS, DAYS_PER_MONTH,
                           MIN_ACTIVE_FOLLOWUP_DAYS, Database, DataFormatError,
-                          ExposureEpisode, Gender, from_ordinal)
+                          Gender, from_ordinal)
 from lodsig.evaluation import FREQUENCY_CLASSES, TRUTH_COLUMNS, AdrEntry
 from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
 
 def patient_records(db, pid):
-    codes, days = db.events_for_patient(pid)
-    events = [(db.event_codes[c], int(d)) for c, d in zip(codes, days)]
-    drugs, rx_days = db.prescriptions_for_patient(pid)
-    rx = [(db.drug_codes[c], int(d)) for c, d in zip(drugs, rx_days)]
+    i = db.patient_index(pid)
+    rx = [(db.drug_codes[c], d) for p, c, d in zip(
+        db.rx_pid.tolist(), db.rx_drug.tolist(), db.rx_day.tolist()) if p == i]
+    events = [(db.event_codes[c], d) for p, c, d in zip(
+        db.ev_pid.tolist(), db.ev_code.tolist(), db.ev_day.tolist()) if p == i]
     return rx, events
+
+
+def patient_span(db, pid):
+    i = db.patient_index(pid)
+    return int(db.registration[i]), int(db.last_active[i])
 
 
 def _parse_date(text: str, path, row_no: int) -> int:
@@ -311,7 +317,7 @@ def brute_exposures(db, config):
     """Triple-rule eligibility scan, one prescription at a time."""
     out = []
     for pid in db.patient_ids:
-        patient = db.patient(pid)
+        registration, last_active = patient_span(db, pid)
         rx, _ = patient_records(db, pid)
         drug_days = sorted(d for drug, d in rx if drug == config.drug_code)
         for d in drug_days:
@@ -319,16 +325,17 @@ def brute_exposures(db, config):
                           if d - DAYS_13_MONTHS <= x < d]
             if prior_same:
                 continue
-            if d - patient.registration < DAYS_12_MONTHS:
+            if d - registration < DAYS_12_MONTHS:
                 continue
-            if patient.last_active - d < MIN_ACTIVE_FOLLOWUP_DAYS:
+            if last_active - d < MIN_ACTIVE_FOLLOWUP_DAYS:
                 continue
             out.append((pid, d))
     return out
 
 
 def brute_extract_exposures(db, config):
-    """The per-row episode loop and sort `store.extract_exposures` replaced."""
+    """(patient_id, index day) of each episode, by the per-row loop and
+    sort that `Database.episodes` replaced."""
     pid, day = db.prescriptions_of_drug(config.drug_code)
     if len(pid) == 0:
         return []
@@ -340,33 +347,27 @@ def brute_extract_exposures(db, config):
     qualifies &= day - db.registration[pid] >= DAYS_12_MONTHS
     qualifies &= db.last_active[pid] - day >= MIN_ACTIVE_FOLLOWUP_DAYS
 
-    episodes = []
-    for i in np.flatnonzero(qualifies):
-        p = db.patient_ids[pid[i]]
-        idx = int(day[i])
-        episodes.append(ExposureEpisode(
-            p, config.drug_code, idx,
-            min(idx + config.T, int(db.last_active[pid[i]]))))
-    episodes.sort(key=lambda e: (e.patient_id, e.index_date))
-    return episodes
+    episodes = [(db.patient_ids[pid[i]], int(day[i]))
+                for i in np.flatnonzero(qualifies)]
+    return sorted(episodes)
 
 
 def brute_first_exposure_per_patient(exposures):
     """Each patient's earliest episode of a (patient, index date) sorted list."""
     seen = set()
     out = []
-    for e in exposures:
-        if e.patient_id not in seen:
-            seen.add(e.patient_id)
-            out.append(e)
+    for pid, d in exposures:
+        if pid not in seen:
+            seen.add(pid)
+            out.append((pid, d))
     return out
 
 
 def brute_all_drug_exposures(db, config):
-    """Every drug's episodes, one `brute_extract_exposures` per drug."""
+    """Every drug's episodes, drug by drug, one `brute_exposures` each."""
     episodes = []
     for drug in db.drug_codes:
-        episodes.extend(brute_extract_exposures(
+        episodes.extend(brute_exposures(
             db, dataclasses.replace(config, drug_code=drug)))
     return episodes
 
@@ -417,9 +418,9 @@ def brute_period_counts(db, exposures, event_code, period, config,
     def count(episodes):
         with_event, covered = set(), set()
         for pid, idx in episodes:
-            patient = db.patient(pid)
+            registration, last_active = patient_span(db, pid)
             lo, hi = _window(period, idx, config)
-            if not (patient.registration <= lo and patient.last_active >= hi):
+            if not (registration <= lo and last_active >= hi):
                 continue
             covered.add(pid)
             _, events = patient_records(db, pid)
@@ -467,9 +468,7 @@ def brute_support_counts(db, exposures, event_code, config, seed):
     for pid in db.patient_ids:
         if pid in ever_x:
             continue
-        patient = db.patient(pid)
-        start = brute_background_start(seed, pid, patient.registration,
-                                       patient.last_active, T)
+        start = brute_background_start(seed, pid, *patient_span(db, pid), T)
         if start is None:
             continue
         post = has_event(pid, start + 1, start + T)

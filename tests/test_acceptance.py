@@ -6,6 +6,7 @@ synthetic databases in-process rather than through the CLI to stay
 inside the runtime budget.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,19 +16,20 @@ from lodsig.cli import ALGORITHM_IDS, _base_config, demo_synth_config, \
     score_drug
 from lodsig.evaluation import evaluate, map_score, precision_k, \
     signed_rank_one_sided
-from lodsig.mutara import rank_hunt, rank_mutara, support_counts
+from lodsig.mutara import _support_counts_at, _support_vectors, rank_hunt, \
+    rank_mutara
 from lodsig.srs import build_srs_counts
-from lodsig.store import StudyConfig, extract_exposures, \
-    first_exposure_per_patient
+from lodsig.store import StudyConfig
 from lodsig.synthgen import DrugModel, Injection, SynthConfig, \
     build_database, realized_truth
-from lodsig.temporal_ic import Period, all_drug_exposures, gamma_quantile, \
-    ic, ic_delta_from, period_counts, rank_oe
+from lodsig.temporal_ic import Period, _period_counts_at, _period_vectors, \
+    gamma_quantile, ic, ic_delta_from, rank_oe
 from lodsig import cli
 
 from conftest import random_small_db
-from oracles import (brute_period_counts, brute_srs_counts,
-                     brute_support_counts, gammainc_oracle)
+from oracles import (brute_all_drug_exposures, brute_exposures,
+                     brute_first_exposure_per_patient, brute_period_counts,
+                     brute_srs_counts, brute_support_counts, gammainc_oracle)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -45,11 +47,16 @@ def test_criterion_1_worked_map_example():
 
 
 def test_criterion_2_oracle_equivalence():
+    # the counts come from the passes score_drug runs: the episode arrays
+    # of Database.episodes through _period_vectors and _support_vectors;
+    # the oracles get their episodes from the per-patient brute_exposures
     rng = np.random.default_rng(2024)
-    config = StudyConfig(drug_code="X", pre_window=60, rng_seed=5)
+    base = StudyConfig(drug_code="X", pre_window=60, rng_seed=5)
     mismatches = 0
     for trial in range(50):
         db = random_small_db(rng, n_patients=10)
+        config = dataclasses.replace(base, rng_seed=trial)
+        codes = (*db.event_codes, "absent")
 
         got = build_srs_counts(db, "X")
         want = brute_srs_counts(db, "X")
@@ -58,23 +65,23 @@ def test_criterion_2_oracle_equivalence():
                 for c, t in got.items()):
             mismatches += 1
 
-        exposures = extract_exposures(db, config)
-        any_exp = all_drug_exposures(db, config)
-        pairs = [(e.patient_id, e.index_date) for e in exposures]
-        any_pairs = [(e.patient_id, e.index_date) for e in any_exp]
+        pairs = brute_exposures(db, config)
+        any_pairs = brute_all_drug_exposures(db, config)
         for period in Period:
-            for code in ("A", "C"):
-                pc = period_counts(db, exposures, code, period, config,
-                                   any_exp)
+            vectors = _period_vectors(db, db.episodes("X"), db.episodes(),
+                                      period, config)
+            for code in codes:
+                pc = _period_counts_at(vectors, db.event_index(code), period)
                 if (pc.n_xy, pc.n_x_dot, pc.n_dot_y, pc.n_dot_dot) != \
                         brute_period_counts(db, pairs, code, period, config,
                                             any_pairs):
                     mismatches += 1
 
-        firsts = first_exposure_per_patient(exposures)
-        first_pairs = [(e.patient_id, e.index_date) for e in firsts]
-        for code in ("A", "C"):
-            c = support_counts(db, firsts, code, config, seed=trial)
+        first_pairs = brute_first_exposure_per_patient(pairs)
+        vectors = _support_vectors(db, db.episodes("X"), config,
+                                   config.rng_seed)
+        for code in codes:
+            c = _support_counts_at(vectors, db.event_index(code))
             got_tuple = (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
                          c.supp_bg_unexpected, c.supp_bg, c.population)
             if got_tuple != brute_support_counts(db, first_pairs, code,
@@ -83,7 +90,9 @@ def test_criterion_2_oracle_equivalence():
 
     ok = mismatches == 0
     _report(2, ok, "50 random databases, SRS / period / support counts "
-                   f"vs brute force, {mismatches} mismatches")
+                   "of every event code and an absent one, from the "
+                   "passes score_drug runs, vs brute force, "
+                   f"{mismatches} mismatches")
     assert ok
 
 

@@ -97,6 +97,16 @@ class TestManifest:
          r"bad overrides for mutara60 .*: control_period must be"),
         ({"overrides": {"ror05": {"excluded_event_codes": 5}}},
          "bad overrides for ror05 .*not iterable"),
+        ({"overrides": {"oe1": {"T": 9223372036854775000}}},
+         "bad overrides for oe1 .*: T must be under 10000000 days, "
+         "not 9223372036854775000"),
+        ({"overrides": {"oe1": {"T": 99999999999999999999}}},
+         "bad overrides for oe1 .*: T must be under 10000000 days, "
+         "not 99999999999999999999"),
+        ({"overrides": {"oe1": {"pre_window": 10 ** 7}}},
+         "pre_window must be under 10000000 days, not 10000000"),
+        ({"overrides": {"oe1": {"control_period": [333334, 21]}}},
+         "control_period start must be under 10000000 days, not 10000020"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
             "override_unknown_key", "override_drug_code", "drug_slash",
@@ -104,7 +114,9 @@ class TestManifest:
             "seed_string", "seed_numeric_string", "seed_bool",
             "seed_float", "repeated_drug", "override_T_zero",
             "override_T_text", "override_control_period",
-            "override_excluded_codes_scalar"])
+            "override_excluded_codes_scalar", "override_T_wraps_int64",
+            "override_T_beyond_int64", "override_pre_window_too_long",
+            "override_control_period_too_long"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
@@ -392,11 +404,20 @@ class TestMain:
         ("database_dir: d\ndrugs: [x]\nalgorithms: [hunt180]\n"
          "output_dir: o\noverrides: {hunt180: {pre_window: 1.5}}\n",
          "pre_window must be an integer, not 1.5"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: 9223372036854775000}}\n",
+         "bad overrides for oe1 {'T': 9223372036854775000}: T must be under "
+         "10000000 days, not 9223372036854775000"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: 99999999999999999999}}\n",
+         "bad overrides for oe1 {'T': 99999999999999999999}: T must be "
+         "under 10000000 days, not 99999999999999999999"),
     ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
             "override_T_zero", "override_T_text",
             "override_control_period", "override_T_float",
             "override_T_bool", "override_rng_seed_text",
-            "override_pre_window_float"])
+            "override_pre_window_float", "override_T_wraps_int64",
+            "override_T_beyond_int64"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -709,3 +730,66 @@ def test_generate_demo_logs_duplicates_once(tmp_path, caplog):
     collapsed = [r.getMessage() for r in caplog.records
                  if "duplicate record rows" in r.getMessage()]
     assert len(collapsed) == 1, collapsed
+
+
+def _event_of_a_living_patient_in_9999(text, data):
+    with open(data / "patients.csv", newline="") as fh:
+        pid = next(row[0] for row in list(csv.reader(fh))[1:] if not row[4])
+    return text + f"{pid},noise_00,9999-12-31\n".encode()
+
+
+# name: (change to the bytes of events.csv, or None; overrides of each
+# algorithm; exit status)
+BOUNDARY_CASES = {
+    "empty_file": (lambda text, data: b"", {}, 1),
+    "header_only": (lambda text, data: text[:text.index(b"\n") + 1], {}, 0),
+    # the last row loses its date's last digits and its newline
+    "truncated_last_row": (lambda text, data: text[:-3], {}, 1),
+    # the first record ends in a lone CR instead of a newline
+    "lone_cr": (lambda text, data: text.replace(b"\n", b"\r", 2)
+                .replace(b"\r", b"\n", 1), {}, 0),
+    "dropped_column": (lambda text, data: b"\n".join(
+        line.rpartition(b",")[0] for line in text.split(b"\n")), {}, 1),
+    # the first record's patient id starts with a NUL
+    "nul_byte": (lambda text, data: text.replace(b"\n", b"\n\0", 1), {}, 1),
+    "year_9999": (_event_of_a_living_patient_in_9999, {}, 0),
+    # as a window, index day + T would wrap in int64 and empty every list
+    "T_wraps_int64": (None, {"T": 9223372036854775000}, 2),
+    # too large for int64: an OverflowError in score_drug
+    "T_beyond_int64": (None, {"T": 99999999999999999999}, 2),
+    # the longest windows StudyConfig accepts
+    "longest_windows": (None, {"T": 9999999, "pre_window": 9999999,
+                               "control_period": [333333, 21]}, 0),
+}
+
+
+@pytest.mark.parametrize("change, overrides, status",
+                         BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+def test_cli_boundary_ends_in_one_line(demo_data, tmp_path, capsys, caplog,
+                                       change, overrides, status):
+    data = tmp_path / "data"
+    shutil.copytree(demo_data[1], data)
+    if change is not None:
+        events = data / "events.csv"
+        events.write_bytes(change(events.read_bytes(), data))
+    algorithms = ["ror05", "oe1", "mutara60"]
+    path = tmp_path / "m.yaml"
+    path.write_text(yaml.safe_dump({
+        "database_dir": str(data), "drugs": ["drug_x"],
+        "algorithms": algorithms, "output_dir": str(tmp_path / "res"),
+        "seed": 7, "ground_truth": str(data / "ground_truth.csv"),
+        "overrides": {a: overrides for a in algorithms if overrides}}))
+    with caplog.at_level("WARNING"):
+        try:
+            code = main(["run", "--manifest", str(path), "--no-cache"])
+        except SystemExit as exc:   # argparse's exit on a usage error
+            code = exc.code
+    # pytest holds the log records main would print; a usage error prints
+    # argparse's usage synopsis before its one line
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("usage: ")]
+    lines += [r.getMessage() for r in caplog.records
+              if r.levelname != "WARNING"]
+    assert (code, len(lines) <= 1) == (status, True), lines
+    ranked = sorted(p.name for p in (tmp_path / "res").glob("ranked_*"))
+    assert len(ranked) == (3 if status == 0 else 0)

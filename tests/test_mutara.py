@@ -6,38 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import mutara
-from lodsig.mutara import (SupportCounts, background_window_start,
+from lodsig.mutara import (SupportCounts, candidate_supports,
                            leverage_from_counts, rank_hunt, rank_mutara,
-                           support_counts, unexlev, unexlev_from_counts)
-from lodsig.store import (StudyConfig, extract_exposures,
-                          first_exposure_per_patient)
+                           unexlev_from_counts)
+from lodsig.store import StudyConfig
 
 from conftest import day, make_db, random_small_db
-from oracles import brute_background_start, brute_support_counts
+from oracles import (brute_background_start, brute_exposures,
+                     brute_first_exposure_per_patient, brute_support_counts)
 
 
 class TestBackgroundWindow:
 
     def test_deterministic_per_seed_and_patient(self):
-        a = background_window_start(7, "p1", day(0), day(900), 60)
-        assert a == background_window_start(7, "p1", day(0), day(900), 60)
-        assert a != background_window_start(8, "p1", day(0), day(900), 60) \
-            or a != background_window_start(7, "p2", day(0), day(900), 60)
+        db = make_db([("p1", 0, 900), ("p2", 0, 900)])
+        a = mutara._background_starts(db, 7, 60)
+        assert np.array_equal(a, mutara._background_starts(db, 7, 60))
+        b = mutara._background_starts(db, 8, 60)
+        assert a[0] != b[0] or a[0] != a[1]
 
     def test_stays_inside_valid_range(self):
-        for pid in (f"q{i}" for i in range(50)):
-            s = background_window_start(3, pid, day(0), day(900), 60)
-            assert day(0) + 365 <= s <= day(900) - 60
+        db = make_db([(f"q{i}", 0, 900) for i in range(50)])
+        starts = mutara._background_starts(db, 3, 60)
+        assert ((day(0) + 365 <= starts) & (starts <= day(900) - 60)).all()
 
     def test_short_span_yields_none(self):
-        assert background_window_start(3, "p1", day(0), day(400), 60) is None
+        db = make_db([("p1", 0, 400)])
+        assert mutara._background_starts(db, 3, 60).tolist() == [-1]
 
     def test_matches_independent_reimplementation(self):
+        db = make_db([(pid, 0, 900) for pid in ("a", "b",
+                                                "longer_patient_id")])
         for seed in (0, 1, 99):
-            for pid in ("a", "b", "longer_patient_id"):
-                assert background_window_start(seed, pid, day(0), day(900),
-                                               60) == \
-                    brute_background_start(seed, pid, day(0), day(900), 60)
+            assert mutara._background_starts(db, seed, 60).tolist() == [
+                brute_background_start(seed, pid, day(0), day(900), 60)
+                for pid in db.patient_ids]
 
 
     @settings(max_examples=200, deadline=None)
@@ -57,8 +60,7 @@ class TestBackgroundWindow:
         assert starts.dtype == np.int64
         for i, pid in enumerate(db.patient_ids):
             reg, last = int(db.registration[i]), int(db.last_active[i])
-            want = background_window_start(seed, pid, reg, last, T)
-            assert want == brute_background_start(seed, pid, reg, last, T)
+            want = brute_background_start(seed, pid, reg, last, T)
             assert starts[i] == (-1 if want is None else want), pid
 
 
@@ -82,15 +84,13 @@ class TestSupportCounts:
     def test_predictable_filter_splits_supports(self):
         db = self._db()
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        eps = extract_exposures(db, config)
-        c = support_counts(db, eps, "A", config, seed=11)
+        c = candidate_supports(db, config)["A"]
         assert (c.supp_x, c.supp_seq, c.supp_seq_unexpected) == (3, 2, 1)
 
     def test_zero_pre_window_disables_filter(self):
         db = self._db()
         config = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        eps = extract_exposures(db, config)
-        c = support_counts(db, eps, "A", config, seed=11)
+        c = candidate_supports(db, config)["A"]
         assert c.supp_seq_unexpected == c.supp_seq == 2
         assert c.supp_bg_unexpected == c.supp_bg
 
@@ -98,8 +98,7 @@ class TestSupportCounts:
         db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
                      events=[("p0", "A", 0), ("p0", "A", 5)])
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        eps = extract_exposures(db, config)
-        c = support_counts(db, eps, "A", config, seed=11)
+        c = candidate_supports(db, config)["A"]
         assert (c.supp_seq, c.supp_seq_unexpected) == (1, 0)
 
     def test_first_episode_per_patient_only(self):
@@ -107,9 +106,8 @@ class TestSupportCounts:
                      rx=[("p0", "X", 0), ("p0", "X", 500)],
                      events=[("p0", "A", 505)])
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        eps = extract_exposures(db, config)
-        assert len(eps) == 2
-        c = support_counts(db, eps, "A", config, seed=11)
+        assert len(db.episodes("X")[0]) == 2
+        c = candidate_supports(db, config)["A"]
         # only the day-0 episode is scored, and A does not follow it
         assert (c.supp_x, c.supp_seq) == (1, 0)
 
@@ -120,11 +118,13 @@ class TestSupportCounts:
             for pre in (0, 60, 180):
                 config = StudyConfig(drug_code="X", pre_window=pre,
                                      rng_seed=trial)
-                eps = first_exposure_per_patient(
-                    extract_exposures(db, config))
-                pairs = [(e.patient_id, e.index_date) for e in eps]
-                for code in ("A", "C"):
-                    c = support_counts(db, eps, code, config, seed=trial)
+                pairs = brute_first_exposure_per_patient(
+                    brute_exposures(db, config))
+                vectors = mutara._support_vectors(db, db.episodes("X"),
+                                                  config, trial)
+                for code in (*db.event_codes, "absent"):
+                    c = mutara._support_counts_at(vectors,
+                                                  db.event_index(code))
                     want = brute_support_counts(db, pairs, code, config,
                                                 trial)
                     got = (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
@@ -147,9 +147,9 @@ class TestScores:
     def test_unexlev_seed_changes_background(self):
         rng = np.random.default_rng(67)
         db = random_small_db(rng, n_patients=30)
-        config = StudyConfig(drug_code="X", pre_window=60, rng_seed=0)
-        eps = extract_exposures(db, config)
-        values = {unexlev(db, eps, "A", config, seed=s) for s in range(10)}
+        values = {unexlev_from_counts(candidate_supports(db, StudyConfig(
+            drug_code="X", pre_window=60, rng_seed=s))["A"])
+            for s in range(10)}
         assert len(values) > 1
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig.srs import ContingencyTable, build_srs_counts, rank_ror, ror, ror05
-from lodsig.store import StudyConfig
+from lodsig.store import Gender, StudyConfig
 
-from conftest import make_db, random_small_db
+from conftest import db_from_rows, make_db, random_small_db
 from oracles import brute_srs_counts
 
 
@@ -131,14 +131,14 @@ class TestRankRor:
         db = random_small_db(rng, n_patients=12)
         ranked = rank_ror(db, StudyConfig(drug_code="X"))
         # rebuild with reversed record insertion
-        patients = [(p, db.patient(p).year_of_birth,
-                     db.patient(p).gender, db.patient(p).registration,
-                     db.patient(p).death) for p in db.patient_ids]
+        patients = list(zip(db.patient_ids, db.year_of_birth.tolist(),
+                            map(Gender, db.gender),
+                            db.registration.tolist(),
+                            [d or None for d in db.death.tolist()]))
         rx = [(db.patient_ids[p], db.drug_codes[c], int(d)) for p, c, d in
               zip(db.rx_pid, db.rx_drug, db.rx_day)]
         ev = [(db.patient_ids[p], db.event_codes[c], int(d)) for p, c, d in
               zip(db.ev_pid, db.ev_code, db.ev_day)]
-        from lodsig.store import Database
-        db2 = Database.from_records(patients[::-1], rx[::-1], ev[::-1])
+        db2 = db_from_rows(patients[::-1], rx[::-1], ev[::-1])
         ranked2 = rank_ror(db2, StudyConfig(drug_code="X"))
         assert ranked.entries == ranked2.entries

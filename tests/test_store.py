@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import functools
 import importlib.util
+import logging
 import sys
 import tempfile
 import threading
@@ -16,17 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import mutara, srs, store, temporal_ic
-from lodsig.cli import ALGORITHM_IDS, score_drug
+from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
-                          candidate_events, cohort_summary,
-                          count_events_in_window, extract_exposures,
-                          first_exposure_per_patient, first_per_patient,
-                          from_ordinal, load_database, window_pairs)
+                          candidate_codes, cohort_summary, extract_exposures,
+                          first_per_patient, from_ordinal, load_database,
+                          window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import generate
-from lodsig.temporal_ic import all_drug_exposures
 
-from conftest import day, make_db, random_small_db
+from conftest import day, db_from_rows, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient, brute_load_database,
@@ -58,14 +57,13 @@ class TestLoad:
             ["p1,A,2016-03-01\n", "p1,A,2016-02-10\n", "p2,C,2015-09-01\n"])
         db = load_database(*paths)
         assert db.patient_ids == ["p1", "p2"]
-        codes, days = db.events_for_patient("p1")
-        assert list(days) == sorted(days)
+        assert db.ev_pid.tolist() == [0, 0, 1]
+        assert db.ev_day[0] < db.ev_day[1]
         assert db.duplicates_dropped == 0
         # last_active derives from records / death
-        assert db.patient("p1").last_active == \
-            datetime.date(2016, 3, 1).toordinal()
-        assert db.patient("p2").last_active == \
-            datetime.date(2019, 3, 1).toordinal()
+        assert db.last_active.tolist() == [
+            datetime.date(2016, 3, 1).toordinal(),
+            datetime.date(2019, 3, 1).toordinal()]
 
     def test_bad_date_names_the_row(self, tmp_path):
         paths = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,\n"],
@@ -80,8 +78,7 @@ class TestLoad:
                            [])
         db = load_database(*paths)
         assert db.duplicates_dropped == 1
-        _, days = db.prescriptions_for_patient("p1")
-        assert len(days) == 1
+        assert len(db.rx_day) == 1
 
     def test_unknown_patient_is_hard_error(self, tmp_path):
         paths = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,\n"], [],
@@ -138,7 +135,7 @@ class TestLoad:
         paths = write_csvs(tmp_path, ["p1,1950,F,2015-01-01,2016-03-01\n"],
                            [GOOD_RX], [GOOD_EV])
         db = load_database(*paths)
-        assert db.patient("p1").death == db.patient("p1").last_active == \
+        assert db.death[0] == db.last_active[0] == \
             datetime.date(2016, 3, 1).toordinal()
 
     def test_year_of_birth_beyond_int64_is_bad(self, tmp_path):
@@ -149,11 +146,8 @@ class TestLoad:
         assert str(exc.value) == (f"{paths[2]}, row 2: bad year_of_birth "
                                   "'99999999999999999999'")
 
-    def test_patients_are_columns_and_never_objects(self, tmp_path,
-                                                     monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a Patient was built")
-        monkeypatch.setattr(store, "Patient", refuse)
+    def test_patients_are_columns_and_never_objects(self, tmp_path):
+        assert not hasattr(store, "Patient")
         config = dataclasses.replace(demo_synth_config(), n_patients=300)
         paths = generate(config, tmp_path)
         db = load_database(paths["prescriptions"], paths["events"],
@@ -212,8 +206,6 @@ def assert_loads_like_oracle(directory, patients, prescriptions, events):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    for p in want.patient_ids:
-        assert got.patient(p) == want.patient(p)
     assert got.patient_ids == want.patient_ids
     assert got.drug_codes == want.drug_codes
     assert got.event_codes == want.event_codes
@@ -609,6 +601,58 @@ class TestLongFields:
                 ["patients", "prescriptions", "events"], "numpy"), name
 
 
+class TestBenchmarkProbe:
+
+    def test_unit_inputs_count_what_scoring_reads(self, tmp_path):
+        # perfbench/run.py sizes each (run, drug, algorithm) unit through
+        # store.extract_exposures and store.candidate_events: a rename
+        # there, or a count that drifts from the arrays scoring reads,
+        # fails here rather than in the benchmark
+        bench_dir = ROOT / "perfbench"
+        names = ("perfbench_run", "checks", "layers", "workloads")
+        loaded = {n for n in names if n in sys.modules}
+        lodsig_log = logging.getLogger("lodsig")
+        level = lodsig_log.level
+        sys.path.insert(0, str(bench_dir))
+        try:
+            spec = importlib.util.spec_from_file_location(
+                "perfbench_run", bench_dir / "run.py")
+            bench = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = bench
+            spec.loader.exec_module(bench)
+            scenario = sys.modules["workloads"].wide_scenario(7)
+            scenario["n_patients"] = 300
+            generate(synth_config_from_dict(scenario), tmp_path / "data")
+            workloads = bench.WORKLOADS
+            units = {name: bench.unit_inputs(wl, 7, tmp_path)
+                     for name, wl in workloads.items()}
+        finally:
+            sys.path.remove(str(bench_dir))
+            for n in set(names) - loaded:
+                sys.modules.pop(n, None)
+            # unit_inputs quietens the package's log
+            lodsig_log.setLevel(level)
+        db = load_database(*(tmp_path / "data" / f for f in (
+            "prescriptions.csv", "events.csv", "patients.csv")), cache=False)
+        checked = 0
+        for name, got in units.items():
+            runs = dict(workloads[name].runs)
+            for key, unit in got.items():
+                out, _, unit_name = key.partition(":")
+                drug, algorithm = unit_name.split("/")
+                config = _base_config(algorithm, drug, 7,
+                                      runs[out].get(algorithm, {}))
+                episodes = db.episodes(drug)
+                assert unit["exposures"] == len(episodes[0]) > 0, key
+                assert unit["candidates"] == len(candidate_codes(
+                    db, episodes, config.T, config.excluded_event_codes,
+                    config.include_day0)) > 0, key
+                checked += 1
+        # every (run, drug, algorithm) unit of every workload
+        assert checked == sum(2 * len(wl.runs) * len(wl.algorithms)
+                              for wl in workloads.values())
+
+
 class TestFromColumns:
 
     @settings(max_examples=100, deadline=None)
@@ -657,43 +701,39 @@ class TestFromColumns:
 
 class TestExtractExposures:
 
-    def test_washout_blocks_second_prescription(self, simple_config):
+    def test_washout_blocks_second_prescription(self):
         db = make_db([("p1", -400, 900)],
                      rx=[("p1", "X", 0), ("p1", "X", 100)])
-        eps = extract_exposures(db, simple_config)
-        assert [(e.patient_id, e.index_date) for e in eps] == [("p1", day(0))]
+        assert episode_pairs(db, db.episodes("X")) == [("p1", day(0))]
 
-    def test_registration_washout_excludes_early_prescription(
-            self, simple_config):
+    def test_registration_washout_excludes_early_prescription(self):
         # registered 2015-01-01, prescribed ~5 months later
         db = make_db([("p1", 0, 900)], rx=[("p1", "X", 151)])
-        assert extract_exposures(db, simple_config) == []
+        assert episode_pairs(db, db.episodes("X")) == []
 
-    def test_active_followup_rule(self, simple_config):
+    def test_active_followup_rule(self):
         db = make_db([("p1", -400, 20)], rx=[("p1", "X", 0)])
-        assert extract_exposures(db, simple_config) == []
+        assert episode_pairs(db, db.episodes("X")) == []
 
-    def test_multiple_episodes_when_far_apart(self, simple_config):
+    def test_multiple_episodes_when_far_apart(self):
         db = make_db([("p1", -400, 900)],
                      rx=[("p1", "X", 0), ("p1", "X", 500)])
-        eps = extract_exposures(db, simple_config)
-        assert [e.index_date for e in eps] == [day(0), day(500)]
+        assert db.episodes("X")[1].tolist() == [day(0), day(500)]
 
     def test_matches_brute_force_on_random_dbs(self, simple_config):
         rng = np.random.default_rng(5)
         for _ in range(20):
             db = random_small_db(rng)
-            got = [(e.patient_id, e.index_date)
-                   for e in extract_exposures(db, simple_config)]
-            assert got == sorted(brute_exposures(db, simple_config))
+            assert episode_pairs(db, db.episodes("X")) == \
+                sorted(brute_exposures(db, simple_config))
 
-    def test_row_order_independent(self, simple_config):
+    def test_row_order_independent(self):
         patients = [("p1", -400, 900), ("p2", -400, 900)]
         rx = [("p1", "X", 0), ("p2", "X", 30), ("p1", "X", 500)]
         db1 = make_db(patients, rx=rx)
         db2 = make_db(list(reversed(patients)), rx=list(reversed(rx)))
-        assert extract_exposures(db1, simple_config) == \
-            extract_exposures(db2, simple_config)
+        assert episode_pairs(db1, db1.episodes("X")) == \
+            episode_pairs(db2, db2.episodes("X"))
 
 
 @st.composite
@@ -727,28 +767,23 @@ def episode_pairs(db, episodes):
 
 
 def assert_exposures_match_oracle(db, T):
-    """The episode arrays and their list adapters against the per-row
-    loop they replaced, for every drug, an absent drug and all drugs."""
+    """The episode arrays and their list form against the per-row loop
+    they replaced, for every drug, an absent drug and all drugs."""
     for drug in (*db.drug_codes, "absent"):
         config = StudyConfig(drug_code=drug, T=T)
         want = brute_extract_exposures(db, config)
-        assert episode_pairs(db, db.episodes(drug)) == \
-            [(e.patient_id, e.index_date) for e in want]
-        assert extract_exposures(db, config) == want
-        first = brute_first_exposure_per_patient(want)
-        assert first_exposure_per_patient(want) == first
+        assert episode_pairs(db, db.episodes(drug)) == want
+        assert [(e.patient_id, e.index_date)
+                for e in extract_exposures(db, config)] == want
         assert episode_pairs(db, first_per_patient(*db.episodes(drug))) == \
-            [(e.patient_id, e.index_date) for e in first]
+            brute_first_exposure_per_patient(want)
         # the old loop's sort was a no-op: patient indices follow sorted
         # ids and one drug's prescriptions are in (patient, day) order
         pid, day_ = db.prescriptions_of_drug(drug)
         assert db.patient_ids == sorted(db.patient_ids)
         assert np.array_equal(np.lexsort((day_, pid)), np.arange(len(pid)))
-    config = StudyConfig(drug_code="X", T=T)
-    want = brute_all_drug_exposures(db, config)
     assert episode_pairs(db, db.episodes()) == \
-        [(e.patient_id, e.index_date) for e in want]
-    assert all_drug_exposures(db, config) == want
+        brute_all_drug_exposures(db, StudyConfig(drug_code="X", T=T))
 
 
 class TestExposureArrays:
@@ -782,27 +817,33 @@ class TestExposureArrays:
         assert_exposures_match_oracle(db, 60)
 
 
+def window_count(db, patient_id, lo, hi, event_code):
+    """Events of one code for one patient in [lo, hi], by window_pairs."""
+    pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
+    _, codes = window_pairs(db, pts, np.array([lo]), np.array([hi]))
+    return [db.event_codes[c] for c in codes.tolist()].count(event_code)
+
+
 class TestCountEventsInWindow:
 
     def test_empty_history(self):
         db = make_db([("p1", 0, 900)])
-        assert count_events_in_window(db, "p1", day(10), day(20), "A") == 0
+        assert window_count(db, "p1", day(10), day(20), "A") == 0
 
     def test_boundaries_inclusive(self):
         db = make_db([("p1", 0, 900)], events=[("p1", "A", 10),
                                                ("p1", "A", 20),
                                                ("p1", "A", 21)])
-        assert count_events_in_window(db, "p1", day(10), day(20), "A") == 2
+        assert window_count(db, "p1", day(10), day(20), "A") == 2
 
     def test_unknown_patient_raises(self):
         db = make_db([("p1", 0, 900)])
         with pytest.raises(KeyError):
-            count_events_in_window(db, "nope", day(0), day(1), "A")
+            window_count(db, "nope", day(0), day(1), "A")
 
-    def test_reversed_window_raises(self):
-        db = make_db([("p1", 0, 900)])
-        with pytest.raises(ValueError):
-            count_events_in_window(db, "p1", day(5), day(1), "A")
+    def test_reversed_window_is_empty(self):
+        db = make_db([("p1", 0, 900)], events=[("p1", "A", 3)])
+        assert window_count(db, "p1", day(5), day(1), "A") == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("AB"),
@@ -814,8 +855,7 @@ class TestCountEventsInWindow:
                      events=[("p1", c, d) for c, d in history])
         expected = len({(c, d) for c, d in history
                         if c == "A" and lo <= d <= hi})
-        assert count_events_in_window(db, "p1", day(lo), day(hi),
-                                      "A") == expected
+        assert window_count(db, "p1", day(lo), day(hi), "A") == expected
 
 
 class TestWindowPairs:
@@ -843,11 +883,12 @@ class TestWindowPairs:
         assert list(row) == sorted(row)
 
     @pytest.mark.parametrize("T, pre_window", [
-        (10 ** 7, 60), (60, 10_500_000), (10 ** 7, 10_500_000)],
+        (10 ** 7 - 1, 60), (60, 10 ** 7 - 1), (10 ** 7 - 1, 10 ** 7 - 1)],
         ids=["long_T", "long_pre_window", "both"])
     def test_long_windows_stay_inside_one_patient(self, T, pre_window):
         # a window reaching past the packed key's day range once read the
-        # neighbouring patients' events
+        # neighbouring patients' events; StudyConfig refuses longer
+        # windows, but from an index day these still reach past it
         rng = np.random.default_rng(2024)
         config = StudyConfig(drug_code="X", T=T, pre_window=pre_window,
                              rng_seed=5)
@@ -862,11 +903,11 @@ class TestWindowPairs:
             tables = srs.build_srs_counts(db, "X", T)
             assert {c: (t.w00, t.w01, t.w10, t.w11)
                     for c, t in tables.items()} == brute_srs_counts(db, "X", T)
-            firsts = first_exposure_per_patient(extract_exposures(db, config))
-            pairs = [(e.patient_id, e.index_date) for e in firsts]
+            pairs = brute_first_exposure_per_patient(
+                brute_exposures(db, config))
+            vectors = mutara._support_vectors(db, (pts, idx), config, trial)
             for code in ("A", "C", "D"):
-                c = mutara.support_counts(db, firsts, code, config,
-                                          seed=trial)
+                c = mutara._support_counts_at(vectors, db.event_index(code))
                 assert (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
                         c.supp_bg_unexpected, c.supp_bg, c.population) == \
                     brute_support_counts(db, pairs, code, config, trial)
@@ -956,33 +997,31 @@ class TestCandidateEvents:
                        events=[("p1", "A", 3), ("p1", "B", 40),
                                ("p1", "Z", 0)])
 
-    def test_window_cutoff(self, simple_config):
+    def test_window_cutoff(self):
         db = self._db()
-        eps = extract_exposures(db, simple_config)
-        assert candidate_events(db, eps, 30) == {"A"}
+        assert candidate_codes(db, db.episodes("X"), 30) == ["A"]
 
-    def test_day0_convention(self, simple_config):
+    def test_day0_convention(self):
         db = self._db()
-        eps = extract_exposures(db, simple_config)
-        assert "Z" not in candidate_events(db, eps, 30)
-        assert "Z" in candidate_events(db, eps, 30, include_day0=True)
+        eps = db.episodes("X")
+        assert "Z" not in candidate_codes(db, eps, 30)
+        assert "Z" in candidate_codes(db, eps, 30, include_day0=True)
 
-    def test_excluded_codes_removed(self, simple_config):
+    def test_excluded_codes_removed(self):
         db = self._db()
-        eps = extract_exposures(db, simple_config)
-        assert candidate_events(db, eps, 30,
-                                excluded=frozenset({"A"})) == set()
+        assert candidate_codes(db, db.episodes("X"), 30,
+                               excluded=frozenset({"A"})) == []
 
-    def test_monotone_in_T(self, simple_config):
+    def test_monotone_in_T(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             db = random_small_db(rng)
-            eps = extract_exposures(db, simple_config)
-            if not eps:
+            eps = db.episodes("X")
+            if not len(eps[0]):
                 continue
             for t_small, t_big in [(5, 30), (30, 90)]:
-                assert candidate_events(db, eps, t_small) <= \
-                    candidate_events(db, eps, t_big)
+                assert set(candidate_codes(db, eps, t_small)) <= \
+                    set(candidate_codes(db, eps, t_big))
 
 
 class TestCohortSummary:
@@ -994,7 +1033,7 @@ class TestCohortSummary:
         assert (s["total"], s["first"], s["thirteen_month"]) == (3, 1, 1)
 
     def test_gender_ratio(self):
-        db = Database.from_records(
+        db = db_from_rows(
             [("p1", 1950, Gender.FEMALE, day(0), day(900)),
              ("p2", 1950, Gender.MALE, day(0), day(900))],
             [("p1", "X", day(10)), ("p2", "X", day(10))], [])
@@ -1009,11 +1048,9 @@ class TestCohortSummary:
         for _ in range(10):
             db = random_small_db(rng)
             s = cohort_summary(db, "X")
-            rows = []
-            for pid in db.patient_ids:
-                drugs, days = db.prescriptions_for_patient(pid)
-                rows += [(pid, int(d)) for c, d in zip(drugs, days)
-                         if db.drug_codes[c] == "X"]
+            rows = [(p, d) for p, c, d in zip(
+                db.rx_pid.tolist(), db.rx_drug.tolist(), db.rx_day.tolist())
+                if db.drug_codes[c] == "X"]
             assert s["total"] == len(rows)
             assert s["first"] == len({pid for pid, _ in rows})
             thirteen = 0
@@ -1037,10 +1074,10 @@ class TestCohortSummary:
             db = random_small_db(rng, n_patients=12)
             # the same records with varied years of birth and genders
             patients = [(p, int(rng.integers(1920, 2000)),
-                         list(Gender)[i % 3], db.patient(p).registration,
-                         db.patient(p).death)
+                         list(Gender)[i % 3], int(db.registration[i]),
+                         int(db.death[i]) or None)
                         for i, p in enumerate(db.patient_ids)]
-            db = Database.from_records(
+            db = db_from_rows(
                 patients,
                 [(db.patient_ids[p], db.drug_codes[c], d) for p, c, d in
                  zip(db.rx_pid.tolist(), db.rx_drug.tolist(),
@@ -1049,21 +1086,22 @@ class TestCohortSummary:
                  zip(db.ev_pid.tolist(), db.ev_code.tolist(),
                      db.ev_day.tolist())])
             assert set(db.gender) == {"F", "M", "U"}
-            rows = []
-            for pid in db.patient_ids:
-                drugs, days = db.prescriptions_for_patient(pid)
-                rows += [(db.patient(pid), int(d)) for c, d in
-                         zip(drugs, days) if db.drug_codes[c] == "X"]
+            # (year of birth, Gender, day) of each prescription of X
+            rows = [(int(db.year_of_birth[p]), Gender(db.gender[p]), d)
+                    for p, c, d in zip(db.rx_pid.tolist(),
+                                       db.rx_drug.tolist(),
+                                       db.rx_day.tolist())
+                    if db.drug_codes[c] == "X"]
             s = cohort_summary(db, "X")
             if not rows:
                 assert s["mean_age"] is s["sd_age"] is None
                 continue
-            ages = [from_ordinal(d).year - p.year_of_birth for p, d in rows]
+            ages = [from_ordinal(d).year - yob for yob, _, d in rows]
             mean = sum(ages) / len(ages)
             sd = (sum((a - mean) ** 2 for a in ages) / len(ages)) ** 0.5
             assert s["mean_age"] == pytest.approx(mean, abs=1e-9)
             assert s["sd_age"] == pytest.approx(sd, abs=1e-9)
-            genders = [p.gender for p, _ in rows]
+            genders = [g for _, g, _ in rows]
             males = genders.count(Gender.MALE)
             assert s["gender_ratio"] == (
                 genders.count(Gender.FEMALE) / males if males else None)

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from lodsig.store import StudyConfig, extract_exposures, load_database
+from lodsig.store import load_database
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, build_database, generate,
                              generate_tables, realized_truth)
+
+from conftest import table_rows
 
 
 def small_config(seed=0, injections=(), n_patients=300):
@@ -60,30 +62,30 @@ class TestGenerateTables:
         a = generate_tables(small_config(seed=3))
         b = generate_tables(small_config(seed=3))
         assert a.patient_rows == b.patient_rows
-        assert a.rx_rows == b.rx_rows
-        assert a.ev_rows == b.ev_rows
+        assert table_rows(a.rx) == table_rows(b.rx)
+        assert table_rows(a.ev) == table_rows(b.ev)
 
     def test_seed_changes_output(self):
         a = generate_tables(small_config(seed=3))
         b = generate_tables(small_config(seed=4))
-        assert a.ev_rows != b.ev_rows
+        assert table_rows(a.ev) != table_rows(b.ev)
 
     def test_visit_markers_pin_last_active(self):
         db, result = build_database(small_config(seed=1))
         for pid, _, _, reg, death in result.patient_rows:
-            p = db.patient(pid)
-            assert p.registration == reg
-            assert p.last_active >= reg + 540 or death is not None
+            i = db.patient_index(pid)
+            assert db.registration[i] == reg
+            assert db.last_active[i] >= reg + 540 or death is not None
 
     def test_records_stay_in_active_span(self):
         result = generate_tables(small_config(seed=2))
         spans = {pid: (reg, None) for pid, _, _, reg, _ in
                  result.patient_rows}
         ends = {}
-        for pid, code, day in result.ev_rows:
+        for pid, code, day in table_rows(result.ev):
             if code == VISIT_CODE:
                 ends[pid] = max(day, ends.get(pid, 0))
-        for pid, drug, day in result.rx_rows:
+        for pid, drug, day in table_rows(result.rx):
             reg, _ = spans[pid]
             assert reg <= day <= ends[pid]
 
@@ -146,8 +148,7 @@ class TestGenerateFiles:
         db = load_database(paths["prescriptions"], paths["events"],
                            paths["patients"], cache=False)
         assert db.n_patients == config.n_patients
-        exposures = extract_exposures(db, StudyConfig(drug_code="drug_x"))
-        assert exposures
+        assert len(db.episodes("drug_x")[0])
 
     def test_output_files_byte_identical_across_runs(self, tmp_path):
         config = small_config(seed=10)

@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig.store import StudyConfig, extract_exposures
-from lodsig.temporal_ic import (Period, PeriodCounts, all_drug_exposures,
-                                expected_count, gamma_quantile, ic,
-                                ic_credibility_bounds, ic_delta,
-                                ic_delta_from, oe_scores, period_counts,
-                                rank_oe)
+from lodsig.temporal_ic import (Period, PeriodCounts, _period_counts_at,
+                                _period_vectors, expected_count,
+                                gamma_quantile, ic, ic_credibility_bounds,
+                                ic_delta, ic_delta_from, oe_scores, rank_oe)
 
 from conftest import make_db, random_small_db
-from oracles import brute_exposures, brute_period_counts, gammainc_oracle
+from oracles import (brute_all_drug_exposures, brute_exposures,
+                     brute_period_counts, gammainc_oracle)
+
+
+def period_counts(db, event_code, period, config):
+    """PeriodCounts of one code, by the pass oe_scores runs."""
+    vectors = _period_vectors(db, db.episodes(config.drug_code),
+                              db.episodes(), period, config)
+    return _period_counts_at(vectors, db.event_index(event_code), period)
 
 
 def counts(n_xy, n_x_dot, n_dot_y, n_dot_dot,
@@ -140,32 +146,26 @@ class TestPeriodCounts:
 
     def test_hand_built_matches_enumeration(self, simple_config):
         db = self._hand_db()
-        exposures = extract_exposures(db, simple_config)
-        any_exp = all_drug_exposures(db, simple_config)
+        exposures = brute_exposures(db, simple_config)
+        any_exp = brute_all_drug_exposures(db, simple_config)
         for period in Period:
-            got = period_counts(db, exposures, "A", period, simple_config,
-                                any_exp)
-            want = brute_period_counts(
-                db, [(e.patient_id, e.index_date) for e in exposures], "A",
-                period, simple_config,
-                [(e.patient_id, e.index_date) for e in any_exp])
+            got = period_counts(db, "A", period, simple_config)
+            want = brute_period_counts(db, exposures, "A", period,
+                                       simple_config, any_exp)
             assert (got.n_xy, got.n_x_dot, got.n_dot_y, got.n_dot_dot) == want
 
     def test_event_only_in_control_period(self, simple_config):
         db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
                      events=[("p0", "A", -700)])
-        got = period_counts(db, extract_exposures(db, simple_config), "A",
-                            Period.FOLLOWUP_U, simple_config)
+        got = period_counts(db, "A", Period.FOLLOWUP_U, simple_config)
         assert got.n_xy == 0
-        got_v = period_counts(db, extract_exposures(db, simple_config), "A",
-                              Period.CONTROL_V, simple_config)
+        got_v = period_counts(db, "A", Period.CONTROL_V, simple_config)
         assert got_v.n_xy == 1
 
     def test_patient_without_control_coverage_excluded(self, simple_config):
         # registered only 500 days before index: control window not covered
         db = make_db([("p0", -500, 1000)], rx=[("p0", "X", 0)])
-        got = period_counts(db, extract_exposures(db, simple_config), "A",
-                            Period.CONTROL_V, simple_config)
+        got = period_counts(db, "A", Period.CONTROL_V, simple_config)
         assert got.n_x_dot == 0
 
     def test_matches_oracle_on_random_dbs(self, simple_config):
@@ -174,16 +174,13 @@ class TestPeriodCounts:
             db = random_small_db(rng)
             for config in (simple_config,
                            dataclasses.replace(simple_config, T=60)):
-                exposures = extract_exposures(db, config)
-                any_exp = all_drug_exposures(db, config)
+                exposures = brute_exposures(db, config)
+                any_exp = brute_all_drug_exposures(db, config)
                 for period in Period:
-                    for code in ("A", "C"):
-                        got = period_counts(db, exposures, code, period,
-                                            config, any_exp)
-                        want = brute_period_counts(
-                            db, [(e.patient_id, e.index_date)
-                                 for e in exposures], code, period, config,
-                            [(e.patient_id, e.index_date) for e in any_exp])
+                    for code in (*db.event_codes, "absent"):
+                        got = period_counts(db, code, period, config)
+                        want = brute_period_counts(db, exposures, code,
+                                                   period, config, any_exp)
                         assert (got.n_xy, got.n_x_dot, got.n_dot_y,
                                 got.n_dot_dot) == want
 
