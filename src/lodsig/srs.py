@@ -73,8 +73,9 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
     with the event inside (rx_date, rx_date + T].  Every prescription of
     every drug contributes, mirroring the report analogy; identical rows
     were already collapsed at load so same-day repeats of one drug do not
-    double-count an event date.
+    double-count an event date.  T is held to `StudyConfig`'s bounds.
     """
+    T = StudyConfig(drug_code=drug_code, T=T).T
     di = db.drug_index(drug_code)
     if di is None and candidates is None:
         return {}

@@ -102,6 +102,17 @@ class TestBuildSrsCounts:
         db = make_db([("p1", 0, 900)], events=[("p1", "A", 5)])
         assert build_srs_counts(db, "nope") == {}
 
+    @pytest.mark.parametrize("T", [10 ** 7, 9223372036854775000,
+                                   99999999999999999999])
+    def test_window_past_key_range_refused(self, T):
+        # 9223372036854775000 wraps `rx_day + T` in int64 and once gave
+        # an empty map
+        db = make_db([("p1", 0, 900)], rx=[("p1", "X", 0)],
+                     events=[("p1", "A", 5)])
+        assert set(build_srs_counts(db, "X", T=10 ** 7 - 1)) == {"A"}
+        with pytest.raises(ValueError, match="T must be under 10000000 days"):
+            build_srs_counts(db, "X", T=T)
+
 
 class TestRankRor:
 

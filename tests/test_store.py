@@ -30,7 +30,7 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient, brute_load_database,
                      brute_srs_counts, brute_support_counts,
-                     brute_window_pairs)
+                     brute_window_pairs, patient_span)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -773,8 +773,9 @@ def assert_exposures_match_oracle(db, T):
         config = StudyConfig(drug_code=drug, T=T)
         want = brute_extract_exposures(db, config)
         assert episode_pairs(db, db.episodes(drug)) == want
-        assert [(e.patient_id, e.index_date)
-                for e in extract_exposures(db, config)] == want
+        assert [(e.patient_id, e.drug_code, e.index_date, e.followup_end)
+                for e in extract_exposures(db, config)] == [
+            (p, drug, d, min(d + T, patient_span(db, p)[1])) for p, d in want]
         assert episode_pairs(db, first_per_patient(*db.episodes(drug))) == \
             brute_first_exposure_per_patient(want)
         # the old loop's sort was a no-op: patient indices follow sorted
