@@ -134,14 +134,18 @@ class Database:
     `gender` as its Gender value letter and a `death` of 0 for none;
     `last_active` is the latest of registration, death and any record
     day.  Record columns are sorted by (patient index, day, code index).
-    Queries are read-only; the derived arrays they cache are built once
-    under a lock, so the store stays safe for concurrent use.
+    Prescriptions are int64 (`rx_pid`, `rx_drug`, `rx_day`).  The event
+    table, by far the largest, is 12 bytes an event: the int64 key
+    `_ev_key` packing (patient index, day) as pid * _KEY_BASE + day, and
+    the int32 `ev_code`; `ev_pid` and `ev_day` are derived from the key
+    on each access.  Queries are read-only; the derived arrays they cache
+    are built once under a lock, so the store stays safe for concurrent
+    use.
     """
 
     def __init__(self, pt_index, year_of_birth, gender, registration,
-                 death, last_active,
-                 rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day, ev_key,
-                 drug_index, event_index, duplicates_dropped=0):
+                 death, last_active, rx_pid, rx_drug, rx_day, ev_key,
+                 ev_code, drug_index, event_index, duplicates_dropped=0):
         # each {id or code: index} dict lists its keys in index order
         self.patient_ids: list[str] = list(pt_index)
         self.drug_codes: list[str] = list(drug_index)
@@ -161,10 +165,8 @@ class Database:
         self.rx_pid = rx_pid
         self.rx_drug = rx_drug
         self.rx_day = rx_day
-        self.ev_pid = ev_pid
-        self.ev_code = ev_code
-        self.ev_day = ev_day
         self._ev_key = ev_key
+        self.ev_code = ev_code
         self._cache: dict = {}
         self._cache_lock = threading.RLock()
 
@@ -180,7 +182,8 @@ class Database:
         rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
         record i is pid_values[pid_index[i]], code_values[code_index[i]]
         and day_ord[i] (int64 arrays; every listed code is used; days lie
-        in [0, _KEY_BASE)).
+        in [0, _KEY_BASE)).  The events' patient and day columns live
+        only while the load checks them.
         """
         (pid_values, pid_index), yob, genders, reg, deaths = patients
         ids = [pid_values[i] for i in pid_index.tolist()]
@@ -221,23 +224,26 @@ class Database:
             *rx, "prescriptions")
         event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = columns(
             *ev, "events")
+        ev_code = ev_code.astype(np.int32)
 
         last_active = np.maximum(registration, death)
         for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
             np.maximum.at(last_active, arr_pid, arr_day)
 
         db = cls(pt_index, year_of_birth, gender, registration, death,
-                 last_active, rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day,
-                 ev_key, drug_index, event_index, rx_dropped + ev_dropped)
-        db._validate()
+                 last_active, rx_pid, rx_drug, rx_day, ev_key, ev_code,
+                 drug_index, event_index, rx_dropped + ev_dropped)
+        db._validate(ev_pid, ev_day)
         return db
 
-    def _validate(self):
+    def _validate(self, ev_pid, ev_day):
+        """Check every date against registration and death; ev_pid and
+        ev_day are the event columns, which the caller already holds."""
         dead = np.flatnonzero(self.death)
         # no death date is a death after every day ordinal
         death = np.where(self.death > 0, self.death, _KEY_BASE)
         for pid, day, kind in ((dead, self.death[dead], "death"),
-                               (self.ev_pid, self.ev_day, "event"),
+                               (ev_pid, ev_day, "event"),
                                (self.rx_pid, self.rx_day, "prescription")):
             for bad, when in ((day < self.registration[pid],
                                "before registration"),
@@ -252,6 +258,16 @@ class Database:
     @property
     def n_patients(self) -> int:
         return len(self.patient_ids)
+
+    @property
+    def ev_pid(self):
+        """Each event's patient index, derived from `_ev_key`."""
+        return self._ev_key // _KEY_BASE
+
+    @property
+    def ev_day(self):
+        """Each event's day ordinal, derived from `_ev_key`."""
+        return self._ev_key % _KEY_BASE
 
     def patient_index(self, patient_id: str) -> int:
         try:
@@ -673,14 +689,16 @@ def _parse_database(prescriptions_path, events_path, patients_path):
 
 # the array members of a cache file, in groups of equal length: the key,
 # the ids and codes as NUL-separated UTF-8, the counts (patients, drugs,
-# event codes, duplicates dropped) and the Database's columns
+# event codes, duplicates dropped) and the Database's stored columns, in
+# the order Database() takes them
 _CACHE_GROUPS = (("key",), ("texts",), ("counts",),
                  ("year_of_birth", "gender", "registration", "death",
                   "last_active"),
                  ("rx_pid", "rx_drug", "rx_day"),
-                 ("ev_pid", "ev_code", "ev_day", "_ev_key"))
+                 ("_ev_key", "ev_code"))
 # each member is one-dimensional, of dtype int64 unless named here
-_CACHE_DTYPES = {"key": np.uint8, "texts": np.uint8, "gender": "<U1"}
+_CACHE_DTYPES = {"key": np.uint8, "texts": np.uint8, "gender": "<U1",
+                 "ev_code": np.int32}
 
 
 def cache_dir() -> Path:
@@ -735,10 +753,13 @@ def _read_cache(slot, key) -> Database | str:
     try:
         with np.load(slot, allow_pickle=False) as npz:
             a = {n: npz[n] for group in _CACHE_GROUPS for n in group}
+            extra = set(npz.files) - set(a)
         if a["key"].tobytes() != key:
             return "stale entry"
-        if any(v.ndim != 1 or v.dtype != _CACHE_DTYPES.get(n, np.int64)
-               for n, v in a.items()) or any(
+        # a member of another layout (an int64 ev_code, a stored ev_day)
+        # is never served
+        if extra or any(v.ndim != 1 or v.dtype != _CACHE_DTYPES.get(
+                n, np.int64) for n, v in a.items()) or any(
                 len({len(a[n]) for n in g}) != 1 for g in _CACHE_GROUPS):
             return "malformed entry"
         n_patients, n_drugs, n_events, dropped = a["counts"].tolist()
@@ -859,13 +880,14 @@ def window_pairs(db: Database, pts, lo_day, hi_day):
 
     Window `row` is patient pts[row] over the inclusive days
     [lo_day[row], hi_day[row]]; a window with lo_day > hi_day is empty.
-    Returns int64 arrays with one entry per event of that patient dated
-    in the window, rows ascending.  Windows may overlap and a patient may
-    have several, and may reach past the key's day range, which holds
-    every record day: clipped to it, a window stays inside its patient's
-    keys, and an empty one stays empty.
+    Returns arrays with one entry per event of that patient dated in the
+    window, rows ascending: int64 rows and the int32 codes of `ev_code`.
+    Windows may overlap and a patient may have several, and may reach
+    past the key's day range, which holds every record day: clipped to
+    it, a window stays inside its patient's keys, and an empty one stays
+    empty.  pts of any integer dtype is packed in int64.
     """
-    base = pts * _KEY_BASE
+    base = np.asarray(pts, dtype=np.int64) * _KEY_BASE
     lo = np.searchsorted(db._ev_key, base + np.clip(lo_day, 0, _KEY_BASE))
     hi = np.searchsorted(db._ev_key, base + np.clip(hi_day, -1, _KEY_BASE - 1),
                          side="right")
@@ -888,7 +910,9 @@ def candidate_codes(db: Database, episodes, T: int,
     pts, idx = episodes
     _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
                            idx + T)
-    codes = (db.event_codes[c] for c in np.unique(code).tolist())
+    # a bincount, not np.unique: numpy's unique imports numpy.ma
+    present = np.flatnonzero(np.bincount(code, minlength=len(db.event_codes)))
+    codes = (db.event_codes[c] for c in present.tolist())
     return [c for c in codes if c not in excluded]
 
 

@@ -127,6 +127,46 @@ def _table(pid_values, records, code_values):
             day)
 
 
+def _drug_plan(config: SynthConfig, drug: str, event_index):
+    """What every patient's draws for one drug use, computed once:
+    (prescription rate, repeat rate, indication, signals).
+
+    indication is None or (code index, Poisson mean of the extra
+    pre-prescription events).  Each signal is (kind, code index,
+    injected-count key, p, q, latency window) with the Bernoulli
+    probabilities of its draws: p of the post-exposure (or day-0) event;
+    q of the pre-exposure event of a therapeutic failure, or of the
+    follow-up event of a day-0 artifact.
+    """
+    rates = config.background_event_rates
+    model = config.drug_models[drug]
+    indication = None
+    if model.indication_event is not None:
+        code, mult = model.indication_event
+        base = rates.get(code, 0.0)
+        indication = (event_index[code],
+                      max(0.0, (mult - 1) * base * 60 / 365.0))
+    signals = []
+    for inj in config.injections:
+        if inj.drug_code != drug:
+            continue
+        base = rates[inj.event_code]
+        if inj.kind == "adr":
+            p = _bernoulli_prob(inj.relative_risk, base,
+                                inj.latency_window_days)
+            q = 0.0
+        elif inj.kind == "therapeutic_failure":
+            p = _bernoulli_prob(inj.relative_risk, base, 30, cap=0.9)
+            q = _bernoulli_prob(inj.relative_risk, base, 150, cap=0.9)
+        else:
+            p = _bernoulli_prob(inj.relative_risk, base, 30)
+            q = 0.5 * p
+        signals.append((inj.kind, event_index[inj.event_code],
+                        (drug, inj.event_code), p, q,
+                        inj.latency_window_days))
+    return model.prescription_rate, model.repeat_rate, indication, signals
+
+
 def generate_tables(config: SynthConfig) -> GenerationResult:
     """Record columns of one synthetic database (deterministic per seed).
 
@@ -148,9 +188,7 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
             event_index.setdefault(model.indication_event[0],
                                    len(event_index))
     drugs = sorted(config.drug_models)
-    inj_by_drug: dict[str, list[Injection]] = {}
-    for inj in config.injections:
-        inj_by_drug.setdefault(inj.drug_code, []).append(inj)
+    plans = [_drug_plan(config, drug, event_index) for drug in drugs]
 
     patient_rows = []
     reg_end = np.empty((n, 2), dtype=np.int64)
@@ -176,61 +214,47 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
         if total:
             bg_days.append(rng.integers(reg, end + 1, size=total))
 
-        for d, drug in enumerate(drugs):
-            model = config.drug_models[drug]
-            if rng.random() >= model.prescription_rate:
-                continue
-            lo, hi = reg + 380, end - 45
-            if hi <= lo:
+        lo, hi = reg + 380, end - 45
+        for d, (rate, repeat_rate, indication, signals) in enumerate(plans):
+            if rng.random() >= rate or hi <= lo:
                 continue
             t0 = int(rng.integers(lo, hi + 1))
             rx += (i, d, t0)
             k = 1
-            while rng.random() < model.repeat_rate and t0 + 28 * k <= end:
+            while rng.random() < repeat_rate and t0 + 28 * k <= end:
                 rx += (i, d, t0 + 28 * k)
                 k += 1
 
-            if model.indication_event is not None:
-                code, mult = model.indication_event
-                base = config.background_event_rates.get(code, 0.0)
-                n_extra = int(rng.poisson(max(0.0, (mult - 1) * base
-                                              * 60 / 365.0)))
+            if indication is not None:
+                code, mean = indication
+                n_extra = int(rng.poisson(mean))
                 for day in rng.integers(t0 - 60, t0, size=n_extra).tolist():
-                    extra += (i, event_index[code], day)
+                    extra += (i, code, day)
 
-            for inj in inj_by_drug.get(drug, ()):
-                base = config.background_event_rates[inj.event_code]
-                code = event_index[inj.event_code]
-                if inj.kind == "adr":
-                    p = _bernoulli_prob(inj.relative_risk, base,
-                                        inj.latency_window_days)
+            for kind, code, key, p, q, latency in signals:
+                if kind == "adr":
                     if rng.random() < p:
-                        extra += (i, code, t0 + 1 + int(rng.integers(
-                            0, inj.latency_window_days)))
-                        injected[(drug, inj.event_code)] += 1
-                elif inj.kind == "therapeutic_failure":
-                    p_post = _bernoulli_prob(inj.relative_risk, base, 30,
-                                             cap=0.9)
-                    if rng.random() < p_post:
+                        extra += (i, code,
+                                  t0 + 1 + int(rng.integers(0, latency)))
+                        injected[key] += 1
+                elif kind == "therapeutic_failure":
+                    if rng.random() < p:
                         extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
-                        injected[(drug, inj.event_code)] += 1
+                        injected[key] += 1
                     # pre-exposure excess sits in [t0-180, t0-31] so the
                     # month directly before the prescription stays clean
-                    p_pre = _bernoulli_prob(inj.relative_risk, base, 150,
-                                            cap=0.9)
-                    if rng.random() < p_pre:
+                    if rng.random() < q:
                         extra += (i, code,
                                   t0 - 180 + int(rng.integers(0, 150)))
                 else:  # day0_artifact: an ADR-like excess that is reported
                     # on the prescription day itself much of the time, so
                     # the day-0 IC dominates the follow-up IC
-                    p = _bernoulli_prob(inj.relative_risk, base, 30)
                     if rng.random() < p:
                         extra += (i, code, t0)
-                        injected[(drug, inj.event_code)] += 1
-                    if rng.random() < 0.5 * p:
+                        injected[key] += 1
+                    if rng.random() < q:
                         extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
-                        injected[(drug, inj.event_code)] += 1
+                        injected[key] += 1
 
     patients = np.arange(n)
     background = np.stack([

@@ -183,14 +183,15 @@ def brute_from_records(patient_rows, rx_rows, ev_rows):
         registration[i] = reg
         death_day[i] = 0 if death is None else death
         last_active[i] = max(candidates)
+    # the event table keeps only the packed key and an int32 code
     ev_key = np.array([p * _KEY_BASE + d for p, d in zip(ev_pid, ev_day)],
                       dtype=np.int64)
 
     db = Database(pt_index, year_of_birth, gender_letter, registration,
-                  death_day, last_active,
-                  rx_pid, rx_drug, rx_day, ev_pid, ev_code, ev_day, ev_key,
-                  drug_index, event_index, rx_dropped + ev_dropped)
-    db._validate()
+                  death_day, last_active, rx_pid, rx_drug, rx_day, ev_key,
+                  ev_code.astype(np.int32), drug_index, event_index,
+                  rx_dropped + ev_dropped)
+    db._validate(ev_pid, ev_day)
     return db
 
 

@@ -117,13 +117,27 @@ def object_array(paths, slot):
 
 
 def member_missing(paths, slot):
-    rewrite_members(slot, lambda m: m.pop("ev_day"))
+    rewrite_members(slot, lambda m: m.pop("rx_day"))
     return load_twice(paths, slot)
 
 
 def wrong_dtype(paths, slot):
     rewrite_members(slot, lambda m: m.update(
-        ev_day=m["ev_day"].astype(np.int32)))
+        rx_day=m["rx_day"].astype(np.int32)))
+    return load_twice(paths, slot)
+
+
+def int64_event_codes(paths, slot):
+    # the event codes of the layout that stored them as int64
+    rewrite_members(slot, lambda m: m.update(
+        ev_code=m["ev_code"].astype(np.int64)))
+    return load_twice(paths, slot)
+
+
+def stored_event_columns(paths, slot):
+    # the patient and day columns of the layout that stored them
+    rewrite_members(slot, lambda m: m.update(
+        zip(("ev_pid", "ev_day"), np.divmod(m["_ev_key"], store._KEY_BASE))))
     return load_twice(paths, slot)
 
 
@@ -225,6 +239,10 @@ CASES = {
     "member_missing": (member_missing,
                        [wrote("unreadable entry: KeyError"), HIT]),
     "wrong_dtype": (wrong_dtype, [wrote("malformed entry"), HIT]),
+    "int64_event_codes": (int64_event_codes,
+                          [wrote("malformed entry"), HIT]),
+    "stored_event_columns": (stored_event_columns,
+                             [wrote("malformed entry"), HIT]),
     "wrong_length": (wrong_length, [wrote("malformed entry"), HIT]),
     "foreign": (foreign, [wrote("no entry"), wrote("stale entry"), HIT]),
     "rules_changed": (rules_changed, [wrote("stale entry"), HIT]),

@@ -604,6 +604,33 @@ def test_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_ror05_run_does_not_load_numpy_ma(tmp_path):
+    # numpy's unique imports numpy.ma (about 1.3 MB); a ror05 run that
+    # loads from the cache reaches no np.unique
+    env = _env_with_src()
+    bare = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    if bare.stdout.strip() != "False":
+        pytest.skip("import numpy alone loads numpy.ma")
+    config = dataclasses.replace(demo_synth_config(), n_patients=300)
+    generate(config, tmp_path / "data")
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(yaml.safe_dump({
+        "database_dir": str(tmp_path / "data"), "drugs": ["drug_x"],
+        "algorithms": ["ror05"], "output_dir": str(tmp_path / "out")}))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lodsig.cli import main; "
+         "status = main(['run', '--manifest', sys.argv[1]]); "
+         "print('numpy.ma' in sys.modules); sys.exit(status)",
+         str(manifest)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def _main_with_log_level(level, output_dir):
     """`lodsig summarize` in a fresh interpreter with LODSIG_LOG set."""
     env = _env_with_src(LODSIG_LOG=level)

@@ -23,12 +23,13 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           first_per_patient, from_ordinal, load_database,
                           window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
-from lodsig.synthgen import generate
+from lodsig.synthgen import build_database, generate
 
 from conftest import day, db_from_rows, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
-                     brute_first_exposure_per_patient, brute_load_database,
+                     brute_first_exposure_per_patient,
+                     brute_generate_tables, brute_load_database,
                      brute_srs_counts, brute_support_counts,
                      brute_window_pairs, patient_span)
 
@@ -687,7 +688,8 @@ class TestFromColumns:
         np.testing.assert_array_equal(db.ev_code, rows[1, keep])
         np.testing.assert_array_equal(db.ev_day, rows[2, keep])
         assert db.duplicates_dropped == n - keep.sum()
-        assert db.ev_pid.dtype == db.ev_code.dtype == np.int64
+        assert db.ev_pid.dtype == db.ev_day.dtype == np.int64
+        assert db.ev_code.dtype == np.int32
 
     def test_duplicates_logged_once_per_csv_load(self, tmp_path, caplog):
         paths = write_csvs(tmp_path, [P1], [GOOD_RX] * 2, [GOOD_EV] * 3)
@@ -697,6 +699,56 @@ class TestFromColumns:
         assert db.duplicates_dropped == 3
         assert [r.getMessage() for r in caplog.records] == [
             "collapsed 3 duplicate record rows"]
+
+
+class TestSlimEventTable:
+    """The event table stores the packed key and an int32 code only."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        config = dataclasses.replace(demo_synth_config(), n_patients=300)
+        db, _ = build_database(config)
+        return config, db
+
+    def test_only_key_and_code_are_stored_per_event(self, built):
+        _, db = built
+        n_events = len(db._ev_key)
+        assert n_events not in (db.n_patients, len(db.rx_pid))
+        for drug in db.drug_codes:
+            score_drug(db, drug, ALGORITHM_IDS, seed=7)
+        per_event = {k for k, v in vars(db).items()
+                     if isinstance(v, np.ndarray) and len(v) == n_events}
+        assert per_event == {"_ev_key", "ev_code"}
+        assert db._ev_key.dtype == np.int64
+        assert db.ev_code.dtype == np.int32
+        with pytest.raises(AttributeError):
+            db.ev_pid = db._ev_key
+        with pytest.raises(AttributeError):
+            db.ev_day = db._ev_key
+
+    def test_derived_columns_equal_the_key_and_the_oracle(self, built):
+        config, db = built
+        pid, day_ = np.divmod(db._ev_key, store._KEY_BASE)
+        np.testing.assert_array_equal(db.ev_pid, pid)
+        np.testing.assert_array_equal(db.ev_day, day_)
+        # the oracle generator's rows, exact duplicates collapsed, in
+        # (patient index, day, code index) order
+        _, _, ev_rows, _ = brute_generate_tables(config)
+        rows = sorted({(db.patient_index(p), d, db.event_index(c))
+                       for p, c, d in ev_rows})
+        assert list(zip(db.ev_pid.tolist(), db.ev_day.tolist(),
+                        db.ev_code.tolist())) == rows
+
+    def test_load_keeps_the_slim_layout(self, built, tmp_path):
+        config, _ = built
+        paths = generate(config, tmp_path)
+        paths = (paths["prescriptions"], paths["events"], paths["patients"])
+        for cache in (False, True):     # a parse, then generate's slot
+            db = load_database(*paths, cache=cache)
+            assert {k for k, v in vars(db).items()
+                    if isinstance(v, np.ndarray)
+                    and len(v) == len(db._ev_key)} == {"_ev_key", "ev_code"}
+            assert db.ev_code.dtype == np.int32
 
 
 class TestExtractExposures:
@@ -882,6 +934,24 @@ class TestWindowPairs:
                          [db.event_codes[c] for c in code.tolist()]))
         assert got == brute_window_pairs(db, pts, lo, hi)
         assert list(row) == sorted(row)
+
+    def test_int32_patient_indices_pack_in_int64(self):
+        # int32 indices of 215 and more once wrapped in the packed key
+        # (215 * 10**7 > 2**31), so the windows read other patients' rows
+        n = 300
+        db = make_db([(f"p{i:03d}", 0, 900) for i in range(n)],
+                     events=[(f"p{i:03d}", "ABC"[i % 3], 10 + i % 7)
+                             for i in range(n)])
+        pts = np.arange(215, n, dtype=np.int32)
+        lo = np.full(len(pts), day(0), dtype=np.int32)
+        hi = np.full(len(pts), day(20), dtype=np.int32)
+        row, code = window_pairs(db, pts, lo, hi)
+        assert row.tolist() == list(range(len(pts)))
+        assert [db.event_codes[c] for c in code.tolist()] == \
+            ["ABC"[i % 3] for i in pts.tolist()]
+        want = window_pairs(db, pts.astype(np.int64), lo, hi)
+        for got, expected in zip((row, code), want):
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("T, pre_window", [
         (10 ** 7 - 1, 60), (60, 10 ** 7 - 1), (10 ** 7 - 1, 10 ** 7 - 1)],
