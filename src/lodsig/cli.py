@@ -117,6 +117,15 @@ class RunManifest:
                 not isinstance(manifest.seed, int):
             raise ValueError("manifest seed must be an integer, not "
                              f"{manifest.seed!r}")
+        # open() would take an integer path as a file descriptor
+        for key, nullable in (("database_dir", False), ("output_dir", False),
+                              ("ground_truth", True)):
+            value = getattr(manifest, key)
+            if not (isinstance(value, str) and value
+                    or nullable and value is None):
+                raise ValueError(f"manifest {key} must be a non-empty "
+                                 f"string{' or null' * nullable}, not "
+                                 f"{value!r}")
         for key in ("drugs", "algorithms"):
             value = getattr(manifest, key)
             if not (isinstance(value, list) and value
@@ -435,8 +444,11 @@ def main(argv=None) -> int:
             if not args.output:
                 parser.error("run --generate-demo needs --output")
             data_dir = Path(args.output) / "data"
-            generate(None, data_dir, demo=True, seed=args.seed,
-                     cache=not args.no_cache)
+            try:
+                generate(None, data_dir, demo=True, seed=args.seed,
+                         cache=not args.no_cache)
+            except ValueError as exc:
+                parser.error(str(exc))
             manifest = RunManifest(
                 database_dir=str(data_dir),
                 drugs=["drug_x", "drug_other"],

@@ -1,17 +1,15 @@
 """Indexed longitudinal patient record store.
 
-Loads patient / prescription / medical-event CSV files, interning every
-column's values so that stripping, checks and date parsing run once per
-distinct value, into an immutable columnar store: one array per patient
-field beside the sorted record columns.  A file that needs no
-CSV quoting rules is split and interned with numpy a block at a time;
-csv.reader reads any other, with the same result.  The store applies
-the data-quality rules (12-month registration washout, 13-month
-first-prescription rule, 30-day active-follow-up rule) and serves the
-windowed event queries every detection algorithm is built on through
-one kernel, `window_pairs`: each windowed count is a `bincount` over
-the (window, event code) pairs it returns for many windows at once.
-Dates are proleptic-Gregorian day ordinals internally.
+Loads patient / prescription / medical-event CSV files, read by
+csv.reader and interning every column's values so that stripping, checks
+and date parsing run once per distinct value, into an immutable columnar
+store: one array per patient field beside the sorted record columns.
+The store applies the data-quality rules (12-month registration washout,
+13-month first-prescription rule, 30-day active-follow-up rule) and
+serves the windowed event queries every detection algorithm is built
+on through one kernel, `window_pairs`: each windowed count is a
+`bincount` over the (window, event code) pairs it returns for many
+windows at once.  Dates are proleptic-Gregorian day ordinals internally.
 
 `load_database` keeps a load cache in `cache_dir()`: one `.npz` slot of
 a Database's columns per set of three resolved CSV paths, served only
@@ -324,211 +322,6 @@ def _sorted_records(key, code):
 
 # -- CSV loading ----------------------------------------------------------
 
-# the numpy reader takes a file in blocks of about this many bytes, each
-# cut after a newline: its temporaries stay small and are reused block
-# after block, so they add little to a load's peak memory
-_BLOCK_BYTES = 1 << 17
-# _MASKS[n] keeps the first n bytes of a little-endian uint64 word
-_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
-# zero-padded to the longest, a block's fields and the texts kept so far
-# may take at most this many times (their bytes + 8 each); a field far
-# longer than the rest of its column is left to csv.reader
-_MAX_SPREAD = 8
-
-
-class _Declined(Exception):
-    """A file the numpy reader leaves to csv.reader; args[0] says why."""
-
-
-def _numpy_columns(path, required, optional):
-    """_reader_columns of a file whose rows are its lines split at the
-    commas, or _Declined for any other file.
-
-    Such a file has no quote, no NUL and no CR outside a CRLF, is UTF-8,
-    has every row exactly as wide as its header, no field longer than
-    csv.field_size_limit() bytes and none far longer than the rest of its
-    column (see _MAX_SPREAD).  Each block's fields are read as
-    zero-padded uint64 words (no NUL, so the padding is unambiguous),
-    hashed and factorised; every field is checked word for word against
-    the one field kept for its hash, and only the distinct texts are
-    decoded.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        line = line[3:] if line.startswith(b"\xef\xbb\xbf") else line
-        _check_text(line, len(line))
-        line = line[:-2] if line.endswith(b"\r\n") else line.rstrip(b"\n")
-        if b"\r" in line:
-            raise _Declined("lone CR")
-        header = line.decode().split(",") if line else []
-        if any(c not in header for c in required):
-            raise _Declined("missing column")
-        where = {name: i for i, name in enumerate(header)}
-        names = [c for c in (*required, *optional) if c in where]
-        # each index is allocated once, at most one row per line left
-        body = fh.tell()
-        n_lines = 1 + sum(
-            np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
-            for chunk in iter(functools.partial(fh.read, _BLOCK_BYTES), b""))
-        fh.seek(body)
-        index = {c: np.empty(n_lines, dtype=np.int64) for c in names}
-        texts = {c: _Texts() for c in names}
-        row, tail = 0, b""
-        while True:
-            chunk = fh.read(_BLOCK_BYTES)
-            # 8 zero bytes: a word may read past the last field's end
-            data = b"".join((tail, chunk, bytes(8)))
-            n = len(data) - 8
-            cut = data.rfind(b"\n", 0, n) + 1 if chunk else n
-            if cut:
-                _check_text(data, cut)
-                fields = _split_block(data, cut, len(header))
-                for c in names:
-                    hashes, local, words, length = _intern(
-                        data, *fields(where[c]), texts[c])
-                    np.take(texts[c].ids(hashes, words, length), local,
-                            out=index[c][row:row + len(local)], mode="clip")
-                row += len(local)
-            if not chunk:
-                break
-            tail = data[cut:n]
-    return {c: (texts[c].decoded(), index[c][:row]) for c in names}
-
-
-def _check_text(data, end):
-    """Raise _Declined for a quote, a NUL or a non-UTF-8 byte in data[:end]."""
-    for byte, why in ((b'"', "quote"), (b"\0", "NUL")):
-        if data.find(byte, 0, end) >= 0:
-            raise _Declined(why)
-    if not data.isascii():
-        try:
-            str(memoryview(data)[:end], "utf-8")
-        except UnicodeDecodeError:
-            raise _Declined("non-UTF-8 byte") from None
-
-
-def _split_block(data, end, width):
-    """fields(j): (start, end) byte offsets of column j in each row of the
-    whole lines in data[:end], skipping blank lines; or _Declined for a
-    lone CR, a row not `width` fields wide or an over-long field."""
-    a = np.frombuffer(data, dtype=np.uint8, count=end)
-    stops = np.flatnonzero(a == 10)
-    if data[end - 1] != 10:             # the last line has no newline
-        stops = np.append(stops, end)
-    starts = np.concatenate(([0], stops[:-1] + 1))
-    # a[-1], read at a stop at 0, is a newline unless the block ends
-    # without one, and then it must not be a CR
-    crlf = a[stops - 1] == 13
-    if data[end - 1] == 13 or np.count_nonzero(a == 13) != crlf.sum():
-        raise _Declined("lone CR")
-    stops -= crlf
-    rows = stops > starts
-    starts, stops = starts[rows], stops[rows]
-    commas = np.flatnonzero(a == 44)
-    if len(commas) != len(starts) * (width - 1):
-        raise _Declined("ragged row")
-    commas = commas.reshape(len(starts), width - 1)
-    if width > 1 and not ((commas[:, 0] >= starts).all()
-                          and (commas[:, -1] < stops).all()):
-        raise _Declined("ragged row")
-    limit = csv.field_size_limit()
-    if len(starts) and (stops - starts).max() > limit:
-        edges = np.column_stack((starts - 1, commas, stops))
-        if (np.diff(edges, axis=1) - 1).max() > limit:
-            raise _Declined("long field")
-
-    def fields(j):
-        return (starts if j == 0 else commas[:, j - 1] + 1,
-                stops if j == width - 1 else commas[:, j])
-    return fields
-
-
-def _hash_words(words):
-    """A uint64 hash of each column of words; zero words add nothing, so
-    a text hashes alike at any padding."""
-    h = words[0].copy()
-    factor = 1
-    for k in range(1, len(words)):
-        factor = factor * 0x9E3779B97F4A7C15 % 2 ** 64
-        h += words[k] * np.uint64(factor)
-    return h
-
-
-def _intern(data, starts, stops, texts):
-    """(hashes, index into them, their words, their lengths) of the fields
-    data[starts[i]:stops[i]], which join the _Texts texts; each field
-    equals the one its hash keeps."""
-    length = stops - starts
-    n_words = max(1, (int(length.max(initial=0)) + 7) // 8)
-    if 8 * max(n_words, len(texts.words)) * (len(starts) + len(texts.hashes)) \
-            > _MAX_SPREAD * (int(length.sum()) + 8 * len(starts) + texts.size):
-        raise _Declined("long field")
-    # element i holds bytes i to i + 7; a word past a field's end reads
-    # from the end and is masked to 0
-    u64 = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data,
-                     strides=(1,))
-    words = np.empty((n_words, len(starts)), dtype="<u8")
-    for k in range(n_words):
-        words[k] = u64[np.minimum(starts + 8 * k, stops)]
-        if length.min(initial=8 * k + 8) < 8 * k + 8:
-            words[k] &= _MASKS[np.clip(length - 8 * k, 0, 8)]
-    hashes, index = np.unique(_hash_words(words), return_inverse=True)
-    kept = np.empty(len(hashes), dtype=np.int64)
-    kept[index] = np.arange(len(index))
-    same = kept[index]
-    if not all(np.array_equal(w[same], w) for w in words):
-        raise _Declined("hash collision")
-    return hashes, index, words[:, kept], length[kept]
-
-
-class _Texts:
-    """The distinct texts of a column, numbered in the order first met."""
-
-    def __init__(self):
-        self.hashes = np.zeros(0, dtype=np.uint64)      # sorted
-        self.numbers = np.zeros(0, dtype=np.int64)      # of each hash
-        self.words = np.zeros((1, 0), dtype="<u8")      # of each hash
-        self.size = 0                       # bytes of all texts, 8 more each
-
-    def ids(self, hashes, words, length):
-        """The numbers of a block's distinct (sorted hashes, words,
-        lengths)."""
-        n_words = max(len(words), len(self.words))
-        self.words, words = _pad(self.words, n_words), _pad(words, n_words)
-        at = np.searchsorted(self.hashes, hashes)
-        known = at < len(self.hashes)
-        known[known] = self.hashes[at[known]] == hashes[known]
-        if not (self.words[:, at[known]] == words[:, known]).all():
-            raise _Declined("hash collision")
-        ids = np.empty(len(hashes), dtype=np.int64)
-        ids[known] = self.numbers[at[known]]
-        new = ~known
-        self.size += int(length[new].sum()) + 8 * np.count_nonzero(new)
-        if new.any():
-            ids[new] = np.arange(len(self.hashes),
-                                 len(self.hashes) + np.count_nonzero(new))
-            self.hashes = np.insert(self.hashes, at[new], hashes[new])
-            self.numbers = np.insert(self.numbers, at[new], ids[new])
-            self.words = np.insert(self.words, at[new], words[:, new],
-                                   axis=1)
-        return ids
-
-    def decoded(self):
-        """The texts in number order; an S dtype drops the zero padding."""
-        words = self.words[:, np.argsort(self.numbers)]
-        texts = np.ascontiguousarray(words.T).view(f"S{8 * len(words)}")
-        return [t.decode() for t in texts.ravel().tolist()]
-
-
-def _pad(words, n_words):
-    """words with zero rows added up to n_words rows."""
-    if len(words) == n_words:
-        return words
-    return np.concatenate(
-        (words, np.zeros((n_words - len(words), words.shape[1]),
-                         dtype=words.dtype)))
-
-
 def _reader_columns(path, required, optional):
     """The named columns of any CSV file, read by csv.reader."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -568,24 +361,18 @@ def _reader_columns(path, required, optional):
 
 
 def read_table(path, fields, optional=()):
-    """Read, parse and check the named columns of a CSV file: the
-    package's one CSV reader (numpy splits a file that needs no quoting
-    rules, csv.reader any other, alike).  A UTF-8 BOM and blank lines are
-    skipped; a short row's missing fields read "".  fields: (column,
-    parse, message) in the order a row is checked; parse runs once per
-    distinct raw text and returns None or raises ValueError for a bad
-    one, which message(text) describes.  An error names the file and the
-    row (record i is row i + 2), or the line of text that is not UTF-8 or
-    not CSV.  Returns {column: (parsed distinct texts, int64 index of
-    each row's text)}.
+    """Read, parse and check the named columns of a CSV file with
+    csv.reader: the package's one CSV reader.  A UTF-8 BOM and blank
+    lines are skipped; a short row's missing fields read "".  fields:
+    (column, parse, message) in the order a row is checked; parse runs
+    once per distinct raw text and returns None or raises ValueError for
+    a bad one, which message(text) describes.  An error names the file
+    and the row (record i is row i + 2), or the line of text that is not
+    UTF-8 or not CSV.  Returns {column: (parsed distinct texts, int64
+    index of each row's text)}.
     """
     required = [f[0] for f in fields if f[0] not in optional]
-    try:
-        columns = _numpy_columns(path, required, optional)
-        log.debug("%s: read by numpy", path)
-    except _Declined as why:
-        log.debug("%s: read by csv.reader (%s)", path, why)
-        columns = _reader_columns(path, required, optional)
+    columns = _reader_columns(path, required, optional)
     n_rows = len(columns[required[0]][1])
     out, errors = {}, []
     for order, (name, parse, message) in enumerate(fields):

@@ -82,6 +82,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_patients <= 0 or self.years_span <= 0:
             raise ValueError("n_patients and years_span must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(
+                f"rng_seed must be non-negative, not {self.rng_seed}")
         for code, rate in self.background_event_rates.items():
             if rate < 0:
                 raise ValueError(f"negative rate for event {code!r}")

@@ -412,12 +412,24 @@ class TestMain:
          "overrides: {oe1: {T: 99999999999999999999}}\n",
          "bad overrides for oe1 {'T': 99999999999999999999}: T must be "
          "under 10000000 days, not 99999999999999999999"),
+        # 0 would open stdin as the ground-truth file
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: o\n"
+         "ground_truth: 0\n",
+         "manifest ground_truth must be a non-empty string or null, not 0"),
+        ("database_dir: 5\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: o\n",
+         "manifest database_dir must be a non-empty string, not 5"),
+        ("database_dir: null\ndrugs: [x]\nalgorithms: [ror05]\n"
+         "output_dir: o\n",
+         "manifest database_dir must be a non-empty string, not None"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: 7\n",
+         "manifest output_dir must be a non-empty string, not 7"),
     ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
             "override_T_zero", "override_T_text",
             "override_control_period", "override_T_float",
             "override_T_bool", "override_rng_seed_text",
             "override_pre_window_float", "override_T_wraps_int64",
-            "override_T_beyond_int64"])
+            "override_T_beyond_int64", "ground_truth_int",
+            "database_dir_int", "database_dir_null", "output_dir_int"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -765,50 +777,78 @@ def _event_of_a_living_patient_in_9999(text, data):
     return text + f"{pid},noise_00,9999-12-31\n".encode()
 
 
-# name: (change to the bytes of events.csv, or None; overrides of each
-# algorithm; exit status)
+BOUNDARY_ALGORITHMS = ["ror05", "oe1", "mutara60"]
+
+
+def _each_algorithm(overrides):
+    """Manifest keys that give every algorithm the same overrides."""
+    return {"overrides": {a: overrides for a in BOUNDARY_ALGORITHMS}}
+
+
+# name: (change to the bytes of events.csv, or None; manifest keys that
+# replace the defaults; the command line, which `--output OUT` ends, or
+# None for `run --manifest M --no-cache`; exit status)
 BOUNDARY_CASES = {
-    "empty_file": (lambda text, data: b"", {}, 1),
-    "header_only": (lambda text, data: text[:text.index(b"\n") + 1], {}, 0),
+    "empty_file": (lambda text, data: b"", {}, None, 1),
+    "header_only": (lambda text, data: text[:text.index(b"\n") + 1], {},
+                    None, 0),
     # the last row loses its date's last digits and its newline
-    "truncated_last_row": (lambda text, data: text[:-3], {}, 1),
+    "truncated_last_row": (lambda text, data: text[:-3], {}, None, 1),
     # the first record ends in a lone CR instead of a newline
     "lone_cr": (lambda text, data: text.replace(b"\n", b"\r", 2)
-                .replace(b"\r", b"\n", 1), {}, 0),
+                .replace(b"\r", b"\n", 1), {}, None, 0),
     "dropped_column": (lambda text, data: b"\n".join(
-        line.rpartition(b",")[0] for line in text.split(b"\n")), {}, 1),
+        line.rpartition(b",")[0] for line in text.split(b"\n")), {}, None,
+        1),
     # the first record's patient id starts with a NUL
-    "nul_byte": (lambda text, data: text.replace(b"\n", b"\n\0", 1), {}, 1),
-    "year_9999": (_event_of_a_living_patient_in_9999, {}, 0),
+    "nul_byte": (lambda text, data: text.replace(b"\n", b"\n\0", 1), {},
+                 None, 1),
+    "year_9999": (_event_of_a_living_patient_in_9999, {}, None, 0),
     # as a window, index day + T would wrap in int64 and empty every list
-    "T_wraps_int64": (None, {"T": 9223372036854775000}, 2),
+    "T_wraps_int64": (None, _each_algorithm({"T": 9223372036854775000}),
+                      None, 2),
     # too large for int64: an OverflowError in score_drug
-    "T_beyond_int64": (None, {"T": 99999999999999999999}, 2),
+    "T_beyond_int64": (None, _each_algorithm({"T": 99999999999999999999}),
+                       None, 2),
     # the longest windows StudyConfig accepts
-    "longest_windows": (None, {"T": 9999999, "pre_window": 9999999,
-                               "control_period": [333333, 21]}, 0),
+    "longest_windows": (None, _each_algorithm(
+        {"T": 9999999, "pre_window": 9999999,
+         "control_period": [333333, 21]}), None, 0),
+    # a path that is not a string; open(0) would read and close stdin
+    "ground_truth_fd": (None, {"ground_truth": 0}, None, 2),
+    "database_dir_int": (None, {"database_dir": 5}, None, 2),
+    "database_dir_null": (None, {"database_dir": None}, None, 2),
+    "output_dir_int": (None, {"output_dir": 7}, None, 2),
+    "demo_run_negative_seed": (
+        None, {}, ["run", "--generate-demo", "--seed", "-1"], 2),
+    "demo_generate_negative_seed": (
+        None, {}, ["generate", "--demo", "--seed", "-1"], 2),
 }
 
 
-@pytest.mark.parametrize("change, overrides, status",
+@pytest.mark.parametrize("change, manifest, command, status",
                          BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
 def test_cli_boundary_ends_in_one_line(demo_data, tmp_path, capsys, caplog,
-                                       change, overrides, status):
+                                       monkeypatch, change, manifest,
+                                       command, status):
     data = tmp_path / "data"
     shutil.copytree(demo_data[1], data)
     if change is not None:
         events = data / "events.csv"
         events.write_bytes(change(events.read_bytes(), data))
-    algorithms = ["ror05", "oe1", "mutara60"]
     path = tmp_path / "m.yaml"
     path.write_text(yaml.safe_dump({
         "database_dir": str(data), "drugs": ["drug_x"],
-        "algorithms": algorithms, "output_dir": str(tmp_path / "res"),
+        "algorithms": BOUNDARY_ALGORITHMS, "output_dir": str(tmp_path / "res"),
         "seed": 7, "ground_truth": str(data / "ground_truth.csv"),
-        "overrides": {a: overrides for a in algorithms if overrides}}))
+        **manifest}))
+    # a relative path in the manifest would land here
+    monkeypatch.chdir(tmp_path)
+    argv = ([*command, "--output", str(tmp_path / "res")] if command
+            else ["run", "--manifest", str(path), "--no-cache"])
     with caplog.at_level("WARNING"):
         try:
-            code = main(["run", "--manifest", str(path), "--no-cache"])
+            code = main(argv)
         except SystemExit as exc:   # argparse's exit on a usage error
             code = exc.code
     # pytest holds the log records main would print; a usage error prints
@@ -818,5 +858,7 @@ def test_cli_boundary_ends_in_one_line(demo_data, tmp_path, capsys, caplog,
     lines += [r.getMessage() for r in caplog.records
               if r.levelname != "WARNING"]
     assert (code, len(lines) <= 1) == (status, True), lines
+    if status == 2:     # a usage error writes nothing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "m.yaml"]
     ranked = sorted(p.name for p in (tmp_path / "res").glob("ranked_*"))
     assert len(ranked) == (3 if status == 0 else 0)

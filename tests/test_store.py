@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import datetime
 import functools
@@ -7,7 +8,6 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from unittest import mock
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -315,7 +315,7 @@ LOADER_CASES = {
     "empty_events_file": (P + P1, RX + GOOD_RX, ""),
     "blank_first_line": (P + P1, "\n" + RX + GOOD_RX, EV + GOOD_EV),
     "missing_column": (P + P1, "patient_id,date\np1,2016-02-01\n", EV),
-    # files the numpy reader leaves to csv.reader (see READERS)
+    # a quote, NUL or lone CR inside a row, long fields, ragged rows
     "quote_inside_unquoted_field": (P + P1, RX + GOOD_RX,
                                     EV + 'p1,A"B,2016-03-01\n'),
     "nul_byte": (P + P1, RX + GOOD_RX, EV + "p1,A\0B,2016-03-01\n"),
@@ -336,32 +336,6 @@ LOADER_CASES = {
                        RX + "p\u00e9,\u65e5\u672c,2016-02-01\n",
                        EV + "p\u00e9,\u00e9v\u00e9nement,2016-03-01\n"),
 }
-
-# file -> why csv.reader reads it, for the LOADER_CASES that are not
-# all read by numpy
-READERS = {
-    "quoted_fields": {"patients": "quote", "prescriptions": "quote",
-                      "events": "quote"},
-    "quoted_newline_then_bad_row": {"events": "quote"},
-    "long_rows": {"patients": "ragged row", "events": "ragged row"},
-    "short_patient_row_without_death": {"patients": "ragged row"},
-    "short_record_row_without_code": {"events": "ragged row"},
-    "long_row_then_short_row": {"patients": "ragged row"},
-    "duplicate_header_column": {},
-    "blank_first_line": {"prescriptions": "missing column"},
-    "quote_inside_unquoted_field": {"events": "quote"},
-    "nul_byte": {"events": "NUL"},
-    "lone_cr": {"events": "lone CR"},
-    "lone_cr_at_end": {"events": "lone CR"},
-    "field_over_limit_in_bytes": {"events": "long field"},
-    "crlf": {},
-    "mixed_line_ends": {},
-    "blank_lines": {},
-    "no_final_newline": {},
-    "multibyte_utf8": {},
-    "utf8_bom": {},
-}
-
 
 class TestLoaderMatchesOracle:
 
@@ -420,111 +394,11 @@ class TestLoaderMatchesOracle:
         assert (db.drug_codes, db.event_codes) == (["X"], ["A"])
 
 
-def reader_log(caplog):
-    """{file stem: reader} of the "read by" debug lines, one per file."""
-    lines = [r.getMessage().split(": read by ") for r in caplog.records
-             if ": read by " in r.getMessage()]
-    readers = {Path(path).stem: reader for path, reader in lines}
-    assert len(readers) == len(lines), lines
-    return readers
-
-
-# fields for the tokenizer property: lengths around the 8-byte words,
-# multi-byte UTF-8 and texts that agree in their first 8 bytes
-_FIELDS = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmno",
-           "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefgh2",
-           "abcdefghijklmnopqr", "\u00e9", "abcdefg\u00e9",
-           "\u65e5\u672c\u8a9e", " x ", "\x0b\x0c\x1c\u2028\ufeff"]
-_FIELD = st.one_of(st.sampled_from(_FIELDS), st.text(st.characters(
-    blacklist_characters=',"\r\n\0', blacklist_categories=("Cs",)),
-    max_size=17))
-
-
-class TestNumpyReader:
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_split_matches_csv_reader(self, data):
-        draw = data.draw
-        width = draw(st.integers(1, 4))
-        names = [f"c{i}" for i in range(width)]
-        lines = [",".join(names)]
-        for _ in range(draw(st.integers(0, 12))):
-            if draw(st.integers(0, 3)) == 0:
-                lines.append("")  # a blank line
-            lines.append(",".join(draw(st.lists(_FIELD, min_size=width,
-                                                max_size=width))))
-        if draw(st.booleans()):
-            lines.append("")
-        ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
-        if draw(st.booleans()):
-            ends[-1] = ""  # no final newline
-        text = "".join(line + end for line, end in zip(lines, ends))
-        if draw(st.booleans()):
-            text = "\ufeff" + text
-        block = draw(st.sampled_from([1, 2, 5, 8, 9, 16, 31, 64, 1 << 17]))
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "t.csv"
-            path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(store, "_BLOCK_BYTES", block):
-                got = store._numpy_columns(path, names, ())
-            want = store._reader_columns(path, names, ())
-        for c in names:
-            assert ([got[c][0][i] for i in got[c][1]]
-                    == [want[c][0][i] for i in want[c][1]]), c
-            assert got[c][1].dtype == np.int64
-
-    @pytest.mark.parametrize("case", READERS)
-    def test_debug_log_names_the_reader(self, case, tmp_path, caplog):
-        with caplog.at_level("DEBUG", logger="lodsig.store"):
-            assert_loads_like_oracle(tmp_path, *LOADER_CASES[case])
-        readers = reader_log(caplog)
-        assert set(READERS[case]) <= set(readers)
-        assert readers == {name: f"csv.reader ({READERS[case][name]})"
-                           if name in READERS[case] else "numpy"
-                           for name in readers}
-
-    def test_non_utf8_byte_is_left_to_csv_reader(self, tmp_path, caplog):
-        rx, ev, p = write_csvs(tmp_path, [P1], [], [GOOD_EV])
-        ev.write_bytes(ev.read_bytes() + b"p1,\xffA,2016-01-01\n")
-        with caplog.at_level("DEBUG", logger="lodsig.store"):
-            with pytest.raises(DataFormatError) as exc:
-                load_database(rx, ev, p)
-        assert str(exc.value) == (f"{ev}, line 3: not UTF-8 text "
-                                  "(byte b'\\xff')")
-        assert reader_log(caplog)["events"] == \
-            "csv.reader (non-UTF-8 byte)"
-
-    @pytest.mark.parametrize("block", [1, 1 << 17])
-    @pytest.mark.parametrize("case", ["spaces_around_fields", "crlf",
-                                      "duplicate_rows", "blank_lines"])
-    def test_hash_collision_gives_the_oracle_database(
-            self, case, block, tmp_path, caplog, monkeypatch):
-        # every text hashes alike; one-line blocks meet the collisions
-        # only when blocks are merged
-        monkeypatch.setattr(store, "_hash_words",
-                            lambda words: np.zeros(words.shape[1],
-                                                   dtype=np.uint64))
-        monkeypatch.setattr(store, "_BLOCK_BYTES", block)
-        with caplog.at_level("DEBUG", logger="lodsig.store"):
-            assert_loads_like_oracle(tmp_path, *LOADER_CASES[case])
-        assert reader_log(caplog)["events"] == "csv.reader (hash collision)"
-
-    def test_synthgen_files_take_the_numpy_path(self, tmp_path, caplog):
-        config = dataclasses.replace(demo_synth_config(), n_patients=200)
-        paths = generate(config, tmp_path)
-        # generate cached the database: the reader runs with no cache
-        with caplog.at_level("DEBUG", logger="lodsig.store"):
-            load_database(paths["prescriptions"], paths["events"],
-                          paths["patients"], cache=False)
-        assert reader_log(caplog) == dict.fromkeys(
-            ["patients", "prescriptions", "events"], "numpy")
-
-
 def _read_by_csv_reader(path, names):
-    columns = store._reader_columns(path, names, ())
-    return {c: [texts[i] for i in index] for c, (texts, index)
-            in columns.items()}
+    """{column: its text in each row} of a file with no blank line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return {c: [row[header.index(c)] for row in rows] for c in names}
 
 
 def _peak_bytes(read, *args):
@@ -537,9 +411,8 @@ def _peak_bytes(read, *args):
 
 
 class TestLongFields:
-    """A field far longer than the rest of its column would make the numpy
-    reader zero-pad every field of its block, or every distinct text kept,
-    to that length; such a file is left to csv.reader."""
+    """A field far longer than the rest of its column costs memory in
+    proportion to the file, not to that field's length times the rows."""
 
     NAMES = ["patient_id", "event_code", "date"]
     FIELDS = [(name, str, None) for name in NAMES]
@@ -557,49 +430,25 @@ class TestLongFields:
         assert {c: [texts[i] for i in index]
                 for c, (texts, index) in got.items()} == \
             _read_by_csv_reader(path, self.NAMES)
-        # a 40000-byte field padded across a 3000-row block was 120 MB
+        # a 40000-byte field padded across 3000 rows would be 120 MB
         assert peak < 4 * 2 ** 20, peak
 
-    def test_long_field_alone_in_the_last_block_is_declined(
-            self, tmp_path, monkeypatch):
-        # the last line, longer than a block, makes a block of its own, so
-        # only the texts kept from earlier blocks would be padded to it
-        monkeypatch.setattr(store, "_BLOCK_BYTES", 1 << 14)
+    def test_long_last_line_reads_in_little_memory(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("patient_id,event_code,date\n" + "".join(
             f"p{i:07d},e1,2016-01-01\n" for i in range(3000))
             + "p" * 40_000 + ",e1,2016-01-02\n")
-        with pytest.raises(store._Declined, match="long field"):
-            store._numpy_columns(path, self.NAMES, ())
         _, peak = _peak_bytes(store.read_table, path, self.FIELDS)
         assert peak < 4 * 2 ** 20, peak
 
-    def test_long_field_in_a_full_block_is_declined(self, tmp_path):
+    def test_long_field_among_short_rows_reads_in_little_memory(
+            self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("patient_id,event_code,date\n" + "".join(
             f"p{i:07d},{'x' * 40_000 if i == 10 else 'e1'},2016-01-01\n"
             for i in range(3000)))
-        with pytest.raises(store._Declined, match="long field"):
-            store._numpy_columns(path, self.NAMES, ())
-
-    def test_benchmark_shaped_files_are_read_by_numpy(self, tmp_path,
-                                                      caplog, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        spec.loader.exec_module(workloads)
-        for name in ("recovery", "wide"):
-            scenario = getattr(workloads, f"{name}_scenario")(7)
-            scenario["n_patients"] = 300
-            paths = generate(synth_config_from_dict(scenario),
-                             tmp_path / name)
-            caplog.clear()
-            with caplog.at_level("DEBUG", logger="lodsig.store"):
-                load_database(paths["prescriptions"], paths["events"],
-                              paths["patients"], cache=False)
-            assert reader_log(caplog) == dict.fromkeys(
-                ["patients", "prescriptions", "events"], "numpy"), name
+        _, peak = _peak_bytes(store.read_table, path, self.FIELDS)
+        assert peak < 4 * 2 ** 20, peak
 
 
 class TestBenchmarkProbe:
