@@ -26,15 +26,24 @@ from .evaluation import (SCORE_COLUMNS, AdrDictionary, SignificanceResult,
                          ranked_csv_path, write_csv, write_ranked_csv)
 from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList
-from .srs import rank_ror
+from .srs import ror_tables, ror_view
 from .store import (Database, DataFormatError, StudyConfig, load_database,
                     read_rows)
 from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
 
-ALGORITHM_IDS = ("ror05", "oe1", "oe2", "mutara60", "mutara180",
-                 "hunt60", "hunt180")
+# algorithm id: (its StudyConfig defaults, its scoring pass, its view)
+ALGORITHMS = {
+    "ror05": ({}, ror_tables, ror_view),
+    "oe1": ({}, oe_scores, functools.partial(oe_view, variant=1)),
+    "oe2": ({}, oe_scores, functools.partial(oe_view, variant=2)),
+    "mutara60": ({"pre_window": 60}, candidate_supports, mutara_view),
+    "mutara180": ({"pre_window": 180}, candidate_supports, mutara_view),
+    "hunt60": ({"pre_window": 60}, candidate_supports, hunt_view),
+    "hunt180": ({"pre_window": 180}, candidate_supports, hunt_view),
+}
+ALGORITHM_IDS = tuple(ALGORITHMS)
 
 # LODSIG_LOG values, matched case-insensitively
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
@@ -44,18 +53,10 @@ _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
 
 def _base_config(algorithm_id: str, drug: str, seed: int,
                  overrides: dict) -> StudyConfig:
-    kwargs = {"drug_code": drug, "rng_seed": seed}
-    if algorithm_id.endswith("60"):
-        kwargs["pre_window"] = 60
-    elif algorithm_id.endswith("180"):
-        kwargs["pre_window"] = 180
-    kwargs.update(overrides or {})
-    # hashable containers, so equal configurations can share a pass
-    for key, kind in (("excluded_event_codes", frozenset),
-                      ("control_period", tuple)):
-        if key in kwargs:
-            kwargs[key] = kind(kwargs[key])
-    return StudyConfig(**kwargs)
+    if algorithm_id not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm id {algorithm_id!r}")
+    return StudyConfig(**{"drug_code": drug, "rng_seed": seed,
+                          **ALGORITHMS[algorithm_id][0], **(overrides or {})})
 
 
 def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
@@ -72,17 +73,8 @@ def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
     for algorithm_id in algorithms:
         config = _base_config(algorithm_id, drug, seed,
                               (overrides or {}).get(algorithm_id))
-        if algorithm_id == "ror05":
-            ranked = rank_ror(db, config)
-        elif algorithm_id in ("oe1", "oe2"):
-            ranked = oe_view(shared(oe_scores, config), config,
-                             int(algorithm_id[-1]))
-        elif algorithm_id.startswith("mutara"):
-            ranked = mutara_view(shared(candidate_supports, config), config)
-        elif algorithm_id.startswith("hunt"):
-            ranked = hunt_view(shared(candidate_supports, config), config)
-        else:
-            raise ValueError(f"unknown algorithm id {algorithm_id!r}")
+        _, scoring_pass, view = ALGORITHMS[algorithm_id]
+        ranked = view(shared(scoring_pass, config), config)
         ranked.algorithm = algorithm_id
         ranked_lists.append(ranked)
     return ranked_lists
@@ -386,19 +378,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate",
                            help="generate a synthetic database")
-    p_gen.add_argument("--config", help="synthetic-config YAML path")
-    p_gen.add_argument("--demo", action="store_true",
-                       help="use the bundled demo configuration")
+    source = p_gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="synthetic-config YAML path")
+    source.add_argument("--demo", action="store_true",
+                        help="use the bundled demo configuration")
     p_gen.add_argument("--output", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--no-cache", action="store_true",
                        help="neither read nor write the load cache")
 
     p_run = sub.add_parser("run", help="run algorithms per the manifest")
-    p_run.add_argument("--manifest", help="run-manifest YAML path")
-    p_run.add_argument("--generate-demo", action="store_true",
-                       help="generate demo data first and run everything "
-                            "on it")
+    source = p_run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest", help="run-manifest YAML path")
+    source.add_argument("--generate-demo", action="store_true",
+                        help="generate demo data first and run everything "
+                             "on it")
     p_run.add_argument("--all-algorithms", action="store_true",
                        help="override the manifest algorithm list with all "
                             "seven configurations")
@@ -429,8 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "generate":
-        if not args.demo and not args.config:
-            parser.error("generate needs --config or --demo")
         try:
             return generate(args.config, args.output, args.demo, args.seed,
                             not args.no_cache)
@@ -457,8 +449,6 @@ def main(argv=None) -> int:
                 seed=args.seed if args.seed is not None else 7,
                 ground_truth=str(data_dir / "ground_truth.csv"))
         else:
-            if not args.manifest:
-                parser.error("run needs --manifest or --generate-demo")
             try:
                 manifest = RunManifest.from_file(args.manifest)
             except (ValueError, TypeError) as exc:

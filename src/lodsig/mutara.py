@@ -160,11 +160,3 @@ def hunt_view(supports: dict[str, SupportCounts],
     rr = {code: rank_lev[code] / rank_unex[code] for code in supports}
     return build_ranked_list("hunt", config.drug_code, rr,
                              seed=config.rng_seed)
-
-
-def rank_mutara(db: Database, config: StudyConfig) -> RankedSignalList:
-    return mutara_view(candidate_supports(db, config), config)
-
-
-def rank_hunt(db: Database, config: StudyConfig) -> RankedSignalList:
-    return hunt_view(candidate_supports(db, config), config)

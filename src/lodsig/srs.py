@@ -105,10 +105,16 @@ def build_srs_counts(db: Database, drug_code: str, T: int = 30,
     return tables
 
 
-def rank_ror(db: Database, config: StudyConfig) -> RankedSignalList:
-    """Rank candidate events by ROR05 descending (undefined scores last)."""
+def ror_tables(db: Database,
+               config: StudyConfig) -> dict[str, ContingencyTable]:
+    """Contingency tables of every candidate: the pass ROR05 ranks."""
     cands = candidate_codes(db, db.episodes(config.drug_code), config.T,
                             config.excluded_event_codes, config.include_day0)
-    tables = build_srs_counts(db, config.drug_code, config.T, cands)
-    scores = {code: ror05(tables[code]) for code in tables}
+    return build_srs_counts(db, config.drug_code, config.T, cands)
+
+
+def ror_view(tables: dict[str, ContingencyTable],
+             config: StudyConfig) -> RankedSignalList:
+    """Candidates in descending ROR05 order (undefined scores last)."""
+    scores = {code: ror05(table) for code, table in tables.items()}
     return build_ranked_list("ror05", config.drug_code, scores)

@@ -104,25 +104,39 @@ class StudyConfig:
         if not (a > b > 0):
             raise ValueError("control_period must be (start, end) month offsets "
                              "with start > end > 0 before the index date")
-        # any integer type, numpy's too, is kept as an int; operator.index
-        # takes a bool as well, but `T: true` is not a window length
         for name in ("T", "pre_window", "rng_seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, not {value!r}") from None
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
+        # hashable containers, so equal configurations can share a pass
+        object.__setattr__(self, "control_period", tuple(
+            _int(f"control_period[{i}]", v) for i, v in enumerate((a, b))))
+        codes = self.excluded_event_codes
+        # a string is an iterable of its characters, not of event codes
+        if not isinstance(codes, str):
+            object.__setattr__(self, "excluded_event_codes", frozenset(codes))
+        if isinstance(codes, str) or not all(
+                isinstance(code, str) for code in self.excluded_event_codes):
+            raise ValueError("excluded_event_codes must be a list of event "
+                             f"code strings, not {codes!r}")
+        if not isinstance(self.include_day0, bool):
+            raise ValueError("include_day0 must be a boolean, not "
+                             f"{self.include_day0!r}")
         # a window is shorter than the packed key's day range, which
         # window_pairs clips every window to; far longer ones would also
         # overflow `index day + T` in int64
         for name, days in (("T", self.T), ("pre_window", self.pre_window),
-                           ("control_period start", a * DAYS_PER_MONTH)):
+                           ("control_period start",
+                            self.control_period[0] * DAYS_PER_MONTH)):
             if days >= _KEY_BASE:
                 raise ValueError(f"{name} must be under {_KEY_BASE} days, "
                                  f"not {days}")
+
+
+def _int(name: str, value) -> int:
+    # any integer type, numpy's too, is kept as an int; operator.index
+    # takes a bool as well, but `T: true` is not a window length
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 class Database:

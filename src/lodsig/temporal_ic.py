@@ -97,11 +97,6 @@ def ic_delta_from(n_u: float, e_u: float, n_v: float, e_v: float) -> float:
     return ic(n_u, ratio * e_u)
 
 
-def ic_delta(counts_u: PeriodCounts, counts_v: PeriodCounts) -> float:
-    return ic_delta_from(counts_u.n_xy, expected_count(counts_u),
-                         counts_v.n_xy, expected_count(counts_v))
-
-
 # -- period counting ------------------------------------------------------
 
 def period_window(period: Period, index_date, config: StudyConfig):
@@ -200,8 +195,3 @@ def oe_view(results: dict[str, IcResult], config: StudyConfig,
             scores[code] = r.ic_delta
     return build_ranked_list(f"oe{variant}", config.drug_code, scores,
                              filtered=filtered)
-
-
-def rank_oe(db: Database, config: StudyConfig,
-            variant: int = 1) -> RankedSignalList:
-    return oe_view(oe_scores(db, config), config, variant)

@@ -12,18 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from lodsig.cli import ALGORITHM_IDS, _base_config, demo_synth_config, \
-    score_drug
+from lodsig.cli import ALGORITHM_IDS, demo_synth_config, score_drug
 from lodsig.evaluation import evaluate, map_score, precision_k, \
     signed_rank_one_sided
-from lodsig.mutara import _support_counts_at, _support_vectors, rank_hunt, \
-    rank_mutara
+from lodsig.mutara import _support_counts_at, _support_vectors
 from lodsig.srs import build_srs_counts
 from lodsig.store import StudyConfig
 from lodsig.synthgen import DrugModel, Injection, SynthConfig, \
     build_database, realized_truth
 from lodsig.temporal_ic import Period, _period_counts_at, _period_vectors, \
-    gamma_quantile, ic, ic_delta_from, rank_oe
+    gamma_quantile, ic, ic_delta_from
 from lodsig import cli
 
 from conftest import random_small_db
@@ -189,14 +187,9 @@ def test_criterion_5_injection_recovery():
     wins = 0
     for seed in range(20):
         fdb, _ = build_database(_failure_config(seed))
-        oe_rank = rank_oe(fdb, _base_config("oe1", "drug_x", seed, {}),
-                          1).rank_of("failure_f")
-        m_rank = rank_mutara(
-            fdb, _base_config("mutara180", "drug_x", seed,
-                              {})).rank_of("failure_f")
-        h_rank = rank_hunt(
-            fdb, _base_config("hunt180", "drug_x", seed,
-                              {})).rank_of("failure_f")
+        oe_rank, m_rank, h_rank = (
+            ranked.rank_of("failure_f") for ranked in score_drug(
+                fdb, "drug_x", ["oe1", "mutara180", "hunt180"], seed))
         if oe_rank is not None and m_rank is not None and \
                 h_rank is not None and m_rank > oe_rank and \
                 h_rank > oe_rank:
@@ -213,8 +206,7 @@ def test_criterion_6_filter_variant_contrast():
     hits = 0
     for seed in range(20):
         db, _ = build_database(demo_synth_config(seed))
-        r1 = rank_oe(db, _base_config("oe1", "drug_x", seed, {}), 1)
-        r2 = rank_oe(db, _base_config("oe2", "drug_x", seed, {}), 2)
+        r1, r2 = score_drug(db, "drug_x", ["oe1", "oe2"], seed)
         kept = "day0_delta" in r1.event_codes()
         filtered = r2.filtered.get("day0_delta") == "day_of_prescription"
         hits += kept and filtered

@@ -18,10 +18,7 @@ import lodsig
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
                         demo_synth_config, main, run, score_drug,
                         synth_config_from_dict)
-from lodsig.mutara import rank_hunt, rank_mutara
-from lodsig.srs import rank_ror
 from lodsig.synthgen import DrugModel, generate
-from lodsig.temporal_ic import rank_oe
 
 from conftest import random_small_db
 
@@ -107,6 +104,20 @@ class TestManifest:
          "pre_window must be under 10000000 days, not 10000000"),
         ({"overrides": {"oe1": {"control_period": [333334, 21]}}},
          "control_period start must be under 10000000 days, not 10000020"),
+        # a string would be the set of its characters
+        ({"overrides": {"ror05": {"excluded_event_codes": "adr_alpha"}}},
+         "bad overrides for ror05 .*: excluded_event_codes must be a list "
+         "of event code strings, not 'adr_alpha'"),
+        ({"overrides": {"ror05": {"excluded_event_codes": [1, 2]}}},
+         r"excluded_event_codes must be a list of event code strings, "
+         r"not \[1, 2\]"),
+        ({"overrides": {"oe1": {"include_day0": "false"}}},
+         "bad overrides for oe1 .*: include_day0 must be a boolean, "
+         "not 'false'"),
+        ({"overrides": {"oe1": {"control_period": [3, True]}}},
+         r"control_period\[1\] must be an integer, not True"),
+        ({"overrides": {"oe1": {"control_period": [27.5, 21]}}},
+         r"control_period\[0\] must be an integer, not 27.5"),
     ], ids=["scalar_drugs", "int_drug", "scalar_algorithms",
             "overrides_list", "override_unknown_id", "override_scalar",
             "override_unknown_key", "override_drug_code", "drug_slash",
@@ -116,7 +127,10 @@ class TestManifest:
             "override_T_text", "override_control_period",
             "override_excluded_codes_scalar", "override_T_wraps_int64",
             "override_T_beyond_int64", "override_pre_window_too_long",
-            "override_control_period_too_long"])
+            "override_control_period_too_long",
+            "override_excluded_codes_string", "override_excluded_codes_ints",
+            "override_include_day0_string", "override_control_period_bool",
+            "override_control_period_float"])
     def test_bad_field_rejected(self, changes, message):
         raw = {"database_dir": "d", "drugs": ["x"], "algorithms": ["oe1"],
                "output_dir": "o", **changes}
@@ -160,17 +174,6 @@ class TestBaseConfig:
             "control_period": (24, 18)}))
 
 
-def _rank_alone(db, algorithm_id, config):
-    """The public per-configuration ranking of one algorithm id."""
-    if algorithm_id == "ror05":
-        return rank_ror(db, config)
-    if algorithm_id.startswith("oe"):
-        return rank_oe(db, config, int(algorithm_id[-1]))
-    if algorithm_id.startswith("mutara"):
-        return rank_mutara(db, config)
-    return rank_hunt(db, config)
-
-
 class TestScoreDrug:
 
     @pytest.mark.parametrize("overrides", [
@@ -186,11 +189,16 @@ class TestScoreDrug:
         shared = score_drug(db, "X", ALGORITHM_IDS, seed % 1000, overrides)
         assert [r.algorithm for r in shared] == list(ALGORITHM_IDS)
         for ranked in shared:
-            config = _base_config(ranked.algorithm, "X", seed % 1000,
-                                  overrides.get(ranked.algorithm, {}))
-            alone = _rank_alone(db, ranked.algorithm, config)
+            # a call with a single id shares no pass
+            [alone] = score_drug(db, "X", [ranked.algorithm], seed % 1000,
+                                 overrides)
             assert ranked.entries == alone.entries, ranked.algorithm
             assert ranked.filtered == alone.filtered, ranked.algorithm
+
+    def test_unknown_id_is_named(self):
+        db = random_small_db(np.random.default_rng(5), n_patients=10)
+        with pytest.raises(ValueError, match="unknown algorithm id 'oe3'"):
+            score_drug(db, "X", ["ror05", "oe3"])
 
 
 class TestRun:
@@ -423,13 +431,34 @@ class TestMain:
          "manifest database_dir must be a non-empty string, not None"),
         ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: 7\n",
          "manifest output_dir must be a non-empty string, not 7"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: o\n"
+         "overrides: {ror05: {excluded_event_codes: adr_alpha}}\n",
+         "excluded_event_codes must be a list of event code strings, not "
+         "'adr_alpha'"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [ror05]\noutput_dir: o\n"
+         "overrides: {ror05: {excluded_event_codes: [1, 2]}}\n",
+         "excluded_event_codes must be a list of event code strings, not "
+         "[1, 2]"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {include_day0: 'false'}}\n",
+         "bad overrides for oe1 {'include_day0': 'false'}: include_day0 must "
+         "be a boolean, not 'false'"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {control_period: [3, true]}}\n",
+         "control_period[1] must be an integer, not True"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {control_period: [27.5, 21]}}\n",
+         "control_period[0] must be an integer, not 27.5"),
     ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
             "override_T_zero", "override_T_text",
             "override_control_period", "override_T_float",
             "override_T_bool", "override_rng_seed_text",
             "override_pre_window_float", "override_T_wraps_int64",
             "override_T_beyond_int64", "ground_truth_int",
-            "database_dir_int", "database_dir_null", "output_dir_int"])
+            "database_dir_int", "database_dir_null", "output_dir_int",
+            "override_excluded_codes_string", "override_excluded_codes_ints",
+            "override_include_day0_string", "override_control_period_bool",
+            "override_control_period_float"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -823,6 +852,23 @@ BOUNDARY_CASES = {
         None, {}, ["run", "--generate-demo", "--seed", "-1"], 2),
     "demo_generate_negative_seed": (
         None, {}, ["generate", "--demo", "--seed", "-1"], 2),
+    # values of the wrong type, each of which used to change a list silently
+    "excluded_codes_string": (None, _each_algorithm(
+        {"excluded_event_codes": "adr_alpha"}), None, 2),
+    "excluded_codes_ints": (None, _each_algorithm(
+        {"excluded_event_codes": [1, 2]}), None, 2),
+    "include_day0_string": (None, _each_algorithm({"include_day0": "false"}),
+                            None, 2),
+    "control_period_bool": (None, _each_algorithm(
+        {"control_period": [3, True]}), None, 2),
+    "control_period_float": (None, _each_algorithm(
+        {"control_period": [27.5, 21]}), None, 2),
+    # a second source of input must not be dropped in silence; the
+    # manifest stands in for a scenario file, which is never read
+    "demo_run_and_manifest": (
+        None, {}, ["run", "--generate-demo", "--manifest", "m.yaml"], 2),
+    "demo_generate_and_config": (
+        None, {}, ["generate", "--demo", "--config", "m.yaml"], 2),
 }
 
 
@@ -852,9 +898,14 @@ def test_cli_boundary_ends_in_one_line(demo_data, tmp_path, capsys, caplog,
         except SystemExit as exc:   # argparse's exit on a usage error
             code = exc.code
     # pytest holds the log records main would print; a usage error prints
-    # argparse's usage synopsis before its one line
-    lines = [line for line in capsys.readouterr().err.splitlines()
-             if not line.startswith("usage: ")]
+    # argparse's usage synopsis, wrapped onto indented lines, before its
+    # one line
+    lines, synopsis = [], False
+    for line in capsys.readouterr().err.splitlines():
+        synopsis = line.startswith("usage: ") or synopsis and \
+            line.startswith(" ")
+        if not synopsis:
+            lines.append(line)
     lines += [r.getMessage() for r in caplog.records
               if r.levelname != "WARNING"]
     assert (code, len(lines) <= 1) == (status, True), lines

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import mutara
-from lodsig.mutara import (SupportCounts, candidate_supports,
-                           leverage_from_counts, rank_hunt, rank_mutara,
+from lodsig.mutara import (SupportCounts, candidate_supports, hunt_view,
+                           leverage_from_counts, mutara_view,
                            unexlev_from_counts)
 from lodsig.store import StudyConfig
 
@@ -174,7 +174,7 @@ class TestRanking:
     def test_mutara_puts_adverse_event_first(self):
         db = self._signal_db()
         config = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
-        ranked = rank_mutara(db, config)
+        ranked = mutara_view(candidate_supports(db, config), config)
         assert ranked.event_codes()[0] == "A"
         assert ranked.seed == 11
 
@@ -182,15 +182,15 @@ class TestRanking:
         db = self._signal_db()
         filt = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
         nofilt = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        with_filter = rank_mutara(db, filt)
-        without = rank_mutara(db, nofilt)
+        with_filter = mutara_view(candidate_supports(db, filt), filt)
+        without = mutara_view(candidate_supports(db, nofilt), nofilt)
         assert with_filter.rank_of("F") > without.rank_of("F")
 
     def test_hunt_rank_ratio_demotes_failure_event(self):
         db = self._signal_db()
         config = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
-        hunt = rank_hunt(db, config)
-        mutara = rank_mutara(db, config)
+        hunt = hunt_view(candidate_supports(db, config), config)
+        mutara = mutara_view(candidate_supports(db, config), config)
         assert set(hunt.event_codes()) == set(mutara.event_codes())
         assert hunt.rank_of("F") > hunt.rank_of("A")
 
@@ -199,7 +199,7 @@ class TestRanking:
         # is 1 and HUNT falls back to lexicographic order
         db = self._signal_db()
         config = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        hunt = rank_hunt(db, config)
+        hunt = hunt_view(candidate_supports(db, config), config)
         codes = hunt.event_codes()
         assert codes == sorted(codes)
         assert all(e.score == pytest.approx(1.0) for e in hunt.entries)

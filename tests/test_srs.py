@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig.srs import ContingencyTable, build_srs_counts, rank_ror, ror, ror05
+from lodsig.srs import (ContingencyTable, build_srs_counts, ror, ror05,
+                        ror_tables, ror_view)
 from lodsig.store import Gender, StudyConfig
 
 from conftest import db_from_rows, make_db, random_small_db
@@ -114,6 +115,11 @@ class TestBuildSrsCounts:
             build_srs_counts(db, "X", T=T)
 
 
+def ror_ranking(db, config):
+    """ROR05's ranked list: its pass, then its view."""
+    return ror_view(ror_tables(db, config), config)
+
+
 class TestRankRor:
 
     def test_orders_by_ror05_descending(self):
@@ -123,7 +129,7 @@ class TestRankRor:
             + [(f"p{i}", "B", 0) for i in range(4, 8)],
             events=[(f"p{i}", "A", 5) for i in range(4)]
             + [(f"p{i}", "C", 5) for i in range(2, 8)])
-        ranked = rank_ror(db, StudyConfig(drug_code="X"))
+        ranked = ror_ranking(db, StudyConfig(drug_code="X"))
         assert ranked.event_codes() == ["A", "C"]
 
     def test_ties_broken_lexicographically(self):
@@ -132,7 +138,7 @@ class TestRankRor:
             rx=[("p1", "X", 0), ("p2", "B", 0)],
             events=[("p1", "A", 5), ("p1", "C", 6),
                     ("p2", "A", 5), ("p2", "C", 6)])
-        ranked = rank_ror(db, StudyConfig(drug_code="X"))
+        ranked = ror_ranking(db, StudyConfig(drug_code="X"))
         assert ranked.event_codes() == ["A", "C"]
         scores = [e.score for e in ranked.entries]
         assert scores[0] == scores[1]
@@ -140,7 +146,7 @@ class TestRankRor:
     def test_row_order_invariant(self):
         rng = np.random.default_rng(31)
         db = random_small_db(rng, n_patients=12)
-        ranked = rank_ror(db, StudyConfig(drug_code="X"))
+        ranked = ror_ranking(db, StudyConfig(drug_code="X"))
         # rebuild with reversed record insertion
         patients = list(zip(db.patient_ids, db.year_of_birth.tolist(),
                             map(Gender, db.gender),
@@ -151,5 +157,5 @@ class TestRankRor:
         ev = [(db.patient_ids[p], db.event_codes[c], int(d)) for p, c, d in
               zip(db.ev_pid, db.ev_code, db.ev_day)]
         db2 = db_from_rows(patients[::-1], rx[::-1], ev[::-1])
-        ranked2 = rank_ror(db2, StudyConfig(drug_code="X"))
+        ranked2 = ror_ranking(db2, StudyConfig(drug_code="X"))
         assert ranked.entries == ranked2.entries

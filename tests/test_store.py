@@ -1050,3 +1050,23 @@ class TestStudyConfig:
     def test_non_integers_are_refused(self, value):
         with pytest.raises(ValueError, match="T must be an integer"):
             StudyConfig(drug_code="X", T=value)
+
+    def test_containers_are_made_hashable(self):
+        config = StudyConfig(drug_code="x", control_period=[24, 18],
+                             excluded_event_codes=["a"])
+        same = StudyConfig(drug_code="x", control_period=(24, 18),
+                           excluded_event_codes=frozenset({"a"}))
+        assert config == same and hash(config) == hash(same)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("excluded_event_codes", "adr_alpha", "a list of event code strings"),
+        ("excluded_event_codes", [1, 2], "a list of event code strings"),
+        ("include_day0", "false", "include_day0 must be a boolean"),
+        ("include_day0", 1, "include_day0 must be a boolean"),
+        ("control_period", [3, True], r"control_period\[1\] must be an int"),
+        ("control_period", [27.5, 21], r"control_period\[0\] must be an int"),
+    ], ids=["codes_string", "codes_ints", "day0_string", "day0_int",
+            "period_bool", "period_float"])
+    def test_wrong_types_are_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(drug_code="X", **{field: value})

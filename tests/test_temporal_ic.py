@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lodsig.temporal_ic import (Period, PeriodCounts, _period_counts_at,
                                 _period_vectors, expected_count,
                                 gamma_quantile, ic, ic_credibility_bounds,
-                                ic_delta, ic_delta_from, oe_scores, rank_oe)
+                                ic_delta_from, oe_scores, oe_view)
 
 from conftest import make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
@@ -206,24 +206,24 @@ class TestRankOe:
 
     def test_strong_prior_month_signal_filtered_by_both_variants(
             self, simple_config):
-        db = self._filter_db(prior=True)
+        results = oe_scores(self._filter_db(prior=True), simple_config)
         for variant in (1, 2):
-            ranked = rank_oe(db, simple_config, variant)
+            ranked = oe_view(results, simple_config, variant)
             assert ranked.filtered.get("F") == "prior_month"
             assert "F" not in ranked.event_codes()
 
     def test_day0_spike_kept_by_variant1_filtered_by_variant2(
             self, simple_config):
-        db = self._filter_db(day0=True)
-        r1 = rank_oe(db, simple_config, 1)
-        r2 = rank_oe(db, simple_config, 2)
+        results = oe_scores(self._filter_db(day0=True), simple_config)
+        r1 = oe_view(results, simple_config, 1)
+        r2 = oe_view(results, simple_config, 2)
         assert "F" in r1.event_codes() and "F" not in r1.filtered
         assert r2.filtered.get("F") == "day_of_prescription"
 
     def test_candidate_requires_followup_occurrence(self, simple_config):
         # an event seen only on day 0 never becomes a candidate at all
         db = self._filter_db(post_n=0, day0=True)
-        r1 = rank_oe(db, simple_config, 1)
+        r1 = oe_view(oe_scores(db, simple_config), simple_config, 1)
         assert "F" not in r1.event_codes() and "F" not in r1.filtered
         assert "G" in r1.event_codes()
 
@@ -235,14 +235,14 @@ class TestRankOe:
         rx = [("p0", "X", 0), ("p1", "X", 0), ("p2", "B", 0)]
         events = [("p0", "F", 5), ("p1", "F", 6), ("p3", "F", 7)]
         db = make_db(patients, rx=rx, events=events)
-        result = oe_scores(db, simple_config)["F"]
-        assert result.ic_v == 0.0
-        assert result.ic_delta == result.ic_u
-        assert rank_oe(db, simple_config, 1).event_codes() == ["F"]
+        results = oe_scores(db, simple_config)
+        assert results["F"].ic_v == 0.0
+        assert results["F"].ic_delta == results["F"].ic_u
+        assert oe_view(results, simple_config, 1).event_codes() == ["F"]
 
     def test_scores_are_ic_delta(self, simple_config):
         db = self._filter_db()
         results = oe_scores(db, simple_config)
-        ranked = rank_oe(db, simple_config, 1)
+        ranked = oe_view(results, simple_config, 1)
         for entry in ranked.entries:
             assert entry.score == results[entry.event_code].ic_delta
