@@ -3,9 +3,14 @@
 Produces patient histories with homogeneous-rate background events and
 three kinds of injected drug-event signal: post-exposure excess (adr),
 pre- and post-exposure excess (therapeutic_failure) and a spike on the
-prescription day (day0_artifact).  Per-patient RNG streams are derived
-from (seed, patient index) so output is byte-identical across runs and
-independent of generation scheduling.
+prescription day (day0_artifact).  Each patient draws from the stream
+of `np.random.default_rng([seed, patient index])`, so output is
+byte-identical across runs and independent of generation scheduling.
+The streams' starting states are derived for all patients in one
+vectorised pass (a port of numpy's SeedSequence and PCG64 seeding,
+checked against numpy in tests/test_synthgen.py) rather than by one
+default_rng call per patient; with one Poisson call per run of equal
+background rates, this halves the per-patient cost of generation.
 """
 
 from __future__ import annotations
@@ -36,6 +41,20 @@ VISIT_CODE = "clinic_visit"
 
 INJECTION_KINDS = ("adr", "therapeutic_failure", "day0_artifact")
 
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# A scalar-mean rng.poisson(mean, k) call per run of equal rates, with
+# its write into the count row, costs 2.1-2.8 us a run; one call over the
+# whole rate array 14-18 us, nearly all of it numpy's argument checks
+# (2 vCPU, numpy 2.4).  Both draw element by element, so the streams
+# agree; past this many runs the array call is cheaper.
+_MAX_POISSON_RUNS = 6
+# the largest Poisson mean numpy draws from (POISSON_LAM_MAX in
+# numpy/random/_common.pyx)
+_POISSON_MEAN_MAX = (np.iinfo(np.int64).max
+                     - math.sqrt(np.iinfo(np.int64).max) * 10)
+
 
 @dataclass(frozen=True)
 class Injection:
@@ -49,8 +68,11 @@ class Injection:
     def __post_init__(self):
         if self.kind not in INJECTION_KINDS:
             raise ValueError(f"unknown injection kind {self.kind!r}")
-        if self.relative_risk < 1:
-            raise ValueError("relative_risk must be >= 1")
+        if not self.relative_risk >= 1:   # NaN included
+            raise ValueError(
+                f"relative_risk of {self.event_code!r} for "
+                f"{self.drug_code!r} must be at least 1, not "
+                f"{self.relative_risk}")
         if self.kind == "adr" and not 0 < self.latency_window_days <= 30:
             raise ValueError("adr latency window must be in (0, 30]")
 
@@ -85,9 +107,24 @@ class SynthConfig:
         if self.rng_seed < 0:
             raise ValueError(
                 f"rng_seed must be non-negative, not {self.rng_seed}")
-        for code, rate in self.background_event_rates.items():
-            if rate < 0:
-                raise ValueError(f"negative rate for event {code!r}")
+        rates = self.background_event_rates
+        for code, rate in rates.items():
+            # a patient's Poisson mean is rate times at most years_span
+            if not (rate >= 0
+                    and rate * self.years_span <= _POISSON_MEAN_MAX):
+                raise ValueError(
+                    f"background rate of {code!r} must be in [0, "
+                    f"{_POISSON_MEAN_MAX / self.years_span:.4g}] events per "
+                    f"patient-year, not {rate}")
+        for drug, model in self.drug_models.items():
+            if model.indication_event is not None:
+                code, mult = model.indication_event
+                mean = _indication_mean(mult, rates.get(code, 0.0))
+                if not (math.isfinite(mult) and mean <= _POISSON_MEAN_MAX):
+                    raise ValueError(
+                        f"indication multiplier of {code!r} for {drug!r} "
+                        f"must be finite and keep the Poisson mean at most "
+                        f"{_POISSON_MEAN_MAX:.4g}, not {mult}")
         for inj in self.injections:
             if inj.drug_code not in self.drug_models:
                 raise ValueError(
@@ -96,6 +133,12 @@ class SynthConfig:
                 raise ValueError(
                     f"injection event {inj.event_code!r} needs a background "
                     "rate entry (may be zero)")
+
+
+def _indication_mean(mult: float, base_rate: float) -> float:
+    """Poisson mean of the extra events in the 60 days before a
+    prescription of a drug whose indication multiplies base_rate."""
+    return max(0.0, (mult - 1) * base_rate * 60 / 365.0)
 
 
 def _bernoulli_prob(relative_risk: float, base_rate: float, window_days: int,
@@ -147,8 +190,7 @@ def _drug_plan(config: SynthConfig, drug: str, event_index):
     if model.indication_event is not None:
         code, mult = model.indication_event
         base = rates.get(code, 0.0)
-        indication = (event_index[code],
-                      max(0.0, (mult - 1) * base * 60 / 365.0))
+        indication = (event_index[code], _indication_mean(mult, base))
     signals = []
     for inj in config.injections:
         if inj.drug_code != drug:
@@ -170,18 +212,95 @@ def _drug_plan(config: SynthConfig, drug: str, event_index):
     return model.prescription_rate, model.repeat_rate, indication, signals
 
 
+def _hasher(init: int, mult: int):
+    """numpy SeedSequence's hash over uint32 columns: each call XORs in
+    the running constant, steps it by mult and multiplies by it."""
+    const = init
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hash_
+
+
+def _mix(x, y):
+    """numpy SeedSequence's mix of two uint32 columns."""
+    value = np.uint32(0xca01f9dd) * x - np.uint32(0x4973f715) * y
+    return value ^ value >> np.uint32(16)
+
+
+def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
+    """(state, inc) of `np.random.default_rng([seed, i]).bit_generator`
+    for each patient index i < n, derived in one pass.
+
+    A port of numpy's SeedSequence (`_coerce_to_uint32_array`,
+    `mix_entropy`, `generate_state(4, np.uint64)`) to wrapping uint32
+    arithmetic on a column of indices, then of `pcg64_set_seed`'s two
+    128-bit LCG steps on Python ints.  The entropy is the seed's 32-bit
+    words, least significant first, then the index (one word, as n <
+    2**32); past the 4-word pool each further word is mixed into every
+    pool word.
+    """
+    entropy = []
+    while True:
+        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(0x43b0d7e5, 0x931e8875)
+    pool = [hashmix(entropy[k] if k < len(entropy)
+                    else np.zeros(n, dtype=np.uint32)) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: 8 words from the cycled pool, read pairwise as
+    # little-endian uint64 (seed high, seed low, inc high, inc low)
+    hash_state = _hasher(0x8b51f9dd, 0x58f38ded)
+    words = [hash_state(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[k] | words[k + 1] << np.uint64(32)).tolist()
+        for k in range(0, 8, 2))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # from state 0: step, add the seed, step
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
 def generate_tables(config: SynthConfig) -> GenerationResult:
     """Record columns of one synthetic database (deterministic per seed).
 
     Each patient draws from its own `default_rng([seed, index])` stream,
-    in a fixed order that defines the output.  Background events are kept
-    as per-patient counts and day arrays; the few visit, indication,
+    in a fixed order that defines the output.  The streams' PCG64 states
+    are derived for all patients in one pass (`_pcg64_states`) and loaded
+    in turn into one reused Generator.  Background counts are drawn with
+    one Poisson call per run of equal consecutive rates, which draws the
+    same values as one call over the rate array.  Background events are
+    kept as per-patient counts and day arrays; the few visit, indication,
     injected and prescription rows as flat (patient, code, day) ints.
     """
     n = config.n_patients
     span_days = config.years_span * 365
     codes = sorted(config.background_event_rates)
-    rates = np.array([config.background_event_rates[c] for c in codes])
+    rate_list = [config.background_event_rates[c] for c in codes]
+    rates = np.array(rate_list)
+    # runs of equal consecutive rates: (rate, length, columns of counts)
+    runs, start = [], 0
+    for rate, group in itertools.groupby(rate_list):
+        k = len(list(group))
+        runs.append((rate, k, slice(start, start + k)))
+        start += k
+    by_run = len(runs) <= _MAX_POISSON_RUNS
     # event code indices: the background codes in sorted order, then the
     # visit marker and any indication code without a background rate
     event_index = {code: i for i, code in enumerate(codes)}
@@ -194,14 +313,17 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     plans = [_drug_plan(config, drug, event_index) for drug in drugs]
 
     patient_rows = []
-    reg_end = np.empty((n, 2), dtype=np.int64)
+    reg_end = []   # flat (reg, end) ints
     counts = np.empty((n, len(codes)), dtype=np.int64)
     bg_days = [np.empty(0, dtype=np.int64)]
     rx, extra = [], []   # flat (patient, code index, day) ints
     injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
+    rng = np.random.Generator(np.random.PCG64(0))
 
-    for i in range(n):
-        rng = np.random.default_rng([config.rng_seed, i])
+    for i, (state, inc) in enumerate(_pcg64_states(config.rng_seed, n)):
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
         reg = ORIGIN + int(rng.integers(0, max(1, span_days - 540)))
         end = ORIGIN + span_days
         if rng.random() < config.dropout_prob and reg + 540 < end:
@@ -210,10 +332,16 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
         yob = ORIGIN_YEAR - int(rng.integers(20, 86))
         gender = Gender.FEMALE if rng.random() < 0.5 else Gender.MALE
         patient_rows.append((f"p{i:07d}", yob, gender, reg, death))
-        reg_end[i] = reg, end
+        reg_end += (reg, end)
 
-        counts[i] = rng.poisson(rates * ((end - reg) / 365.0))
-        total = int(counts[i].sum())
+        years = (end - reg) / 365.0
+        row = counts[i]
+        if by_run:
+            for rate, k, columns in runs:
+                row[columns] = rng.poisson(rate * years, k)
+        else:
+            row[:] = rng.poisson(rates * years)
+        total = int(row.sum())
         if total:
             bg_days.append(rng.integers(reg, end + 1, size=total))
 
@@ -265,7 +393,7 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
         np.repeat(np.tile(np.arange(len(codes)), n), counts.ravel()),
         np.concatenate(bg_days)], axis=1)
     visits = np.stack([np.repeat(patients, 2), np.full(2 * n, visit),
-                       reg_end.ravel()], axis=1)
+                       np.array(reg_end, dtype=np.int64)], axis=1)
     events = np.concatenate([visits, background,
                              np.array(extra, dtype=np.int64).reshape(-1, 3)])
     pid_values = [row[0] for row in patient_rows]
@@ -372,9 +500,9 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
     With cache, the database built here is stored in the load cache as
     the files' load_database result (see store.cache_database).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     db, result = build_database(config)
+    out = Path(out_dir)   # made only once the tables are built
+    out.mkdir(parents=True, exist_ok=True)
 
     paths = {
         "patients": out / "patients.csv",

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -495,8 +496,21 @@ class TestMain:
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: 0.3}\n",
          "'float' object has no attribute 'get'"),
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {noise_05: .nan}\n",
+         "background rate of 'noise_05' must be in [0, 4.612e+18] events "
+         "per patient-year, not nan"),
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {noise_05: 1e300}\n",
+         "background rate of 'noise_05' must be in [0, 4.612e+18] events "
+         "per patient-year, not 1e+300"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3}}\n"
+         "injections: [{drug_code: d, event_code: e, relative_risk: .nan}]\n",
+         "relative_risk of 'e' for 'd' must be at least 1, not nan"),
     ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
-            "malformed_yaml", "scalar_drug_model"])
+            "malformed_yaml", "scalar_drug_model", "rate_nan",
+            "rate_too_large", "relative_risk_nan"])
     def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
                                                   text, message):
         path = tmp_path / "scenario.yaml"
@@ -814,6 +828,14 @@ def _each_algorithm(overrides):
     return {"overrides": {a: overrides for a in BOUNDARY_ALGORITHMS}}
 
 
+def _scenario(rates, injections=()):
+    """Manifest keys that make the manifest a one-drug scenario too."""
+    return {"n_patients": 10, "years_span": 2,
+            "background_event_rates": rates,
+            "drug_models": {"drug_x": {"prescription_rate": 0.5}},
+            "injections": list(injections)}
+
+
 # name: (change to the bytes of events.csv, or None; manifest keys that
 # replace the defaults; the command line, which `--output OUT` ends, or
 # None for `run --manifest M --no-cache`; exit status)
@@ -869,6 +891,15 @@ BOUNDARY_CASES = {
         None, {}, ["run", "--generate-demo", "--manifest", "m.yaml"], 2),
     "demo_generate_and_config": (
         None, {}, ["generate", "--demo", "--config", "m.yaml"], 2),
+    # the manifest is also read as a scenario, which ignores the run keys;
+    # a bad rate once reached numpy, or was injected at full strength
+    "scenario_rate_nan": (None, _scenario({"noise_05": math.nan}),
+                          ["generate", "--config", "m.yaml"], 2),
+    "scenario_rate_too_large": (None, _scenario({"noise_05": 1e300}),
+                                ["generate", "--config", "m.yaml"], 2),
+    "scenario_relative_risk_nan": (None, _scenario({"noise_05": 0.3}, [{
+        "drug_code": "drug_x", "event_code": "noise_05",
+        "relative_risk": math.nan}]), ["generate", "--config", "m.yaml"], 2),
 }
 
 

@@ -1,11 +1,13 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from lodsig.store import load_database
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
-                             _bernoulli_prob, build_database, generate,
-                             generate_tables, realized_truth)
+                             _bernoulli_prob, _pcg64_states, build_database,
+                             generate, generate_tables, realized_truth)
 
 from conftest import table_rows
 
@@ -41,6 +43,46 @@ class TestConfigValidation:
     def test_relative_risk_below_one(self):
         with pytest.raises(ValueError):
             Injection("drug_x", "rash", 0.5)
+
+    def test_relative_risk_nan(self):
+        with pytest.raises(ValueError, match="'rash' for 'drug_x' must be "
+                           "at least 1, not nan"):
+            Injection("drug_x", "rash", math.nan)
+
+    @pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf, 1e300])
+    def test_bad_background_rate(self, rate):
+        with pytest.raises(ValueError, match=re.escape(
+                "background rate of 'rash' must be in [0, 2.306e+18] events "
+                f"per patient-year, not {rate}")):
+            SynthConfig(n_patients=5, years_span=4,
+                        background_event_rates={"rash": rate},
+                        drug_models={})
+
+    @pytest.mark.parametrize("mult", [math.nan, math.inf, 1e300])
+    def test_bad_indication_multiplier(self, mult):
+        with pytest.raises(ValueError, match="indication multiplier of "
+                           "'rash' for 'drug_x' must be finite"):
+            SynthConfig(n_patients=5, years_span=4,
+                        background_event_rates={"rash": 0.5},
+                        drug_models={"drug_x": DrugModel(0.5, ("rash", mult))})
+
+
+# 2**100 is four 32-bit words: with the patient index, the entropy is longer
+# than SeedSequence's 4-word pool and takes its extra mixing loop
+@pytest.mark.parametrize("seed", [0, 1, 404, 2 ** 32 - 1, 2 ** 32, 2 ** 64,
+                                  2 ** 100, 2 ** 200],
+                         ids=["0", "1", "404", "2**32-1", "2**32", "2**64",
+                              "2**100", "2**200"])
+def test_pcg64_states_are_default_rng_streams(seed):
+    """The one-pass port of SeedSequence and PCG64 seeding gives the state
+    numpy's own `default_rng([seed, index])` starts from; a numpy release
+    that changes either fails here first."""
+    want = []
+    for i in range(1000):
+        state = np.random.default_rng([seed, i]).bit_generator.state
+        assert state["bit_generator"] == "PCG64"
+        want.append((state["state"]["state"], state["state"]["inc"]))
+    assert _pcg64_states(seed, 1000) == want
 
 
 class TestBernoulliProb:

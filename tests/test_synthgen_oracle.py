@@ -13,13 +13,15 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig.store import Database
-from lodsig.synthgen import (INJECTION_KINDS, VISIT_CODE, DrugModel,
-                             Injection, SynthConfig, build_database, generate,
-                             generate_tables, realized_truth)
+from lodsig.synthgen import (_MAX_POISSON_RUNS, INJECTION_KINDS, VISIT_CODE,
+                             DrugModel, Injection, SynthConfig,
+                             build_database, generate, generate_tables,
+                             realized_truth)
 
 from conftest import table_rows
 from oracles import (brute_from_records, brute_generate_tables,
@@ -79,9 +81,7 @@ def assert_same_database(got: Database, want: Database):
     assert got.duplicates_dropped == want.duplicates_dropped
 
 
-@settings(max_examples=120, deadline=None)
-@given(synth_configs())
-def test_generator_matches_per_row_oracle(config):
+def assert_matches_oracle(config):
     patient_rows, rx_rows, ev_rows, injected = brute_generate_tables(config)
 
     result = generate_tables(config)
@@ -105,3 +105,45 @@ def test_generator_matches_per_row_oracle(config):
         for path in paths.values():
             assert path.read_bytes() == (want / path.name).read_bytes(), \
                 path.name
+
+
+@settings(max_examples=120, deadline=None)
+@given(synth_configs())
+def test_generator_matches_per_row_oracle(config):
+    assert_matches_oracle(config)
+
+
+def _config(rates, seed=404, indication=None):
+    drugs = {"drug_x": DrugModel(0.6, indication, 0.5),
+             "d,2": DrugModel(0.4)}
+    code = max(rates, key=rates.get)
+    injections = [Injection("drug_x", code, 8.0, 20, kind)
+                  for kind in INJECTION_KINDS]
+    return SynthConfig(n_patients=40, years_span=4,
+                       background_event_rates=rates, drug_models=drugs,
+                       injections=injections, rng_seed=seed,
+                       dropout_prob=0.3, death_prob=0.3)
+
+
+# configurations the strategy above never draws, one for each path of the
+# one-pass seeding and the per-run Poisson draws
+OFF_STRATEGY = {
+    # more runs of equal rates than the per-run calls pay for: one call
+    # over the rate array
+    "array_path": _config({f"c{k:02d}": (0.1, 0.8)[k % 2]
+                           for k in range(2 * _MAX_POISSON_RUNS + 1)}),
+    "one_run": _config({c: 0.8 for c in EVENT_CODES}),
+    # Poisson means of 10 and more take numpy's PTRS sampler, for the
+    # background counts and the indication events alike
+    "large_means": _config({"headache": 30.0, "a,b": 4.0, " lead": 0.0},
+                           indication=("headache", 40.0)),
+    "seed_two_words": _config({"headache": 0.8, "a,b": 3.0}, seed=2 ** 32),
+    # four seed words and the index overflow SeedSequence's 4-word pool
+    "seed_past_pool": _config({"headache": 0.8, "a,b": 3.0},
+                              seed=2 ** 100 + 7),
+}
+
+
+@pytest.mark.parametrize("config", OFF_STRATEGY.values(), ids=OFF_STRATEGY)
+def test_generator_matches_oracle_off_the_strategy(config):
+    assert_matches_oracle(config)
