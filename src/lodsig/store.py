@@ -30,6 +30,7 @@ import functools
 import hashlib
 import itertools
 import logging
+import math
 import operator
 import os
 import sys
@@ -223,8 +224,17 @@ class Database:
                     f"unknown patient_id {p!r} in {kind} input")
             code = np.array([code_of[c] for c in code_values],
                             dtype=np.int64)[code_index]
-            key, code = _sorted_records(pid_of[pid_index] * _KEY_BASE + day,
-                                        code)
+            pid = pid_of[pid_index]
+            # by the observed day range, not _KEY_BASE, so that the packed
+            # sort key stays inside int64 at millions of patients
+            order = record_order(pid, day, code)
+            key = pid[order]
+            # each record-sized array goes as soon as it is used
+            del pid
+            key *= _KEY_BASE
+            key += day[order]
+            code = code[order]
+            del order
             # an exact duplicate follows its first copy
             keep = np.ones(len(key), dtype=bool)
             keep[1:] = (key[1:] != key[:-1]) | (code[1:] != code[:-1])
@@ -324,14 +334,34 @@ def row_columns(rows, width):
         [([], each)] * width
 
 
-def _sorted_records(key, code):
-    """key and code in the order of np.lexsort((code, key)), by two stable
-    argsorts (faster on int64); key packs (patient, day).  A function of
-    its own, so that its temporaries are freed before the caller's next
-    allocation of their size."""
-    order = np.argsort(code, kind="stable")
-    order = order[np.argsort(key[order], kind="stable")]
-    return key[order], code[order]
+def record_order(*columns):
+    """Indices that order the rows of int columns by the first column,
+    then the next, and so on.
+
+    The columns are packed into one int64 by their observed ranges,
+    (c0 - min0) * r1 * r2 + (c1 - min1) * r2 + (c2 - min2), and sorted
+    by one argsort: rows with equal keys are equal in every column, so
+    the sort need not be stable.  Only when the product of the ranges
+    reaches 2**63 are the columns sorted one by one, last first, by
+    stable argsorts.
+    """
+    n = len(columns[0])
+    if not n:
+        return np.arange(0)
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
+    if math.prod(spans) >= 2 ** 63:
+        order = np.arange(n)
+        for column in reversed(columns):
+            order = order[np.argsort(column[order], kind="stable")]
+        return order
+    key = np.zeros(n, dtype=np.int64)
+    for column, low, span in zip(columns, lows, spans):
+        # the sum may wrap before low is taken off; the result fits
+        key *= span
+        key += column
+        key -= low
+    return np.argsort(key)
 
 
 # -- CSV loading ----------------------------------------------------------

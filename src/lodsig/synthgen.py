@@ -29,7 +29,7 @@ import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
 from .store import (Database, Gender, cache_database, first_per_patient,
-                    from_ordinal, row_columns, window_pairs)
+                    from_ordinal, record_order, row_columns, window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +54,8 @@ _MAX_POISSON_RUNS = 6
 # numpy/random/_common.pyx)
 _POISSON_MEAN_MAX = (np.iinfo(np.int64).max
                      - math.sqrt(np.iinfo(np.int64).max) * 10)
+# record CSVs are formatted and written this many rows at a time
+_WRITE_ROWS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -165,10 +167,21 @@ class GenerationResult:
     injected_counts: dict[tuple[str, str], int]   # (drug, event) -> rows added
 
 
-def _table(pid_values, records, code_values):
-    """A from_columns record table of int (patient, code, day) rows."""
-    pid, code, day = np.asarray(records, dtype=np.int64).reshape(-1, 3).T
-    used, code = np.unique(code, return_inverse=True)
+def _intern(values):
+    """(distinct values in increasing order, each value's position among
+    them) of an int array, by a presence mask over its range."""
+    if not len(values):
+        return values, values
+    low = int(values.min())
+    offset = values - low
+    present = np.zeros(int(offset.max()) + 1, dtype=bool)
+    present[offset] = True
+    return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offset]
+
+
+def _table(pid_values, pid, code, day, code_values):
+    """A from_columns record table of int patient, code and day columns."""
+    used, code = _intern(code)
     return (pid_values, pid, [code_values[c] for c in used.tolist()], code,
             day)
 
@@ -315,15 +328,19 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     patient_rows = []
     reg_end = []   # flat (reg, end) ints
     counts = np.empty((n, len(codes)), dtype=np.int64)
-    bg_days = [np.empty(0, dtype=np.int64)]
+    bg_days = []
     rx, extra = [], []   # flat (patient, code index, day) ints
     injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
     rng = np.random.Generator(np.random.PCG64(0))
+    # each patient's state is loaded by refilling these two dicts
+    bit_generator = rng.bit_generator
+    pcg_state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg_state,
+                  "has_uint32": 0, "uinteger": 0}
 
     for i, (state, inc) in enumerate(_pcg64_states(config.rng_seed, n)):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+        pcg_state["state"], pcg_state["inc"] = state, inc
+        bit_generator.state = full_state
         reg = ORIGIN + int(rng.integers(0, max(1, span_days - 540)))
         end = ORIGIN + span_days
         if rng.random() < config.dropout_prob and reg + 540 < end:
@@ -387,19 +404,26 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
                         extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
                         injected[key] += 1
 
+    # event rows: visits, background, then the extra rows; each column
+    # is built on its own, so only one is being assembled at a time
     patients = np.arange(n)
-    background = np.stack([
-        np.repeat(patients, counts.sum(axis=1)),
+    extra = np.array(extra, dtype=np.int64).reshape(-1, 3)
+    ev_pid = np.concatenate([np.repeat(patients, 2),
+                             np.repeat(patients, counts.sum(axis=1)),
+                             extra[:, 0]])
+    ev_code = np.concatenate([
+        np.full(2 * n, visit),
         np.repeat(np.tile(np.arange(len(codes)), n), counts.ravel()),
-        np.concatenate(bg_days)], axis=1)
-    visits = np.stack([np.repeat(patients, 2), np.full(2 * n, visit),
-                       np.array(reg_end, dtype=np.int64)], axis=1)
-    events = np.concatenate([visits, background,
-                             np.array(extra, dtype=np.int64).reshape(-1, 3)])
+        extra[:, 1]])
+    ev_day = np.concatenate([np.array(reg_end, dtype=np.int64),
+                             *bg_days, extra[:, 2]])
     pid_values = [row[0] for row in patient_rows]
-    return GenerationResult(patient_rows, _table(pid_values, rx, drugs),
-                            _table(pid_values, events, list(event_index)),
-                            injected)
+    return GenerationResult(
+        patient_rows,
+        _table(pid_values, *np.array(rx, dtype=np.int64).reshape(-1, 3).T,
+               drugs),
+        _table(pid_values, ev_pid, ev_code, ev_day, list(event_index)),
+        injected)
 
 
 def build_database(config: SynthConfig) -> tuple[Database, GenerationResult]:
@@ -476,21 +500,24 @@ def _write_records(path, header, table) -> None:
     Rows are those csv.writer writes for the sorted (patient_id, code,
     day) tuples, duplicates included: ids and codes sort by the rank of
     their strings, and each distinct id, code and day is formatted once.
+    The rows are formatted and written _WRITE_ROWS at a time.
     """
     pid_values, pid, code_values, code, day = table
-    order = np.lexsort((day, _ranks(code_values)[code],
-                        _ranks(pid_values)[pid]))
-    days, day_index = np.unique(day[order], return_inverse=True)
+    order = record_order(_ranks(pid_values)[pid],
+                         _ranks(code_values)[code], day)
+    days, day_index = _intern(day)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         dates = np.array([from_ordinal(d).isoformat()
                           + writer.dialect.lineterminator
                           for d in days.tolist()], dtype=object)
-        columns = (_csv_fields(pid_values)[pid[order]],
-                   _csv_fields(code_values)[code[order]], dates[day_index])
-        fh.write("".join(itertools.chain.from_iterable(
-            zip(*(column.tolist() for column in columns)))))
+        fields = ((_csv_fields(pid_values), pid),
+                  (_csv_fields(code_values), code), (dates, day_index))
+        for start in range(0, len(order), _WRITE_ROWS):
+            rows = order[start:start + _WRITE_ROWS]
+            fh.write("".join(itertools.chain.from_iterable(zip(
+                *(text[index[rows]].tolist() for text, index in fields)))))
 
 
 def generate(config: SynthConfig, out_dir, cache: bool = True

@@ -21,7 +21,7 @@ from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_codes, cohort_summary, extract_exposures,
                           first_per_patient, from_ordinal, load_database,
-                          window_pairs)
+                          record_order, window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import build_database, generate
 
@@ -501,6 +501,78 @@ class TestBenchmarkProbe:
         # every (run, drug, algorithm) unit of every workload
         assert checked == sum(2 * len(wl.runs) * len(wl.algorithms)
                               for wl in workloads.values())
+
+
+@st.composite
+def record_columns(draw):
+    """One to three int64 columns, each constant, narrow or as wide as
+    int64 allows, whose rows are drawn from a few distinct ones so that
+    they repeat exactly."""
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        spread = draw(st.sampled_from(
+            [0, 1, 7, 10 ** 7, 2 ** 40, 2 ** 62, 2 ** 64 - 1]))
+        low = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - spread))
+        values.append(st.integers(low, low + spread))
+    distinct = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    return [np.array([row[k] for row in rows], dtype=np.int64)
+            for k in range(len(values))]
+
+
+def assert_rows_in_lexsort_order(columns):
+    rows = np.stack(columns)
+    np.testing.assert_array_equal(rows[:, record_order(*columns)],
+                                  rows[:, np.lexsort(columns[::-1])])
+
+
+class TestRecordOrder:
+    """record_order orders rows as np.lexsort does, whether it packs the
+    columns into one key or sorts them one by one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_columns())
+    def test_rows_in_lexsort_order(self, columns):
+        assert_rows_in_lexsort_order(columns)
+
+    @pytest.mark.parametrize("columns", [
+        pytest.param([[], [], []], id="empty"),
+        pytest.param([[5] * 4, [-3] * 4, [0] * 4], id="constant"),
+        pytest.param([[2, 1, 2, 1, 2], [0, 9, 0, 9, 0], [4, 4, 4, 4, 4]],
+                     id="duplicate-rows"),
+        pytest.param([[-5, 3, -5, 0], [-(2 ** 63), 7, 2, -1]],
+                     id="negative"),
+        # one range of 2**63 - 1 is the widest that is packed
+        pytest.param([[-(2 ** 62), 2 ** 62 - 2, 0, 5]], id="widest-packed"),
+        # ranges of 2**32 and 2**31 multiply to exactly 2**63
+        pytest.param([[0, 2 ** 32 - 1, 7, 0], [2 ** 31 - 1, 0, 3, 1]],
+                     id="product-2**63"),
+        pytest.param([[2 ** 63 - 1, -(2 ** 63), 0], [1, 0, 1]],
+                     id="full-int64-range"),
+        # packed without taking off the lows, the second row's key would
+        # pass 2**63 and wrap below the first's
+        pytest.param([[2, 1, 2, 1], [2 ** 62 - 2, 0, 0, 2 ** 62 - 2]],
+                     id="lows-taken-off"),
+    ])
+    def test_named_cases(self, columns):
+        columns = [np.array(c, dtype=np.int64) for c in columns]
+        assert_rows_in_lexsort_order(columns)
+
+    @pytest.mark.parametrize("columns, packed", [
+        ([[-(2 ** 62), 2 ** 62 - 2]], True),   # a range of 2**63 - 1
+        ([[0, 2 ** 32 - 1], [2 ** 31 - 1, 0]], False),   # 2**32 * 2**31
+    ])
+    def test_range_product_chooses_the_sort(self, monkeypatch, columns,
+                                            packed):
+        kinds = []
+        argsort = np.argsort
+
+        def spy(a, kind=None):
+            kinds.append(kind)
+            return argsort(a, kind=kind)
+        monkeypatch.setattr(np, "argsort", spy)
+        record_order(*(np.array(c, dtype=np.int64) for c in columns))
+        assert kinds == ([None] if packed else ["stable"] * len(columns))
 
 
 class TestFromColumns:

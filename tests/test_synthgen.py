@@ -4,12 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from lodsig import synthgen
 from lodsig.store import load_database
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, _pcg64_states, build_database,
                              generate, generate_tables, realized_truth)
 
 from conftest import table_rows
+from oracles import brute_write_tables
 
 
 def small_config(seed=0, injections=(), n_patients=300):
@@ -198,3 +200,19 @@ class TestGenerateFiles:
         p2 = generate(config, tmp_path / "b")
         for key in p1:
             assert p1[key].read_bytes() == p2[key].read_bytes()
+
+    def test_chunked_write_matches_per_row_writer(self, tmp_path,
+                                                  monkeypatch):
+        # a chunk of 7 rows puts many chunk ends inside each record file
+        monkeypatch.setattr(synthgen, "_WRITE_ROWS", 7)
+        config = small_config(seed=11, n_patients=40)
+        result = generate_tables(config)
+        assert min(len(result.rx[1]), len(result.ev[1])) > 2 * 7
+        want = tmp_path / "want"
+        want.mkdir()
+        brute_write_tables(result.patient_rows, table_rows(result.rx),
+                           table_rows(result.ev), want)
+        paths = generate(config, tmp_path / "got", cache=False)
+        for name in ("patients", "prescriptions", "events"):
+            assert paths[name].read_bytes() == \
+                (want / paths[name].name).read_bytes(), name
