@@ -12,13 +12,12 @@ from .evaluation import (AdrDictionary, AdrEntry, EvalReport,
                          compare_algorithms, evaluate, map_score,
                          precision_k, truth_vector)
 from .ranking import RankedEntry, RankedSignalList
-from .srs import ContingencyTable, build_srs_counts, ror, ror05
+from .srs import ror, ror05
 from .store import (Database, Gender, StudyConfig, cohort_summary,
                     load_database)
 from .synthgen import DrugModel, Injection, SynthConfig, build_database, \
     generate, realized_truth
-from .temporal_ic import (IcResult, Period, PeriodCounts, expected_count, ic,
-                          ic_credibility_bounds, ic_delta_from)
+from .temporal_ic import Period, ic, ic_credibility_bounds, ic_delta_from
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

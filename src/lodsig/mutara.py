@@ -15,28 +15,12 @@ are reproducible and independent of iteration order or thread count.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ranking import RankedSignalList, build_ranked_list, rank_events
 from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_codes,
                     first_per_patient, window_pairs)
-
-
-@dataclass(frozen=True)
-class SupportCounts:
-    supp_x: int                 # patients holding a qualifying first episode
-    supp_seq_unexpected: int    # event in follow-up, none in pre-window
-    supp_seq: int               # event in follow-up, no filter
-    supp_bg_unexpected: int     # background supports (never-exposed patients)
-    supp_bg: int
-    population: int
-
-    def __post_init__(self):
-        if not (self.supp_seq_unexpected <= self.supp_seq <= self.supp_x
-                <= self.population):
-            raise ValueError(f"inconsistent support counts: {self}")
 
 
 def _digest(seed: int, patient_id: str) -> int:
@@ -90,15 +74,26 @@ def _window_supports(db: Database, pts, start, T: int, pre: int):
 
 def _support_vectors(db: Database, episodes, config: StudyConfig,
                      seed: int):
-    """SupportCounts fields for every code, with at most 4 kernel calls.
+    """The supports of every code, with at most 4 kernel calls.
 
     Only each patient's first episode counts.  Returns (supp_x,
     supp_seq_unexpected, supp_seq, supp_bg_unexpected, supp_bg,
-    population); the four supports are indexed by event code.
+    population): the patients holding a qualifying first episode; those
+    with the event in follow-up and none in the pre-window, and those
+    with it in follow-up at all; the same two supports of the
+    never-exposed patients' background windows; and every patient.  The
+    four supports are indexed by event code.
     """
     T, pre = config.T, config.pre_window
     x_pts, x_idx = first_per_patient(*episodes)
     seq, seq_unexpected = _window_supports(db, x_pts, x_idx, T, pre)
+    supp_x, population = len(x_pts), db.n_patients
+    bad = (seq_unexpected > seq) | (seq > supp_x) | (supp_x > population)
+    if bad.any():
+        raise ValueError(
+            "inconsistent support counts of event codes "
+            f"{[db.event_codes[c] for c in np.flatnonzero(bad).tolist()]}: "
+            "supp_seq_unexpected <= supp_seq <= supp_x <= population fails")
 
     # never-exposed patients with a drawn window
     background_starts = _background_starts(db, seed, T)
@@ -106,57 +101,51 @@ def _support_vectors(db: Database, episodes, config: StudyConfig,
                           db.prescriptions_of_drug(config.drug_code)[0])
     bg, bg_unexpected = _window_supports(db, bg_pts,
                                          background_starts[bg_pts], T, pre)
-    return (len(x_pts), seq_unexpected, seq, bg_unexpected, bg,
-            db.n_patients)
+    return supp_x, seq_unexpected, seq, bg_unexpected, bg, population
 
 
-def _support_counts_at(vectors, ci: int | None) -> SupportCounts:
-    """One event code's SupportCounts; ci None is a code absent from the db."""
-    supp_x, *supports, population = vectors
-    return SupportCounts(supp_x, *(0 if ci is None else int(v[ci])
-                                   for v in supports), population)
+def leverages(supp_x, supp_seq_unexpected, supp_seq, supp_bg_unexpected,
+              supp_bg, population):
+    """(unexpected leverage, leverage) of every code of the
+    `_support_vectors` output.
+
+    Each is the sequence support less the support expected under
+    independence, supp_x * (background + sequence support) / population.
+    """
+    def leverage(seq, bg):
+        return seq - supp_x * (bg + seq) / population
+    return (leverage(supp_seq_unexpected, supp_bg_unexpected),
+            leverage(supp_seq, supp_bg))
 
 
-def unexlev_from_counts(c: SupportCounts) -> float:
-    observed = c.supp_seq_unexpected
-    background = c.supp_bg_unexpected + c.supp_seq_unexpected
-    return observed - c.supp_x * background / c.population
-
-
-def leverage_from_counts(c: SupportCounts) -> float:
-    observed = c.supp_seq
-    background = c.supp_bg + c.supp_seq
-    return observed - c.supp_x * background / c.population
-
-
-def candidate_supports(db: Database,
-                       config: StudyConfig) -> dict[str, SupportCounts]:
-    """SupportCounts of every candidate: the pass MUTARA and HUNT rank."""
+def candidate_supports(db: Database, config: StudyConfig):
+    """(candidate codes, their unexpected leverages, their leverages): the
+    pass MUTARA and HUNT rank."""
     episodes = db.episodes(config.drug_code)
     # candidate set is shared across algorithms, so derive it from every
     # episode even though scoring uses only the first episode per patient
     cands = candidate_codes(db, episodes, config.T,
                             config.excluded_event_codes, config.include_day0)
     vectors = _support_vectors(db, episodes, config, config.rng_seed)
-    return {code: _support_counts_at(vectors, db.event_index(code))
-            for code in cands}
+    return ([db.event_codes[c] for c in cands.tolist()],
+            *(scores[cands].tolist() for scores in leverages(*vectors)))
 
 
-def mutara_view(supports: dict[str, SupportCounts],
-                config: StudyConfig) -> RankedSignalList:
+def mutara_view(supports, config: StudyConfig) -> RankedSignalList:
     """Candidates in descending unexpected-leverage order."""
-    scores = {code: unexlev_from_counts(c) for code, c in supports.items()}
-    return build_ranked_list("mutara", config.drug_code, scores,
+    codes, unexpected, _ = supports
+    return build_ranked_list("mutara", config.drug_code,
+                             dict(zip(codes, unexpected)),
                              seed=config.rng_seed)
 
 
-def hunt_view(supports: dict[str, SupportCounts],
-              config: StudyConfig) -> RankedSignalList:
+def hunt_view(supports, config: StudyConfig) -> RankedSignalList:
     """Candidates in descending leverage rank / unexpected-leverage rank."""
-    unex = {code: unexlev_from_counts(c) for code, c in supports.items()}
-    lev = {code: leverage_from_counts(c) for code, c in supports.items()}
-    rank_unex = rank_events(unex, "hunt", config.drug_code)
-    rank_lev = rank_events(lev, "hunt", config.drug_code)
-    rr = {code: rank_lev[code] / rank_unex[code] for code in supports}
+    codes, unexpected, leverage = supports
+    rank_unex = rank_events(dict(zip(codes, unexpected)), "hunt",
+                            config.drug_code)
+    rank_lev = rank_events(dict(zip(codes, leverage)), "hunt",
+                           config.drug_code)
+    rr = {code: rank_lev[code] / rank_unex[code] for code in codes}
     return build_ranked_list("hunt", config.drug_code, rr,
                              seed=config.rng_seed)

@@ -732,8 +732,9 @@ def window_pairs(db: Database, pts, lo_day, hi_day):
 
 def candidate_codes(db: Database, episodes, T: int,
                     excluded: frozenset[str] = frozenset(),
-                    include_day0: bool = False) -> list[str]:
-    """Sorted codes of the events in the risk window of >=1 episode.
+                    include_day0: bool = False) -> np.ndarray:
+    """Ascending indices of the codes of the events in the risk window of
+    >=1 episode, less the excluded codes.
 
     The default window is (index_date, index_date + T]; include_day0
     pulls the prescription day itself into the window.
@@ -742,20 +743,22 @@ def candidate_codes(db: Database, episodes, T: int,
     _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
                            idx + T)
     # a bincount, not np.unique: numpy's unique imports numpy.ma
-    present = np.flatnonzero(np.bincount(code, minlength=len(db.event_codes)))
-    codes = (db.event_codes[c] for c in present.tolist())
-    return [c for c in codes if c not in excluded]
+    present = np.bincount(code, minlength=len(db.event_codes)) > 0
+    dropped = [i for i in map(db.event_index, excluded) if i is not None]
+    present[dropped] = False
+    return np.flatnonzero(present)
 
 
 def candidate_events(db: Database, exposures, T: int,
                      excluded: frozenset[str] = frozenset(),
                      include_day0: bool = False) -> set[str]:
-    """`candidate_codes` of an `extract_exposures` list, as a set (for
-    the perfbench probe, like `extract_exposures`)."""
+    """`candidate_codes` of an `extract_exposures` list, as a set of codes
+    (for the perfbench probe, like `extract_exposures`)."""
     pts = np.array([db.patient_index(e.patient_id) for e in exposures],
                    dtype=np.int64)
     idx = np.array([e.index_date for e in exposures], dtype=np.int64)
-    return set(candidate_codes(db, (pts, idx), T, excluded, include_day0))
+    return {db.event_codes[c] for c in candidate_codes(
+        db, (pts, idx), T, excluded, include_day0).tolist()}
 
 
 def cohort_summary(db: Database, drug_code: str) -> dict:

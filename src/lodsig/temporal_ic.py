@@ -11,7 +11,6 @@ those more elevated on the prescription day itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,35 +27,14 @@ class Period(Enum):
     DAY_OF_PRESCRIPTION = "day_of_prescription"
 
 
-@dataclass(frozen=True)
-class PeriodCounts:
-    n_xy: int       # patients with study drug then event in the period
-    n_x_dot: int    # patients with study drug and full coverage of the period
-    n_dot_y: int    # patients with any first drug and event in the period
-    n_dot_dot: int  # patients with any first drug and coverage of the period
-    period_label: Period
+def _expected(n_x_dot: int, n_dot_y, n_dot_dot: int):
+    """Expected patients with drug-then-event under independence, of the
+    codes of n_dot_y.
 
-    def __post_init__(self):
-        if not (self.n_xy <= min(self.n_x_dot, self.n_dot_y)
-                and max(self.n_x_dot, self.n_dot_y) <= self.n_dot_dot):
-            raise ValueError(f"inconsistent period counts: {self}")
-
-
-@dataclass(frozen=True)
-class IcResult:
-    event_code: str
-    ic_u: float
-    ic_v: float
-    ic_delta: float
-    ic_prior: float = math.nan
-    ic_day0: float = math.nan
-
-
-def expected_count(counts: PeriodCounts) -> float:
-    """Expected patients with drug-then-event under independence."""
-    if counts.n_dot_dot == 0:
-        raise ValueError("empty study population (n_dot_dot = 0)")
-    return counts.n_x_dot * counts.n_dot_y / counts.n_dot_dot
+    A period no episode covers (often the control period of short
+    histories) has n_x_dot = n_dot_y = 0 and expects nothing.
+    """
+    return n_x_dot * n_dot_y / max(n_dot_dot, 1)
 
 
 def ic(n_xy: float, expected: float) -> float:
@@ -134,64 +112,63 @@ def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
                     config: StudyConfig):
     """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one period for every code.
 
-    n_xy and n_dot_y are indexed by event code.  Two kernel calls: one
-    over the study-drug episodes, one over the all-drug episodes.
+    n_xy counts the patients with the study drug then the event in the
+    period, n_x_dot those with the study drug and full coverage of the
+    period; n_dot_y and n_dot_dot count the same over every drug's
+    episodes.  n_xy and n_dot_y are indexed by event code.  Two kernel
+    calls: one over the study-drug episodes, one over the all-drug
+    episodes.
     """
-    return (*_patients_with_event(db, x_episodes, period, config),
-            *_patients_with_event(db, any_episodes, period, config))
-
-
-def _period_counts_at(vectors, ci: int | None, period: Period) -> PeriodCounts:
-    """One event code's PeriodCounts; ci None is a code absent from the db."""
-    n_xy, n_x_dot, n_dot_y, n_dot_dot = vectors
-    if ci is None:
-        return PeriodCounts(0, n_x_dot, 0, n_dot_dot, period)
-    return PeriodCounts(int(n_xy[ci]), n_x_dot, int(n_dot_y[ci]), n_dot_dot,
-                        period)
+    n_xy, n_x_dot = _patients_with_event(db, x_episodes, period, config)
+    n_dot_y, n_dot_dot = _patients_with_event(db, any_episodes, period,
+                                              config)
+    bad = (n_xy > np.minimum(n_x_dot, n_dot_y)) | \
+        (np.maximum(n_x_dot, n_dot_y) > n_dot_dot)
+    if bad.any():
+        raise ValueError(
+            f"inconsistent {period.value} period counts of event codes "
+            f"{[db.event_codes[c] for c in np.flatnonzero(bad).tolist()]}: "
+            "n_xy must be at most n_x_dot and n_dot_y, and both at most "
+            "n_dot_dot")
+    return n_xy, n_x_dot, n_dot_y, n_dot_dot
 
 
 # -- scoring and ranking --------------------------------------------------
 
-def oe_scores(db: Database, config: StudyConfig) -> dict[str, IcResult]:
-    """Per-candidate IC scores of every period: the pass both variants rank."""
+def oe_scores(db: Database, config: StudyConfig):
+    """(candidate codes, {period: their ICs}, their IC deltas): the pass
+    both variants rank."""
     x_episodes = db.episodes(config.drug_code)
     cands = candidate_codes(db, x_episodes, config.T,
                             config.excluded_event_codes, config.include_day0)
-    vectors = {p: _period_vectors(db, x_episodes, db.episodes(), p, config)
-               for p in Period}
-
-    results = {}
-    for code in cands:
-        ci = db.event_index(code)
-        # a period no episode covers (often the control period of short
-        # histories) expects nothing: its IC is 0, and IC delta falls back
-        # to the follow-up IC through the shrunk control ratio
-        n, e = {}, {}
-        for period, vector in vectors.items():
-            counts = _period_counts_at(vector, ci, period)
-            n[period] = counts.n_xy
-            e[period] = expected_count(counts) if counts.n_dot_dot else 0.0
-        ics = {period: ic(n[period], e[period]) for period in Period}
-        u, v = Period.FOLLOWUP_U, Period.CONTROL_V
-        results[code] = IcResult(code, ics[u], ics[v],
-                                 ic_delta_from(n[u], e[u], n[v], e[v]),
-                                 ics[Period.MONTH_PRIOR],
-                                 ics[Period.DAY_OF_PRESCRIPTION])
-    return results
+    n, e = {}, {}
+    for period in Period:
+        n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
+            db, x_episodes, db.episodes(), period, config)
+        n[period] = n_xy[cands].tolist()
+        # a period that expects nothing has an IC of 0, and IC delta falls
+        # back to the follow-up IC through the shrunk control ratio
+        e[period] = _expected(n_x_dot, n_dot_y[cands], n_dot_dot).tolist()
+    u, v = Period.FOLLOWUP_U, Period.CONTROL_V
+    return ([db.event_codes[c] for c in cands.tolist()],
+            {period: list(map(ic, n[period], e[period])) for period in Period},
+            list(map(ic_delta_from, n[u], e[u], n[v], e[v])))
 
 
-def oe_view(results: dict[str, IcResult], config: StudyConfig,
-            variant: int = 1) -> RankedSignalList:
+def oe_view(scores, config: StudyConfig, variant: int = 1) -> RankedSignalList:
     """Candidates the variant's filter keeps, in descending IC delta order."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    scores, filtered = {}, {}
-    for code, r in results.items():
-        if r.ic_prior > r.ic_u:
+    codes, ics, deltas = scores
+    kept, filtered = {}, {}
+    for code, ic_u, ic_prior, ic_day0, delta in zip(
+            codes, ics[Period.FOLLOWUP_U], ics[Period.MONTH_PRIOR],
+            ics[Period.DAY_OF_PRESCRIPTION], deltas):
+        if ic_prior > ic_u:
             filtered[code] = "prior_month"
-        elif variant == 2 and r.ic_day0 > r.ic_u:
+        elif variant == 2 and ic_day0 > ic_u:
             filtered[code] = "day_of_prescription"
         else:
-            scores[code] = r.ic_delta
-    return build_ranked_list(f"oe{variant}", config.drug_code, scores,
+            kept[code] = delta
+    return build_ranked_list(f"oe{variant}", config.drug_code, kept,
                              filtered=filtered)

@@ -60,6 +60,17 @@ def random_small_db(rng: np.random.Generator, n_patients=10,
     return make_db(patients, rx=rx, events=events)
 
 
+def counts_of(db, vectors, event_code):
+    """One code's entry of each count in a pass's vectors, as ints.
+
+    Arrays are indexed by event code, and a code absent from the
+    database has 0 in each; scalars (populations) are every code's.
+    """
+    ci = db.event_index(event_code)
+    return tuple(int(v) if np.ndim(v) == 0 else 0 if ci is None
+                 else int(v[ci]) for v in vectors)
+
+
 @pytest.fixture(autouse=True, scope="session")
 def private_load_cache(tmp_path_factory):
     """The tests load through a load cache of their own, never the

@@ -403,6 +403,16 @@ def brute_srs_counts(db, drug_code, T=30):
     return tables
 
 
+def brute_srs_cells(db, drug_code, T=30):
+    """brute_srs_counts of every event code of the database: a code with
+    no pair has w00 = w10 = 0, and w01 and w11 are then the totals."""
+    tables = brute_srs_counts(db, drug_code, T)
+    total_x = sum(cells[0] for cells in tables.values())
+    total_other = sum(cells[2] for cells in tables.values())
+    return {code: tables.get(code, (0, total_x, 0, total_other))
+            for code in db.event_codes}
+
+
 def _window(period, idx, config):
     if period is Period.FOLLOWUP_U:
         return idx + 1, idx + config.T

@@ -15,19 +15,19 @@ import pytest
 from lodsig.cli import ALGORITHM_IDS, demo_synth_config, score_drug
 from lodsig.evaluation import evaluate, map_score, precision_k, \
     signed_rank_one_sided
-from lodsig.mutara import _support_counts_at, _support_vectors
-from lodsig.srs import build_srs_counts
+from lodsig.mutara import _support_vectors
+from lodsig.srs import srs_cells
 from lodsig.store import StudyConfig
 from lodsig.synthgen import DrugModel, Injection, SynthConfig, \
     build_database, realized_truth
-from lodsig.temporal_ic import Period, _period_counts_at, _period_vectors, \
-    gamma_quantile, ic, ic_delta_from
+from lodsig.temporal_ic import Period, _period_vectors, gamma_quantile, ic, \
+    ic_delta_from
 from lodsig import cli
 
-from conftest import random_small_db
+from conftest import counts_of, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_first_exposure_per_patient, brute_period_counts,
-                     brute_srs_counts, brute_support_counts, gammainc_oracle)
+                     brute_srs_cells, brute_support_counts, gammainc_oracle)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -46,8 +46,9 @@ def test_criterion_1_worked_map_example():
 
 def test_criterion_2_oracle_equivalence():
     # the counts come from the passes score_drug runs: the episode arrays
-    # of Database.episodes through _period_vectors and _support_vectors;
-    # the oracles get their episodes from the per-patient brute_exposures
+    # of Database.episodes through srs_cells, _period_vectors and
+    # _support_vectors; the oracles get their episodes from the
+    # per-patient brute_exposures
     rng = np.random.default_rng(2024)
     base = StudyConfig(drug_code="X", pre_window=60, rng_seed=5)
     mismatches = 0
@@ -56,12 +57,10 @@ def test_criterion_2_oracle_equivalence():
         config = dataclasses.replace(base, rng_seed=trial)
         codes = (*db.event_codes, "absent")
 
-        got = build_srs_counts(db, "X")
-        want = brute_srs_counts(db, "X")
-        if set(got) != set(want) or any(
-                (t.w00, t.w01, t.w10, t.w11) != want[c]
-                for c, t in got.items()):
-            mismatches += 1
+        cells = srs_cells(db, "X")
+        want = brute_srs_cells(db, "X")
+        mismatches += sum(counts_of(db, cells, code) != want[code]
+                          for code in db.event_codes)
 
         pairs = brute_exposures(db, config)
         any_pairs = brute_all_drug_exposures(db, config)
@@ -69,21 +68,16 @@ def test_criterion_2_oracle_equivalence():
             vectors = _period_vectors(db, db.episodes("X"), db.episodes(),
                                       period, config)
             for code in codes:
-                pc = _period_counts_at(vectors, db.event_index(code), period)
-                if (pc.n_xy, pc.n_x_dot, pc.n_dot_y, pc.n_dot_dot) != \
-                        brute_period_counts(db, pairs, code, period, config,
-                                            any_pairs):
+                if counts_of(db, vectors, code) != brute_period_counts(
+                        db, pairs, code, period, config, any_pairs):
                     mismatches += 1
 
         first_pairs = brute_first_exposure_per_patient(pairs)
         vectors = _support_vectors(db, db.episodes("X"), config,
                                    config.rng_seed)
         for code in codes:
-            c = _support_counts_at(vectors, db.event_index(code))
-            got_tuple = (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
-                         c.supp_bg_unexpected, c.supp_bg, c.population)
-            if got_tuple != brute_support_counts(db, first_pairs, code,
-                                                 config, trial):
+            if counts_of(db, vectors, code) != brute_support_counts(
+                    db, first_pairs, code, config, trial):
                 mismatches += 1
 
     ok = mismatches == 0

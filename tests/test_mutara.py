@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import mutara
-from lodsig.mutara import (SupportCounts, candidate_supports, hunt_view,
-                           leverage_from_counts, mutara_view,
-                           unexlev_from_counts)
+from lodsig.mutara import (candidate_supports, hunt_view, leverages,
+                           mutara_view)
 from lodsig.store import StudyConfig
 
-from conftest import day, make_db, random_small_db
+from conftest import counts_of, day, make_db, random_small_db
 from oracles import (brute_background_start, brute_exposures,
                      brute_first_exposure_per_patient, brute_support_counts)
 
@@ -64,11 +63,31 @@ class TestBackgroundWindow:
             assert starts[i] == (-1 if want is None else want), pid
 
 
+def support_counts(db, event_code, config):
+    """(supp_x, supp_seq_unexpected, supp_seq, supp_bg_unexpected,
+    supp_bg, population) of one code, by the pass candidate_supports
+    runs."""
+    vectors = mutara._support_vectors(db, db.episodes(config.drug_code),
+                                      config, config.rng_seed)
+    return counts_of(db, vectors, event_code)
+
+
 class TestSupportCounts:
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SupportCounts(5, 4, 3, 0, 0, 100)  # unexpected > seq
+    def test_invariant_enforced(self, monkeypatch):
+        db = make_db([("p0", -900, 1000), ("p1", -900, 1000)],
+                     rx=[("p0", "X", 0)], events=[("p0", "A", 5)])
+        config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
+        # (supp_seq, supp_seq_unexpected) of the one code A; one patient
+        # holds an X episode
+        for seq, seq_unexpected in (([1], [2]),    # unexpected > seq
+                                    ([2], [0])):   # seq > supp_x
+            monkeypatch.setattr(
+                mutara, "_window_supports",
+                lambda *args: (np.array(seq), np.array(seq_unexpected)))
+            with pytest.raises(ValueError, match=r"inconsistent support "
+                               r"counts of event codes \['A'\]"):
+                mutara._support_vectors(db, db.episodes("X"), config, 11)
 
     def _db(self):
         # p0: X then A on day 5 (clean sequence)
@@ -84,22 +103,23 @@ class TestSupportCounts:
     def test_predictable_filter_splits_supports(self):
         db = self._db()
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        c = candidate_supports(db, config)["A"]
-        assert (c.supp_x, c.supp_seq, c.supp_seq_unexpected) == (3, 2, 1)
+        supp_x, unexpected, seq, *_ = support_counts(db, "A", config)
+        assert (supp_x, seq, unexpected) == (3, 2, 1)
 
     def test_zero_pre_window_disables_filter(self):
         db = self._db()
         config = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        c = candidate_supports(db, config)["A"]
-        assert c.supp_seq_unexpected == c.supp_seq == 2
-        assert c.supp_bg_unexpected == c.supp_bg
+        _, unexpected, seq, bg_unexpected, bg, _ = support_counts(db, "A",
+                                                                  config)
+        assert unexpected == seq == 2
+        assert bg_unexpected == bg
 
     def test_day_of_prescription_counts_as_predictable(self):
         db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
                      events=[("p0", "A", 0), ("p0", "A", 5)])
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        c = candidate_supports(db, config)["A"]
-        assert (c.supp_seq, c.supp_seq_unexpected) == (1, 0)
+        _, unexpected, seq, *_ = support_counts(db, "A", config)
+        assert (seq, unexpected) == (1, 0)
 
     def test_first_episode_per_patient_only(self):
         db = make_db([("p0", -900, 2000)],
@@ -107,9 +127,9 @@ class TestSupportCounts:
                      events=[("p0", "A", 505)])
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
         assert len(db.episodes("X")[0]) == 2
-        c = candidate_supports(db, config)["A"]
+        supp_x, _, seq, *_ = support_counts(db, "A", config)
         # only the day-0 episode is scored, and A does not follow it
-        assert (c.supp_x, c.supp_seq) == (1, 0)
+        assert (supp_x, seq) == (1, 0)
 
     def test_matches_oracle_on_random_dbs(self):
         rng = np.random.default_rng(53)
@@ -123,33 +143,33 @@ class TestSupportCounts:
                 vectors = mutara._support_vectors(db, db.episodes("X"),
                                                   config, trial)
                 for code in (*db.event_codes, "absent"):
-                    c = mutara._support_counts_at(vectors,
-                                                  db.event_index(code))
                     want = brute_support_counts(db, pairs, code, config,
                                                 trial)
-                    got = (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
-                           c.supp_bg_unexpected, c.supp_bg, c.population)
-                    assert got == want
+                    assert counts_of(db, vectors, code) == want
 
 
 class TestScores:
 
     def test_unexlev_hand_evaluated(self):
-        c = SupportCounts(10, 4, 6, 16, 20, 100)
+        unexpected, leverage = leverages(10, *map(np.array, (
+            [4], [6], [16], [20])), 100)
         # 4 - 10 * (16 + 4) / 100
-        assert unexlev_from_counts(c) == pytest.approx(2.0)
-        assert leverage_from_counts(c) == pytest.approx(6 - 10 * 26 / 100)
+        assert unexpected.tolist() == pytest.approx([2.0])
+        assert leverage.tolist() == pytest.approx([6 - 10 * 26 / 100])
 
     def test_no_association_is_near_zero(self):
-        c = SupportCounts(10, 1, 1, 9, 9, 100)
-        assert unexlev_from_counts(c) == pytest.approx(0.0)
+        unexpected, _ = leverages(10, *map(np.array, ([1], [1], [9], [9])),
+                                  100)
+        assert unexpected.tolist() == pytest.approx([0.0])
 
     def test_unexlev_seed_changes_background(self):
         rng = np.random.default_rng(67)
         db = random_small_db(rng, n_patients=30)
-        values = {unexlev_from_counts(candidate_supports(db, StudyConfig(
-            drug_code="X", pre_window=60, rng_seed=s))["A"])
-            for s in range(10)}
+        values = set()
+        for s in range(10):
+            codes, unexpected, _ = candidate_supports(db, StudyConfig(
+                drug_code="X", pre_window=60, rng_seed=s))
+            values.add(unexpected[codes.index("A")])
         assert len(values) > 1
 
 

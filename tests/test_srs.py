@@ -5,63 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig.srs import (ContingencyTable, build_srs_counts, ror, ror05,
-                        ror_tables, ror_view)
+from lodsig.srs import ror, ror05, ror_tables, ror_view, srs_cells
 from lodsig.store import Gender, StudyConfig
 
-from conftest import db_from_rows, make_db, random_small_db
-from oracles import brute_srs_counts
+from conftest import counts_of, db_from_rows, make_db, random_small_db
+from oracles import brute_srs_cells, brute_srs_counts
+
+
+def cells_by_code(db, drug_code, T=30):
+    """srs_cells of every event code, as {code: (w00, w01, w10, w11)}."""
+    cells = srs_cells(db, drug_code, T)
+    return {code: counts_of(db, cells, code) for code in db.event_codes}
 
 
 class TestRor:
 
     def test_symmetric_table_is_one(self):
-        assert ror(ContingencyTable(25, 25, 25, 25)) == pytest.approx(1.0)
+        assert ror((25, 25, 25, 25)) == pytest.approx(1.0)
 
     def test_hand_evaluated_table(self):
-        assert ror(ContingencyTable(10, 90, 100, 9900)) == pytest.approx(11.0)
+        assert ror((10, 90, 100, 9900)) == pytest.approx(11.0)
 
     def test_zero_cell_with_correction(self):
-        t = ContingencyTable(0, 10, 10, 100)
+        t = (0, 10, 10, 100)
         assert ror(t) == pytest.approx((0.5 / 10.5) / (10.5 / 100.5))
 
     def test_zero_cell_without_correction_is_undefined(self):
-        assert ror(ContingencyTable(0, 10, 10, 100), correct=False) is None
-        assert ror05(ContingencyTable(0, 10, 10, 100), correct=False) is None
+        assert ror((0, 10, 10, 100), correct=False) is None
+        assert ror05((0, 10, 10, 100), correct=False) is None
 
     def test_negative_cell_rejected(self):
-        with pytest.raises(ValueError):
-            ContingencyTable(-1, 0, 0, 0)
+        # corrected to (-0.5, 0.5, 0.5, 0.5), the cells would read as an
+        # ROR of -1
+        with pytest.raises(ValueError, match="must be non-negative"):
+            ror((-1, 0, 0, 0))
 
 
 class TestRor05:
 
     def test_symmetric_value(self):
         expected = math.exp(-1.645 * math.sqrt(4 / 25))
-        assert ror05(ContingencyTable(25, 25, 25, 25)) == \
+        assert ror05((25, 25, 25, 25)) == \
             pytest.approx(expected, abs=1e-12)
 
     def test_limit_of_symmetry_approaches_one_from_below(self):
         previous = 0.0
         for n in (10, 1000, 100000):
-            value = ror05(ContingencyTable(n, n, n, n))
+            value = ror05((n, n, n, n))
             assert previous < value < 1.0
             previous = value
 
     @settings(max_examples=100, deadline=None)
     @given(st.tuples(*[st.integers(1, 500)] * 4))
     def test_always_below_ror(self, cells):
-        t = ContingencyTable(*cells)
-        assert ror05(t) < ror(t)
+        assert ror05(cells) < ror(cells)
 
     @settings(max_examples=50, deadline=None)
     @given(st.tuples(*[st.integers(1, 200)] * 4), st.integers(2, 6))
     def test_ror_scale_invariant_ror05_grows(self, cells, k):
-        t = ContingencyTable(*cells)
-        scaled = ContingencyTable(*(c * k for c in cells))
-        assert ror(scaled) == pytest.approx(ror(t))
+        scaled = tuple(c * k for c in cells)
+        assert ror(scaled) == pytest.approx(ror(cells))
         if len(set(cells)) == 1:  # symmetric case: penalty shrinks
-            assert ror05(scaled) > ror05(t)
+            assert ror05(scaled) > ror05(cells)
 
 
 class TestBuildSrsCounts:
@@ -69,39 +74,36 @@ class TestBuildSrsCounts:
     def test_single_prescription_single_event(self):
         db = make_db([("p1", -400, 900)], rx=[("p1", "X", 0)],
                      events=[("p1", "A", 5)])
-        tables = build_srs_counts(db, "X")
-        t = tables["A"]
-        assert (t.w00, t.w01, t.w10, t.w11) == (1, 0, 0, 0)
+        assert cells_by_code(db, "X")["A"] == (1, 0, 0, 0)
 
     def test_event_outside_window_not_counted(self):
         db = make_db([("p1", -400, 900)], rx=[("p1", "X", 0)],
                      events=[("p1", "A", 31)])
-        assert "A" not in build_srs_counts(db, "X", T=30)
+        assert cells_by_code(db, "X", T=30)["A"] == (0, 0, 0, 0)
 
     def test_matches_pair_enumeration_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(15):
             db = random_small_db(rng)
-            got = build_srs_counts(db, "X")
-            want = brute_srs_counts(db, "X")
-            assert set(got) == set(want)
-            for code, cells in want.items():
-                t = got[code]
-                assert (t.w00, t.w01, t.w10, t.w11) == cells
+            assert cells_by_code(db, "X") == brute_srs_cells(db, "X")
 
     def test_w00_sums_to_total_in_window_pairs(self):
         rng = np.random.default_rng(23)
         db = random_small_db(rng, n_patients=15)
-        tables = build_srs_counts(db, "X")
+        w00, _, w10, _ = srs_cells(db, "X")
         oracle = brute_srs_counts(db, "X")
         total_x = sum(cells[0] for cells in oracle.values())
         total_nonx = sum(cells[2] for cells in oracle.values())
-        assert sum(t.w00 for t in tables.values()) == total_x
-        assert sum(t.w10 for t in tables.values()) == total_nonx
+        assert w00.sum() == total_x
+        assert w10.sum() == total_nonx
 
-    def test_unknown_drug_gives_empty_map(self):
-        db = make_db([("p1", 0, 900)], events=[("p1", "A", 5)])
-        assert build_srs_counts(db, "nope") == {}
+    def test_unknown_drug_gives_zero_drug_cells(self):
+        db = make_db([("p1", 0, 900), ("p2", 0, 900)],
+                     rx=[("p1", "X", 0)],
+                     events=[("p1", "A", 5), ("p1", "C", 6)])
+        w00, w01, w10, w11 = srs_cells(db, "nope")
+        assert w00.tolist() == w01.tolist() == [0, 0]
+        assert w10.tolist() == [1, 1] and w11.tolist() == [1, 1]
 
     @pytest.mark.parametrize("T", [10 ** 7, 9223372036854775000,
                                    99999999999999999999])
@@ -110,9 +112,9 @@ class TestBuildSrsCounts:
         # an empty map
         db = make_db([("p1", 0, 900)], rx=[("p1", "X", 0)],
                      events=[("p1", "A", 5)])
-        assert set(build_srs_counts(db, "X", T=10 ** 7 - 1)) == {"A"}
+        assert cells_by_code(db, "X", T=10 ** 7 - 1) == {"A": (1, 0, 0, 0)}
         with pytest.raises(ValueError, match="T must be under 10000000 days"):
-            build_srs_counts(db, "X", T=T)
+            srs_cells(db, "X", T=T)
 
 
 def ror_ranking(db, config):

@@ -25,12 +25,12 @@ from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import build_database, generate
 
-from conftest import day, db_from_rows, make_db, random_small_db
+from conftest import counts_of, day, db_from_rows, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient,
                      brute_generate_tables, brute_load_database,
-                     brute_srs_counts, brute_support_counts,
+                     brute_srs_cells, brute_support_counts,
                      brute_window_pairs, patient_span)
 
 
@@ -892,16 +892,14 @@ class TestWindowPairs:
                 got = sorted(zip(row.tolist(),
                                  [db.event_codes[c] for c in code.tolist()]))
                 assert got == brute_window_pairs(db, pts, lo, hi)
-            tables = srs.build_srs_counts(db, "X", T)
-            assert {c: (t.w00, t.w01, t.w10, t.w11)
-                    for c, t in tables.items()} == brute_srs_counts(db, "X", T)
+            cells = srs.srs_cells(db, "X", T)
+            assert {c: counts_of(db, cells, c) for c in db.event_codes} == \
+                brute_srs_cells(db, "X", T)
             pairs = brute_first_exposure_per_patient(
                 brute_exposures(db, config))
             vectors = mutara._support_vectors(db, (pts, idx), config, trial)
             for code in ("A", "C", "D"):
-                c = mutara._support_counts_at(vectors, db.event_index(code))
-                assert (c.supp_x, c.supp_seq_unexpected, c.supp_seq,
-                        c.supp_bg_unexpected, c.supp_bg, c.population) == \
+                assert counts_of(db, vectors, code) == \
                     brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
@@ -982,6 +980,11 @@ class TestWindowPairs:
             assert pts is got[0][1]
 
 
+def candidate_names(db, episodes, T, **kwargs):
+    return [db.event_codes[c]
+            for c in candidate_codes(db, episodes, T, **kwargs).tolist()]
+
+
 class TestCandidateEvents:
 
     def _db(self):
@@ -991,18 +994,18 @@ class TestCandidateEvents:
 
     def test_window_cutoff(self):
         db = self._db()
-        assert candidate_codes(db, db.episodes("X"), 30) == ["A"]
+        assert candidate_names(db, db.episodes("X"), 30) == ["A"]
 
     def test_day0_convention(self):
         db = self._db()
         eps = db.episodes("X")
-        assert "Z" not in candidate_codes(db, eps, 30)
-        assert "Z" in candidate_codes(db, eps, 30, include_day0=True)
+        assert "Z" not in candidate_names(db, eps, 30)
+        assert "Z" in candidate_names(db, eps, 30, include_day0=True)
 
     def test_excluded_codes_removed(self):
         db = self._db()
-        assert candidate_codes(db, db.episodes("X"), 30,
-                               excluded=frozenset({"A"})) == []
+        assert candidate_names(db, db.episodes("X"), 30,
+                               excluded=frozenset({"A", "absent"})) == []
 
     def test_monotone_in_T(self):
         rng = np.random.default_rng(9)
@@ -1012,8 +1015,8 @@ class TestCandidateEvents:
             if not len(eps[0]):
                 continue
             for t_small, t_big in [(5, 30), (30, 90)]:
-                assert set(candidate_codes(db, eps, t_small)) <= \
-                    set(candidate_codes(db, eps, t_big))
+                assert set(candidate_codes(db, eps, t_small).tolist()) <= \
+                    set(candidate_codes(db, eps, t_big).tolist())
 
 
 class TestCohortSummary:

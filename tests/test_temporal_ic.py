@@ -6,46 +6,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig.temporal_ic import (Period, PeriodCounts, _period_counts_at,
-                                _period_vectors, expected_count,
+from lodsig import temporal_ic
+from lodsig.temporal_ic import (Period, _expected, _period_vectors,
                                 gamma_quantile, ic, ic_credibility_bounds,
                                 ic_delta_from, oe_scores, oe_view)
 
-from conftest import make_db, random_small_db
+from conftest import counts_of, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_period_counts, gammainc_oracle)
 
 
 def period_counts(db, event_code, period, config):
-    """PeriodCounts of one code, by the pass oe_scores runs."""
+    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one code, by the pass
+    oe_scores runs."""
     vectors = _period_vectors(db, db.episodes(config.drug_code),
                               db.episodes(), period, config)
-    return _period_counts_at(vectors, db.event_index(event_code), period)
+    return counts_of(db, vectors, event_code)
 
 
-def counts(n_xy, n_x_dot, n_dot_y, n_dot_dot,
-           period=Period.FOLLOWUP_U) -> PeriodCounts:
-    return PeriodCounts(n_xy, n_x_dot, n_dot_y, n_dot_dot, period)
+def oe_score_of(results, event_code):
+    """{period: IC} and IC delta of one candidate of oe_scores."""
+    codes, ics, deltas = results
+    i = codes.index(event_code)
+    return {period: values[i] for period, values in ics.items()}, deltas[i]
 
 
 class TestExpectedCount:
 
     def test_hand_evaluated(self):
-        assert expected_count(counts(5, 100, 50, 1000)) == pytest.approx(5.0)
+        assert _expected(100, np.array([50]), 1000).tolist() == \
+            pytest.approx([5.0])
 
     def test_zero_event_patients(self):
-        assert expected_count(counts(0, 100, 0, 1000)) == 0.0
+        assert _expected(100, np.array([0]), 1000).tolist() == [0.0]
 
     def test_whole_population_drug(self):
-        assert expected_count(counts(50, 1000, 50, 1000)) == pytest.approx(50)
+        assert _expected(1000, np.array([50]), 1000).tolist() == \
+            pytest.approx([50])
 
-    def test_empty_population_is_error(self):
-        with pytest.raises(ValueError):
-            expected_count(counts(0, 0, 0, 0))
+    def test_empty_population_expects_nothing(self):
+        assert _expected(0, np.array([0, 0]), 0).tolist() == [0.0, 0.0]
 
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(ValueError):
-            counts(5, 3, 10, 100)
+    def test_inconsistent_counts_rejected(self, simple_config,
+                                          monkeypatch):
+        db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
+                     events=[("p0", "A", 5)])
+        # (n_xy, n_x_dot) and (n_dot_y, n_dot_dot) of the one code A
+        for counts in ((([5], 3), ([10], 100)),     # n_xy > n_x_dot
+                       (([5], 10), ([3], 100)),     # n_xy > n_dot_y
+                       (([0], 10), ([200], 100)),   # n_dot_y > n_dot_dot
+                       (([0], 200), ([0], 100))):   # n_x_dot > n_dot_dot
+            given = iter([(np.array(v), n) for v, n in counts])
+            monkeypatch.setattr(temporal_ic, "_patients_with_event",
+                                lambda *args: next(given))
+            with pytest.raises(ValueError,
+                               match=r"inconsistent control_v period counts "
+                                     r"of event codes \['A'\]"):
+                _period_vectors(db, db.episodes("X"), db.episodes(),
+                                Period.CONTROL_V, simple_config)
 
 
 class TestIc:
@@ -152,21 +170,19 @@ class TestPeriodCounts:
             got = period_counts(db, "A", period, simple_config)
             want = brute_period_counts(db, exposures, "A", period,
                                        simple_config, any_exp)
-            assert (got.n_xy, got.n_x_dot, got.n_dot_y, got.n_dot_dot) == want
+            assert got == want
 
     def test_event_only_in_control_period(self, simple_config):
         db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
                      events=[("p0", "A", -700)])
-        got = period_counts(db, "A", Period.FOLLOWUP_U, simple_config)
-        assert got.n_xy == 0
-        got_v = period_counts(db, "A", Period.CONTROL_V, simple_config)
-        assert got_v.n_xy == 1
+        assert period_counts(db, "A", Period.FOLLOWUP_U, simple_config)[0] == 0
+        assert period_counts(db, "A", Period.CONTROL_V, simple_config)[0] == 1
 
     def test_patient_without_control_coverage_excluded(self, simple_config):
         # registered only 500 days before index: control window not covered
         db = make_db([("p0", -500, 1000)], rx=[("p0", "X", 0)])
         got = period_counts(db, "A", Period.CONTROL_V, simple_config)
-        assert got.n_x_dot == 0
+        assert got[1] == 0
 
     def test_matches_oracle_on_random_dbs(self, simple_config):
         rng = np.random.default_rng(41)
@@ -181,8 +197,7 @@ class TestPeriodCounts:
                         got = period_counts(db, code, period, config)
                         want = brute_period_counts(db, exposures, code,
                                                    period, config, any_exp)
-                        assert (got.n_xy, got.n_x_dot, got.n_dot_y,
-                                got.n_dot_dot) == want
+                        assert got == want
 
 
 class TestRankOe:
@@ -236,8 +251,9 @@ class TestRankOe:
         events = [("p0", "F", 5), ("p1", "F", 6), ("p3", "F", 7)]
         db = make_db(patients, rx=rx, events=events)
         results = oe_scores(db, simple_config)
-        assert results["F"].ic_v == 0.0
-        assert results["F"].ic_delta == results["F"].ic_u
+        ics, delta = oe_score_of(results, "F")
+        assert ics[Period.CONTROL_V] == 0.0
+        assert delta == ics[Period.FOLLOWUP_U]
         assert oe_view(results, simple_config, 1).event_codes() == ["F"]
 
     def test_scores_are_ic_delta(self, simple_config):
@@ -245,4 +261,4 @@ class TestRankOe:
         results = oe_scores(db, simple_config)
         ranked = oe_view(results, simple_config, 1)
         for entry in ranked.entries:
-            assert entry.score == results[entry.event_code].ic_delta
+            assert entry.score == oe_score_of(results, entry.event_code)[1]
