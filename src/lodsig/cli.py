@@ -25,17 +25,19 @@ from .evaluation import (SCORE_COLUMNS, AdrDictionary, SignificanceResult,
                          compare_algorithms, emit_report, evaluate,
                          ranked_csv_path, write_csv, write_ranked_csv)
 from .mutara import candidate_supports, hunt_view, mutara_view
-from .ranking import RankedSignalList
-from .srs import ror_tables, ror_view
-from .store import (Database, DataFormatError, StudyConfig, load_database,
-                    read_rows)
+from .ranking import RankedSignalList, build_ranked_list
+from .srs import ror_view, srs_cells
+from .store import (Database, DataFormatError, StudyConfig, _int,
+                    candidate_codes, load_database, read_rows)
 from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
 
-# algorithm id: (its StudyConfig defaults, its scoring pass, its view)
+# algorithm id: (its StudyConfig defaults, its pass: db and config to count
+# vectors over every event code, its view: the candidates' names and the
+# pass's values at them to ({code: score}, {filtered code: reason}))
 ALGORITHMS = {
-    "ror05": ({}, ror_tables, ror_view),
+    "ror05": ({}, srs_cells, ror_view),
     "oe1": ({}, oe_scores, functools.partial(oe_view, variant=1)),
     "oe2": ({}, oe_scores, functools.partial(oe_view, variant=2)),
     "mutara60": ({"pre_window": 60}, candidate_supports, mutara_view),
@@ -63,21 +65,53 @@ def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
                overrides: dict | None = None) -> list[RankedSignalList]:
     """One ranked list per algorithm id, in the order given.
 
-    Ids with equal configurations share one scoring pass: oe1 and oe2
-    differ only in their filter, mutaraN and huntN only in how they rank
-    the same supports.
+    Ids with equal configurations share one scoring pass (oe1 and oe2
+    differ only in their view, as do mutaraN and huntN), and ids with
+    equal windows one candidate set, drawn from every episode of the
+    drug although MUTARA and HUNT count only each patient's first.
     """
     shared = functools.cache(lambda scoring_pass, config:
                              scoring_pass(db, config))
+
+    @functools.cache
+    def candidates(T, excluded, include_day0):
+        cands = candidate_codes(db, db.episodes(drug), T, excluded,
+                                include_day0)
+        return cands, [db.event_codes[c] for c in cands.tolist()]
+
+    def at(vectors, cands):
+        # a pass's vectors, or a mapping of them, at the candidates
+        if isinstance(vectors, dict):
+            return {key: at(v, cands) for key, v in vectors.items()}
+        return tuple(v[cands].tolist() for v in vectors)
+
     ranked_lists = []
     for algorithm_id in algorithms:
         config = _base_config(algorithm_id, drug, seed,
                               (overrides or {}).get(algorithm_id))
         _, scoring_pass, view = ALGORITHMS[algorithm_id]
-        ranked = view(shared(scoring_pass, config), config)
-        ranked.algorithm = algorithm_id
-        ranked_lists.append(ranked)
+        cands, codes = candidates(config.T, config.excluded_event_codes,
+                                  config.include_day0)
+        values = at(shared(scoring_pass, config), cands)
+        try:
+            ranked_lists.append(build_ranked_list(algorithm_id, drug,
+                                                  *view(codes, values)))
+        except ValueError as exc:
+            raise ValueError(f"{algorithm_id} for drug {drug!r}: {exc}") \
+                from None
     return ranked_lists
+
+
+def _check_keys(what: str, spec, cls, unread=()) -> None:
+    """spec must be a mapping whose keys are field names of cls, other
+    than the unread ones."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a {what} must be a mapping of keys, not a "
+                         f"{type(spec).__name__}")
+    unknown = set(spec) - ({f.name for f in dataclasses.fields(cls)}
+                           - set(unread))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
 
 
 @dataclass
@@ -96,19 +130,9 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
-        if not isinstance(raw, dict):
-            raise ValueError("a manifest must be a mapping of keys, not a "
-                             f"{type(raw).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
+        _check_keys("manifest", raw, cls)
         manifest = cls(**raw)
-        # bool is an int subclass, but `seed: true` is not a seed
-        if isinstance(manifest.seed, bool) or \
-                not isinstance(manifest.seed, int):
-            raise ValueError("manifest seed must be an integer, not "
-                             f"{manifest.seed!r}")
+        manifest.seed = _int("manifest seed", manifest.seed)
         # open() would take an integer path as a file descriptor
         for key, nullable in (("database_dir", False), ("output_dir", False),
                               ("ground_truth", True)):
@@ -326,30 +350,35 @@ def demo_synth_config(seed: int = 7) -> synthgen.SynthConfig:
 
 
 def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
-    if not isinstance(raw, dict):
-        raise ValueError("a scenario must be a mapping of keys, not a "
-                         f"{type(raw).__name__}")
+    """The SynthConfig of a scenario mapping.  An unknown key, a count,
+    day or seed that is not an integer and a flag that is not a boolean
+    are ValueErrors."""
+    _check_keys("scenario", raw, synthgen.SynthConfig,
+                unread=("dropout_prob", "death_prob"))
     models = {}
     for drug, spec in (raw.get("drug_models") or {}).items():
+        _check_keys(f"drug model {drug!r}", spec, synthgen.DrugModel)
         indication = spec.get("indication_event")
         if indication is not None:
             indication = (str(indication[0]), float(indication[1]))
         models[drug] = synthgen.DrugModel(
             float(spec["prescription_rate"]), indication,
             float(spec.get("repeat_rate", 0.0)))
-    injections = [synthgen.Injection(
-        j["drug_code"], j["event_code"], float(j["relative_risk"]),
-        int(j.get("latency_window_days", 30)), j.get("kind", "adr"),
-        bool(j.get("is_reaction_code", False)))
-        for j in raw.get("injections") or []]
+    injections = []
+    for j in raw.get("injections") or []:
+        _check_keys("injection", j, synthgen.Injection)
+        injections.append(synthgen.Injection(
+            j["drug_code"], j["event_code"], float(j["relative_risk"]),
+            j.get("latency_window_days", 30), j.get("kind", "adr"),
+            j.get("is_reaction_code", False)))
     return synthgen.SynthConfig(
-        n_patients=int(raw["n_patients"]),
-        years_span=int(raw["years_span"]),
+        n_patients=raw["n_patients"],
+        years_span=raw["years_span"],
         background_event_rates={k: float(v) for k, v in
                                 raw["background_event_rates"].items()},
         drug_models=models,
         injections=injections,
-        rng_seed=int(raw.get("rng_seed", 0)),
+        rng_seed=raw.get("rng_seed", 0),
     )
 
 

@@ -18,9 +18,9 @@ import hashlib
 
 import numpy as np
 
-from .ranking import RankedSignalList, build_ranked_list, rank_events
-from .store import (DAYS_12_MONTHS, Database, StudyConfig, candidate_codes,
-                    first_per_patient, window_pairs)
+from .ranking import rank_events
+from .store import (DAYS_12_MONTHS, Database, StudyConfig, first_per_patient,
+                    window_pairs)
 
 
 def _digest(seed: int, patient_id: str) -> int:
@@ -119,33 +119,20 @@ def leverages(supp_x, supp_seq_unexpected, supp_seq, supp_bg_unexpected,
 
 
 def candidate_supports(db: Database, config: StudyConfig):
-    """(candidate codes, their unexpected leverages, their leverages): the
-    pass MUTARA and HUNT rank."""
-    episodes = db.episodes(config.drug_code)
-    # candidate set is shared across algorithms, so derive it from every
-    # episode even though scoring uses only the first episode per patient
-    cands = candidate_codes(db, episodes, config.T,
-                            config.excluded_event_codes, config.include_day0)
-    vectors = _support_vectors(db, episodes, config, config.rng_seed)
-    return ([db.event_codes[c] for c in cands.tolist()],
-            *(scores[cands].tolist() for scores in leverages(*vectors)))
+    """(unexpected leverage, leverage) of every code: the pass MUTARA and
+    HUNT score."""
+    return leverages(*_support_vectors(db, db.episodes(config.drug_code),
+                                       config, config.rng_seed))
 
 
-def mutara_view(supports, config: StudyConfig) -> RankedSignalList:
-    """Candidates in descending unexpected-leverage order."""
-    codes, unexpected, _ = supports
-    return build_ranked_list("mutara", config.drug_code,
-                             dict(zip(codes, unexpected)),
-                             seed=config.rng_seed)
+def mutara_view(codes, supports):
+    """(Unexpected leverage of each candidate, no filtered events)."""
+    return dict(zip(codes, supports[0])), {}
 
 
-def hunt_view(supports, config: StudyConfig) -> RankedSignalList:
-    """Candidates in descending leverage rank / unexpected-leverage rank."""
-    codes, unexpected, leverage = supports
-    rank_unex = rank_events(dict(zip(codes, unexpected)), "hunt",
-                            config.drug_code)
-    rank_lev = rank_events(dict(zip(codes, leverage)), "hunt",
-                           config.drug_code)
-    rr = {code: rank_lev[code] / rank_unex[code] for code in codes}
-    return build_ranked_list("hunt", config.drug_code, rr,
-                             seed=config.rng_seed)
+def hunt_view(codes, supports):
+    """(Leverage rank / unexpected-leverage rank of each candidate, no
+    filtered events)."""
+    rank_unex, rank_lev = (rank_events(dict(zip(codes, scores)))
+                           for scores in supports)
+    return {code: rank_lev[code] / rank_unex[code] for code in codes}, {}

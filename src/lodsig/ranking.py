@@ -18,7 +18,6 @@ class RankedSignalList:
     algorithm: str
     drug_code: str
     entries: list[RankedEntry]
-    seed: int | None = None
     # event_code -> reason, for events removed before ranking (OE filters)
     filtered: dict[str, str] = field(default_factory=dict)
 
@@ -39,28 +38,24 @@ def _sort_key(item):
     return (0, -score, code)
 
 
-def _ordered(scores, algorithm: str, drug_code: str):
+def _ordered(scores):
     """Items by score descending, ties and None by code; NaN is an error."""
     for code, score in scores.items():
         if score is not None and math.isnan(score):
-            raise ValueError(f"{algorithm} score of event {code!r} for drug "
-                             f"{drug_code!r} is NaN; it cannot be ranked")
+            raise ValueError(f"score of event {code!r} is NaN; it cannot be "
+                             "ranked")
     return sorted(scores.items(), key=_sort_key)
 
 
-def rank_events(scores: dict[str, float | None], algorithm: str,
-                drug_code: str) -> dict[str, int]:
+def rank_events(scores: dict[str, float | None]) -> dict[str, int]:
     """1-based ranks: score descending, ties and None broken by event code."""
-    ordered = _ordered(scores, algorithm, drug_code)
-    return {code: i + 1 for i, (code, _) in enumerate(ordered)}
+    return {code: i + 1 for i, (code, _) in enumerate(_ordered(scores))}
 
 
 def build_ranked_list(algorithm: str, drug_code: str,
                       scores: dict[str, float | None],
-                      seed: int | None = None,
                       filtered: dict[str, str] | None = None) -> RankedSignalList:
-    ordered = _ordered(scores, algorithm, drug_code)
     entries = [RankedEntry(code, score, i + 1)
-               for i, (code, score) in enumerate(ordered)]
-    return RankedSignalList(algorithm, drug_code, entries, seed,
+               for i, (code, score) in enumerate(_ordered(scores))]
+    return RankedSignalList(algorithm, drug_code, entries,
                             dict(filtered or {}))

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .ranking import RankedSignalList, build_ranked_list
-from .store import Database, StudyConfig, candidate_codes, window_pairs
+from .store import Database, StudyConfig, window_pairs
 
 Z_90_ONE_SIDED = 1.645
 
@@ -51,23 +50,22 @@ def ror05(cells, correct: bool = True) -> float | None:
     return math.exp(math.log(point) - Z_90_ONE_SIDED * se)
 
 
-def srs_cells(db: Database, drug_code: str, T: int = 30):
+def srs_cells(db: Database, config: StudyConfig):
     """(w00, w01, w10, w11) of every event code, from the pseudo-report
-    projection.
+    projection: the pass ROR05 scores.
 
     A report is a distinct (prescription, event_code, event_date) triple
     with the event inside (rx_date, rx_date + T].  Every prescription of
     every drug contributes, mirroring the report analogy; identical rows
     were already collapsed at load so same-day repeats of one drug do not
     double-count an event date.  w00 counts the reports of the event
-    after the drug, w01 those of other events after the drug, w10 and w11
-    the same after other drugs.  T is held to `StudyConfig`'s bounds.
+    after the study drug, w01 those of other events after it, w10 and w11
+    the same after other drugs.
     """
-    T = StudyConfig(drug_code=drug_code, T=T).T
     pair_rx, pair_event = window_pairs(db, db.rx_pid, db.rx_day + 1,
-                                       db.rx_day + T)
+                                       db.rx_day + config.T)
     # an unknown drug matches no prescription (drug indices are >= 0)
-    di = db.drug_index(drug_code)
+    di = db.drug_index(config.drug_code)
     pair_is_x = db.rx_drug[pair_rx] == (-1 if di is None else di)
 
     n_codes = len(db.event_codes)
@@ -77,18 +75,6 @@ def srs_cells(db: Database, drug_code: str, T: int = 30):
     return w00, total_x - w00, w10, len(pair_rx) - total_x - w10
 
 
-def ror_tables(db: Database, config: StudyConfig):
-    """(codes, their (w00, w01, w10, w11) lists) of every candidate: the
-    pass ROR05 ranks."""
-    cands = candidate_codes(db, db.episodes(config.drug_code), config.T,
-                            config.excluded_event_codes, config.include_day0)
-    cells = srs_cells(db, config.drug_code, config.T)
-    return ([db.event_codes[c] for c in cands.tolist()],
-            tuple(cell[cands].tolist() for cell in cells))
-
-
-def ror_view(tables, config: StudyConfig) -> RankedSignalList:
-    """Candidates in descending ROR05 order (undefined scores last)."""
-    codes, cells = tables
-    scores = {code: ror05(c) for code, c in zip(codes, zip(*cells))}
-    return build_ranked_list("ror05", config.drug_code, scores)
+def ror_view(codes, cells):
+    """(ROR05 of each candidate's cells, no filtered events)."""
+    return {code: ror05(c) for code, c in zip(codes, zip(*cells))}, {}

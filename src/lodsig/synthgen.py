@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry
-from .store import (Database, Gender, cache_database, first_per_patient,
-                    from_ordinal, record_order, row_columns, window_pairs)
+from .store import (Database, Gender, _int, cache_database,
+                    first_per_patient, from_ordinal, record_order,
+                    row_columns, window_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -68,13 +69,18 @@ class Injection:
     is_reaction_code: bool = False
 
     def __post_init__(self):
+        name = f"{self.event_code!r} for {self.drug_code!r}"
+        object.__setattr__(self, "latency_window_days", _int(
+            f"latency_window_days of {name}", self.latency_window_days))
+        # bool('false') is True
+        if not isinstance(self.is_reaction_code, bool):
+            raise ValueError(f"is_reaction_code of {name} must be a "
+                             f"boolean, not {self.is_reaction_code!r}")
         if self.kind not in INJECTION_KINDS:
             raise ValueError(f"unknown injection kind {self.kind!r}")
         if not self.relative_risk >= 1:   # NaN included
-            raise ValueError(
-                f"relative_risk of {self.event_code!r} for "
-                f"{self.drug_code!r} must be at least 1, not "
-                f"{self.relative_risk}")
+            raise ValueError(f"relative_risk of {name} must be at least 1, "
+                             f"not {self.relative_risk}")
         if self.kind == "adr" and not 0 < self.latency_window_days <= 30:
             raise ValueError("adr latency window must be in (0, 30]")
 
@@ -104,6 +110,8 @@ class SynthConfig:
     death_prob: float = 0.02
 
     def __post_init__(self):
+        for name in ("n_patients", "years_span", "rng_seed"):
+            setattr(self, name, _int(name, getattr(self, name)))
         if self.n_patients <= 0 or self.years_span <= 0:
             raise ValueError("n_patients and years_span must be positive")
         if self.rng_seed < 0:
@@ -494,17 +502,18 @@ def _csv_fields(texts) -> np.ndarray:
                      for a, b in zip([0, *ends], ends)], dtype=object)
 
 
-def _write_records(path, header, table) -> None:
+def _write_records(path, header, table, pid_ranks, pid_fields) -> None:
     """A record CSV in sorted (patient_id, code, day) order.
 
     Rows are those csv.writer writes for the sorted (patient_id, code,
     day) tuples, duplicates included: ids and codes sort by the rank of
-    their strings, and each distinct id, code and day is formatted once.
-    The rows are formatted and written _WRITE_ROWS at a time.
+    their strings (pid_ranks, the _ranks of the table's patient ids), and
+    each distinct id (pid_fields, their _csv_fields), code and day is
+    formatted once.  The rows are formatted and written _WRITE_ROWS at a
+    time.
     """
-    pid_values, pid, code_values, code, day = table
-    order = record_order(_ranks(pid_values)[pid],
-                         _ranks(code_values)[code], day)
+    _, pid, code_values, code, day = table
+    order = record_order(pid_ranks[pid], _ranks(code_values)[code], day)
     days, day_index = _intern(day)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -512,7 +521,7 @@ def _write_records(path, header, table) -> None:
         dates = np.array([from_ordinal(d).isoformat()
                           + writer.dialect.lineterminator
                           for d in days.tolist()], dtype=object)
-        fields = ((_csv_fields(pid_values), pid),
+        fields = ((pid_fields, pid),
                   (_csv_fields(code_values), code), (dates, day_index))
         for start in range(0, len(order), _WRITE_ROWS):
             rows = order[start:start + _WRITE_ROWS]
@@ -546,10 +555,12 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
                           iso(death) if death else ""]
                          for pid, yob, gender, reg, death
                          in result.patient_rows)
+    # both record tables list the same patient ids
+    ids = (_ranks(result.rx[0]), _csv_fields(result.rx[0]))
     _write_records(paths["prescriptions"], ["patient_id", "drug_code", "date"],
-                   result.rx)
+                   result.rx, *ids)
     _write_records(paths["events"], ["patient_id", "event_code", "date"],
-                   result.ev)
+                   result.ev, *ids)
 
     realized_truth(db, config).to_csv(paths["ground_truth"])
     if cache:

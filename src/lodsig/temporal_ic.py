@@ -15,9 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ranking import RankedSignalList, build_ranked_list
-from .store import (DAYS_PER_MONTH, Database, StudyConfig, candidate_codes,
-                    window_pairs)
+from .store import DAYS_PER_MONTH, Database, StudyConfig, window_pairs
 
 
 class Period(Enum):
@@ -136,39 +134,32 @@ def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
 # -- scoring and ranking --------------------------------------------------
 
 def oe_scores(db: Database, config: StudyConfig):
-    """(candidate codes, {period: their ICs}, their IC deltas): the pass
-    both variants rank."""
+    """{period: (n_xy, expected) of every code}: the pass both variants
+    score."""
     x_episodes = db.episodes(config.drug_code)
-    cands = candidate_codes(db, x_episodes, config.T,
-                            config.excluded_event_codes, config.include_day0)
-    n, e = {}, {}
+    vectors = {}
     for period in Period:
         n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
             db, x_episodes, db.episodes(), period, config)
-        n[period] = n_xy[cands].tolist()
-        # a period that expects nothing has an IC of 0, and IC delta falls
-        # back to the follow-up IC through the shrunk control ratio
-        e[period] = _expected(n_x_dot, n_dot_y[cands], n_dot_dot).tolist()
-    u, v = Period.FOLLOWUP_U, Period.CONTROL_V
-    return ([db.event_codes[c] for c in cands.tolist()],
-            {period: list(map(ic, n[period], e[period])) for period in Period},
-            list(map(ic_delta_from, n[u], e[u], n[v], e[v])))
+        vectors[period] = (n_xy, _expected(n_x_dot, n_dot_y, n_dot_dot))
+    return vectors
 
 
-def oe_view(scores, config: StudyConfig, variant: int = 1) -> RankedSignalList:
-    """Candidates the variant's filter keeps, in descending IC delta order."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    codes, ics, deltas = scores
+def oe_view(codes, periods, variant: int):
+    """(IC delta of each candidate filter variant 1 or 2 keeps, the filter
+    reason of each one it drops)."""
+    # a period that expects nothing has an IC of 0, and IC delta falls
+    # back to the follow-up IC through the shrunk control ratio
+    u, v = periods[Period.FOLLOWUP_U], periods[Period.CONTROL_V]
     kept, filtered = {}, {}
     for code, ic_u, ic_prior, ic_day0, delta in zip(
-            codes, ics[Period.FOLLOWUP_U], ics[Period.MONTH_PRIOR],
-            ics[Period.DAY_OF_PRESCRIPTION], deltas):
+            codes, map(ic, *u), map(ic, *periods[Period.MONTH_PRIOR]),
+            map(ic, *periods[Period.DAY_OF_PRESCRIPTION]),
+            map(ic_delta_from, *u, *v)):
         if ic_prior > ic_u:
             filtered[code] = "prior_month"
         elif variant == 2 and ic_day0 > ic_u:
             filtered[code] = "day_of_prescription"
         else:
             kept[code] = delta
-    return build_ranked_list(f"oe{variant}", config.drug_code, kept,
-                             filtered=filtered)
+    return kept, filtered

@@ -57,7 +57,7 @@ def test_criterion_2_oracle_equivalence():
         config = dataclasses.replace(base, rng_seed=trial)
         codes = (*db.event_codes, "absent")
 
-        cells = srs_cells(db, "X")
+        cells = srs_cells(db, config)
         want = brute_srs_cells(db, "X")
         mismatches += sum(counts_of(db, cells, code) != want[code]
                           for code in db.event_codes)

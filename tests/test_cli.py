@@ -201,6 +201,20 @@ class TestScoreDrug:
         with pytest.raises(ValueError, match="unknown algorithm id 'oe3'"):
             score_drug(db, "X", ["ror05", "oe3"])
 
+    @pytest.mark.parametrize("algorithm_id", ["mutara180", "hunt60"])
+    def test_nan_score_names_the_algorithm_id(self, algorithm_id,
+                                              monkeypatch):
+        # both ids share one view with a sibling (mutara60, hunt180); the
+        # error must say which of them failed
+        db = random_small_db(np.random.default_rng(5), n_patients=30)
+        nan = np.full(len(db.event_codes), np.nan)
+        monkeypatch.setattr(lodsig.mutara, "leverages",
+                            lambda *vectors: (nan, nan))
+        with pytest.raises(ValueError, match=rf"^{algorithm_id} for drug "
+                                             r"'X': score of event '\w+' "
+                                             r"is NaN"):
+            score_drug(db, "X", [algorithm_id])
+
 
 class TestRun:
 
@@ -279,6 +293,12 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["y"] == "0" for r in rows)
         assert not (tmp_path / "res" / "metrics_summary.csv").exists()
+
+
+# a valid one-drug scenario, and one injection of it
+SCENARIO = ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+            "drug_models: {d: {prescription_rate: 0.3}}\n")
+INJECTION = "{drug_code: d, event_code: e, relative_risk: 2.0}"
 
 
 class TestMain:
@@ -487,7 +507,7 @@ class TestMain:
         ("n_patients: 10\nbackground_event_rates: {e: 0.1}\n",
          "no 'years_span' key"),
         ("n_patients: ten\nyears_span: 2\nbackground_event_rates: {e: 1}\n",
-         "invalid literal for int() with base 10: 'ten'"),
+         "n_patients must be an integer, not 'ten'"),
         ("- n_patients: 10\n- years_span: 2\n",
          "a scenario must be a mapping of keys, not a list"),
         ("n_patients: 0\nyears_span: 2\nbackground_event_rates: {e: 1}\n",
@@ -495,7 +515,7 @@ class TestMain:
         ("n_patients: [10\n", "not valid YAML"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: 0.3}\n",
-         "'float' object has no attribute 'get'"),
+         "a drug model 'd' must be a mapping of keys, not a float"),
         ("n_patients: 10\nyears_span: 2\n"
          "background_event_rates: {noise_05: .nan}\n",
          "background rate of 'noise_05' must be in [0, 4.612e+18] events "
@@ -508,9 +528,38 @@ class TestMain:
          "drug_models: {d: {prescription_rate: 0.3}}\n"
          "injections: [{drug_code: d, event_code: e, relative_risk: .nan}]\n",
          "relative_risk of 'e' for 'd' must be at least 1, not nan"),
+        # unknown keys were dropped: a database without injections
+        (f"{SCENARIO}injection: [{INJECTION}]\n",
+         "unknown scenario keys: ['injection']"),
+        (f"{SCENARIO}dropout_prob: 0.5\n",
+         "unknown scenario keys: ['dropout_prob']"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3, repeat_rte: 0.5}}\n",
+         "unknown drug model 'd' keys: ['repeat_rte']"),
+        (f"{SCENARIO}injections: [{{latency_window: 20, {INJECTION[1:]}]\n",
+         "unknown injection keys: ['latency_window']"),
+        # non-integers were truncated
+        ("n_patients: 300.9\nyears_span: 2\nbackground_event_rates: {e: 1}\n",
+         "n_patients must be an integer, not 300.9"),
+        ("n_patients: 10\nyears_span: 4.7\nbackground_event_rates: {e: 1}\n",
+         "years_span must be an integer, not 4.7"),
+        (f"{SCENARIO}rng_seed: 3.2\n", "rng_seed must be an integer, not 3.2"),
+        (f"{SCENARIO}rng_seed: true\n",
+         "rng_seed must be an integer, not True"),
+        (f"{SCENARIO}injections: [{{latency_window_days: 20.9, "
+         f"{INJECTION[1:]}]\n",
+         "latency_window_days of 'e' for 'd' must be an integer, not 20.9"),
+        # a quoted boolean was read as true
+        (f"{SCENARIO}injections: [{{is_reaction_code: 'false', "
+         f"{INJECTION[1:]}]\n",
+         "is_reaction_code of 'e' for 'd' must be a boolean, not 'false'"),
     ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
             "malformed_yaml", "scalar_drug_model", "rate_nan",
-            "rate_too_large", "relative_risk_nan"])
+            "rate_too_large", "relative_risk_nan", "unknown_key",
+            "unread_config_field", "unknown_drug_model_key",
+            "unknown_injection_key", "float_n_patients", "float_years_span",
+            "float_rng_seed", "bool_rng_seed", "float_latency",
+            "quoted_boolean"])
     def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
                                                   text, message):
         path = tmp_path / "scenario.yaml"
@@ -829,7 +878,7 @@ def _each_algorithm(overrides):
 
 
 def _scenario(rates, injections=()):
-    """Manifest keys that make the manifest a one-drug scenario too."""
+    """The keys of a one-drug scenario file."""
     return {"n_patients": 10, "years_span": 2,
             "background_event_rates": rates,
             "drug_models": {"drug_x": {"prescription_rate": 0.5}},
@@ -837,8 +886,9 @@ def _scenario(rates, injections=()):
 
 
 # name: (change to the bytes of events.csv, or None; manifest keys that
-# replace the defaults; the command line, which `--output OUT` ends, or
-# None for `run --manifest M --no-cache`; exit status)
+# replace the defaults, or for a `generate --config m.yaml` command line
+# every key of the scenario m.yaml; the command line, which `--output OUT`
+# ends, or None for `run --manifest M --no-cache`; exit status)
 BOUNDARY_CASES = {
     "empty_file": (lambda text, data: b"", {}, None, 1),
     "header_only": (lambda text, data: text[:text.index(b"\n") + 1], {},
@@ -886,12 +936,11 @@ BOUNDARY_CASES = {
     "control_period_float": (None, _each_algorithm(
         {"control_period": [27.5, 21]}), None, 2),
     # a second source of input must not be dropped in silence; the
-    # manifest stands in for a scenario file, which is never read
+    # scenario file is never read
     "demo_run_and_manifest": (
         None, {}, ["run", "--generate-demo", "--manifest", "m.yaml"], 2),
     "demo_generate_and_config": (
         None, {}, ["generate", "--demo", "--config", "m.yaml"], 2),
-    # the manifest is also read as a scenario, which ignores the run keys;
     # a bad rate once reached numpy, or was injected at full strength
     "scenario_rate_nan": (None, _scenario({"noise_05": math.nan}),
                           ["generate", "--config", "m.yaml"], 2),
@@ -914,7 +963,8 @@ def test_cli_boundary_ends_in_one_line(demo_data, tmp_path, capsys, caplog,
         events = data / "events.csv"
         events.write_bytes(change(events.read_bytes(), data))
     path = tmp_path / "m.yaml"
-    path.write_text(yaml.safe_dump({
+    path.write_text(yaml.safe_dump(manifest if command and "--config" in
+                                   command else {
         "database_dir": str(data), "drugs": ["drug_x"],
         "algorithms": BOUNDARY_ALGORITHMS, "output_dir": str(tmp_path / "res"),
         "seed": 7, "ground_truth": str(data / "ground_truth.csv"),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import mutara
-from lodsig.mutara import (candidate_supports, hunt_view, leverages,
-                           mutara_view)
+from lodsig.cli import score_drug
+from lodsig.mutara import candidate_supports, leverages
 from lodsig.store import StudyConfig
 
 from conftest import counts_of, day, make_db, random_small_db
@@ -167,10 +167,17 @@ class TestScores:
         db = random_small_db(rng, n_patients=30)
         values = set()
         for s in range(10):
-            codes, unexpected, _ = candidate_supports(db, StudyConfig(
+            unexpected, _ = candidate_supports(db, StudyConfig(
                 drug_code="X", pre_window=60, rng_seed=s))
-            values.add(unexpected[codes.index("A")])
+            values.add(unexpected[db.event_index("A")])
         assert len(values) > 1
+
+
+def ranked_list(db, algorithm_id, **overrides):
+    """One id's list for drug X under seed 11, through score_drug."""
+    [ranked] = score_drug(db, "X", [algorithm_id], 11,
+                          {algorithm_id: overrides})
+    return ranked
 
 
 class TestRanking:
@@ -193,24 +200,18 @@ class TestRanking:
 
     def test_mutara_puts_adverse_event_first(self):
         db = self._signal_db()
-        config = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
-        ranked = mutara_view(candidate_supports(db, config), config)
-        assert ranked.event_codes()[0] == "A"
-        assert ranked.seed == 11
+        assert ranked_list(db, "mutara180").event_codes()[0] == "A"
 
     def test_mutara_demotes_predictable_event(self):
         db = self._signal_db()
-        filt = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
-        nofilt = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        with_filter = mutara_view(candidate_supports(db, filt), filt)
-        without = mutara_view(candidate_supports(db, nofilt), nofilt)
+        with_filter = ranked_list(db, "mutara180")
+        without = ranked_list(db, "mutara180", pre_window=0)
         assert with_filter.rank_of("F") > without.rank_of("F")
 
     def test_hunt_rank_ratio_demotes_failure_event(self):
         db = self._signal_db()
-        config = StudyConfig(drug_code="X", pre_window=180, rng_seed=11)
-        hunt = hunt_view(candidate_supports(db, config), config)
-        mutara = mutara_view(candidate_supports(db, config), config)
+        hunt = ranked_list(db, "hunt180")
+        mutara = ranked_list(db, "mutara180")
         assert set(hunt.event_codes()) == set(mutara.event_codes())
         assert hunt.rank_of("F") > hunt.rank_of("A")
 
@@ -218,8 +219,7 @@ class TestRanking:
         # pre_window 0 makes unexlev equal leverage, so every rank ratio
         # is 1 and HUNT falls back to lexicographic order
         db = self._signal_db()
-        config = StudyConfig(drug_code="X", pre_window=0, rng_seed=11)
-        hunt = hunt_view(candidate_supports(db, config), config)
+        hunt = ranked_list(db, "hunt180", pre_window=0)
         codes = hunt.event_codes()
         assert codes == sorted(codes)
         assert all(e.score == pytest.approx(1.0) for e in hunt.entries)

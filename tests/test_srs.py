@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig.srs import ror, ror05, ror_tables, ror_view, srs_cells
+from lodsig.cli import score_drug
+from lodsig.srs import ror, ror05, srs_cells
 from lodsig.store import Gender, StudyConfig
 
 from conftest import counts_of, db_from_rows, make_db, random_small_db
@@ -14,7 +15,7 @@ from oracles import brute_srs_cells, brute_srs_counts
 
 def cells_by_code(db, drug_code, T=30):
     """srs_cells of every event code, as {code: (w00, w01, w10, w11)}."""
-    cells = srs_cells(db, drug_code, T)
+    cells = srs_cells(db, StudyConfig(drug_code=drug_code, T=T))
     return {code: counts_of(db, cells, code) for code in db.event_codes}
 
 
@@ -90,7 +91,7 @@ class TestBuildSrsCounts:
     def test_w00_sums_to_total_in_window_pairs(self):
         rng = np.random.default_rng(23)
         db = random_small_db(rng, n_patients=15)
-        w00, _, w10, _ = srs_cells(db, "X")
+        w00, _, w10, _ = srs_cells(db, StudyConfig(drug_code="X"))
         oracle = brute_srs_counts(db, "X")
         total_x = sum(cells[0] for cells in oracle.values())
         total_nonx = sum(cells[2] for cells in oracle.values())
@@ -101,7 +102,7 @@ class TestBuildSrsCounts:
         db = make_db([("p1", 0, 900), ("p2", 0, 900)],
                      rx=[("p1", "X", 0)],
                      events=[("p1", "A", 5), ("p1", "C", 6)])
-        w00, w01, w10, w11 = srs_cells(db, "nope")
+        w00, w01, w10, w11 = srs_cells(db, StudyConfig(drug_code="nope"))
         assert w00.tolist() == w01.tolist() == [0, 0]
         assert w10.tolist() == [1, 1] and w11.tolist() == [1, 1]
 
@@ -114,12 +115,13 @@ class TestBuildSrsCounts:
                      events=[("p1", "A", 5)])
         assert cells_by_code(db, "X", T=10 ** 7 - 1) == {"A": (1, 0, 0, 0)}
         with pytest.raises(ValueError, match="T must be under 10000000 days"):
-            srs_cells(db, "X", T=T)
+            srs_cells(db, StudyConfig(drug_code="X", T=T))
 
 
 def ror_ranking(db, config):
-    """ROR05's ranked list: its pass, then its view."""
-    return ror_view(ror_tables(db, config), config)
+    """ROR05's ranked list, through score_drug."""
+    [ranked] = score_drug(db, config.drug_code, ["ror05"], config.rng_seed)
+    return ranked
 
 
 class TestRankRor:

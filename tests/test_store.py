@@ -892,7 +892,7 @@ class TestWindowPairs:
                 got = sorted(zip(row.tolist(),
                                  [db.event_codes[c] for c in code.tolist()]))
                 assert got == brute_window_pairs(db, pts, lo, hi)
-            cells = srs.srs_cells(db, "X", T)
+            cells = srs.srs_cells(db, config)
             assert {c: counts_of(db, cells, c) for c in db.event_codes} == \
                 brute_srs_cells(db, "X", T)
             pairs = brute_first_exposure_per_patient(
@@ -903,15 +903,16 @@ class TestWindowPairs:
                     brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
-        ((store, temporal_ic, mutara), 20),
-        ((store, temporal_ic, mutara, srs), 21)], ids=["no_srs", "srs"])
+        ((store, temporal_ic, mutara), 17),
+        ((store, temporal_ic, mutara, srs), 18)], ids=["no_srs", "srs"])
     def test_calls_per_drug_independent_of_candidates(self, modules, calls,
                                                       monkeypatch):
-        # each of the four scoring passes (ror05; oe1+oe2; mutara60+hunt60;
-        # mutara180+hunt180) selects its candidates with one call; OE then
-        # makes 8 (4 periods x 2 populations), each support pass 4 (post
-        # and predictable windows x exposed and background patients) and
-        # SRS 1, however many codes there are
+        # the seven ids share one window, so score_drug selects their
+        # candidates with one call; of the four scoring passes (ror05;
+        # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 8 (4
+        # periods x 2 populations), each support pass 4 (post and
+        # predictable windows x exposed and background patients) and SRS
+        # 1, however many codes there are
         seen = []
 
         def counting(*args):

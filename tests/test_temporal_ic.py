@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig import temporal_ic
+from lodsig.cli import score_drug
 from lodsig.temporal_ic import (Period, _expected, _period_vectors,
                                 gamma_quantile, ic, ic_credibility_bounds,
-                                ic_delta_from, oe_scores, oe_view)
+                                ic_delta_from, oe_scores)
 
 from conftest import counts_of, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
@@ -24,11 +25,22 @@ def period_counts(db, event_code, period, config):
     return counts_of(db, vectors, event_code)
 
 
-def oe_score_of(results, event_code):
-    """{period: IC} and IC delta of one candidate of oe_scores."""
-    codes, ics, deltas = results
-    i = codes.index(event_code)
-    return {period: values[i] for period, values in ics.items()}, deltas[i]
+def oe_score_of(db, config, event_code):
+    """{period: IC} and IC delta of one code, from the vectors of
+    oe_scores."""
+    c = db.event_index(event_code)
+    counts = {period: (n_xy[c].item(), expected[c].item())
+              for period, (n_xy, expected) in oe_scores(db, config).items()}
+    (n_u, e_u), (n_v, e_v) = counts[Period.FOLLOWUP_U], \
+        counts[Period.CONTROL_V]
+    return ({period: ic(*pair) for period, pair in counts.items()},
+            ic_delta_from(n_u, e_u, n_v, e_v))
+
+
+def oe_lists(db, config):
+    """The oe1 and oe2 lists of config's drug and seed, through
+    score_drug."""
+    return score_drug(db, config.drug_code, ["oe1", "oe2"], config.rng_seed)
 
 
 class TestExpectedCount:
@@ -221,24 +233,20 @@ class TestRankOe:
 
     def test_strong_prior_month_signal_filtered_by_both_variants(
             self, simple_config):
-        results = oe_scores(self._filter_db(prior=True), simple_config)
-        for variant in (1, 2):
-            ranked = oe_view(results, simple_config, variant)
+        for ranked in oe_lists(self._filter_db(prior=True), simple_config):
             assert ranked.filtered.get("F") == "prior_month"
             assert "F" not in ranked.event_codes()
 
     def test_day0_spike_kept_by_variant1_filtered_by_variant2(
             self, simple_config):
-        results = oe_scores(self._filter_db(day0=True), simple_config)
-        r1 = oe_view(results, simple_config, 1)
-        r2 = oe_view(results, simple_config, 2)
+        r1, r2 = oe_lists(self._filter_db(day0=True), simple_config)
         assert "F" in r1.event_codes() and "F" not in r1.filtered
         assert r2.filtered.get("F") == "day_of_prescription"
 
     def test_candidate_requires_followup_occurrence(self, simple_config):
         # an event seen only on day 0 never becomes a candidate at all
         db = self._filter_db(post_n=0, day0=True)
-        r1 = oe_view(oe_scores(db, simple_config), simple_config, 1)
+        r1, _ = oe_lists(db, simple_config)
         assert "F" not in r1.event_codes() and "F" not in r1.filtered
         assert "G" in r1.event_codes()
 
@@ -250,15 +258,14 @@ class TestRankOe:
         rx = [("p0", "X", 0), ("p1", "X", 0), ("p2", "B", 0)]
         events = [("p0", "F", 5), ("p1", "F", 6), ("p3", "F", 7)]
         db = make_db(patients, rx=rx, events=events)
-        results = oe_scores(db, simple_config)
-        ics, delta = oe_score_of(results, "F")
+        ics, delta = oe_score_of(db, simple_config, "F")
         assert ics[Period.CONTROL_V] == 0.0
         assert delta == ics[Period.FOLLOWUP_U]
-        assert oe_view(results, simple_config, 1).event_codes() == ["F"]
+        assert oe_lists(db, simple_config)[0].event_codes() == ["F"]
 
     def test_scores_are_ic_delta(self, simple_config):
         db = self._filter_db()
-        results = oe_scores(db, simple_config)
-        ranked = oe_view(results, simple_config, 1)
+        ranked, _ = oe_lists(db, simple_config)
         for entry in ranked.entries:
-            assert entry.score == oe_score_of(results, entry.event_code)[1]
+            assert entry.score == \
+                oe_score_of(db, simple_config, entry.event_code)[1]
