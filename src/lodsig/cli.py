@@ -351,31 +351,27 @@ def demo_synth_config(seed: int = 7) -> synthgen.SynthConfig:
 
 def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
     """The SynthConfig of a scenario mapping.  An unknown key, a count,
-    day or seed that is not an integer and a flag that is not a boolean
-    are ValueErrors."""
+    day or seed that is not an integer, a rate, risk or multiplier that
+    is not a number and a flag that is not a boolean are ValueErrors."""
     _check_keys("scenario", raw, synthgen.SynthConfig,
                 unread=("dropout_prob", "death_prob"))
     models = {}
     for drug, spec in (raw.get("drug_models") or {}).items():
         _check_keys(f"drug model {drug!r}", spec, synthgen.DrugModel)
-        indication = spec.get("indication_event")
-        if indication is not None:
-            indication = (str(indication[0]), float(indication[1]))
         models[drug] = synthgen.DrugModel(
-            float(spec["prescription_rate"]), indication,
-            float(spec.get("repeat_rate", 0.0)))
+            spec["prescription_rate"], spec.get("indication_event"),
+            spec.get("repeat_rate", 0.0))
     injections = []
     for j in raw.get("injections") or []:
         _check_keys("injection", j, synthgen.Injection)
         injections.append(synthgen.Injection(
-            j["drug_code"], j["event_code"], float(j["relative_risk"]),
+            j["drug_code"], j["event_code"], j["relative_risk"],
             j.get("latency_window_days", 30), j.get("kind", "adr"),
             j.get("is_reaction_code", False)))
     return synthgen.SynthConfig(
         n_patients=raw["n_patients"],
         years_span=raw["years_span"],
-        background_event_rates={k: float(v) for k, v in
-                                raw["background_event_rates"].items()},
+        background_event_rates=raw["background_event_rates"],
         drug_models=models,
         injections=injections,
         rng_seed=raw.get("rng_seed", 0),

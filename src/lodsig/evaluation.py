@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ranking import RankedSignalList
-from .store import read_rows
+from .store import _id, read_rows
 
 log = logging.getLogger(__name__)
 
 FREQUENCY_CLASSES = ("frequent", "less_frequent", "rare")
 TRUTH_COLUMNS = ("drug_code", "event_code", "frequency_class",
                  "is_reaction_code")
+# is_reaction_code values, in any case; an empty one is false
+_FLAGS = {"true": True, "1": True, "false": False, "0": False, "": False}
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,13 @@ class AdrDictionary:
         """Read a ground-truth CSV; DataFormatError names a bad file row.
         A (drug, event) pair listed twice keeps its last row."""
         rows = read_rows(path, [
-            ("drug_code", str.strip, None),
-            ("event_code", str.strip, None),
+            ("drug_code", _id, lambda t: "missing drug_code"),
+            ("event_code", _id, lambda t: "missing event_code"),
             ("frequency_class",
              lambda t: t.strip() if t.strip() in FREQUENCY_CLASSES else None,
              lambda t: f"unknown frequency_class {t.strip()!r}"),
-            ("is_reaction_code", lambda t: t.strip().lower() in ("1", "true"),
-             None)])
+            ("is_reaction_code", lambda t: _FLAGS.get(t.strip().lower()),
+             lambda t: f"bad is_reaction_code {t.strip()!r}")])
         return cls({(drug, event): AdrEntry(frequency, reaction)
                     for drug, event, frequency, reaction in rows})
 

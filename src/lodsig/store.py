@@ -31,6 +31,7 @@ import hashlib
 import itertools
 import logging
 import math
+import numbers
 import operator
 import os
 import sys
@@ -140,6 +141,21 @@ def _int(name: str, value) -> int:
     return operator.index(value)
 
 
+def _real(name: str, value) -> float:
+    # a quoted "0.3" is text and `rate: true` a flag, neither a number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
+# each stored column of a Database with its dtype, in groups of equal
+# length: one entry per patient, per prescription and per event
+COLUMNS = ({"year_of_birth": "int64", "gender": "<U1", "registration": "int64",
+            "death": "int64", "last_active": "int64"},
+           {"rx_pid": "int64", "rx_drug": "int64", "rx_day": "int64"},
+           {"_ev_key": "int64", "ev_code": "int32"})
+
+
 class Database:
     """Immutable indexed store of patients, prescriptions and events.
 
@@ -147,7 +163,7 @@ class Database:
     `gender` as its Gender value letter and a `death` of 0 for none;
     `last_active` is the latest of registration, death and any record
     day.  Record columns are sorted by (patient index, day, code index).
-    Prescriptions are int64 (`rx_pid`, `rx_drug`, `rx_day`).  The event
+    Prescriptions are `rx_pid`, `rx_drug` and `rx_day`.  The event
     table, by far the largest, is 12 bytes an event: the int64 key
     `_ev_key` packing (patient index, day) as pid * _KEY_BASE + day, and
     the int32 `ev_code`; `ev_pid` and `ev_day` are derived from the key
@@ -156,30 +172,26 @@ class Database:
     use.
     """
 
-    def __init__(self, pt_index, year_of_birth, gender, registration,
-                 death, last_active, rx_pid, rx_drug, rx_day, ev_key,
-                 ev_code, drug_index, event_index, duplicates_dropped=0):
-        # each {id or code: index} dict lists its keys in index order
-        self.patient_ids: list[str] = list(pt_index)
-        self.drug_codes: list[str] = list(drug_index)
-        self.event_codes: list[str] = list(event_index)
+    def __init__(self, patient_ids, drug_codes, event_codes, columns,
+                 duplicates_dropped=0):
+        # the ids and codes in index order; columns: {name: array}
+        self.patient_ids: list[str] = list(patient_ids)
+        self.drug_codes: list[str] = list(drug_codes)
+        self.event_codes: list[str] = list(event_codes)
         self.duplicates_dropped = int(duplicates_dropped)
-
-        self._pt_index = pt_index
-        self._drug_index = drug_index
-        self._event_index = event_index
-
-        self.year_of_birth = year_of_birth
-        self.gender = gender
-        self.registration = registration
-        self.death = death
-        self.last_active = last_active
-
-        self.rx_pid = rx_pid
-        self.rx_drug = rx_drug
-        self.rx_day = rx_day
-        self._ev_key = ev_key
-        self.ev_code = ev_code
+        self._pt_index, self._drug_index, self._event_index = (
+            dict(zip(texts, range(len(texts)))) for texts in
+            (self.patient_ids, self.drug_codes, self.event_codes))
+        for group in COLUMNS:
+            for name, dtype in group.items():
+                if columns[name].ndim != 1 or columns[name].dtype != dtype:
+                    raise ValueError(f"column {name} must be a "
+                                     f"one-dimensional {dtype} array")
+                setattr(self, name, columns[name])
+            if len({len(columns[name]) for name in group}) != 1:
+                raise ValueError(f"columns {list(group)} differ in length")
+        if len(self.death) != self.n_patients:
+            raise ValueError("patient columns must have one entry per patient")
         self._cache: dict = {}
         self._cache_lock = threading.RLock()
 
@@ -207,12 +219,10 @@ class Database:
 
         def column(values, index, dtype=np.int64):
             return np.array(values, dtype=dtype)[index[order]]
-        year_of_birth = column(*yob)
-        gender = column([g.value for g in genders[0]], genders[1], "U1")
         registration = column(*reg)
         death = column([d or 0 for d in deaths[0]], deaths[1])
 
-        def columns(pid_values, pid_index, code_values, code_index, day,
+        def records(pid_values, pid_index, code_values, code_index, day,
                     kind):
             code_of = {c: i for i, c in enumerate(sorted(set(code_values)))}
             pid_of = np.array([pt_index.get(p, -1) for p in pid_values],
@@ -242,19 +252,21 @@ class Database:
             pid, day = np.divmod(key, _KEY_BASE)
             return code_of, pid, code, day, key, len(keep) - len(key)
 
-        drug_index, rx_pid, rx_drug, rx_day, _, rx_dropped = columns(
+        drug_index, rx_pid, rx_drug, rx_day, _, rx_dropped = records(
             *rx, "prescriptions")
-        event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = columns(
+        event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = records(
             *ev, "events")
-        ev_code = ev_code.astype(np.int32)
 
         last_active = np.maximum(registration, death)
         for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
             np.maximum.at(last_active, arr_pid, arr_day)
 
-        db = cls(pt_index, year_of_birth, gender, registration, death,
-                 last_active, rx_pid, rx_drug, rx_day, ev_key, ev_code,
-                 drug_index, event_index, rx_dropped + ev_dropped)
+        db = cls(pt_index, drug_index, event_index, dict(
+            year_of_birth=column(*yob),
+            gender=column([g.value for g in genders[0]], genders[1], "U1"),
+            registration=registration, death=death, last_active=last_active,
+            rx_pid=rx_pid, rx_drug=rx_drug, rx_day=rx_day, _ev_key=ev_key,
+            ev_code=ev_code.astype(np.int32)), rx_dropped + ev_dropped)
         db._validate(ev_pid, ev_day)
         return db
 
@@ -518,18 +530,9 @@ def _parse_database(prescriptions_path, events_path, patients_path):
 
 # -- load cache -----------------------------------------------------------
 
-# the array members of a cache file, in groups of equal length: the key,
-# the ids and codes as NUL-separated UTF-8, the counts (patients, drugs,
-# event codes, duplicates dropped) and the Database's stored columns, in
-# the order Database() takes them
-_CACHE_GROUPS = (("key",), ("texts",), ("counts",),
-                 ("year_of_birth", "gender", "registration", "death",
-                  "last_active"),
-                 ("rx_pid", "rx_drug", "rx_day"),
-                 ("_ev_key", "ev_code"))
-# each member is one-dimensional, of dtype int64 unless named here
-_CACHE_DTYPES = {"key": np.uint8, "texts": np.uint8, "gender": "<U1",
-                 "ev_code": np.int32}
+# the members of a cache file besides the COLUMNS: its key, the ids and
+# codes as NUL-separated UTF-8, and the counts _read_cache unpacks
+_CACHE_HEADER = {"key": "uint8", "texts": "uint8", "counts": "int64"}
 
 
 def cache_dir() -> Path:
@@ -583,20 +586,18 @@ def _read_cache(slot, key) -> Database | str:
     none: a missing, stale, truncated, foreign or pickled file."""
     try:
         with np.load(slot, allow_pickle=False) as npz:
-            a = {n: npz[n] for group in _CACHE_GROUPS for n in group}
+            a = {n: npz[n] for n in itertools.chain(_CACHE_HEADER, *COLUMNS)}
             extra = set(npz.files) - set(a)
         if a["key"].tobytes() != key:
             return "stale entry"
-        # a member of another layout (an int64 ev_code, a stored ev_day)
-        # is never served
-        if extra or any(v.ndim != 1 or v.dtype != _CACHE_DTYPES.get(
-                n, np.int64) for n, v in a.items()) or any(
-                len({len(a[n]) for n in g}) != 1 for g in _CACHE_GROUPS):
+        # a member of another layout (a stored ev_day) is never served
+        if extra or any(a[n].ndim != 1 or a[n].dtype != dtype
+                        for n, dtype in _CACHE_HEADER.items()):
             return "malformed entry"
         n_patients, n_drugs, n_events, dropped = a["counts"].tolist()
         total = n_patients + n_drugs + n_events
         texts = a["texts"].tobytes().decode().split("\0") if total else []
-        if len(texts) != total or len(a["death"]) != n_patients:
+        if len(texts) != total:
             return "malformed entry"
     except FileNotFoundError:
         return "no entry"
@@ -607,13 +608,12 @@ def _read_cache(slot, key) -> Database | str:
     except Exception as exc:
         return f"unreadable entry: {type(exc).__name__}"
 
-    def index(names):
-        return dict(zip(names, range(len(names))))
-    return Database(
-        index(texts[:n_patients]), *(a[n] for g in _CACHE_GROUPS[3:]
-                                     for n in g),
-        index(texts[n_patients:n_patients + n_drugs]),
-        index(texts[n_patients + n_drugs:]), dropped)
+    try:
+        return Database(texts[:n_patients],
+                        texts[n_patients:n_patients + n_drugs],
+                        texts[n_patients + n_drugs:], a, dropped)
+    except ValueError:   # a column of another shape or dtype
+        return "malformed entry"
 
 
 def _write_cache(db: Database, slot, key) -> str:
@@ -634,7 +634,7 @@ def _write_cache(db: Database, slot, key) -> str:
             "counts": np.array([db.n_patients, len(db.drug_codes),
                                 len(db.event_codes), db.duplicates_dropped],
                                dtype=np.int64),
-            **{n: getattr(db, n) for g in _CACHE_GROUPS[3:] for n in g}}
+            **{n: getattr(db, n) for group in COLUMNS for n in group}}
         slot.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=slot.parent, prefix=slot.stem,
                                    suffix=".tmp")

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import AdrDictionary, AdrEntry
-from .store import (Database, Gender, _int, cache_database,
+from .evaluation import AdrDictionary, AdrEntry, write_csv
+from .store import (Database, Gender, _int, _real, cache_database,
                     first_per_patient, from_ordinal, record_order,
                     row_columns, window_pairs)
 
@@ -70,6 +70,8 @@ class Injection:
 
     def __post_init__(self):
         name = f"{self.event_code!r} for {self.drug_code!r}"
+        object.__setattr__(self, "relative_risk", _real(
+            f"relative_risk of {name}", self.relative_risk))
         object.__setattr__(self, "latency_window_days", _int(
             f"latency_window_days of {name}", self.latency_window_days))
         # bool('false') is True
@@ -92,6 +94,17 @@ class DrugModel:
     repeat_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("prescription_rate", "repeat_rate"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        match self.indication_event:
+            case None:
+                pass
+            case [str() as code, mult]:   # a tuple, or a list from YAML
+                object.__setattr__(self, "indication_event", (
+                    code, _real(f"indication multiplier of {code!r}", mult)))
+            case other:
+                raise ValueError("indication_event must be [code, "
+                                 f"multiplier], not {other!r}")
         if not 0 <= self.prescription_rate <= 1:
             raise ValueError("prescription_rate must be in [0, 1]")
         if not 0 <= self.repeat_rate < 1:
@@ -117,7 +130,9 @@ class SynthConfig:
         if self.rng_seed < 0:
             raise ValueError(
                 f"rng_seed must be non-negative, not {self.rng_seed}")
-        rates = self.background_event_rates
+        rates = self.background_event_rates = {
+            code: _real(f"background rate of {code!r}", rate)
+            for code, rate in self.background_event_rates.items()}
         for code, rate in rates.items():
             # a patient's Poisson mean is rate times at most years_span
             if not (rate >= 0
@@ -196,14 +211,14 @@ def _table(pid_values, pid, code, day, code_values):
 
 def _drug_plan(config: SynthConfig, drug: str, event_index):
     """What every patient's draws for one drug use, computed once:
-    (prescription rate, repeat rate, indication, signals).
+    (prescription rate, repeat rate, indication, draws).
 
     indication is None or (code index, Poisson mean of the extra
-    pre-prescription events).  Each signal is (kind, code index,
-    injected-count key, p, q, latency window) with the Bernoulli
-    probabilities of its draws: p of the post-exposure (or day-0) event;
-    q of the pre-exposure event of a therapeutic failure, or of the
-    follow-up event of a day-0 artifact.
+    pre-prescription events).  Each injection adds its draws, in stream
+    order, as (code index, injected-count key, p, first, days, counted):
+    with probability p, one event on a day drawn from the `days` days
+    that start `first` days after the prescription, counted as injected
+    or not.
     """
     rates = config.background_event_rates
     model = config.drug_models[drug]
@@ -212,25 +227,28 @@ def _drug_plan(config: SynthConfig, drug: str, event_index):
         code, mult = model.indication_event
         base = rates.get(code, 0.0)
         indication = (event_index[code], _indication_mean(mult, base))
-    signals = []
+    draws = []
     for inj in config.injections:
         if inj.drug_code != drug:
             continue
-        base = rates[inj.event_code]
+        prob = functools.partial(_bernoulli_prob, inj.relative_risk,
+                                 rates[inj.event_code])
         if inj.kind == "adr":
-            p = _bernoulli_prob(inj.relative_risk, base,
-                                inj.latency_window_days)
-            q = 0.0
+            latency = inj.latency_window_days
+            shape = [(prob(latency), 1, latency, True)]
         elif inj.kind == "therapeutic_failure":
-            p = _bernoulli_prob(inj.relative_risk, base, 30, cap=0.9)
-            q = _bernoulli_prob(inj.relative_risk, base, 150, cap=0.9)
-        else:
-            p = _bernoulli_prob(inj.relative_risk, base, 30)
-            q = 0.5 * p
-        signals.append((inj.kind, event_index[inj.event_code],
-                        (drug, inj.event_code), p, q,
-                        inj.latency_window_days))
-    return model.prescription_rate, model.repeat_rate, indication, signals
+            # the pre-exposure excess sits in [t0-180, t0-31] so the
+            # month directly before the prescription stays clean
+            shape = [(prob(30, cap=0.9), 1, 30, True),
+                     (prob(150, cap=0.9), -180, 150, False)]
+        else:  # day0_artifact: an ADR-like excess, often reported on the
+            # prescription day itself so that the day-0 IC dominates the
+            # follow-up IC; integers(0, 1) is 0 and draws nothing
+            p = prob(30)
+            shape = [(p, 0, 1, True), (0.5 * p, 1, 30, True)]
+        draws += [(event_index[inj.event_code], (drug, inj.event_code), *d)
+                  for d in shape]
+    return model.prescription_rate, model.repeat_rate, indication, draws
 
 
 def _hasher(init: int, mult: int):
@@ -371,7 +389,7 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
             bg_days.append(rng.integers(reg, end + 1, size=total))
 
         lo, hi = reg + 380, end - 45
-        for d, (rate, repeat_rate, indication, signals) in enumerate(plans):
+        for d, (rate, repeat_rate, indication, draws) in enumerate(plans):
             if rng.random() >= rate or hi <= lo:
                 continue
             t0 = int(rng.integers(lo, hi + 1))
@@ -387,30 +405,10 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
                 for day in rng.integers(t0 - 60, t0, size=n_extra).tolist():
                     extra += (i, code, day)
 
-            for kind, code, key, p, q, latency in signals:
-                if kind == "adr":
-                    if rng.random() < p:
-                        extra += (i, code,
-                                  t0 + 1 + int(rng.integers(0, latency)))
-                        injected[key] += 1
-                elif kind == "therapeutic_failure":
-                    if rng.random() < p:
-                        extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
-                        injected[key] += 1
-                    # pre-exposure excess sits in [t0-180, t0-31] so the
-                    # month directly before the prescription stays clean
-                    if rng.random() < q:
-                        extra += (i, code,
-                                  t0 - 180 + int(rng.integers(0, 150)))
-                else:  # day0_artifact: an ADR-like excess that is reported
-                    # on the prescription day itself much of the time, so
-                    # the day-0 IC dominates the follow-up IC
-                    if rng.random() < p:
-                        extra += (i, code, t0)
-                        injected[key] += 1
-                    if rng.random() < q:
-                        extra += (i, code, t0 + 1 + int(rng.integers(0, 30)))
-                        injected[key] += 1
+            for code, key, p, first, days, counted in draws:
+                if rng.random() < p:
+                    extra += (i, code, t0 + first + int(rng.integers(0, days)))
+                    injected[key] += counted
 
     # event rows: visits, background, then the extra rows; each column
     # is built on its own, so only one is being assembled at a time
@@ -547,14 +545,10 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
         "ground_truth": out / "ground_truth.csv",
     }
     iso = functools.cache(lambda day: from_ordinal(day).isoformat())
-    with open(paths["patients"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", "year_of_birth", "gender",
-                         "registration_date", "death_date"])
-        writer.writerows([pid, yob, gender.value, iso(reg),
-                          iso(death) if death else ""]
-                         for pid, yob, gender, reg, death
-                         in result.patient_rows)
+    write_csv(paths["patients"], ["patient_id", "year_of_birth", "gender",
+                                  "registration_date", "death_date"],
+              ([pid, yob, gender.value, iso(reg), iso(death) if death else ""]
+               for pid, yob, gender, reg, death in result.patient_rows))
     # both record tables list the same patient ids
     ids = (_ranks(result.rx[0]), _csv_fields(result.rx[0]))
     _write_records(paths["prescriptions"], ["patient_id", "drug_code", "date"],

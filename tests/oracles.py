@@ -187,10 +187,12 @@ def brute_from_records(patient_rows, rx_rows, ev_rows):
     ev_key = np.array([p * _KEY_BASE + d for p, d in zip(ev_pid, ev_day)],
                       dtype=np.int64)
 
-    db = Database(pt_index, year_of_birth, gender_letter, registration,
-                  death_day, last_active, rx_pid, rx_drug, rx_day, ev_key,
-                  ev_code.astype(np.int32), drug_index, event_index,
-                  rx_dropped + ev_dropped)
+    db = Database(patient_ids, drug_codes, event_codes, {
+        "year_of_birth": year_of_birth, "gender": gender_letter,
+        "registration": registration, "death": death_day,
+        "last_active": last_active, "rx_pid": rx_pid, "rx_drug": rx_drug,
+        "rx_day": rx_day, "_ev_key": ev_key,
+        "ev_code": ev_code.astype(np.int32)}, rx_dropped + ev_dropped)
     db._validate(ev_pid, ev_day)
     return db
 

@@ -141,6 +141,11 @@ def stored_event_columns(paths, slot):
     return load_twice(paths, slot)
 
 
+def two_dimensional(paths, slot):
+    rewrite_members(slot, lambda m: m.update(rx_day=m["rx_day"][:, None]))
+    return load_twice(paths, slot)
+
+
 def wrong_length(paths, slot):
     rewrite_members(slot, lambda m: m.update(rx_day=m["rx_day"][:-1]))
     return load_twice(paths, slot)
@@ -243,6 +248,7 @@ CASES = {
                           [wrote("malformed entry"), HIT]),
     "stored_event_columns": (stored_event_columns,
                              [wrote("malformed entry"), HIT]),
+    "two_dimensional": (two_dimensional, [wrote("malformed entry"), HIT]),
     "wrong_length": (wrong_length, [wrote("malformed entry"), HIT]),
     "foreign": (foreign, [wrote("no entry"), wrote("stale entry"), HIT]),
     "rules_changed": (rules_changed, [wrote("stale entry"), HIT]),
@@ -282,6 +288,28 @@ def test_load_cache(case, tmp_path, monkeypatch, caplog):
         assert_same_database(db, want)
     if case != "csv_byte_changed":
         assert_same_database(first, want)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda c: c.update(gender=c["gender"].astype("<U2")),
+     "column gender must be a one-dimensional <U1 array"),
+    (lambda c: c.update(year_of_birth=c["year_of_birth"][:, None]),
+     "column year_of_birth must be a one-dimensional int64 array"),
+    (lambda c: c.update(ev_code=c["ev_code"].astype(np.int64)),
+     "column ev_code must be a one-dimensional int32 array"),
+    (lambda c: c.update(rx_drug=c["rx_drug"][1:]),
+     "columns ['rx_pid', 'rx_drug', 'rx_day'] differ in length"),
+    (lambda c: c.update({n: c[n][1:] for n in store.COLUMNS[0]}),
+     "patient columns must have one entry per patient"),
+], ids=["dtype", "two_dimensional", "int64_event_codes", "record_lengths",
+        "patient_count"])
+def test_database_keeps_the_column_schema(tmp_path, change, message):
+    db = load_database(*write_database(tmp_path), cache=False)
+    columns = {n: getattr(db, n) for group in store.COLUMNS for n in group}
+    change(columns)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        store.Database(db.patient_ids, db.drug_codes, db.event_codes,
+                       columns)
 
 
 def assert_generate_caches_the_loaded_database(config, directory,

@@ -521,7 +521,7 @@ class TestMain:
          "background rate of 'noise_05' must be in [0, 4.612e+18] events "
          "per patient-year, not nan"),
         ("n_patients: 10\nyears_span: 2\n"
-         "background_event_rates: {noise_05: 1e300}\n",
+         "background_event_rates: {noise_05: 1.0e+300}\n",
          "background rate of 'noise_05' must be in [0, 4.612e+18] events "
          "per patient-year, not 1e+300"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
@@ -553,13 +553,47 @@ class TestMain:
         (f"{SCENARIO}injections: [{{is_reaction_code: 'false', "
          f"{INJECTION[1:]}]\n",
          "is_reaction_code of 'e' for 'd' must be a boolean, not 'false'"),
+        # quoted numbers, flags and a longer indication were taken
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: '1'}\n",
+         "background rate of 'e' must be a real number, not '1'"),
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {e: 1, f: true}\n",
+         "background rate of 'f' must be a real number, not True"),
+        # YAML 1.1 reads an exponent without a dot and a sign as text
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {noise_05: 1e300}\n",
+         "background rate of 'noise_05' must be a real number, not '1e300'"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: '0.3'}}\n",
+         "prescription_rate must be a real number, not '0.3'"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3, repeat_rate: false}}\n",
+         "repeat_rate must be a real number, not False"),
+        (f"{SCENARIO}injections: [{{drug_code: d, event_code: e, "
+         "relative_risk: '2'}]\n",
+         "relative_risk of 'e' for 'd' must be a real number, not '2'"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3, "
+         "indication_event: [e, 4.0, 99]}}\n",
+         "indication_event must be [code, multiplier], not ['e', 4.0, 99]"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3, "
+         "indication_event: [7, 4.0]}}\n",
+         "indication_event must be [code, multiplier], not [7, 4.0]"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3, "
+         "indication_event: [e, '4']}}\n",
+         "indication multiplier of 'e' must be a real number, not '4'"),
     ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
             "malformed_yaml", "scalar_drug_model", "rate_nan",
             "rate_too_large", "relative_risk_nan", "unknown_key",
             "unread_config_field", "unknown_drug_model_key",
             "unknown_injection_key", "float_n_patients", "float_years_span",
             "float_rng_seed", "bool_rng_seed", "float_latency",
-            "quoted_boolean"])
+            "quoted_boolean", "text_rate", "bool_rate", "text_exponent_rate",
+            "text_prescription_rate", "bool_repeat_rate",
+            "text_relative_risk", "three_item_indication",
+            "number_indication_code", "text_indication_multiplier"])
     def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
                                                   text, message):
         path = tmp_path / "scenario.yaml"

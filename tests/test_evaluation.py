@@ -152,8 +152,19 @@ class TestTruthAndEvaluate:
         ("drug_code,event_code,frequency_class,is_reaction_code\n"
          "X,A,rare,false\nX," + "B" * 200_000 + ",rare,false\n",
          ", line 3: field larger than field limit"),
+        # these were read as false, or kept with an empty code
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,rare,TRUE\nX,B,rare,yes\n",
+         ", row 3: bad is_reaction_code 'yes'"),
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,rare, ture \n", ", row 2: bad is_reaction_code 'ture'"),
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,A,rare,0\n ,B,rare,1\n", ", row 3: missing drug_code"),
+        ("drug_code,event_code,frequency_class,is_reaction_code\n"
+         "X,,rare,false\n", ", row 2: missing event_code"),
     ], ids=["missing_column", "unknown_frequency_class", "non_utf8",
-            "csv_error"])
+            "csv_error", "yes_flag", "misspelt_flag", "empty_drug_code",
+            "empty_event_code"])
     def test_bad_dictionary_names_file_and_line(self, tmp_path, text,
                                                 message):
         path = tmp_path / "adr.csv"
@@ -206,13 +217,21 @@ class TestTruthAndEvaluate:
         path = tmp_path_factory.mktemp("truth") / "adr.csv"
         path.write_bytes(
             (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8"))
+        # the loop kept an empty event code, which the reader refuses
+        empty_code = any(row and not row[1].strip() for row in rows[1:])
         try:
             want = brute_truth_from_csv(path)
         except DataFormatError:
-            with pytest.raises(DataFormatError, match="unknown frequency"):
+            with pytest.raises(DataFormatError,
+                               match="unknown frequency|missing event_code"):
                 AdrDictionary.from_csv(path)
         else:
-            assert AdrDictionary.from_csv(path).entries == want
+            if empty_code:
+                with pytest.raises(DataFormatError,
+                                   match="missing event_code"):
+                    AdrDictionary.from_csv(path)
+            else:
+                assert AdrDictionary.from_csv(path).entries == want
 
     def test_ranked_csv_round_trip(self, tmp_path):
         r = ranked(["A", "C", "D"])
