@@ -43,20 +43,32 @@ def make_db(patients, rx=(), events=()):
 
 
 def random_small_db(rng: np.random.Generator, n_patients=10,
-                    drugs=("X", "B"), codes=("A", "C", "D")):
-    """Random dense little database for oracle-equivalence checks."""
+                    drugs=("X", "B"), codes=("A", "C", "D"), near_rx=0):
+    """Random dense little database for oracle-equivalence checks.
+
+    near_rx > 0 adds up to that many events around each prescription, at
+    offsets of -30, -20, ..., 30 days (clipped to the patient's span), so
+    that events on the prescription day and equal counts in the periods
+    around it are common; with 0 the stream draws nothing for them.
+    """
     patients, rx, events = [], [], []
     for i in range(n_patients):
         pid = f"r{i}"
         reg = int(rng.integers(0, 120))
         until = reg + int(rng.integers(450, 1500))
         patients.append((pid, reg, until))
+        first_rx = len(rx)
         for _ in range(int(rng.integers(0, 5))):
             rx.append((pid, str(rng.choice(drugs)),
                        int(rng.integers(reg, until + 1))))
         for _ in range(int(rng.integers(0, 12))):
             events.append((pid, str(rng.choice(codes)),
                            int(rng.integers(reg, until + 1))))
+        for _, _, rx_day in rx[first_rx:] if near_rx else ():
+            for _ in range(int(rng.integers(0, near_rx + 1))):
+                near = rx_day + 10 * int(rng.integers(-3, 4))
+                events.append((pid, str(rng.choice(codes)),
+                               min(max(near, reg), until)))
     return make_db(patients, rx=rx, events=events)
 
 

@@ -493,6 +493,113 @@ def brute_support_counts(db, exposures, event_code, config, seed):
             db.n_patients)
 
 
+# -- whole ranked lists ---------------------------------------------------
+
+def brute_candidates(db, config):
+    """Sorted codes of the events in the risk window of >= 1 episode,
+    less the excluded codes, by a per-episode scan."""
+    codes = set()
+    for pid, idx in brute_exposures(db, config):
+        _, events = patient_records(db, pid)
+        first_day = idx if config.include_day0 else idx + 1
+        codes |= {c for c, d in events if first_day <= d <= idx + config.T}
+    return sorted(codes - config.excluded_event_codes)
+
+
+def _precedes(a, b, scores):
+    """Whether code a ranks above code b: the higher score, ties by code,
+    an undefined (None) score below every score."""
+    sa, sb = scores[a], scores[b]
+    if sa is None or sb is None:
+        return sb is None and (sa is not None or a < b)
+    return sa > sb or (sa == sb and a < b)
+
+
+def brute_ranks(scores):
+    """1-based rank of every code: one plus the codes that precede it."""
+    return {c: 1 + sum(_precedes(d, c, scores) for d in scores)
+            for c in scores}
+
+
+def _shrunk_ic(n, e):
+    return math.log2((n + 0.5) / (e + 0.5))
+
+
+def _brute_ror05(cells):
+    """ROR05 of (w00, w01, w10, w11), Haldane-Anscombe corrected when a
+    cell is 0."""
+    if min(cells) == 0:
+        cells = tuple(c + 0.5 for c in cells)
+    a, b, c, d = cells
+    se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
+    return math.exp(math.log((a / c) / (b / d)) - 1.645 * se)
+
+
+def _brute_oe(db, codes, config, variant):
+    """(IC delta of each kept code, filter reason of each dropped one)."""
+    exposures = brute_exposures(db, config)
+    any_exposures = brute_all_drug_exposures(db, config)
+    kept, filtered = {}, {}
+    for code in codes:
+        observed = {}
+        for period in Period:
+            n_xy, n_x_dot, n_dot_y, n_dot_dot = brute_period_counts(
+                db, exposures, code, period, config, any_exposures)
+            observed[period] = (n_xy, n_x_dot * n_dot_y / max(n_dot_dot, 1))
+        ic_u = _shrunk_ic(*observed[Period.FOLLOWUP_U])
+        if _shrunk_ic(*observed[Period.MONTH_PRIOR]) > ic_u:
+            filtered[code] = "prior_month"
+        elif variant == 2 and \
+                _shrunk_ic(*observed[Period.DAY_OF_PRESCRIPTION]) > ic_u:
+            filtered[code] = "day_of_prescription"
+        else:
+            (n_u, e_u), (n_v, e_v) = (observed[Period.FOLLOWUP_U],
+                                      observed[Period.CONTROL_V])
+            ratio = n_v / e_v if n_v > 0 and e_v > 0 else \
+                (n_v + 0.5) / (e_v + 0.5)
+            kept[code] = _shrunk_ic(n_u, ratio * e_u)
+    return kept, filtered
+
+
+def _brute_leverages(db, codes, config):
+    """({code: unexpected leverage}, {code: leverage})."""
+    first = brute_first_exposure_per_patient(brute_exposures(db, config))
+    unexpected, leverage = {}, {}
+    for code in codes:
+        supp_x, seq_unex, seq, bg_unex, bg, population = \
+            brute_support_counts(db, first, code, config, config.rng_seed)
+        unexpected[code] = seq_unex - supp_x * (bg_unex + seq_unex) / population
+        leverage[code] = seq - supp_x * (bg + seq) / population
+    return unexpected, leverage
+
+
+def brute_ranked(db, drug, algorithm_id, config):
+    """([(code, rank, score)] by rank, {filtered code: reason}) of one
+    algorithm id's list for a drug under config, from the brute counts.
+
+    Each score is written out in scalar math in the order the package's
+    views compute it, so it equals theirs to the bit.
+    """
+    config = dataclasses.replace(config, drug_code=drug)
+    codes = brute_candidates(db, config)
+    filtered = {}
+    if algorithm_id == "ror05":
+        cells = brute_srs_cells(db, drug, config.T)
+        scores = {code: _brute_ror05(cells[code]) for code in codes}
+    elif algorithm_id in ("oe1", "oe2"):
+        scores, filtered = _brute_oe(db, codes, config,
+                                     int(algorithm_id[-1]))
+    elif algorithm_id.startswith("mutara"):
+        scores, _ = _brute_leverages(db, codes, config)
+    else:
+        rank_unex, rank_lev = map(brute_ranks,
+                                  _brute_leverages(db, codes, config))
+        scores = {code: rank_lev[code] / rank_unex[code] for code in codes}
+    ranks = brute_ranks(scores)
+    entries = sorted((code, ranks[code], scores[code]) for code in scores)
+    return sorted(entries, key=lambda entry: entry[1]), filtered
+
+
 # -- incomplete gamma via series / continued fraction ---------------------
 
 def gammainc_oracle(a: float, x: float, eps=1e-15, max_iter=10_000) -> float:
