@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -182,12 +183,28 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader with YAML 1.2's floats: YAML 1.1 reads an
+    exponent without a dot or a signed exponent (1e-3, 1.0e3, JSON's
+    1e-05) as text.  Digits alone stay integers."""
+
+
+_FLOAT = "tag:yaml.org,2002:float"
+_Loader.yaml_implicit_resolvers = {
+    first: [r for r in resolvers if r[0] != _FLOAT]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+_Loader.add_implicit_resolver(_FLOAT, re.compile(
+    r"^[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+    r"|[0-9]+[eE][-+]?[0-9]+|\.(?:inf|Inf|INF))$|^\.(?:nan|NaN|NAN)$"),
+    list("-+0123456789."))
+
+
 def _read_yaml(path, parse):
     """parse(the YAML document in a file).  A file that cannot be read,
     is not YAML or that parse rejects is one ValueError line naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(yaml.safe_load(fh))
+            return parse(yaml.load(fh, Loader=_Loader))
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
@@ -358,9 +375,12 @@ def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
     models = {}
     for drug, spec in (raw.get("drug_models") or {}).items():
         _check_keys(f"drug model {drug!r}", spec, synthgen.DrugModel)
-        models[drug] = synthgen.DrugModel(
-            spec["prescription_rate"], spec.get("indication_event"),
-            spec.get("repeat_rate", 0.0))
+        try:
+            models[drug] = synthgen.DrugModel(
+                spec["prescription_rate"], spec.get("indication_event"),
+                spec.get("repeat_rate", 0.0))
+        except ValueError as exc:   # a DrugModel does not know its key
+            raise ValueError(f"drug model {drug!r}: {exc}") from None
     injections = []
     for j in raw.get("injections") or []:
         _check_keys("injection", j, synthgen.Injection)

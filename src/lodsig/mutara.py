@@ -8,8 +8,9 @@ HUNT re-ranks by the ratio of the plain-leverage rank to the
 unexpected-leverage rank, demoting therapeutic-failure style events.
 
 Background rates come from one random T-day window per never-exposed
-patient; the window start is derived from (seed, patient_id) so results
-are reproducible and independent of iteration order or thread count.
+patient, counted by the same kernel call as the exposed windows; its
+start is derived from (seed, patient_id) so results are reproducible
+and independent of iteration order or thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .ranking import rank_events
 from .store import (DAYS_12_MONTHS, Database, StudyConfig, first_per_patient,
-                    window_pairs)
+                    previous_days, window_pairs)
 
 
 def _digest(seed: int, patient_id: str) -> int:
@@ -51,30 +52,27 @@ def _background_starts(db: Database, seed: int, T: int) -> np.ndarray:
     return np.where(fits, lo + offset.astype(np.int64), -1)
 
 
-def _window_supports(db: Database, pts, start, T: int, pre: int):
-    """Per-code supports of one window per pts row, at most 2 kernel calls.
-
-    Returns (rows with the code in (start, start + T], those of them
-    without it in [start - pre, start]), both indexed by event code.  A
-    pre of 0 disables the predictable filter.  Rows must be distinct
-    patients, so a row count is a patient count.
+def _window_supports(db: Database, pts, start, T: int, pre: int,
+                     n_exposed: int):
+    """(seq, seq_unexpected, bg, bg_unexpected) of every code, with one
+    kernel call: the rows with the code in (start, start + T], and those
+    of them without it in [start - pre, start] either (a pre of 0 is no
+    filter), of the first n_exposed rows, then of the others.  Rows must
+    be distinct patients, so a row count is a patient count.
     """
-    n_codes = len(db.event_codes)
-    row, code = window_pairs(db, pts, start + 1, start + T)
-    post = np.unique(row * n_codes + code)
-    if pre > 0:
-        row, code = window_pairs(db, pts, start - pre, start)
-        # unexpected = post pairs minus predictable pairs, per (row, code)
-        post_unexpected = post[~np.isin(post, row * n_codes + code)]
-    else:
-        post_unexpected = post
-    return (np.bincount(post % n_codes, minlength=n_codes),
-            np.bincount(post_unexpected % n_codes, minlength=n_codes))
+    row, code, event = window_pairs(db, pts, start + 1, start + T)
+    previous = db.cached("previous days", lambda: previous_days(db))[event]
+    start = start[row]
+    first = previous <= start    # no earlier event of the code in the window
+    unexpected = previous < start - pre if pre else first
+    exposed = row < n_exposed
+    return [np.bincount(code[side & mask], minlength=len(db.event_codes))
+            for side in (exposed, ~exposed) for mask in (first, unexpected)]
 
 
 def _support_vectors(db: Database, episodes, config: StudyConfig,
                      seed: int):
-    """The supports of every code, with at most 4 kernel calls.
+    """The supports of every code, with one kernel call.
 
     Only each patient's first episode counts.  Returns (supp_x,
     supp_seq_unexpected, supp_seq, supp_bg_unexpected, supp_bg,
@@ -86,7 +84,15 @@ def _support_vectors(db: Database, episodes, config: StudyConfig,
     """
     T, pre = config.T, config.pre_window
     x_pts, x_idx = first_per_patient(*episodes)
-    seq, seq_unexpected = _window_supports(db, x_pts, x_idx, T, pre)
+    # never-exposed patients with a drawn window
+    background_starts = _background_starts(db, seed, T)
+    background = background_starts >= 0
+    background[db.prescriptions_of_drug(config.drug_code)[0]] = False
+    bg_pts = np.flatnonzero(background)
+    seq, seq_unexpected, bg, bg_unexpected = _window_supports(
+        db, np.concatenate([x_pts, bg_pts]),
+        np.concatenate([x_idx, background_starts[bg_pts]]), T, pre,
+        len(x_pts))
     supp_x, population = len(x_pts), db.n_patients
     bad = (seq_unexpected > seq) | (seq > supp_x) | (supp_x > population)
     if bad.any():
@@ -94,13 +100,6 @@ def _support_vectors(db: Database, episodes, config: StudyConfig,
             "inconsistent support counts of event codes "
             f"{[db.event_codes[c] for c in np.flatnonzero(bad).tolist()]}: "
             "supp_seq_unexpected <= supp_seq <= supp_x <= population fails")
-
-    # never-exposed patients with a drawn window
-    background_starts = _background_starts(db, seed, T)
-    bg_pts = np.setdiff1d(np.flatnonzero(background_starts >= 0),
-                          db.prescriptions_of_drug(config.drug_code)[0])
-    bg, bg_unexpected = _window_supports(db, bg_pts,
-                                         background_starts[bg_pts], T, pre)
     return supp_x, seq_unexpected, seq, bg_unexpected, bg, population
 
 

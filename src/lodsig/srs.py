@@ -63,7 +63,7 @@ def srs_cells(db: Database, config: StudyConfig):
     the same after other drugs.
     """
     pair_rx, pair_event = window_pairs(db, db.rx_pid, db.rx_day + 1,
-                                       db.rx_day + config.T)
+                                       db.rx_day + config.T)[:2]
     # an unknown drug matches no prescription (drug indices are >= 0)
     di = db.drug_index(config.drug_code)
     pair_is_x = db.rx_drug[pair_rx] == (-1 if di is None else di)

@@ -8,7 +8,7 @@ The store applies the data-quality rules (12-month registration washout,
 13-month first-prescription rule, 30-day active-follow-up rule) and
 serves the windowed event queries every detection algorithm is built
 on through one kernel, `window_pairs`: each windowed count is a
-`bincount` over the (window, event code) pairs it returns for many
+`bincount` over the (window, code, event) triples it returns for many
 windows at once.  Dates are proleptic-Gregorian day ordinals internally.
 
 `load_database` keeps a load cache in `cache_dir()`: one `.npz` slot of
@@ -256,6 +256,8 @@ class Database:
             *rx, "prescriptions")
         event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = records(
             *ev, "events")
+        # the int64 codes go before the checks below take their memory
+        ev_code = ev_code.astype(np.int32)
 
         last_active = np.maximum(registration, death)
         for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
@@ -266,7 +268,7 @@ class Database:
             gender=column([g.value for g in genders[0]], genders[1], "U1"),
             registration=registration, death=death, last_active=last_active,
             rx_pid=rx_pid, rx_drug=rx_drug, rx_day=rx_day, _ev_key=ev_key,
-            ev_code=ev_code.astype(np.int32)), rx_dropped + ev_dropped)
+            ev_code=ev_code), rx_dropped + ev_dropped)
         db._validate(ev_pid, ev_day)
         return db
 
@@ -706,13 +708,34 @@ def extract_exposures(db: Database, config: StudyConfig) -> list[ExposureEpisode
                                   db.last_active[pts].tolist())]
 
 
+def previous_days(db: Database, block: int = 1024):
+    """Each event's day of its patient's previous event of its code, or
+    the int32 minimum (before every window): int32, sorted a block of
+    whole patients at a time so that the keys fit int32 and stay small."""
+    n_codes = max(len(db.event_codes), 1)
+    block = max(1, min(block, (2 ** 31 - 1) // n_codes))
+    previous = np.full(len(db._ev_key), np.iinfo(np.int32).min, np.int32)
+    for first in range(0, db.n_patients, block):
+        lo, hi = np.searchsorted(db._ev_key, [first * _KEY_BASE,
+                                              (first + block) * _KEY_BASE])
+        pid, day = np.divmod(db._ev_key[lo:hi], _KEY_BASE)
+        # a stable sort keeps each (patient, code) group in day order
+        group = ((pid - first) * n_codes + db.ev_code[lo:hi]).astype(np.int32)
+        order = np.argsort(group, kind="stable")
+        same = group[order[1:]] == group[order[:-1]]
+        previous[lo + order[1:][same]] = day[order[:-1][same]]
+    return previous
+
+
 def window_pairs(db: Database, pts, lo_day, hi_day):
-    """(row, code) of every event in a window: the windowed-count kernel.
+    """(row, code, event) of every event in a window: the windowed-count
+    kernel.
 
     Window `row` is patient pts[row] over the inclusive days
     [lo_day[row], hi_day[row]]; a window with lo_day > hi_day is empty.
     Returns arrays with one entry per event of that patient dated in the
-    window, rows ascending: int64 rows and the int32 codes of `ev_code`.
+    window, rows ascending: int64 rows, the int32 codes of `ev_code` and
+    the int64 event indices.
     Windows may overlap and a patient may have several, and may reach
     past the key's day range, which holds every record day: clipped to
     it, a window stays inside its patient's keys, and an empty one stays
@@ -727,7 +750,7 @@ def window_pairs(db: Database, pts, lo_day, hi_day):
     row = np.repeat(np.arange(len(lo)), counts)
     starts = np.cumsum(counts) - counts
     flat = np.repeat(lo - starts, counts) + np.arange(len(row))
-    return row, db.ev_code[flat]
+    return row, db.ev_code[flat], flat
 
 
 def candidate_codes(db: Database, episodes, T: int,
@@ -740,8 +763,8 @@ def candidate_codes(db: Database, episodes, T: int,
     pulls the prescription day itself into the window.
     """
     pts, idx = episodes
-    _, code = window_pairs(db, pts, idx if include_day0 else idx + 1,
-                           idx + T)
+    code = window_pairs(db, pts, idx if include_day0 else idx + 1,
+                        idx + T)[1]
     # a bincount, not np.unique: numpy's unique imports numpy.ma
     present = np.bincount(code, minlength=len(db.event_codes)) > 0
     dropped = [i for i in map(db.event_index, excluded) if i is not None]

@@ -451,8 +451,8 @@ def realized_truth(db: Database, config: SynthConfig) -> AdrDictionary:
         if inj.kind != "adr":
             continue
         pts, idx = first_per_patient(*db.episodes(inj.drug_code))
-        _, code = window_pairs(db, pts, idx + 1,
-                               idx + inj.latency_window_days)
+        code = window_pairs(db, pts, idx + 1,
+                            idx + inj.latency_window_days)[1]
         ci = db.event_index(inj.event_code)
         observed = 0 if ci is None else int(np.count_nonzero(code == ci))
         if observed == 0:

@@ -99,7 +99,7 @@ def _patients_with_event(db: Database, episodes, period: Period,
     wstart, wend = period_window(period, idx, config)
     covered = (db.registration[pts] <= wstart) & (db.last_active[pts] >= wend)
     pts = pts[covered]
-    row, code = window_pairs(db, pts, wstart[covered], wend[covered])
+    row, code = window_pairs(db, pts, wstart[covered], wend[covered])[:2]
     n_codes = len(db.event_codes)
     patient_code = np.unique(pts[row] * n_codes + code)
     return (np.bincount(patient_code % n_codes, minlength=n_codes),

@@ -385,6 +385,18 @@ def brute_window_pairs(db, pts, lo_day, hi_day):
     return sorted(pairs)
 
 
+def brute_previous_days(db):
+    """Each event's day of the latest earlier event of its patient and
+    code, or the int32 minimum, by a scan of each patient's records."""
+    days = []
+    for pid in db.patient_ids:
+        _, events = patient_records(db, pid)
+        for code, d in events:
+            earlier = [e for c, e in events if c == code and e < d]
+            days.append(max(earlier, default=np.iinfo(np.int32).min))
+    return days
+
+
 def brute_srs_counts(db, drug_code, T=30):
     """Pair enumeration over every (prescription, in-window event)."""
     pairs = []
@@ -596,8 +608,8 @@ def brute_ranked(db, drug, algorithm_id, config):
                                   _brute_leverages(db, codes, config))
         scores = {code: rank_lev[code] / rank_unex[code] for code in codes}
     ranks = brute_ranks(scores)
-    entries = sorted((code, ranks[code], scores[code]) for code in scores)
-    return sorted(entries, key=lambda entry: entry[1]), filtered
+    return sorted(((code, ranks[code], scores[code]) for code in scores),
+                  key=lambda entry: entry[1]), filtered
 
 
 # -- incomplete gamma via series / continued fraction ---------------------

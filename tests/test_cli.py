@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime
 import hashlib
+import json
 import math
 import os
 import shutil
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import lodsig
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
-                        demo_synth_config, main, run, score_drug,
+                        _read_yaml, demo_synth_config, main, run, score_drug,
                         synth_config_from_dict)
 from lodsig.synthgen import DrugModel, generate
 
@@ -559,31 +560,44 @@ class TestMain:
         ("n_patients: 10\nyears_span: 2\n"
          "background_event_rates: {e: 1, f: true}\n",
          "background rate of 'f' must be a real number, not True"),
-        # YAML 1.1 reads an exponent without a dot and a sign as text
+        # an exponent is a whole number: this is text in YAML 1.1 and 1.2
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {noise_05: 1e3.5}\n",
+         "background rate of 'noise_05' must be a real number, not '1e3.5'"),
+        # YAML 1.1 read an exponent without a dot and a sign as text
         ("n_patients: 10\nyears_span: 2\n"
          "background_event_rates: {noise_05: 1e300}\n",
-         "background rate of 'noise_05' must be a real number, not '1e300'"),
+         "background rate of 'noise_05' must be in [0, 4.612e+18] events "
+         "per patient-year, not 1e+300"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: {prescription_rate: '0.3'}}\n",
-         "prescription_rate must be a real number, not '0.3'"),
+         "drug model 'd': prescription_rate must be a real number, "
+         "not '0.3'"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: {prescription_rate: 0.3, repeat_rate: false}}\n",
-         "repeat_rate must be a real number, not False"),
+         "drug model 'd': repeat_rate must be a real number, not False"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {d: {prescription_rate: 0.3}, "
+         "d2: {prescription_rate: 1.5}}\n",
+         "drug model 'd2': prescription_rate must be in [0, 1]"),
         (f"{SCENARIO}injections: [{{drug_code: d, event_code: e, "
          "relative_risk: '2'}]\n",
          "relative_risk of 'e' for 'd' must be a real number, not '2'"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: {prescription_rate: 0.3, "
          "indication_event: [e, 4.0, 99]}}\n",
-         "indication_event must be [code, multiplier], not ['e', 4.0, 99]"),
+         "drug model 'd': indication_event must be [code, multiplier], "
+         "not ['e', 4.0, 99]"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: {prescription_rate: 0.3, "
          "indication_event: [7, 4.0]}}\n",
-         "indication_event must be [code, multiplier], not [7, 4.0]"),
+         "drug model 'd': indication_event must be [code, multiplier], "
+         "not [7, 4.0]"),
         ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
          "drug_models: {d: {prescription_rate: 0.3, "
          "indication_event: [e, '4']}}\n",
-         "indication multiplier of 'e' must be a real number, not '4'"),
+         "drug model 'd': indication multiplier of 'e' must be a real "
+         "number, not '4'"),
     ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
             "malformed_yaml", "scalar_drug_model", "rate_nan",
             "rate_too_large", "relative_risk_nan", "unknown_key",
@@ -591,7 +605,8 @@ class TestMain:
             "unknown_injection_key", "float_n_patients", "float_years_span",
             "float_rng_seed", "bool_rng_seed", "float_latency",
             "quoted_boolean", "text_rate", "bool_rate", "text_exponent_rate",
-            "text_prescription_rate", "bool_repeat_rate",
+            "exponent_rate_too_large", "text_prescription_rate",
+            "bool_repeat_rate", "prescription_rate_too_large",
             "text_relative_risk", "three_item_indication",
             "number_indication_code", "text_indication_multiplier"])
     def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
@@ -607,6 +622,28 @@ class TestMain:
         assert err.splitlines()[-1].startswith(
             f"lodsig: error: {path}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("rate", [
+        "1e-3", "1.0e3", "1e-05", "json"])
+    def test_exponent_rates_read_as_numbers(self, tmp_path, rate):
+        # YAML 1.1 read the first three as text; json.dumps writes 0.00001
+        # as 1e-05, and a JSON document is YAML
+        path = tmp_path / "scenario.yaml"
+        if rate == "json":
+            path.write_text(json.dumps({
+                "n_patients": 10, "years_span": 2,
+                "background_event_rates": {"e": 0.00001},
+                "drug_models": {"d": {"prescription_rate": 0.3}}}))
+        else:
+            path.write_text("n_patients: 10\nyears_span: 2\n"
+                            f"background_event_rates: {{e: {rate}}}\n")
+        config = _read_yaml(path, synth_config_from_dict)
+        assert config.background_event_rates == \
+            {"e": 0.00001 if rate == "json" else float(rate)}
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path), "--output",
+                     str(out)]) == 0
+        assert (out / "events.csv").exists()
 
     def test_jobs_below_one_is_usage_error(self, demo_data, tmp_path,
                                            capsys, monkeypatch):

@@ -78,13 +78,14 @@ class TestSupportCounts:
         db = make_db([("p0", -900, 1000), ("p1", -900, 1000)],
                      rx=[("p0", "X", 0)], events=[("p0", "A", 5)])
         config = StudyConfig(drug_code="X", pre_window=60, rng_seed=11)
-        # (supp_seq, supp_seq_unexpected) of the one code A; one patient
-        # holds an X episode
+        # (supp_seq, supp_seq_unexpected) of the one code A, with no
+        # background support; one patient holds an X episode
         for seq, seq_unexpected in (([1], [2]),    # unexpected > seq
                                     ([2], [0])):   # seq > supp_x
             monkeypatch.setattr(
                 mutara, "_window_supports",
-                lambda *args: (np.array(seq), np.array(seq_unexpected)))
+                lambda *args: (np.array(seq), np.array(seq_unexpected),
+                               np.array([0]), np.array([0])))
             with pytest.raises(ValueError, match=r"inconsistent support "
                                r"counts of event codes \['A'\]"):
                 mutara._support_vectors(db, db.episodes("X"), config, 11)

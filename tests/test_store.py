@@ -21,7 +21,7 @@ from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_codes, cohort_summary, extract_exposures,
                           first_per_patient, from_ordinal, load_database,
-                          record_order, window_pairs)
+                          previous_days, record_order, window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import build_database, generate
 
@@ -30,8 +30,9 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_extract_exposures,
                      brute_first_exposure_per_patient,
                      brute_generate_tables, brute_load_database,
-                     brute_srs_cells, brute_support_counts,
-                     brute_window_pairs, patient_span)
+                     brute_previous_days, brute_srs_cells,
+                     brute_support_counts, brute_window_pairs, patient_span)
+from test_acceptance import _recovery_config
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -451,6 +452,40 @@ class TestLongFields:
         assert peak < 4 * 2 ** 20, peak
 
 
+class TestMemoryBudget:
+    """tracemalloc peaks on recovery-shaped data (criterion 5's scenario,
+    seed 404), in bytes an event.  Each budget keeps the headroom
+    recorded beside it, and fails at the size its comment names."""
+
+    @pytest.fixture(scope="class")
+    def recovery_csvs(self, tmp_path_factory):
+        config = dataclasses.replace(_recovery_config(404), n_patients=2000)
+        paths = generate(config, tmp_path_factory.mktemp("recovery"),
+                         cache=False)
+        return paths["prescriptions"], paths["events"], paths["patients"]
+
+    def test_parse_peak(self, recovery_csvs):
+        # 46,972 events at 83.5-84.0 B each, 5% under the budget; an int64
+        # event code column kept alive through the load's checks made
+        # 91.5-92.0
+        db, peak = _peak_bytes(store._parse_database, *recovery_csvs)
+        assert peak / len(db._ev_key) < 88, peak
+
+    def test_score_drug_peak(self):
+        # all seven ids for both drugs at 10,000 patients (233,651 events):
+        # 12.2 B an event, 8.0 before the MUTARA pass's previous-day
+        # column, 40% under the budget; that column sorted in one piece
+        # made 45.4
+        db, _ = build_database(dataclasses.replace(_recovery_config(404),
+                                                   n_patients=10_000))
+        # first calls import modules and fill caches the budget leaves out
+        score_drug(random_small_db(np.random.default_rng(0)), "X",
+                   ALGORITHM_IDS)
+        _, peak = _peak_bytes(lambda: [score_drug(db, drug, ALGORITHM_IDS)
+                                       for drug in db.drug_codes])
+        assert peak / len(db._ev_key) < 20, peak
+
+
 class TestBenchmarkProbe:
 
     def test_unit_inputs_count_what_scoring_reads(self, tmp_path):
@@ -794,7 +829,8 @@ class TestExposureArrays:
 def window_count(db, patient_id, lo, hi, event_code):
     """Events of one code for one patient in [lo, hi], by window_pairs."""
     pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
-    _, codes = window_pairs(db, pts, np.array([lo]), np.array([hi]))
+    _, codes, events = window_pairs(db, pts, np.array([lo]), np.array([hi]))
+    assert (db.ev_code[events] == codes).all()
     return [db.event_codes[c] for c in codes.tolist()].count(event_code)
 
 
@@ -850,11 +886,16 @@ class TestWindowPairs:
                        dtype=np.int64)
         lo = np.array([day(a) for _, a, _ in windows], dtype=np.int64)
         hi = np.array([day(b) for _, _, b in windows], dtype=np.int64)
-        row, code = window_pairs(db, pts, lo, hi)
+        row, code, event = window_pairs(db, pts, lo, hi)
         got = sorted(zip(row.tolist(),
                          [db.event_codes[c] for c in code.tolist()]))
         assert got == brute_window_pairs(db, pts, lo, hi)
         assert list(row) == sorted(row)
+        # each pair names its event: that event's patient, day and code
+        assert (db.ev_pid[event] == pts[row]).all()
+        assert ((lo[row] <= db.ev_day[event])
+                & (db.ev_day[event] <= hi[row])).all()
+        assert (db.ev_code[event] == code).all()
 
     def test_int32_patient_indices_pack_in_int64(self):
         # int32 indices of 215 and more once wrapped in the packed key
@@ -866,12 +907,12 @@ class TestWindowPairs:
         pts = np.arange(215, n, dtype=np.int32)
         lo = np.full(len(pts), day(0), dtype=np.int32)
         hi = np.full(len(pts), day(20), dtype=np.int32)
-        row, code = window_pairs(db, pts, lo, hi)
+        row, code, event = window_pairs(db, pts, lo, hi)
         assert row.tolist() == list(range(len(pts)))
         assert [db.event_codes[c] for c in code.tolist()] == \
             ["ABC"[i % 3] for i in pts.tolist()]
         want = window_pairs(db, pts.astype(np.int64), lo, hi)
-        for got, expected in zip((row, code), want):
+        for got, expected in zip((row, code, event), want):
             np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("T, pre_window", [
@@ -888,7 +929,7 @@ class TestWindowPairs:
             db = random_small_db(rng, n_patients=10)
             pts, idx = db.episodes("X")
             for lo, hi in ((idx + 1, idx + T), (idx - pre_window, idx)):
-                row, code = window_pairs(db, pts, lo, hi)
+                row, code, _ = window_pairs(db, pts, lo, hi)
                 got = sorted(zip(row.tolist(),
                                  [db.event_codes[c] for c in code.tolist()]))
                 assert got == brute_window_pairs(db, pts, lo, hi)
@@ -903,16 +944,16 @@ class TestWindowPairs:
                     brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
-        ((store, temporal_ic, mutara), 17),
-        ((store, temporal_ic, mutara, srs), 18)], ids=["no_srs", "srs"])
+        ((store, temporal_ic, mutara), 11),
+        ((store, temporal_ic, mutara, srs), 12)], ids=["no_srs", "srs"])
     def test_calls_per_drug_independent_of_candidates(self, modules, calls,
                                                       monkeypatch):
         # the seven ids share one window, so score_drug selects their
         # candidates with one call; of the four scoring passes (ror05;
         # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 8 (4
-        # periods x 2 populations), each support pass 4 (post and
-        # predictable windows x exposed and background patients) and SRS
-        # 1, however many codes there are
+        # periods x 2 populations), each support pass 1 (the exposed and
+        # background windows together) and SRS 1, however many codes
+        # there are
         seen = []
 
         def counting(*args):
@@ -933,8 +974,9 @@ class TestWindowPairs:
 
 
     def test_exposure_arrays_and_digests_built_once(self, monkeypatch):
-        # one score_drug over all seven ids reads one episode pass and one
-        # digest array per seed; a second drug reuses both
+        # one score_drug over all seven ids reads one episode pass, one
+        # digest array per seed and one previous-day column; a second
+        # drug reuses all three
         built = []
 
         def counting(name, build):
@@ -946,12 +988,15 @@ class TestWindowPairs:
                             counting("episodes", store._qualifying_episodes))
         monkeypatch.setattr(mutara, "_background_digests",
                             counting("digests", mutara._background_digests))
+        monkeypatch.setattr(mutara, "previous_days",
+                            counting("previous days", store.previous_days))
         db = random_small_db(np.random.default_rng(17), n_patients=40)
         score_drug(db, "X", ALGORITHM_IDS, 3)
-        assert built == [("episodes",), ("digests", 3)]
+        once = [("episodes",), ("digests", 3), ("previous days",)]
+        assert built == once
         score_drug(db, "B", ALGORITHM_IDS, 3,
                    {"hunt180": {"rng_seed": 4}})
-        assert built == [("episodes",), ("digests", 3), ("digests", 4)]
+        assert built == [*once, ("digests", 4)]
 
 
     def test_concurrent_scoring_shares_cached_arrays(self):
@@ -979,6 +1024,24 @@ class TestWindowPairs:
             assert [r.entries for r in lists] == \
                 [r.entries for r in want[drug]]
             assert pts is got[0][1]
+
+
+class TestPreviousDays:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7),
+           st.lists(st.tuples(st.integers(0, 6), st.sampled_from("ABC"),
+                              st.integers(0, 40)), max_size=50),
+           st.sampled_from([1, 2, 3, 1024]))
+    def test_equals_per_patient_scan(self, n_patients, history, block):
+        # blocks of 1 to 3 patients put block edges between patients
+        # that share codes
+        db = make_db([(f"p{i}", 0, 900) for i in range(n_patients)],
+                     events=[(f"p{i % n_patients}", c, d)
+                             for i, c, d in history])
+        days = previous_days(db, block)
+        assert days.dtype == np.int32
+        assert days.tolist() == brute_previous_days(db)
 
 
 def candidate_names(db, episodes, T, **kwargs):
