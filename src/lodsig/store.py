@@ -151,8 +151,8 @@ def _real(name: str, value) -> float:
 # each stored column of a Database with its dtype, in groups of equal
 # length: one entry per patient, per prescription and per event
 COLUMNS = ({"year_of_birth": "int64", "gender": "<U1", "registration": "int64",
-            "death": "int64", "last_active": "int64"},
-           {"rx_pid": "int64", "rx_drug": "int64", "rx_day": "int64"},
+            "death": "int64"},
+           {"rx_pid": "int64", "rx_drug": "int32", "rx_day": "int64"},
            {"_ev_key": "int64", "ev_code": "int32"})
 
 
@@ -160,16 +160,17 @@ class Database:
     """Immutable indexed store of patients, prescriptions and events.
 
     Patient columns are indexed like the sorted `patient_ids`, with each
-    `gender` as its Gender value letter and a `death` of 0 for none;
-    `last_active` is the latest of registration, death and any record
-    day.  Record columns are sorted by (patient index, day, code index).
-    Prescriptions are `rx_pid`, `rx_drug` and `rx_day`.  The event
-    table, by far the largest, is 12 bytes an event: the int64 key
-    `_ev_key` packing (patient index, day) as pid * _KEY_BASE + day, and
-    the int32 `ev_code`; `ev_pid` and `ev_day` are derived from the key
-    on each access.  Queries are read-only; the derived arrays they cache
-    are built once under a lock, so the store stays safe for concurrent
-    use.
+    `gender` as its Gender value letter and a `death` of 0 for none.  The
+    constructor derives `last_active`, the latest of registration, death and
+    any record day, and refuses (DataFormatError) a death or record dated
+    outside [registration, death].  Record columns are sorted by (patient
+    index, day, code index).  Prescriptions are `rx_pid`, `rx_drug` and
+    `rx_day`.  The event table, by far the largest, is 12 bytes an event:
+    the int64 key `_ev_key` packing (patient index, day) as
+    pid * _KEY_BASE + day, and the int32 `ev_code`; `ev_pid` and `ev_day`
+    are derived from the key on each access.  Queries are read-only; the
+    derived arrays they cache are built once under a lock, so the store
+    stays safe for concurrent use.
     """
 
     def __init__(self, patient_ids, drug_codes, event_codes, columns,
@@ -192,6 +193,22 @@ class Database:
                 raise ValueError(f"columns {list(group)} differ in length")
         if len(self.death) != self.n_patients:
             raise ValueError("patient columns must have one entry per patient")
+        # each patient's first and last date, widened a kind at a time
+        first, dead = self.registration.copy(), self.death > 0
+        self.last_active = self.registration.copy()
+        for kind, key in (("death", lambda: np.flatnonzero(dead) * _KEY_BASE
+                           + self.death[dead]),
+                          ("event", lambda: self._ev_key),
+                          ("prescription", lambda: self.rx_pid * _KEY_BASE
+                           + self.rx_day)):
+            _widen(key(), first, self.last_active)
+            for bad, when in (
+                    (first < self.registration, "before registration"),
+                    (dead & (self.last_active > self.death), "after death")):
+                if bad.any():
+                    patient = self.patient_ids[np.argmax(bad)]
+                    raise DataFormatError(
+                        f"{kind} for patient {patient} dated {when}")
         self._cache: dict = {}
         self._cache_lock = threading.RLock()
 
@@ -207,8 +224,7 @@ class Database:
         rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
         record i is pid_values[pid_index[i]], code_values[code_index[i]]
         and day_ord[i] (int64 arrays; every listed code is used; days lie
-        in [0, _KEY_BASE)).  The events' patient and day columns live
-        only while the load checks them.
+        in [0, _KEY_BASE)); events keep the sorted key, not patient and day.
         """
         (pid_values, pid_index), yob, genders, reg, deaths = patients
         ids = [pid_values[i] for i in pid_index.tolist()]
@@ -219,8 +235,6 @@ class Database:
 
         def column(values, index, dtype=np.int64):
             return np.array(values, dtype=dtype)[index[order]]
-        registration = column(*reg)
-        death = column([d or 0 for d in deaths[0]], deaths[1])
 
         def records(pid_values, pid_index, code_values, code_index, day,
                     kind):
@@ -233,7 +247,7 @@ class Database:
                 raise DataFormatError(
                     f"unknown patient_id {p!r} in {kind} input")
             code = np.array([code_of[c] for c in code_values],
-                            dtype=np.int64)[code_index]
+                            dtype=np.int32)[code_index]
             pid = pid_of[pid_index]
             # by the observed day range, not _KEY_BASE, so that the packed
             # sort key stays inside int64 at millions of patients
@@ -248,46 +262,18 @@ class Database:
             # an exact duplicate follows its first copy
             keep = np.ones(len(key), dtype=bool)
             keep[1:] = (key[1:] != key[:-1]) | (code[1:] != code[:-1])
-            key, code = key[keep], code[keep]
-            pid, day = np.divmod(key, _KEY_BASE)
-            return code_of, pid, code, day, key, len(keep) - len(key)
+            return code_of, code[keep], key[keep], len(keep) - keep.sum()
 
-        drug_index, rx_pid, rx_drug, rx_day, _, rx_dropped = records(
-            *rx, "prescriptions")
-        event_index, ev_pid, ev_code, ev_day, ev_key, ev_dropped = records(
-            *ev, "events")
-        # the int64 codes go before the checks below take their memory
-        ev_code = ev_code.astype(np.int32)
-
-        last_active = np.maximum(registration, death)
-        for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
-            np.maximum.at(last_active, arr_pid, arr_day)
-
-        db = cls(pt_index, drug_index, event_index, dict(
+        drug_index, rx_drug, rx_key, rx_dropped = records(*rx, "prescriptions")
+        event_index, ev_code, ev_key, ev_dropped = records(*ev, "events")
+        rx_pid, rx_day = np.divmod(rx_key, _KEY_BASE)
+        return cls(pt_index, drug_index, event_index, dict(
             year_of_birth=column(*yob),
             gender=column([g.value for g in genders[0]], genders[1], "U1"),
-            registration=registration, death=death, last_active=last_active,
+            registration=column(*reg),
+            death=column([d or 0 for d in deaths[0]], deaths[1]),
             rx_pid=rx_pid, rx_drug=rx_drug, rx_day=rx_day, _ev_key=ev_key,
             ev_code=ev_code), rx_dropped + ev_dropped)
-        db._validate(ev_pid, ev_day)
-        return db
-
-    def _validate(self, ev_pid, ev_day):
-        """Check every date against registration and death; ev_pid and
-        ev_day are the event columns, which the caller already holds."""
-        dead = np.flatnonzero(self.death)
-        # no death date is a death after every day ordinal
-        death = np.where(self.death > 0, self.death, _KEY_BASE)
-        for pid, day, kind in ((dead, self.death[dead], "death"),
-                               (ev_pid, ev_day, "event"),
-                               (self.rx_pid, self.rx_day, "prescription")):
-            for bad, when in ((day < self.registration[pid],
-                               "before registration"),
-                              (day > death[pid], "after death")):
-                if bad.any():
-                    patient = self.patient_ids[pid[np.argmax(bad)]]
-                    raise DataFormatError(
-                        f"{kind} for patient {patient} dated {when}")
 
     # -- indexed access ---------------------------------------------------
 
@@ -376,6 +362,20 @@ def record_order(*columns):
         key += column
         key -= low
     return np.argsort(key)
+
+
+def _widen(key, first, last, block=1024):
+    """Lower first and raise last to each patient's first and last day in
+    a sorted (patient, day) key, in blocks of patients to allocate little."""
+    for lo in range(0, len(first), block):
+        base = np.arange(lo, min(lo + block, len(first)) + 1,
+                         dtype=np.int64) * _KEY_BASE
+        bounds = np.searchsorted(key, base)
+        some = np.flatnonzero(bounds[:-1] < bounds[1:])
+        pid = lo + some
+        first[pid] = np.minimum(first[pid], key[bounds[some]] - base[some])
+        last[pid] = np.maximum(last[pid], key[bounds[some + 1] - 1]
+                               - base[some])
 
 
 # -- CSV loading ----------------------------------------------------------

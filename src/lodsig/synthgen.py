@@ -532,9 +532,11 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
     """Write the CSV database plus ground_truth.csv; returns the paths.
 
     With cache, the database built here is stored in the load cache as
-    the files' load_database result (see store.cache_database).
+    the files' load_database result (see store.cache_database).  The
+    files are written from the generated tables before the Database is
+    built, and the tables are dropped once it is.
     """
-    db, result = build_database(config)
+    result = generate_tables(config)
     out = Path(out_dir)   # made only once the tables are built
     out.mkdir(parents=True, exist_ok=True)
 
@@ -555,7 +557,10 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
                    result.rx, *ids)
     _write_records(paths["events"], ["patient_id", "event_code", "date"],
                    result.ev, *ids)
-
+    del ids
+    db = Database.from_columns(row_columns(result.patient_rows, 5),
+                               result.rx, result.ev)
+    del result
     realized_truth(db, config).to_csv(paths["ground_truth"])
     if cache:
         log.info("load cache: %s", cache_database(

@@ -163,37 +163,51 @@ def brute_from_records(patient_rows, rx_rows, ev_rows):
                                                   "prescriptions")
     ev_pid, ev_code, ev_day, ev_dropped = columns(ev_rows, event_index,
                                                   "events")
-    last_rec = np.full(len(patient_ids), np.iinfo(np.int64).min,
-                       dtype=np.int64)
-    for arr_pid, arr_day in ((rx_pid, rx_day), (ev_pid, ev_day)):
-        if len(arr_pid):
-            np.maximum.at(last_rec, arr_pid, arr_day)
-
     n = len(patient_ids)
-    year_of_birth, registration, death_day, last_active = (
-        np.empty(n, dtype=np.int64) for _ in range(4))
+    year_of_birth, registration, death_day = (
+        np.empty(n, dtype=np.int64) for _ in range(3))
     gender_letter = np.empty(n, dtype="U1")
     for pid_str, yob, gender, reg, death in patient_rows:
         i = pt_index[pid_str]
-        candidates = [reg, int(last_rec[i])]
-        if death is not None:
-            candidates.append(death)
         year_of_birth[i] = yob
         gender_letter[i] = gender.value
         registration[i] = reg
         death_day[i] = 0 if death is None else death
-        last_active[i] = max(candidates)
+
+    # every date against registration and death, record by record:
+    # deaths, events, prescriptions, each first before registration, then
+    # after death, in patient index order
+    deaths = [(i, d) for i, d in enumerate(death_day.tolist()) if d]
+    for kind, records in (("death", deaths),
+                          ("event", list(zip(ev_pid.tolist(),
+                                             ev_day.tolist()))),
+                          ("prescription", list(zip(rx_pid.tolist(),
+                                                    rx_day.tolist())))):
+        for when, bad in (
+                ("before registration", lambda i, d: d < registration[i]),
+                ("after death", lambda i, d: 0 < death_day[i] < d)):
+            for i, d in records:
+                if bad(i, d):
+                    raise DataFormatError(f"{kind} for patient "
+                                          f"{patient_ids[i]} dated {when}")
+    # the latest of registration, death and each record day
+    last_active = [max(r, d) for r, d in zip(registration.tolist(),
+                                               death_day.tolist())]
+    for i, d in [*zip(rx_pid.tolist(), rx_day.tolist()),
+                 *zip(ev_pid.tolist(), ev_day.tolist())]:
+        last_active[i] = max(last_active[i], d)
     # the event table keeps only the packed key and an int32 code
     ev_key = np.array([p * _KEY_BASE + d for p, d in zip(ev_pid, ev_day)],
                       dtype=np.int64)
 
     db = Database(patient_ids, drug_codes, event_codes, {
         "year_of_birth": year_of_birth, "gender": gender_letter,
-        "registration": registration, "death": death_day,
-        "last_active": last_active, "rx_pid": rx_pid, "rx_drug": rx_drug,
-        "rx_day": rx_day, "_ev_key": ev_key,
-        "ev_code": ev_code.astype(np.int32)}, rx_dropped + ev_dropped)
-    db._validate(ev_pid, ev_day)
+        "registration": registration, "death": death_day, "rx_pid": rx_pid,
+        "rx_drug": rx_drug.astype(np.int32), "rx_day": rx_day,
+        "_ev_key": ev_key, "ev_code": ev_code.astype(np.int32)},
+        rx_dropped + ev_dropped)
+    # the constructor derives its own last_active from the sorted keys
+    np.testing.assert_array_equal(db.last_active, last_active)
     return db
 
 

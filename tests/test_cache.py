@@ -141,6 +141,13 @@ def stored_event_columns(paths, slot):
     return load_twice(paths, slot)
 
 
+def stored_last_active(paths, slot):
+    # the last_active member of the layout that stored it
+    rewrite_members(slot, lambda m: m.update(
+        last_active=np.maximum(m["registration"], m["death"])))
+    return load_twice(paths, slot)
+
+
 def two_dimensional(paths, slot):
     rewrite_members(slot, lambda m: m.update(rx_day=m["rx_day"][:, None]))
     return load_twice(paths, slot)
@@ -248,6 +255,8 @@ CASES = {
                           [wrote("malformed entry"), HIT]),
     "stored_event_columns": (stored_event_columns,
                              [wrote("malformed entry"), HIT]),
+    "stored_last_active": (stored_last_active,
+                           [wrote("malformed entry"), HIT]),
     "two_dimensional": (two_dimensional, [wrote("malformed entry"), HIT]),
     "wrong_length": (wrong_length, [wrote("malformed entry"), HIT]),
     "foreign": (foreign, [wrote("no entry"), wrote("stale entry"), HIT]),
@@ -290,26 +299,33 @@ def test_load_cache(case, tmp_path, monkeypatch, caplog):
         assert_same_database(first, want)
 
 
-@pytest.mark.parametrize("change, message", [
+@pytest.mark.parametrize("change, message, error", [
     (lambda c: c.update(gender=c["gender"].astype("<U2")),
-     "column gender must be a one-dimensional <U1 array"),
+     "column gender must be a one-dimensional <U1 array", ValueError),
     (lambda c: c.update(year_of_birth=c["year_of_birth"][:, None]),
-     "column year_of_birth must be a one-dimensional int64 array"),
+     "column year_of_birth must be a one-dimensional int64 array",
+     ValueError),
     (lambda c: c.update(ev_code=c["ev_code"].astype(np.int64)),
-     "column ev_code must be a one-dimensional int32 array"),
+     "column ev_code must be a one-dimensional int32 array", ValueError),
     (lambda c: c.update(rx_drug=c["rx_drug"][1:]),
-     "columns ['rx_pid', 'rx_drug', 'rx_day'] differ in length"),
+     "columns ['rx_pid', 'rx_drug', 'rx_day'] differ in length",
+     ValueError),
     (lambda c: c.update({n: c[n][1:] for n in store.COLUMNS[0]}),
-     "patient columns must have one entry per patient"),
+     "patient columns must have one entry per patient", ValueError),
+    # p2 dies on the day of registration, before its event
+    (lambda c: c.update(death=np.where(c["death"] > 0, c["registration"],
+                                       0)),
+     "event for patient p2 dated after death", DataFormatError),
 ], ids=["dtype", "two_dimensional", "int64_event_codes", "record_lengths",
-        "patient_count"])
-def test_database_keeps_the_column_schema(tmp_path, change, message):
+        "patient_count", "record_after_death"])
+def test_database_keeps_the_column_schema(tmp_path, change, message, error):
     db = load_database(*write_database(tmp_path), cache=False)
     columns = {n: getattr(db, n) for group in store.COLUMNS for n in group}
     change(columns)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError) as exc:
         store.Database(db.patient_ids, db.drug_codes, db.event_codes,
                        columns)
+    assert (exc.type, str(exc.value)) == (error, message)
 
 
 def assert_generate_caches_the_loaded_database(config, directory,

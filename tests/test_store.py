@@ -27,7 +27,7 @@ from lodsig.synthgen import build_database, generate
 
 from conftest import counts_of, day, db_from_rows, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
-                     brute_extract_exposures,
+                     brute_extract_exposures, brute_from_records,
                      brute_first_exposure_per_patient,
                      brute_generate_tables, brute_load_database,
                      brute_previous_days, brute_srs_cells,
@@ -465,11 +465,32 @@ class TestMemoryBudget:
         return paths["prescriptions"], paths["events"], paths["patients"]
 
     def test_parse_peak(self, recovery_csvs):
-        # 46,972 events at 83.5-84.0 B each, 5% under the budget; an int64
-        # event code column kept alive through the load's checks made
-        # 91.5-92.0
+        # 46,972 events at 70.1 B each (numpy 2.4.6), 5% under the budget;
+        # ff5f080 built event-length patient and day columns for the date
+        # checks and made 83.5-84.0, and an int64 event code column kept
+        # alive through those checks 91.5-92.0
         db, peak = _peak_bytes(store._parse_database, *recovery_csvs)
-        assert peak / len(db._ev_key) < 88, peak
+        assert peak / len(db._ev_key) < 74, peak
+
+    def test_read_cache_peak(self, recovery_csvs):
+        # 23.8 B an event (numpy 2.4.6), 3% under the budget; the date
+        # checks over all patients at once, not in blocks, made 24.9
+        # (ff5f080, which stored last_active and checked no date, 24.3)
+        db = store._parse_database(*recovery_csvs)
+        entry = store._cache_entry(recovery_csvs)
+        assert store._write_cache(db, *entry).startswith("wrote")
+        got, peak = _peak_bytes(store._read_cache, *entry)
+        assert isinstance(got, Database), got
+        assert peak / len(got._ev_key) < 24.5, peak
+
+    def test_generate_peak(self, tmp_path):
+        # recovery_csvs' database (46,972 events), generated and cached:
+        # 118.8 B an event (numpy 2.4.6), 5% under the budget; ff5f080,
+        # which kept the generated tables beside the Database to the end,
+        # made 135.9
+        config = dataclasses.replace(_recovery_config(404), n_patients=2000)
+        _, peak = _peak_bytes(generate, config, tmp_path)
+        assert peak / 46_972 < 125, peak
 
     def test_score_drug_peak(self):
         # all seven ids for both drugs at 10,000 patients (233,651 events):
@@ -646,6 +667,38 @@ class TestFromColumns:
         assert db.duplicates_dropped == n - keep.sum()
         assert db.ev_pid.dtype == db.ev_day.dtype == np.int64
         assert db.ev_code.dtype == np.int32
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_date_rule_and_last_active_match_brute(self, data):
+        # deaths and records drawn on both sides of [registration, death],
+        # patients listed out of index order
+        draw = data.draw
+        ids = draw(st.lists(st.sampled_from("abcde"), min_size=1,
+                            unique=True))
+        patients, spans = [], []
+        for pid in ids:
+            reg = draw(st.integers(0, 20))
+            death = draw(st.none() | st.integers(reg - 2, reg + 30))
+            patients.append((pid, 1950, Gender.MALE, day(reg),
+                             None if death is None else day(death)))
+            spans.append((reg - 2, reg + 32 if death is None else death + 2))
+
+        def records(codes):
+            n = draw(st.integers(0, 6))
+            return [(ids[i], draw(st.sampled_from(codes)),
+                     day(draw(st.integers(*spans[i]))))
+                    for i in draw(st.lists(st.integers(0, len(ids) - 1),
+                                           min_size=n, max_size=n))]
+        rows = patients, records("XY"), records("ABC")
+
+        def outcome(build):
+            try:
+                return build(*rows).last_active.tolist()
+            except DataFormatError as exc:
+                return str(exc)
+        # the oracle checks its own last_active against the constructor's
+        assert outcome(db_from_rows) == outcome(brute_from_records)
 
     def test_duplicates_logged_once_per_csv_load(self, tmp_path, caplog):
         paths = write_csvs(tmp_path, [P1], [GOOD_RX] * 2, [GOOD_EV] * 3)
@@ -1042,6 +1095,27 @@ class TestPreviousDays:
         days = previous_days(db, block)
         assert days.dtype == np.int32
         assert days.tolist() == brute_previous_days(db)
+
+
+class TestWiden:
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=7),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 60)),
+                    max_size=30),
+           st.sampled_from([1, 2, 3, 1024]))
+    def test_equals_per_patient_min_and_max(self, start, days, block):
+        # blocks of 1 to 3 patients put block edges between patients with
+        # and without records
+        n = len(start)
+        key = np.array(sorted(p * store._KEY_BASE + d for p, d in days
+                              if p < n), dtype=np.int64)
+        first, last = np.array(start), np.array(start)
+        store._widen(key, first, last, block)
+        assert first.tolist() == [min([s] + [d for p, d in days if p == i])
+                                  for i, s in enumerate(start)]
+        assert last.tolist() == [max([s] + [d for p, d in days if p == i])
+                                 for i, s in enumerate(start)]
 
 
 def candidate_names(db, episodes, T, **kwargs):
