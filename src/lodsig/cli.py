@@ -104,15 +104,24 @@ def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
 
 
 def _check_keys(what: str, spec, cls, unread=()) -> None:
-    """spec must be a mapping whose keys are field names of cls, other
-    than the unread ones."""
+    """spec must be a mapping of the field names of cls, other than the
+    unread ones, with every field that has no default, and a mapping at
+    each field that cls declares a dict."""
     if not isinstance(spec, dict):
         raise ValueError(f"a {what} must be a mapping of keys, not a "
                          f"{type(spec).__name__}")
-    unknown = set(spec) - ({f.name for f in dataclasses.fields(cls)}
-                           - set(unread))
+    fields = [f for f in dataclasses.fields(cls) if f.name not in unread]
+    unknown = set(spec) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    for f in fields:
+        if f.name not in spec:
+            if f.default is f.default_factory is dataclasses.MISSING:
+                raise ValueError(f"no {f.name!r} key in {what}")
+        elif (str(f.type).startswith("dict")
+              and not isinstance(spec[f.name], dict)):
+            raise ValueError(f"{what} {f.name} must be a mapping, not "
+                             f"{spec[f.name]!r}")
 
 
 @dataclass
@@ -126,11 +135,15 @@ class RunManifest:
     overrides: dict[str, dict] = field(default_factory=dict)
 
     @classmethod
-    def from_file(cls, path) -> "RunManifest":
-        return _read_yaml(path, lambda raw: cls.from_dict(raw or {}))
+    def from_file(cls, path, **flags) -> "RunManifest":
+        return _read_yaml(path, lambda raw: cls.from_dict(raw or {}, **flags))
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunManifest":
+    def from_dict(cls, raw: dict, **flags) -> "RunManifest":
+        """The manifest of a mapping, checked.  flags are entries given on
+        the command line: they replace raw's and are checked with them."""
+        if isinstance(raw, dict):
+            raw = {**raw, **flags}
         _check_keys("manifest", raw, cls)
         manifest = cls(**raw)
         manifest.seed = _int("manifest seed", manifest.seed)
@@ -156,20 +169,14 @@ class RunManifest:
             if drug in (".", "..") or set(drug) & set("/\\\0"):
                 raise ValueError(f"drug code {drug!r} cannot name output "
                                  "files (no '/', '\\', NUL, '.' or '..')")
-        if not isinstance(manifest.overrides, dict):
-            raise ValueError("manifest overrides must be a mapping, not "
-                             f"{manifest.overrides!r}")
         bad = [a for a in [*manifest.algorithms, *manifest.overrides]
                if a not in ALGORITHM_IDS]
         if bad:
             raise ValueError(f"unknown algorithm ids {bad}; valid ids: "
                              f"{list(ALGORITHM_IDS)}")
-        keys = {f.name for f in dataclasses.fields(StudyConfig)}
-        keys.discard("drug_code")
         for algorithm_id, values in manifest.overrides.items():
-            if not isinstance(values, dict) or not set(values) <= keys:
-                raise ValueError(f"overrides for {algorithm_id} must map "
-                                 f"keys of {sorted(keys)}, not {values!r}")
+            _check_keys(f"StudyConfig override for {algorithm_id}", values,
+                        StudyConfig, unread=("drug_code",))
             # a bad value fails here, before the load, not in a scoring pass
             try:
                 _base_config(algorithm_id, manifest.drugs[0], manifest.seed,
@@ -210,8 +217,6 @@ def _read_yaml(path, parse):
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: not valid YAML: "
                          + " ".join(str(exc).split())) from None
-    except KeyError as exc:
-        raise ValueError(f"{path}: no {exc} key") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -341,10 +346,9 @@ def summarize(output_dir) -> int:
 
 def demo_synth_config(seed: int = 7) -> synthgen.SynthConfig:
     """Small bundled demo configuration (two drugs, mixed signal kinds)."""
-    noise = {f"noise_{i:02d}": 0.25 for i in range(8)}
-    rates = dict(noise)
-    rates.update({"adr_alpha": 0.1, "adr_beta": 0.1, "failure_gamma": 0.2,
-                  "day0_delta": 0.1, "indication_x": 0.3})
+    rates = {**{f"noise_{i:02d}": 0.25 for i in range(8)},
+             "adr_alpha": 0.1, "adr_beta": 0.1, "failure_gamma": 0.2,
+             "day0_delta": 0.1, "indication_x": 0.3}
     return synthgen.SynthConfig(
         n_patients=2000,
         years_span=4,
@@ -367,35 +371,30 @@ def demo_synth_config(seed: int = 7) -> synthgen.SynthConfig:
 
 
 def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
-    """The SynthConfig of a scenario mapping.  An unknown key, a count,
-    day or seed that is not an integer, a rate, risk or multiplier that
-    is not a number and a flag that is not a boolean are ValueErrors."""
+    """The SynthConfig of a scenario mapping.  A missing or unknown key,
+    a count, day or seed that is not an integer, a rate, risk or
+    multiplier that is not a number and a flag that is not a boolean are
+    ValueErrors."""
     _check_keys("scenario", raw, synthgen.SynthConfig,
                 unread=("dropout_prob", "death_prob"))
-    models = {}
-    for drug, spec in (raw.get("drug_models") or {}).items():
-        _check_keys(f"drug model {drug!r}", spec, synthgen.DrugModel)
-        try:
-            models[drug] = synthgen.DrugModel(
-                spec["prescription_rate"], spec.get("indication_event"),
-                spec.get("repeat_rate", 0.0))
-        except ValueError as exc:   # a DrugModel does not know its key
-            raise ValueError(f"drug model {drug!r}: {exc}") from None
-    injections = []
-    for j in raw.get("injections") or []:
-        _check_keys("injection", j, synthgen.Injection)
-        injections.append(synthgen.Injection(
-            j["drug_code"], j["event_code"], j["relative_risk"],
-            j.get("latency_window_days", 30), j.get("kind", "adr"),
-            j.get("is_reaction_code", False)))
-    return synthgen.SynthConfig(
-        n_patients=raw["n_patients"],
-        years_span=raw["years_span"],
-        background_event_rates=raw["background_event_rates"],
-        drug_models=models,
-        injections=injections,
-        rng_seed=raw.get("rng_seed", 0),
-    )
+    config = dict(raw)
+    if "drug_models" in raw:
+        config["drug_models"] = {}
+        for drug, spec in raw["drug_models"].items():
+            _check_keys(f"drug model {drug!r}", spec, synthgen.DrugModel)
+            try:
+                config["drug_models"][drug] = synthgen.DrugModel(**spec)
+            except ValueError as exc:   # a DrugModel does not know its key
+                raise ValueError(f"drug model {drug!r}: {exc}") from None
+    if "injections" in raw:
+        if not isinstance(raw["injections"], list):
+            raise ValueError("scenario injections must be a list, not "
+                             f"{raw['injections']!r}")
+        config["injections"] = []
+        for spec in raw["injections"]:
+            _check_keys("injection", spec, synthgen.Injection)
+            config["injections"].append(synthgen.Injection(**spec))
+    return synthgen.SynthConfig(**config)
 
 
 def generate(config_path, output_dir, demo: bool = False,
@@ -414,6 +413,13 @@ def generate(config_path, output_dir, demo: bool = False,
 
 # -- argument parsing -----------------------------------------------------
 
+def _path(text: str) -> str:
+    """A path argument: '' would be the current directory to Path."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lodsig",
@@ -427,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="synthetic-config YAML path")
     source.add_argument("--demo", action="store_true",
                         help="use the bundled demo configuration")
-    p_gen.add_argument("--output", required=True, help="output directory")
+    p_gen.add_argument("--output", required=True, type=_path,
+                       help="output directory")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--no-cache", action="store_true",
                        help="neither read nor write the load cache")
@@ -436,22 +443,22 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p_run.add_mutually_exclusive_group(required=True)
     source.add_argument("--manifest", help="run-manifest YAML path")
     source.add_argument("--generate-demo", action="store_true",
-                        help="generate demo data first and run everything "
-                             "on it")
+                        help="write demo data to OUTPUT/data, then run "
+                             "all ids on it into OUTPUT/results")
     p_run.add_argument("--all-algorithms", action="store_true",
-                       help="override the manifest algorithm list with all "
+                       help="set the manifest's algorithms entry to all "
                             "seven configurations")
     p_run.add_argument("--seed", type=int, default=None,
-                       help="override the manifest seed")
+                       help="set the manifest's seed entry")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="worker threads (at least 1)")
-    p_run.add_argument("--output", default=None,
-                       help="override the manifest output directory")
+    p_run.add_argument("--output", type=_path,
+                       help="set the manifest's output_dir entry")
     p_run.add_argument("--no-cache", action="store_true",
                        help="neither read nor write the load cache")
 
     p_sum = sub.add_parser("summarize", help="pivot metrics into tables")
-    p_sum.add_argument("output_dir")
+    p_sum.add_argument("output_dir", type=_path)
     return parser
 
 
@@ -466,49 +473,40 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "generate":
-        try:
+    try:
+        if args.command == "generate":
             return generate(args.config, args.output, args.demo, args.seed,
                             not args.no_cache)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    if args.command == "run":
-        if args.jobs < 1:
-            parser.error(f"--jobs must be at least 1, not {args.jobs}")
-        if args.generate_demo:
-            if not args.output:
-                parser.error("run --generate-demo needs --output")
-            data_dir = Path(args.output) / "data"
-            try:
-                generate(None, data_dir, demo=True, seed=args.seed,
-                         cache=not args.no_cache)
-            except ValueError as exc:
-                parser.error(str(exc))
-            manifest = RunManifest(
-                database_dir=str(data_dir),
-                drugs=["drug_x", "drug_other"],
-                algorithms=list(ALGORITHM_IDS),
-                output_dir=str(Path(args.output) / "results"),
-                seed=args.seed if args.seed is not None else 7,
-                ground_truth=str(data_dir / "ground_truth.csv"))
+        if args.command == "summarize":
+            command = functools.partial(summarize, args.output_dir)
+        elif args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
         else:
-            try:
-                manifest = RunManifest.from_file(args.manifest)
-            except (ValueError, TypeError) as exc:
-                parser.error(str(exc))
-        if args.all_algorithms:
-            manifest.algorithms = list(ALGORITHM_IDS)
-        if args.seed is not None:
-            manifest.seed = args.seed
-        # in demo mode --output already shaped the data/results layout
-        if args.output is not None and not args.generate_demo:
-            manifest.output_dir = args.output
-        command = functools.partial(run, manifest, jobs=args.jobs,
-                                    cache=not args.no_cache)
-    else:
-        command = functools.partial(summarize, args.output_dir)
+            # the flags are manifest entries, checked with the others
+            flags = {"seed": args.seed} if args.seed is not None else {}
+            if args.all_algorithms:
+                flags["algorithms"] = list(ALGORITHM_IDS)
+            if args.manifest is not None:
+                if args.output is not None:
+                    flags["output_dir"] = args.output
+                manifest = RunManifest.from_file(args.manifest, **flags)
+            elif args.output is None:
+                raise ValueError("run --generate-demo needs --output")
+            else:
+                # --output holds the demo's data and results directories
+                demo, data = demo_synth_config(), Path(args.output, "data")
+                manifest = RunManifest.from_dict(dict(
+                    database_dir=str(data), drugs=list(demo.drug_models),
+                    algorithms=list(ALGORITHM_IDS),
+                    output_dir=str(Path(args.output, "results")),
+                    seed=demo.rng_seed,
+                    ground_truth=str(data / "ground_truth.csv")), **flags)
+                generate(None, data, demo=True, seed=manifest.seed,
+                         cache=not args.no_cache)
+            command = functools.partial(run, manifest, jobs=args.jobs,
+                                        cache=not args.no_cache)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         return command()
     except (OSError, DataFormatError) as exc:

@@ -223,7 +223,7 @@ class Database:
         has values[index[i]] of each.
         rx, ev: (pid_values, pid_index, code_values, code_index, day_ord);
         record i is pid_values[pid_index[i]], code_values[code_index[i]]
-        and day_ord[i] (int64 arrays; every listed code is used; days lie
+        and day_ord[i] (integer arrays; every listed code is used; days lie
         in [0, _KEY_BASE)); events keep the sorted key, not patient and day.
         """
         (pid_values, pid_index), yob, genders, reg, deaths = patients
@@ -392,7 +392,7 @@ def _reader_columns(path, required, optional):
             # a repeated column name reads the last column of that name
             where = {name: i for i, name in enumerate(header)}
             names = [c for c in (*required, *optional) if c in where]
-            columns = [(where[c], {}, array.array("q")) for c in names]
+            columns = [(where[c], {}, array.array("i")) for c in names]
             width = max(where[c] for c in names) + 1
             for row in filter(None, reader):  # skips blank lines
                 if len(row) < width:
@@ -414,7 +414,7 @@ def _reader_columns(path, required, optional):
         except csv.Error as exc:
             raise DataFormatError(
                 f"{path}, line {reader.line_num}: {exc}") from None
-    return {c: (list(table), np.frombuffer(index, dtype=np.int64))
+    return {c: (list(table), np.frombuffer(index, dtype=np.intc))
             for c, (_, table, index) in zip(names, columns)}
 
 
@@ -426,7 +426,7 @@ def read_table(path, fields, optional=()):
     once per distinct raw text and returns None or raises ValueError for
     a bad one, which message(text) describes.  An error names the file
     and the row (record i is row i + 2), or the line of text that is not
-    UTF-8 or not CSV.  Returns {column: (parsed distinct texts, int64
+    UTF-8 or not CSV.  Returns {column: (parsed distinct texts, int32
     index of each row's text)}.
     """
     required = [f[0] for f in fields if f[0] not in optional]
@@ -435,7 +435,7 @@ def read_table(path, fields, optional=()):
     out, errors = {}, []
     for order, (name, parse, message) in enumerate(fields):
         texts, index = columns.get(name) or \
-            ([""], np.zeros(n_rows, dtype=np.int64))
+            ([""], np.zeros(n_rows, dtype=np.intc))
         values = []
         for text in texts:
             try:
@@ -477,7 +477,7 @@ def _load_records(path, code_column):
         ("date", _day, lambda t: f"bad date {t!r}")])
     days, date = columns["date"]
     return (*columns["patient_id"], *columns[code_column],
-            np.array(days, dtype=np.int64)[date])
+            np.array(days, dtype=np.int32)[date])
 
 
 def load_database(prescriptions_path, events_path, patients_path,

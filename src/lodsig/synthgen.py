@@ -116,7 +116,7 @@ class SynthConfig:
     n_patients: int
     years_span: int
     background_event_rates: dict[str, float]   # events per patient-year
-    drug_models: dict[str, DrugModel]
+    drug_models: dict[str, DrugModel] = field(default_factory=dict)
     injections: list[Injection] = field(default_factory=list)
     rng_seed: int = 0
     dropout_prob: float = 0.05

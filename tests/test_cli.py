@@ -73,10 +73,13 @@ class TestManifest:
          "algorithms must be a non-empty list of strings"),
         ({"overrides": ["oe1"]}, "overrides must be a mapping"),
         ({"overrides": {"oe9": {"T": 60}}}, "unknown algorithm ids"),
-        ({"overrides": {"oe1": 60}}, "overrides for oe1 must map keys"),
-        ({"overrides": {"oe1": {"TT": 60}}}, "overrides for oe1 must map"),
+        ({"overrides": {"oe1": 60}},
+         "a StudyConfig override for oe1 must be a mapping of keys, not a "
+         "int"),
+        ({"overrides": {"oe1": {"TT": 60}}},
+         r"unknown StudyConfig override for oe1 keys: \['TT'\]"),
         ({"overrides": {"oe1": {"drug_code": "y"}}},
-         "overrides for oe1 must map"),
+         r"unknown StudyConfig override for oe1 keys: \['drug_code'\]"),
         ({"drugs": ["x", "a/b"]}, "cannot name output files"),
         ({"drugs": ["a\\b"]}, "cannot name output files"),
         ({"drugs": ["a\0b"]}, "cannot name output files"),
@@ -362,7 +365,8 @@ class TestMain:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert "Traceback" not in "\n".join(err)
-        assert "overrides for oe1" in err[-1] and "TT" in err[-1]
+        assert err[-1].endswith(
+            "unknown StudyConfig override for oe1 keys: ['TT']")
         assert not (tmp_path / "res").exists()
 
     def test_drug_code_with_slash_is_usage_error_before_load(
@@ -754,6 +758,136 @@ class TestMain:
                                   "repeat_rate": 0.1}},
         })
         assert config.drug_models["d"].indication_event == ("e", 3.0)
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", "database_dir: d\nalgorithms: [ror05]\noutput_dir: o\n",
+         "no 'drugs' key in manifest"),
+        ("generate", "years_span: 2\nbackground_event_rates: {e: 1}\n",
+         "no 'n_patients' key in scenario"),
+        ("generate", "n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {e: 1}\n"
+         "drug_models: {d: {repeat_rate: 0.1}}\n",
+         "no 'prescription_rate' key in drug model 'd'"),
+        ("generate", f"{SCENARIO}injections: [{{drug_code: d, "
+         "relative_risk: 2.0}]\n", "no 'event_code' key in injection"),
+        ("generate", "n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {e: 1}\ndrug_models: [a, b]\n",
+         "scenario drug_models must be a mapping, not ['a', 'b']"),
+        ("generate", "n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: [e]\n",
+         "scenario background_event_rates must be a mapping, not ['e']"),
+        ("generate", f"{SCENARIO}injections: {INJECTION}\n",
+         "scenario injections must be a list, not {'drug_code': 'd', "
+         "'event_code': 'e', 'relative_risk': 2.0}"),
+        ("generate", f"{SCENARIO}injections:\n",
+         "scenario injections must be a list, not None"),
+    ], ids=["manifest_no_drugs", "scenario_no_n_patients",
+            "drug_model_no_rate", "injection_no_event_code",
+            "drug_models_list", "rates_list", "injections_mapping",
+            "injections_null"])
+    def test_missing_key_or_container_is_named(self, tmp_path, capsys,
+                                               command, text, message):
+        # these once reached the user as Python's own TypeError,
+        # AttributeError or KeyError text
+        path = tmp_path / "input.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = (["run", "--manifest", str(path)] if command == "run" else
+                ["generate", "--config", str(path), "--output", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"lodsig: error: {path}: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.yaml"]
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--demo", "--output", ""],
+        ["run", "--manifest", "m.yaml", "--output", ""],
+        ["run", "--generate-demo", "--output", ""],
+        ["summarize", ""],
+    ], ids=["generate", "run", "run_demo", "summarize"])
+    def test_empty_path_is_one_line_usage_error(self, demo_data, tmp_path,
+                                                capsys, monkeypatch, argv):
+        # Path('') is the current directory: each file would land there
+        (tmp_path / "m.yaml").write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(": must be a non-empty path")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.yaml"]
+
+    def test_all_algorithms_replaces_the_list_and_is_recorded(
+            self, demo_data, tmp_path):
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(tmp_path / "res")}))
+        assert main(["run", "--manifest", str(path), "--all-algorithms"]) == 0
+        res = tmp_path / "res"
+        assert sorted(p.name for p in res.glob("ranked_*")) == sorted(
+            f"ranked_drug_x_{a}.csv" for a in ALGORITHM_IDS)
+        resolved = RunManifest.from_file(res / "manifest_resolved.yaml")
+        assert resolved.algorithms == list(ALGORITHM_IDS)
+
+
+# (source, --all-algorithms, --seed, --output); --generate-demo needs --output
+FLAG_CASES = [(source, all_algorithms, seed, output)
+              for source in ("manifest", "demo")
+              for all_algorithms in (False, True)
+              for seed in (None, 3)
+              for output in (False, True) if output or source == "manifest"]
+
+
+@pytest.mark.parametrize(
+    "source, all_algorithms, seed, output", FLAG_CASES,
+    ids=["-".join([case[0]] + [flag for flag, on in zip(
+        ("all", "seed", "output"), case[1:]) if on]) for case in FLAG_CASES])
+def test_flags_are_recorded_manifest_entries(demo_data, tmp_path,
+                                             monkeypatch, source,
+                                             all_algorithms, seed, output):
+    # a smaller demo database: main reads its drugs and seed, and
+    # generate writes it
+    monkeypatch.setattr(lodsig.cli, "demo_synth_config", lambda seed=7:
+                        dataclasses.replace(demo_synth_config(seed),
+                                            n_patients=300))
+    used, real_run = [], run
+    monkeypatch.setattr(lodsig.cli, "run", lambda manifest, **kw:
+                        used.append(manifest) or real_run(manifest, **kw))
+    written = {"database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+               "algorithms": ["ror05"], "output_dir": str(tmp_path / "res"),
+               "seed": 5}
+    path = tmp_path / "m.yaml"
+    path.write_text(yaml.safe_dump(written))
+    out = tmp_path / "out"
+    argv = ["run", "--manifest", str(path)] if source == "manifest" \
+        else ["run", "--generate-demo"]
+    argv += ["--all-algorithms"] * all_algorithms
+    argv += ["--seed", str(seed)] if seed is not None else []
+    argv += ["--output", str(out)] if output else []
+    assert main(argv) == 0
+
+    if source == "demo":
+        written = {"database_dir": str(out / "data"),
+                   "drugs": ["drug_x", "drug_other"],
+                   "algorithms": list(ALGORITHM_IDS),
+                   "output_dir": str(out / "results"), "seed": 7,
+                   "ground_truth": str(out / "data" / "ground_truth.csv")}
+    elif output:
+        written["output_dir"] = str(out)
+    if all_algorithms:
+        written["algorithms"] = list(ALGORITHM_IDS)
+    if seed is not None:
+        written["seed"] = seed
+    assert used == [RunManifest.from_dict(written)]
+    resolved = Path(used[0].output_dir) / "manifest_resolved.yaml"
+    assert RunManifest.from_file(resolved) == used[0]
 
 
 def _env_with_src(**extra):

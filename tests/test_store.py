@@ -465,12 +465,13 @@ class TestMemoryBudget:
         return paths["prescriptions"], paths["events"], paths["patients"]
 
     def test_parse_peak(self, recovery_csvs):
-        # 46,972 events at 70.1 B each (numpy 2.4.6), 5% under the budget;
-        # ff5f080 built event-length patient and day columns for the date
-        # checks and made 83.5-84.0, and an int64 event code column kept
-        # alive through those checks 91.5-92.0
+        # 46,972 events at 55.9-56.4 B each (numpy 2.4.6), 5% under the
+        # budget; int64 reader index and day columns made 69.6-70.1,
+        # ff5f080's event-length patient and day columns for the date
+        # checks 83.5-84.0, and an int64 event code column kept alive
+        # through those checks 91.5-92.0
         db, peak = _peak_bytes(store._parse_database, *recovery_csvs)
-        assert peak / len(db._ev_key) < 74, peak
+        assert peak / len(db._ev_key) < 59, peak
 
     def test_read_cache_peak(self, recovery_csvs):
         # 23.8 B an event (numpy 2.4.6), 3% under the budget; the date
