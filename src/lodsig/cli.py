@@ -22,14 +22,12 @@ from pathlib import Path
 import yaml
 
 from . import synthgen
-from .evaluation import (SCORE_COLUMNS, AdrDictionary, SignificanceResult,
-                         compare_algorithms, emit_report, evaluate,
-                         ranked_csv_path, write_csv, write_ranked_csv)
+from .evaluation import AdrDictionary, emit_report, summarize
 from .mutara import candidate_supports, hunt_view, mutara_view
 from .ranking import RankedSignalList, build_ranked_list
 from .srs import ror_view, srs_cells
 from .store import (Database, DataFormatError, StudyConfig, _int,
-                    candidate_codes, load_database, read_rows)
+                    candidate_codes, load_database)
 from .temporal_ic import oe_scores, oe_view
 
 log = logging.getLogger(__name__)
@@ -254,91 +252,9 @@ def run(manifest: RunManifest, jobs: int = 1, cache: bool = True) -> int:
 
     out = Path(manifest.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if dictionary is not None:
-        reports = [evaluate(r, dictionary) for r in ranked_lists]
-        emit_report(out, ranked_lists, dictionary, reports)
-        if len(manifest.algorithms) >= 2 and len(manifest.drugs) >= 2:
-            for metric in ("precision_10", "precision_50", "map_all"):
-                result = compare_algorithms(reports, metric)
-                _write_significance(out / f"significance_{metric}.csv",
-                                    result)
-    else:
-        for ranked in ranked_lists:
-            write_ranked_csv(ranked_csv_path(out, ranked.drug_code,
-                                             ranked.algorithm),
-                             ranked, [0] * len(ranked.entries))
-
+    emit_report(out, ranked_lists, dictionary)
     with open(out / "manifest_resolved.yaml", "w", encoding="utf-8") as fh:
         yaml.safe_dump(manifest.to_dict(), fh, sort_keys=True)
-    return 0
-
-
-def _write_significance(path, result: SignificanceResult) -> None:
-    write_csv(path, ["metric", "algorithm_a", "algorithm_b", "p_raw",
-                     "p_adjusted", "significant", "degenerate"], (
-        [result.metric, *pair, repr(result.p_raw[pair]),
-         repr(result.p_adjusted[pair]),
-         str(result.significant[pair]).lower(),
-         str(result.degenerate[pair]).lower()]
-        for pair in sorted(result.p_raw)))
-
-
-# -- summarize ------------------------------------------------------------
-
-def _metric(text):
-    """A metric value's text, once checked: empty or a float."""
-    if text:
-        float(text)
-    return text
-
-
-def summarize(output_dir) -> int:
-    """Pivot the metric summary into per-drug tables and chart data files."""
-    out = Path(output_dir)
-    metrics_path = out / "metrics_summary.csv"
-    if not metrics_path.exists():
-        log.error("no metrics_summary.csv in %s", out)
-        return 1
-    names = ["algorithm", "drug_code", *SCORE_COLUMNS]
-    fields = [(name, str, None) for name in names[:2]] + [
-        (metric, _metric, lambda t, metric=metric: f"bad {metric} value {t!r}")
-        for metric in SCORE_COLUMNS]
-    rows = [dict(zip(names, row)) for row in read_rows(metrics_path, fields)]
-    first = {}
-    for n, r in enumerate(rows):
-        unit = first.setdefault((r["algorithm"], r["drug_code"]), n)
-        if unit != n:
-            # the tables could keep only one of them, the charts list both
-            raise DataFormatError(
-                f"{metrics_path}, row {n + 2}: repeats algorithm "
-                f"{r['algorithm']!r} and drug {r['drug_code']!r} of row "
-                f"{unit + 2}")
-    algorithms = sorted({r["algorithm"] for r in rows})
-    drugs = sorted({r["drug_code"] for r in rows})
-    warnings = 0
-
-    for metric in ("precision_10", "precision_50"):
-        value = {(r["algorithm"], r["drug_code"]):
-                 float(r[metric]) if r[metric] else None for r in rows}
-        table = [[value.get((a, d)) for a in algorithms] for d in drugs]
-        warnings += sum(v is None for line in table for v in line)
-        present = [[v for v in col if v is not None] for col in zip(*table)]
-        write_csv(out / f"table_{metric}.csv", ["drug"] + algorithms, [
-            *([d] + ["" if v is None else f"{v:.3f}" for v in line]
-              for d, line in zip(drugs, table)),
-            ["Mean (3dp)"] + [f"{sum(col) / len(col):.3f}" if col else ""
-                              for col in present]])
-
-    ordered = sorted(rows, key=lambda r: (r["drug_code"], r["algorithm"]))
-    for panel in ("all", "rare", "reaction_codes"):
-        column = f"map_{panel}"
-        warnings += sum(not r[column] for r in rows)
-        write_csv(out / f"chart_{column}.csv",
-                  ["panel", "drug", "algorithm", "map"],
-                  ([panel, r["drug_code"], r["algorithm"], r[column]]
-                   for r in ordered))
-    if warnings:
-        log.warning("summary has %d missing metric values", warnings)
     return 0
 
 
@@ -508,7 +424,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        return command()
+        command()
+        return 0
     except (OSError, DataFormatError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1

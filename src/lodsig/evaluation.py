@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ranking import RankedSignalList
-from .store import _id, read_rows
+from .store import DataFormatError, _id, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -229,7 +229,16 @@ def compare_algorithms(reports, metric: str = "map_all",
                               significant, degenerate)
 
 
-# -- report emission ------------------------------------------------------
+# -- the output tree ------------------------------------------------------
+# Every file of a run's output tree but manifest_resolved.yaml, and the
+# tables and charts that summarize pivots from metrics_summary.csv.
+
+SCORE_COLUMNS = ["precision_10", "precision_50", "map_all", "map_rare",
+                 "map_reaction_codes"]
+METRIC_HEADER = ["algorithm", "drug_code", *SCORE_COLUMNS, "n_candidates",
+                 "n_known_adrs_in_list"]
+MAP_PANELS = ("all", "rare", "reaction_codes")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -244,54 +253,107 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def ranked_csv_path(output_dir, drug_code: str, algorithm: str) -> Path:
-    return Path(output_dir) / f"ranked_{drug_code}_{algorithm}.csv"
-
-
-def write_ranked_csv(path, ranked: RankedSignalList, y) -> None:
-    write_csv(path, ["rank", "event_code", "score", "y"], (
-        [entry.rank, entry.event_code, _fmt(entry.score), label]
-        for entry, label in zip(ranked.entries, y)))
-
-
-def read_truth_from_ranked_csv(path) -> list[int]:
-    rows = read_rows(path, [("y", int, lambda t: f"bad y {t!r}")])
-    return [y for (y,) in rows]
-
-
-SCORE_COLUMNS = ["precision_10", "precision_50", "map_all", "map_rare",
-                 "map_reaction_codes"]
-METRIC_COLUMNS = SCORE_COLUMNS + ["n_candidates", "n_known_adrs_in_list"]
-
-
-def write_metrics_csv(path, reports) -> None:
-    write_csv(path, ["algorithm", "drug_code"] + METRIC_COLUMNS, (
-        [r.algorithm_id, r.drug_code,
-         *(_fmt(getattr(r, c)) for c in SCORE_COLUMNS),
-         r.n_candidates, r.n_known_adrs_in_list]
-        for r in sorted(reports, key=lambda r: (r.algorithm_id, r.drug_code))))
-
-
-def write_chart_csv(path, reports) -> None:
-    """Tidy (panel, drug, algorithm, map) rows for the three MAP panels."""
-    ordered = sorted(reports, key=lambda r: (r.drug_code, r.algorithm_id))
+def write_chart_csv(path, panels, rows) -> None:
+    """Tidy (panel, drug, algorithm, map) rows for the MAP panels; rows
+    map the columns of metrics_summary.csv to their texts."""
+    ordered = sorted(rows, key=lambda r: (r["drug_code"], r["algorithm"]))
     write_csv(path, ["panel", "drug", "algorithm", "map"], (
-        [panel, r.drug_code, r.algorithm_id, _fmt(getattr(r, f"map_{panel}"))]
-        for panel in ("all", "rare", "reaction_codes") for r in ordered))
+        [panel, r["drug_code"], r["algorithm"], r[f"map_{panel}"]]
+        for panel in panels for r in ordered))
 
 
-def emit_report(output_dir, ranked_lists, dictionary: AdrDictionary,
-                reports) -> None:
-    """Write per-drug ranked CSVs, the metric summary and chart data into
-    an existing directory; reports are the evaluations of ranked_lists."""
+def emit_report(output_dir, ranked_lists,
+                dictionary: AdrDictionary | None) -> None:
+    """Write every file of a run but its manifest into an existing
+    directory: a ranked CSV per list, whose y is 0 without a dictionary.
+    With one, also the metric summary, the MAP chart data and, when the
+    lists span at least two algorithms and two drugs, a signed-rank
+    test file per tested metric."""
     out = Path(output_dir)
     for ranked in ranked_lists:
-        path = ranked_csv_path(out, ranked.drug_code, ranked.algorithm)
-        write_ranked_csv(path, ranked, truth_vector(ranked, dictionary, "all"))
+        y = ([0] * len(ranked.entries) if dictionary is None
+             else truth_vector(ranked, dictionary, "all"))
+        write_csv(out / f"ranked_{ranked.drug_code}_{ranked.algorithm}.csv",
+                  ["rank", "event_code", "score", "y"], (
+                      [entry.rank, entry.event_code, _fmt(entry.score), label]
+                      for entry, label in zip(ranked.entries, y)))
+    if dictionary is None:
+        return
+    reports = [evaluate(r, dictionary) for r in ranked_lists]
     short = sum(r.n_candidates < 50 for r in reports)
     if short:
         log.warning("%d of %d ranked lists have fewer than 50 entries; "
                     "their precision at k beyond the list length is over "
                     "the whole list", short, len(reports))
-    write_metrics_csv(out / "metrics_summary.csv", reports)
-    write_chart_csv(out / "map_chart.csv", reports)
+    rows = [dict(zip(METRIC_HEADER, [
+        r.algorithm_id, r.drug_code,
+        *(_fmt(getattr(r, c)) for c in SCORE_COLUMNS),
+        r.n_candidates, r.n_known_adrs_in_list]))
+        for r in sorted(reports, key=lambda r: (r.algorithm_id, r.drug_code))]
+    write_csv(out / "metrics_summary.csv", METRIC_HEADER,
+              (row.values() for row in rows))
+    write_chart_csv(out / "map_chart.csv", MAP_PANELS, rows)
+    if min(len({r.algorithm for r in ranked_lists}),
+           len({r.drug_code for r in ranked_lists})) < 2:
+        return
+    for metric in ("precision_10", "precision_50", "map_all"):
+        result = compare_algorithms(reports, metric)
+        write_csv(out / f"significance_{metric}.csv", [
+            "metric", "algorithm_a", "algorithm_b", "p_raw", "p_adjusted",
+            "significant", "degenerate"], (
+            [metric, *pair, repr(result.p_raw[pair]),
+             repr(result.p_adjusted[pair]),
+             str(result.significant[pair]).lower(),
+             str(result.degenerate[pair]).lower()]
+            for pair in sorted(result.p_raw)))
+
+
+def _metric(text):
+    """A metric value's text, once checked: empty or a float."""
+    if text:
+        float(text)
+    return text
+
+
+def summarize(output_dir) -> None:
+    """Pivot the metrics_summary.csv of an output tree into a per-drug
+    table of each precision and a chart data file of each MAP panel,
+    whose values keep the texts read."""
+    path = Path(output_dir) / "metrics_summary.csv"
+    names = ["algorithm", "drug_code", *SCORE_COLUMNS]
+    fields = [(name, str, None) for name in names[:2]] + [
+        (metric, _metric, lambda t, metric=metric: f"bad {metric} value {t!r}")
+        for metric in SCORE_COLUMNS]
+    rows = [dict(zip(names, row)) for row in read_rows(path, fields)]
+    first = {}
+    for n, r in enumerate(rows):
+        unit = first.setdefault((r["algorithm"], r["drug_code"]), n)
+        if unit != n:
+            # the tables could keep only one of them, the charts list both
+            raise DataFormatError(
+                f"{path}, row {n + 2}: repeats algorithm "
+                f"{r['algorithm']!r} and drug {r['drug_code']!r} of row "
+                f"{unit + 2}")
+    algorithms = sorted({r["algorithm"] for r in rows})
+    drugs = sorted({r["drug_code"] for r in rows})
+    warnings = 0
+
+    for metric in ("precision_10", "precision_50"):
+        value = {(r["algorithm"], r["drug_code"]):
+                 float(r[metric]) if r[metric] else None for r in rows}
+        table = [[value.get((a, d)) for a in algorithms] for d in drugs]
+        warnings += sum(v is None for line in table for v in line)
+        present = [[v for v in col if v is not None] for col in zip(*table)]
+        write_csv(path.with_name(f"table_{metric}.csv"),
+                  ["drug"] + algorithms, [
+            *([d] + ["" if v is None else f"{v:.3f}" for v in line]
+              for d, line in zip(drugs, table)),
+            ["Mean (3dp)"] + [f"{sum(col) / len(col):.3f}" if col else ""
+                              for col in present]])
+
+    for panel in MAP_PANELS:
+        warnings += sum(not r[f"map_{panel}"] for r in rows)
+        write_chart_csv(path.with_name(f"chart_map_{panel}.csv"), [panel],
+                        rows)
+    if warnings:
+        log.warning("summary has %d missing metric values", warnings)

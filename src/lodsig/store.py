@@ -98,19 +98,24 @@ class StudyConfig:
     include_day0: bool = False
 
     def __post_init__(self):
+        # types first: a comparison or an unpacking would fail in
+        # Python's own words
+        for name in ("T", "pre_window", "rng_seed"):
+            object.__setattr__(self, name, _int(name, getattr(self, name)))
+        period = self.control_period
+        if not (isinstance(period, (list, tuple)) and len(period) == 2):
+            raise ValueError("control_period must be [start, end] month "
+                             f"offsets, not {period!r}")
+        # hashable containers, so equal configurations can share a pass
+        a, b = (_int(f"control_period[{i}]", v) for i, v in enumerate(period))
+        object.__setattr__(self, "control_period", (a, b))
         if self.T <= 0:
             raise ValueError("T must be positive")
         if self.pre_window < 0:
             raise ValueError("pre_window must be non-negative")
-        a, b = self.control_period
         if not (a > b > 0):
             raise ValueError("control_period must be (start, end) month offsets "
                              "with start > end > 0 before the index date")
-        for name in ("T", "pre_window", "rng_seed"):
-            object.__setattr__(self, name, _int(name, getattr(self, name)))
-        # hashable containers, so equal configurations can share a pass
-        object.__setattr__(self, "control_period", tuple(
-            _int(f"control_period[{i}]", v) for i, v in enumerate((a, b))))
         codes = self.excluded_event_codes
         # a string is an iterable of its characters, not of event codes
         if not isinstance(codes, str):

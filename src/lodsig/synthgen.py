@@ -69,6 +69,10 @@ class Injection:
     is_reaction_code: bool = False
 
     def __post_init__(self):
+        for key in ("drug_code", "event_code"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"injection {key} must be a string, not "
+                                 f"{getattr(self, key)!r}")
         name = f"{self.event_code!r} for {self.drug_code!r}"
         object.__setattr__(self, "relative_risk", _real(
             f"relative_risk of {name}", self.relative_risk))
@@ -130,6 +134,11 @@ class SynthConfig:
         if self.rng_seed < 0:
             raise ValueError(
                 f"rng_seed must be non-negative, not {self.rng_seed}")
+        # YAML reads a key such as 7 as an integer, not as a code
+        for key in ("background_event_rates", "drug_models"):
+            bad = [c for c in getattr(self, key) if not isinstance(c, str)]
+            if bad:
+                raise ValueError(f"{key} codes must be strings, not {bad}")
         rates = self.background_event_rates = {
             code: _real(f"background rate of {code!r}", rate)
             for code, rate in self.background_event_rates.items()}

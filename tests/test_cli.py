@@ -94,7 +94,8 @@ class TestManifest:
         ({"overrides": {"oe1": {"T": 0}}},
          "bad overrides for oe1 {'T': 0}: T must be positive"),
         ({"overrides": {"oe1": {"T": "abc"}}},
-         "bad overrides for oe1 {'T': 'abc'}: '<=' not supported"),
+         "bad overrides for oe1 {'T': 'abc'}: T must be an integer, "
+         "not 'abc'"),
         ({"overrides": {"mutara60": {"control_period": [1, 2]}}},
          r"bad overrides for mutara60 .*: control_period must be"),
         ({"overrides": {"ror05": {"excluded_event_codes": 5}}},
@@ -236,6 +237,15 @@ class TestRun:
         run(manifest, jobs=1)
         assert not list((tmp_path / "res").glob("significance_*.csv"))
 
+    def test_single_algorithm_skips_significance(self, demo_data, tmp_path):
+        # the tests pair algorithms by drug: two drugs are not enough alone
+        manifest = demo_manifest(demo_data, tmp_path / "res", ["ror05"])
+        manifest.drugs = ["drug_x", "drug_other"]
+        assert run(manifest, jobs=1) == 0
+        assert sorted(p.name for p in (tmp_path / "res").iterdir()) == [
+            "manifest_resolved.yaml", "map_chart.csv", "metrics_summary.csv",
+            "ranked_drug_other_ror05.csv", "ranked_drug_x_ror05.csv"]
+
     def test_parallel_output_byte_identical(self, demo_data, tmp_path):
         m1 = demo_manifest(demo_data, tmp_path / "serial", ALGORITHM_IDS)
         m2 = demo_manifest(demo_data, tmp_path / "parallel", ALGORITHM_IDS)
@@ -289,14 +299,30 @@ class TestRun:
             ["scored drug_x", "scored drug_other"]
 
     def test_run_without_ground_truth(self, demo_data, tmp_path):
-        manifest = demo_manifest(demo_data, tmp_path / "res")
-        manifest.ground_truth = None
-        assert run(manifest, jobs=1) == 0
-        ranked = tmp_path / "res" / "ranked_drug_x_ror05.csv"
-        with open(ranked, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and all(r["y"] == "0" for r in rows)
-        assert not (tmp_path / "res" / "metrics_summary.csv").exists()
+        # two drugs and two ids: the run with truth writes every file
+        trees = {}
+        for truth in (True, False):
+            out = tmp_path / str(truth)
+            manifest = demo_manifest(demo_data, out)
+            manifest.drugs = ["drug_x", "drug_other"]
+            if not truth:
+                manifest.ground_truth = None
+            assert run(manifest, jobs=1) == 0
+            trees[truth] = {}
+            for path in sorted(out.iterdir()):
+                with open(path, newline="") as fh:
+                    trees[truth][path.name] = list(csv.DictReader(fh)) \
+                        if path.suffix == ".csv" else None
+        ranked = [f"ranked_{d}_{a}.csv" for d in ("drug_other", "drug_x")
+                  for a in ("mutara60", "ror05")]
+        assert sorted(trees[False]) == ["manifest_resolved.yaml", *ranked]
+        assert "significance_map_all.csv" in trees[True]
+        for name in ranked:
+            with_truth = trees[True][name]
+            assert with_truth and trees[False][name] == [
+                {**row, "y": "0"} for row in with_truth], name
+        assert any(row["y"] == "1" for name in ranked
+                   for row in trees[True][name])
 
 
 # a valid one-drug scenario, and one injection of it
@@ -475,6 +501,20 @@ class TestMain:
         ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
          "overrides: {oe1: {control_period: [27.5, 21]}}\n",
          "control_period[0] must be an integer, not 27.5"),
+        # each of these failed in Python's own words
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {control_period: 5}}\n",
+         "bad overrides for oe1 {'control_period': 5}: control_period must "
+         "be [start, end] month offsets, not 5"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {control_period: [27]}}\n",
+         "control_period must be [start, end] month offsets, not [27]"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [oe1]\noutput_dir: o\n"
+         "overrides: {oe1: {T: '30'}}\n",
+         "bad overrides for oe1 {'T': '30'}: T must be an integer, not '30'"),
+        ("database_dir: d\ndrugs: [x]\nalgorithms: [hunt60]\n"
+         "output_dir: o\noverrides: {hunt60: {pre_window: '60'}}\n",
+         "pre_window must be an integer, not '60'"),
     ], ids=["list", "string_seed", "repeated_drug", "malformed_yaml",
             "override_T_zero", "override_T_text",
             "override_control_period", "override_T_float",
@@ -484,7 +524,9 @@ class TestMain:
             "database_dir_int", "database_dir_null", "output_dir_int",
             "override_excluded_codes_string", "override_excluded_codes_ints",
             "override_include_day0_string", "override_control_period_bool",
-            "override_control_period_float"])
+            "override_control_period_float", "override_control_period_int",
+            "override_control_period_one_item", "override_T_string",
+            "override_pre_window_string"])
     def test_bad_manifest_is_one_line_usage_error(self, tmp_path, capsys,
                                                   monkeypatch, text,
                                                   message):
@@ -602,6 +644,19 @@ class TestMain:
          "indication_event: [e, '4']}}\n",
          "drug model 'd': indication multiplier of 'e' must be a real "
          "number, not '4'"),
+        # a code that is not a string: unhashable, unsortable or renamed
+        (f"{SCENARIO}injections: [{{drug_code: [d], event_code: e, "
+         "relative_risk: 2}]\n",
+         "injection drug_code must be a string, not ['d']"),
+        (f"{SCENARIO}injections: [{{drug_code: d, event_code: [e], "
+         "relative_risk: 2}]\n",
+         "injection event_code must be a string, not ['e']"),
+        ("n_patients: 10\nyears_span: 2\n"
+         "background_event_rates: {e: 1, 7: 1}\n",
+         "background_event_rates codes must be strings, not [7]"),
+        ("n_patients: 10\nyears_span: 2\nbackground_event_rates: {e: 1}\n"
+         "drug_models: {7: {prescription_rate: 0.3}}\n",
+         "drug_models codes must be strings, not [7]"),
     ], ids=["no_years_span", "text_n_patients", "list", "zero_patients",
             "malformed_yaml", "scalar_drug_model", "rate_nan",
             "rate_too_large", "relative_risk_nan", "unknown_key",
@@ -612,7 +667,9 @@ class TestMain:
             "exponent_rate_too_large", "text_prescription_rate",
             "bool_repeat_rate", "prescription_rate_too_large",
             "text_relative_risk", "three_item_indication",
-            "number_indication_code", "text_indication_multiplier"])
+            "number_indication_code", "text_indication_multiplier",
+            "list_injection_drug", "list_injection_event",
+            "number_background_code", "number_drug_code"])
     def test_bad_scenario_is_one_line_usage_error(self, tmp_path, capsys,
                                                   text, message):
         path = tmp_path / "scenario.yaml"

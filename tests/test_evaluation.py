@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodsig.evaluation import (AdrDictionary, AdrEntry, compare_algorithms,
-                               evaluate, map_score, precision_k,
-                               read_truth_from_ranked_csv,
-                               signed_rank_one_sided, truth_vector,
-                               write_ranked_csv)
+                               emit_report, evaluate, map_score, precision_k,
+                               signed_rank_one_sided, truth_vector)
 from lodsig.ranking import build_ranked_list
-from lodsig.store import DataFormatError
+from lodsig.store import DataFormatError, read_rows
 
 from oracles import brute_map, brute_truth_from_csv
 
@@ -236,9 +234,10 @@ class TestTruthAndEvaluate:
     def test_ranked_csv_round_trip(self, tmp_path):
         r = ranked(["A", "C", "D"])
         y = truth_vector(r, self._dictionary(), "all")
-        path = tmp_path / "ranked.csv"
-        write_ranked_csv(path, r, y)
-        assert read_truth_from_ranked_csv(path) == y
+        emit_report(tmp_path, [r], self._dictionary())
+        rows = read_rows(tmp_path / "ranked_X_a1.csv", [
+            ("event_code", str, None), ("y", int, lambda t: f"bad y {t!r}")])
+        assert rows == list(zip(["A", "C", "D"], y))
 
 
 class TestSignedRank:
