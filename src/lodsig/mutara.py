@@ -70,8 +70,7 @@ def _window_supports(db: Database, pts, start, T: int, pre: int,
             for side in (exposed, ~exposed) for mask in (first, unexpected)]
 
 
-def _support_vectors(db: Database, episodes, config: StudyConfig,
-                     seed: int):
+def _support_vectors(db: Database, episodes, config: StudyConfig):
     """The supports of every code, with one kernel call.
 
     Only each patient's first episode counts.  Returns (supp_x,
@@ -85,7 +84,7 @@ def _support_vectors(db: Database, episodes, config: StudyConfig,
     T, pre = config.T, config.pre_window
     x_pts, x_idx = first_per_patient(*episodes)
     # never-exposed patients with a drawn window
-    background_starts = _background_starts(db, seed, T)
+    background_starts = _background_starts(db, config.rng_seed, T)
     background = background_starts >= 0
     background[db.prescriptions_of_drug(config.drug_code)[0]] = False
     bg_pts = np.flatnonzero(background)
@@ -121,7 +120,7 @@ def candidate_supports(db: Database, config: StudyConfig):
     """(unexpected leverage, leverage) of every code: the pass MUTARA and
     HUNT score."""
     return leverages(*_support_vectors(db, db.episodes(config.drug_code),
-                                       config, config.rng_seed))
+                                       config))
 
 
 def mutara_view(codes, supports):

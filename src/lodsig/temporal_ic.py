@@ -25,14 +25,14 @@ class Period(Enum):
     DAY_OF_PRESCRIPTION = "day_of_prescription"
 
 
-def _expected(n_x_dot: int, n_dot_y, n_dot_dot: int):
+def _expected(n_x_dot, n_dot_y, n_dot_dot):
     """Expected patients with drug-then-event under independence, of the
     codes of n_dot_y.
 
     A period no episode covers (often the control period of short
     histories) has n_x_dot = n_dot_y = 0 and expects nothing.
     """
-    return n_x_dot * n_dot_y / max(n_dot_dot, 1)
+    return n_x_dot * n_dot_y / np.maximum(n_dot_dot, 1)
 
 
 def ic(n_xy: float, expected: float) -> float:
@@ -75,59 +75,58 @@ def ic_delta_from(n_u: float, e_u: float, n_v: float, e_v: float) -> float:
 
 # -- period counting ------------------------------------------------------
 
-def period_window(period: Period, index_date, config: StudyConfig):
-    """Inclusive (start, end) day bounds of a period relative to one index."""
-    idx = index_date
-    a, b = config.control_period
-    return {Period.FOLLOWUP_U: (idx + 1, idx + config.T),
-            Period.CONTROL_V: (idx - a * DAYS_PER_MONTH,
-                               idx - b * DAYS_PER_MONTH - 1),
-            Period.MONTH_PRIOR: (idx - DAYS_PER_MONTH, idx - 1),
-            Period.DAY_OF_PRESCRIPTION: (idx, idx)}[period]
+def _patients_with_event(db: Database, episodes, config: StudyConfig):
+    """(patients with each event code in each period, patients covering
+    each period): a row per period in Period order.
 
-
-def _patients_with_event(db: Database, episodes, period: Period,
-                         config: StudyConfig):
-    """(patients with each event code in the window, patients with coverage).
-
-    The first item is indexed by event code.  A patient counts once
-    however many episodes or repeat events they have; episodes whose
-    registration-to-last-active span does not cover the whole window are
-    ignored for both counts.
+    The first item is indexed by (period, event code).  A patient counts
+    once however many episodes or repeat events they have; episodes
+    whose registration-to-last-active span does not cover the whole
+    period window are ignored for both counts.  One kernel call a period.
     """
     pts, idx = episodes
-    wstart, wend = period_window(period, idx, config)
-    covered = (db.registration[pts] <= wstart) & (db.last_active[pts] >= wend)
-    pts = pts[covered]
-    row, code = window_pairs(db, pts, wstart[covered], wend[covered])[:2]
+    a, b = config.control_period
+    # each period's inclusive day bounds from the index day, in Period order
+    offsets = ((1, config.T), (-a * DAYS_PER_MONTH, -b * DAYS_PER_MONTH - 1),
+               (-DAYS_PER_MONTH, -1), (0, 0))
+    registered, active = db.registration[pts] - idx, db.last_active[pts] - idx
     n_codes = len(db.event_codes)
-    patient_code = np.unique(pts[row] * n_codes + code)
-    return (np.bincount(patient_code % n_codes, minlength=n_codes),
-            len(np.unique(pts)))
+    with_code, covering = [], []
+    for lo, hi in offsets:
+        covered = (registered <= lo) & (active >= hi)
+        p, i = pts[covered], idx[covered]
+        row, code = window_pairs(db, p, i + lo, i + hi)[:2]
+        patient_code = np.unique(p[row] * n_codes + code)
+        with_code.append(np.bincount(patient_code % n_codes,
+                                     minlength=n_codes))
+        covering.append(len(np.unique(p)))
+    return np.array(with_code), np.array(covering)
 
 
-def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
-                    config: StudyConfig):
-    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one period for every code.
+def _period_vectors(db: Database, x_episodes, config: StudyConfig):
+    """(n_xy, n_x_dot, n_dot_y, n_dot_dot): a row per period, in order.
 
     n_xy counts the patients with the study drug then the event in the
     period, n_x_dot those with the study drug and full coverage of the
     period; n_dot_y and n_dot_dot count the same over every drug's
-    episodes.  n_xy and n_dot_y are indexed by event code.  Two kernel
-    calls: one over the study-drug episodes, one over the all-drug
-    episodes.
+    episodes.  n_xy and n_dot_y are indexed by (period, event code).
+    The all-drug half reads only T and the control period of config, so
+    it is counted once per database for each pair of them.
     """
-    n_xy, n_x_dot = _patients_with_event(db, x_episodes, period, config)
-    n_dot_y, n_dot_dot = _patients_with_event(db, any_episodes, period,
-                                              config)
-    bad = (n_xy > np.minimum(n_x_dot, n_dot_y)) | \
-        (np.maximum(n_x_dot, n_dot_y) > n_dot_dot)
+    n_xy, n_x_dot = _patients_with_event(db, x_episodes, config)
+    n_dot_y, n_dot_dot = db.cached(
+        ("all-drug periods", config.T, config.control_period),
+        lambda: _patients_with_event(db, db.episodes(), config))
+    x_dot, dot_dot = n_x_dot[:, None], n_dot_dot[:, None]
+    bad = (n_xy > np.minimum(x_dot, n_dot_y)) | \
+        (np.maximum(x_dot, n_dot_y) > dot_dot)
     if bad.any():
+        period = np.argmax(bad.any(axis=1))
+        codes = [db.event_codes[c] for c in np.flatnonzero(bad[period])]
         raise ValueError(
-            f"inconsistent {period.value} period counts of event codes "
-            f"{[db.event_codes[c] for c in np.flatnonzero(bad).tolist()]}: "
-            "n_xy must be at most n_x_dot and n_dot_y, and both at most "
-            "n_dot_dot")
+            f"inconsistent {list(Period)[period].value} period counts of "
+            f"event codes {codes}: n_xy must be at most n_x_dot and "
+            "n_dot_y, and both at most n_dot_dot")
     return n_xy, n_x_dot, n_dot_y, n_dot_dot
 
 
@@ -136,13 +135,10 @@ def _period_vectors(db: Database, x_episodes, any_episodes, period: Period,
 def oe_scores(db: Database, config: StudyConfig):
     """{period: (n_xy, expected) of every code}: the pass both variants
     score."""
-    x_episodes = db.episodes(config.drug_code)
-    vectors = {}
-    for period in Period:
-        n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
-            db, x_episodes, db.episodes(), period, config)
-        vectors[period] = (n_xy, _expected(n_x_dot, n_dot_y, n_dot_dot))
-    return vectors
+    n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
+        db, db.episodes(config.drug_code), config)
+    expected = _expected(n_x_dot[:, None], n_dot_y, n_dot_dot[:, None])
+    return dict(zip(Period, zip(n_xy, expected)))
 
 
 def oe_view(codes, periods, variant: int):

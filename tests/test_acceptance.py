@@ -64,17 +64,16 @@ def test_criterion_2_oracle_equivalence():
 
         pairs = brute_exposures(db, config)
         any_pairs = brute_all_drug_exposures(db, config)
-        for period in Period:
-            vectors = _period_vectors(db, db.episodes("X"), db.episodes(),
-                                      period, config)
+        vectors = _period_vectors(db, db.episodes("X"), config)
+        for row, period in enumerate(Period):
             for code in codes:
-                if counts_of(db, vectors, code) != brute_period_counts(
-                        db, pairs, code, period, config, any_pairs):
+                if counts_of(db, [v[row] for v in vectors], code) != \
+                        brute_period_counts(db, pairs, code, period, config,
+                                            any_pairs):
                     mismatches += 1
 
         first_pairs = brute_first_exposure_per_patient(pairs)
-        vectors = _support_vectors(db, db.episodes("X"), config,
-                                   config.rng_seed)
+        vectors = _support_vectors(db, db.episodes("X"), config)
         for code in codes:
             if counts_of(db, vectors, code) != brute_support_counts(
                     db, first_pairs, code, config, trial):

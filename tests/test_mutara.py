@@ -68,7 +68,7 @@ def support_counts(db, event_code, config):
     supp_bg, population) of one code, by the pass candidate_supports
     runs."""
     vectors = mutara._support_vectors(db, db.episodes(config.drug_code),
-                                      config, config.rng_seed)
+                                      config)
     return counts_of(db, vectors, event_code)
 
 
@@ -88,7 +88,7 @@ class TestSupportCounts:
                                np.array([0]), np.array([0])))
             with pytest.raises(ValueError, match=r"inconsistent support "
                                r"counts of event codes \['A'\]"):
-                mutara._support_vectors(db, db.episodes("X"), config, 11)
+                mutara._support_vectors(db, db.episodes("X"), config)
 
     def _db(self):
         # p0: X then A on day 5 (clean sequence)
@@ -142,7 +142,7 @@ class TestSupportCounts:
                 pairs = brute_first_exposure_per_patient(
                     brute_exposures(db, config))
                 vectors = mutara._support_vectors(db, db.episodes("X"),
-                                                  config, trial)
+                                                  config)
                 for code in (*db.event_codes, "absent"):
                     want = brute_support_counts(db, pairs, code, config,
                                                 trial)

@@ -992,22 +992,24 @@ class TestWindowPairs:
                 brute_srs_cells(db, "X", T)
             pairs = brute_first_exposure_per_patient(
                 brute_exposures(db, config))
-            vectors = mutara._support_vectors(db, (pts, idx), config, trial)
+            vectors = mutara._support_vectors(
+                db, (pts, idx), dataclasses.replace(config, rng_seed=trial))
             for code in ("A", "C", "D"):
                 assert counts_of(db, vectors, code) == \
                     brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
-        ((store, temporal_ic, mutara), 11),
-        ((store, temporal_ic, mutara, srs), 12)], ids=["no_srs", "srs"])
+        ((store, temporal_ic, mutara), (11, 7)),
+        ((store, temporal_ic, mutara, srs), (12, 8))], ids=["no_srs", "srs"])
     def test_calls_per_drug_independent_of_candidates(self, modules, calls,
                                                       monkeypatch):
         # the seven ids share one window, so score_drug selects their
         # candidates with one call; of the four scoring passes (ror05;
-        # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 8 (4
-        # periods x 2 populations), each support pass 1 (the exposed and
-        # background windows together) and SRS 1, however many codes
-        # there are
+        # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 8 for
+        # the first drug (4 periods x 2 populations) and 4 for a second
+        # one, which reuses the all-drug population's counts, each support
+        # pass 1 (the exposed and background windows together) and SRS 1,
+        # however many codes there are
         seen = []
 
         def counting(*args):
@@ -1019,18 +1021,20 @@ class TestWindowPairs:
         n_candidates = set()
         for codes in ("AC", "ABCDEFGHIJKL"):
             db = random_small_db(rng, n_patients=40, codes=tuple(codes))
-            seen.clear()
-            ranked = score_drug(db, "X", ALGORITHM_IDS, 3)
-            assert len(seen) == calls
-            oe1 = ranked[ALGORITHM_IDS.index("oe1")]
-            n_candidates.add(len(oe1.entries) + len(oe1.filtered))
-        assert len(n_candidates) == 2
+            for drug, drug_calls in zip(("X", "B"), calls):
+                seen.clear()
+                ranked = score_drug(db, drug, ALGORITHM_IDS, 3)
+                assert len(seen) == drug_calls
+                oe1 = ranked[ALGORITHM_IDS.index("oe1")]
+                n_candidates.add((drug, len(oe1.entries) + len(oe1.filtered)))
+        # each drug's candidates differ between the two databases
+        assert len(n_candidates) == 4
 
 
     def test_exposure_arrays_and_digests_built_once(self, monkeypatch):
         # one score_drug over all seven ids reads one episode pass, one
-        # digest array per seed and one previous-day column; a second
-        # drug reuses all three
+        # all-drug OE count per (T, control_period), one digest array per
+        # seed and one previous-day column; a second drug reuses all four
         built = []
 
         def counting(name, build):
@@ -1038,6 +1042,14 @@ class TestWindowPairs:
                 built.append((name, *args[1:]))
                 return build(*args)
             return wrapper
+
+        def periods(db, episodes, config):
+            # the all-drug episodes are the cached arrays themselves
+            if episodes[0] is db.episodes()[0]:
+                built.append(("periods", config.T, config.control_period))
+            return patients_with_event(db, episodes, config)
+        patients_with_event = temporal_ic._patients_with_event
+        monkeypatch.setattr(temporal_ic, "_patients_with_event", periods)
         monkeypatch.setattr(store, "_qualifying_episodes",
                             counting("episodes", store._qualifying_episodes))
         monkeypatch.setattr(mutara, "_background_digests",
@@ -1046,11 +1058,19 @@ class TestWindowPairs:
                             counting("previous days", store.previous_days))
         db = random_small_db(np.random.default_rng(17), n_patients=40)
         score_drug(db, "X", ALGORITHM_IDS, 3)
-        once = [("episodes",), ("digests", 3), ("previous days",)]
+        once = [("episodes",), ("periods", 30, (27, 21)), ("digests", 3),
+                ("previous days",)]
         assert built == once
         score_drug(db, "B", ALGORITHM_IDS, 3,
                    {"hunt180": {"rng_seed": 4}})
         assert built == [*once, ("digests", 4)]
+        # the all-drug half reads T and control_period, and only those
+        score_drug(db, "B", ["oe1", "oe2", "ror05"], 3,
+                   {"oe1": {"T": 60, "pre_window": 60},
+                    "oe2": {"control_period": [12, 6]},
+                    "ror05": {"T": 60}})
+        assert built == [*once, ("digests", 4), ("periods", 60, (27, 21)),
+                         ("periods", 30, (12, 6))]
 
 
     def test_concurrent_scoring_shares_cached_arrays(self):

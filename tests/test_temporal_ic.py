@@ -18,11 +18,11 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
 
 
 def period_counts(db, event_code, period, config):
-    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one code, by the pass
-    oe_scores runs."""
-    vectors = _period_vectors(db, db.episodes(config.drug_code),
-                              db.episodes(), period, config)
-    return counts_of(db, vectors, event_code)
+    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one code in one period, by
+    the pass oe_scores runs."""
+    vectors = _period_vectors(db, db.episodes(config.drug_code), config)
+    row = list(Period).index(period)
+    return counts_of(db, [v[row] for v in vectors], event_code)
 
 
 def oe_score_of(db, config, event_code):
@@ -61,21 +61,27 @@ class TestExpectedCount:
 
     def test_inconsistent_counts_rejected(self, simple_config,
                                           monkeypatch):
-        db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
-                     events=[("p0", "A", 5)])
-        # (n_xy, n_x_dot) and (n_dot_y, n_dot_dot) of the one code A
-        for counts in ((([5], 3), ([10], 100)),     # n_xy > n_x_dot
-                       (([5], 10), ([3], 100)),     # n_xy > n_dot_y
-                       (([0], 10), ([200], 100)),   # n_dot_y > n_dot_dot
-                       (([0], 200), ([0], 100))):   # n_x_dot > n_dot_dot
-            given = iter([(np.array(v), n) for v, n in counts])
+        # (n_xy, n_x_dot) and (n_dot_y, n_dot_dot) of the one code A in
+        # one period; both halves count nothing in every other period
+        control, day0 = Period.CONTROL_V, Period.DAY_OF_PRESCRIPTION
+        for period, counts in (
+                (control, (([5], 3), ([10], 100))),     # n_xy > n_x_dot
+                (control, (([5], 10), ([3], 100))),     # n_xy > n_dot_y
+                (control, (([0], 10), ([200], 100))),   # n_dot_y > n_dot_dot
+                (control, (([0], 200), ([0], 100))),    # n_x_dot > n_dot_dot
+                (day0, (([5], 3), ([10], 100)))):       # n_xy > n_x_dot
+            at = np.array([p is period for p in Period])
+            given = iter([(np.where(at[:, None], v, 0), np.where(at, n, 0))
+                          for v, n in counts])
             monkeypatch.setattr(temporal_ic, "_patients_with_event",
                                 lambda *args: next(given))
+            # a fresh database: the all-drug half is cached in it
+            db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
+                         events=[("p0", "A", 5)])
             with pytest.raises(ValueError,
-                               match=r"inconsistent control_v period counts "
-                                     r"of event codes \['A'\]"):
-                _period_vectors(db, db.episodes("X"), db.episodes(),
-                                Period.CONTROL_V, simple_config)
+                               match=rf"inconsistent {period.value} period "
+                                     r"counts of event codes \['A'\]"):
+                _period_vectors(db, db.episodes("X"), simple_config)
 
 
 class TestIc:
@@ -210,6 +216,22 @@ class TestPeriodCounts:
                         want = brute_period_counts(db, exposures, code,
                                                    period, config, any_exp)
                         assert got == want
+
+    def test_all_drug_half_cached_per_window(self):
+        # one database scored under several windows, in turn and again,
+        # gives each the lists of a database that saw no other window
+        def fresh():
+            return random_small_db(np.random.default_rng(29), n_patients=30,
+                                   near_rx=2)
+        db = fresh()
+        for window in ({}, {"T": 60}, {"control_period": [12, 6]},
+                       {"T": 60, "control_period": [12, 6]},
+                       {"pre_window": 0}, {"T": 60}):
+            for drug in ("X", "B"):
+                overrides = {"oe1": window, "oe2": window}
+                assert score_drug(db, drug, ["oe1", "oe2"], 0, overrides) \
+                    == score_drug(fresh(), drug, ["oe1", "oe2"], 0,
+                                  overrides)
 
 
 class TestRankOe:
