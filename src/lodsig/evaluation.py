@@ -117,12 +117,14 @@ def map_score(y) -> float | None:
     return sum(precision_k(y, k) for k in positives) / len(positives)
 
 
-def evaluate(ranked: RankedSignalList,
-             dictionary: AdrDictionary) -> EvalReport:
-    """Metrics of one ranked list; precision at k beyond the length of
-    the list is over the whole list (emit_report logs one line for all
-    such lists, not one warning per list)."""
-    y_all = truth_vector(ranked, dictionary, "all")
+def evaluate(ranked: RankedSignalList, dictionary: AdrDictionary,
+             y_all: list[int] | None = None) -> EvalReport:
+    """Metrics of one ranked list, given its truth_vector(..., "all") if
+    already built; precision at k beyond the length of the list is over
+    the whole list (emit_report logs one line for all such lists, not
+    one warning per list)."""
+    if y_all is None:
+        y_all = truth_vector(ranked, dictionary, "all")
     top = len(y_all)
     return EvalReport(
         algorithm_id=ranked.algorithm,
@@ -270,16 +272,19 @@ def emit_report(output_dir, ranked_lists,
     lists span at least two algorithms and two drugs, a signed-rank
     test file per tested metric."""
     out = Path(output_dir)
+    reports = []
     for ranked in ranked_lists:
-        y = ([0] * len(ranked.entries) if dictionary is None
-             else truth_vector(ranked, dictionary, "all"))
+        if dictionary is None:
+            y = [0] * len(ranked.entries)
+        else:
+            y = truth_vector(ranked, dictionary, "all")
+            reports.append(evaluate(ranked, dictionary, y))
         write_csv(out / f"ranked_{ranked.drug_code}_{ranked.algorithm}.csv",
                   ["rank", "event_code", "score", "y"], (
                       [entry.rank, entry.event_code, _fmt(entry.score), label]
                       for entry, label in zip(ranked.entries, y)))
     if dictionary is None:
         return
-    reports = [evaluate(r, dictionary) for r in ranked_lists]
     short = sum(r.n_candidates < 50 for r in reports)
     if short:
         log.warning("%d of %d ranked lists have fewer than 50 entries; "

@@ -6,11 +6,18 @@ pre- and post-exposure excess (therapeutic_failure) and a spike on the
 prescription day (day0_artifact).  Each patient draws from the stream
 of `np.random.default_rng([seed, patient index])`, so output is
 byte-identical across runs and independent of generation scheduling.
-The streams' starting states are derived for all patients in one
-vectorised pass (a port of numpy's SeedSequence and PCG64 seeding,
-checked against numpy in tests/test_synthgen.py) rather than by one
-default_rng call per patient; with one Poisson call per run of equal
-background rates, this halves the per-patient cost of generation.
+
+No Generator draws these streams.  Their starting states are derived for
+all patients in one vectorised pass (a port of numpy's SeedSequence and
+PCG64 seeding), each block of patients has its PCG64 raw outputs drawn
+into one buffer, and ports of numpy's samplers to those raw outputs
+(random, Lemire's bounded integers, Poisson by multiplication and by
+PTRS) make each draw for the whole block at once; both ports are in
+`lodsig.streams`.  The output so depends on PCG64's raw stream and on the
+ported samplers, not on numpy's Generator methods:
+tests/test_synthgen.py checks the ports against numpy call for call, and
+tests/test_synthgen_oracle.py the generator against the per-patient
+default_rng generator it replaced.
 """
 
 from __future__ import annotations
@@ -31,26 +38,22 @@ from .evaluation import AdrDictionary, AdrEntry, write_csv
 from .store import (Database, Gender, _int, _real, cache_database,
                     first_per_patient, from_ordinal, record_order,
                     row_columns, window_pairs)
+from .streams import _pcg64_states, _Streams
 
 log = logging.getLogger(__name__)
 
 ORIGIN = datetime.date(2010, 1, 1).toordinal()
 ORIGIN_YEAR = 2010
+_LAST_DAY = datetime.date.max.toordinal()
 # every patient gets a marker event at registration and at the end of the
 # active span so the derived last-active date matches the planned one
 VISIT_CODE = "clinic_visit"
 
 INJECTION_KINDS = ("adr", "therapeutic_failure", "day0_artifact")
 
-_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# A scalar-mean rng.poisson(mean, k) call per run of equal rates, with
-# its write into the count row, costs 2.1-2.8 us a run; one call over the
-# whole rate array 14-18 us, nearly all of it numpy's argument checks
-# (2 vCPU, numpy 2.4).  Both draw element by element, so the streams
-# agree; past this many runs the array call is cheaper.
-_MAX_POISSON_RUNS = 6
+# each block of patients draws its PCG64 outputs into one buffer of about
+# this many uint64s (1 MB); test_generate_peak sets the ceiling
+_BLOCK_RAWS = 2 ** 17
 # the largest Poisson mean numpy draws from (POISSON_LAM_MAX in
 # numpy/random/_common.pyx)
 _POISSON_MEAN_MAX = (np.iinfo(np.int64).max
@@ -131,6 +134,12 @@ class SynthConfig:
             setattr(self, name, _int(name, getattr(self, name)))
         if self.n_patients <= 0 or self.years_span <= 0:
             raise ValueError("n_patients and years_span must be positive")
+        # the last day must be a date; the samplers also need every day
+        # range below 2**32 (see streams._Streams.integers)
+        if ORIGIN + 365 * self.years_span > _LAST_DAY:
+            raise ValueError(f"years_span must be at most "
+                             f"{(_LAST_DAY - ORIGIN) // 365}, not "
+                             f"{self.years_span}")
         if self.rng_seed < 0:
             raise ValueError(
                 f"rng_seed must be non-negative, not {self.rng_seed}")
@@ -260,69 +269,80 @@ def _drug_plan(config: SynthConfig, drug: str, event_index):
     return model.prescription_rate, model.repeat_rate, indication, draws
 
 
-def _hasher(init: int, mult: int):
-    """numpy SeedSequence's hash over uint32 columns: each call XORs in
-    the running constant, steps it by mult and multiplies by it."""
-    const = init
+def _first_width(config: SynthConfig, plans) -> int:
+    """Raws to draw for each patient at first: the mean a patient reads,
+    estimated generously, plus four times its square root.  Fewer make
+    a block be drawn again; more make blocks hold fewer patients."""
+    span_days = config.years_span * 365
 
-    def hash_(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-    return hash_
-
-
-def _mix(x, y):
-    """numpy SeedSequence's mix of two uint32 columns."""
-    value = np.uint32(0xca01f9dd) * x - np.uint32(0x4973f715) * y
-    return value ^ value >> np.uint32(16)
+    def poisson(mean):   # raws of one Poisson draw and of that many days
+        return (0 if mean == 0 else 1 + mean if mean < 10 else 3) + mean / 2
+    raws = 6 + sum(poisson(rate * config.years_span)
+                   for rate in config.background_event_rates.values())
+    for _, repeat_rate, indication, draws in plans:
+        raws += (3 + min(1 / (1 - repeat_rate), span_days / 28)
+                 + 1.5 * len(draws))
+        if indication is not None:
+            raws += poisson(indication[1])
+    return int(raws + 4 * math.sqrt(raws)) + 16
 
 
-def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
-    """(state, inc) of `np.random.default_rng([seed, i]).bit_generator`
-    for each patient index i < n, derived in one pass.
+def _draw_block(s: _Streams, config: SynthConfig, runs, plans, counts):
+    """Every patient's draws of one block, in numpy's order for each
+    patient, made for all of them at once; fills counts, a row of
+    background counts a patient, but for the codes of rate 0.
 
-    A port of numpy's SeedSequence (`_coerce_to_uint32_array`,
-    `mix_entropy`, `generate_state(4, np.uint64)`) to wrapping uint32
-    arithmetic on a column of indices, then of `pcg64_set_seed`'s two
-    128-bit LCG steps on Python ints.  The entropy is the seed's 32-bit
-    words, least significant first, then the index (one word, as n <
-    2**32); past the 4-word pool each further word is mixed into every
-    pool word.
+    Returns (reg, end, death, yob, female) arrays, the background days
+    in patient order, the (rows, code, days) record groups of the
+    prescriptions and of the extra events, and (key, rows added) pairs
+    of the injected counts.
     """
-    entropy = []
-    while True:
-        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(np.arange(n, dtype=np.uint32))
-    hashmix = _hasher(0x43b0d7e5, 0x931e8875)
-    pool = [hashmix(entropy[k] if k < len(entropy)
-                    else np.zeros(n, dtype=np.uint32)) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state: 8 words from the cycled pool, read pairwise as
-    # little-endian uint64 (seed high, seed low, inc high, inc low)
-    hash_state = _hasher(0x8b51f9dd, 0x58f38ded)
-    words = [hash_state(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[k] | words[k + 1] << np.uint64(32)).tolist()
-        for k in range(0, 8, 2))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        # from state 0: step, add the seed, step
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    every = np.arange(len(counts))
+    span_days = config.years_span * 365
+    reg = ORIGIN + s.integers(every, max(1, span_days - 540) - 1)
+    end = np.full(len(every), ORIGIN + span_days)
+    drop = np.flatnonzero((s.random(every) < config.dropout_prob)
+                          & (reg + 540 < end))
+    end[drop] = reg[drop] + 540 + s.integers(drop, end[drop] - reg[drop] - 541)
+    death = s.random(every) < config.death_prob
+    yob = ORIGIN_YEAR - 20 - s.integers(every, 65)
+    female = s.random(every) < 0.5
+
+    span = end - reg
+    for first, k, means, exp_neg in runs:
+        counts[:, first:first + k] = s.poisson(every, means[span],
+                                               exp_neg[span], k)
+    total = counts.sum(axis=1)
+    bg_days = np.repeat(reg, total) + s.integers_each(every, total, span)
+
+    lo, hi = reg + 380, end - 45
+    rx, extra = [], []
+    injected = []   # (key, rows added)
+    for d, (rate, repeat_rate, indication, draws) in enumerate(plans):
+        took = np.flatnonzero((s.random(every) < rate) & (hi > lo))
+        t0 = lo[took] + s.integers(took, hi[took] - lo[took])
+        rx.append((took, d, t0))
+        on, day, k = took, t0, 1
+        while on.size:
+            keep = (s.random(on) < repeat_rate) & (day + 28 * k <= end[on])
+            on, day = on[keep], day[keep]
+            rx.append((on, d, day + 28 * k))
+            k += 1
+
+        if indication is not None:
+            code, mean = indication
+            n_extra = s.poisson(took, np.full(len(took), mean),
+                                np.full(len(took), math.exp(-mean)), 1)[:, 0]
+            extra.append((np.repeat(took, n_extra), code,
+                          np.repeat(t0 - 60, n_extra) + s.integers_each(
+                              took, n_extra, np.full(len(took), 59))))
+
+        for code, key, p, first, days, counted in draws:
+            hit = s.random(took) < p
+            extra.append((took[hit], code, t0[hit] + first
+                          + s.integers(took[hit], days - 1)))
+            injected.append((key, counted * int(hit.sum())))
+    return (reg, end, death, yob, female), bg_days, rx, extra, injected
 
 
 def generate_tables(config: SynthConfig) -> GenerationResult:
@@ -330,25 +350,30 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
 
     Each patient draws from its own `default_rng([seed, index])` stream,
     in a fixed order that defines the output.  The streams' PCG64 states
-    are derived for all patients in one pass (`_pcg64_states`) and loaded
-    in turn into one reused Generator.  Background counts are drawn with
-    one Poisson call per run of equal consecutive rates, which draws the
-    same values as one call over the rate array.  Background events are
-    kept as per-patient counts and day arrays; the few visit, indication,
-    injected and prescription rows as flat (patient, code, day) ints.
+    are derived for all patients in one pass (`_pcg64_states`), and the
+    patients are drawn in blocks of about _BLOCK_RAWS raw outputs, every
+    draw for a whole block at once (`_Streams`, `_draw_block`).  The
+    Poisson means of the background counts are one per rate and day
+    span, so exp(-mean) is tabled once per run of equal rates.
+    Background events are kept as per-patient counts and a day array per
+    block; the few visit, indication, injected and prescription rows as
+    (patient, code, day) int arrays.
     """
     n = config.n_patients
     span_days = config.years_span * 365
     codes = sorted(config.background_event_rates)
     rate_list = [config.background_event_rates[c] for c in codes]
-    rates = np.array(rate_list)
-    # runs of equal consecutive rates: (rate, length, columns of counts)
+    # runs of equal consecutive rates: (first column, length, Poisson mean
+    # and exp(-mean) of each day span); a rate of 0 draws nothing
+    years = np.arange(span_days + 1) / 365.0
     runs, start = [], 0
     for rate, group in itertools.groupby(rate_list):
         k = len(list(group))
-        runs.append((rate, k, slice(start, start + k)))
+        if rate:
+            means = rate * years
+            runs.append((start, k, means,
+                         np.array([math.exp(-m) for m in means.tolist()])))
         start += k
-    by_run = len(runs) <= _MAX_POISSON_RUNS
     # event code indices: the background codes in sorted order, then the
     # visit marker and any indication code without a background rate
     event_index = {code: i for i, code in enumerate(codes)}
@@ -360,83 +385,53 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     drugs = sorted(config.drug_models)
     plans = [_drug_plan(config, drug, event_index) for drug in drugs]
 
-    patient_rows = []
-    reg_end = []   # flat (reg, end) ints
-    counts = np.empty((n, len(codes)), dtype=np.int64)
-    bg_days = []
-    rx, extra = [], []   # flat (patient, code index, day) ints
+    states = _pcg64_states(config.rng_seed, n)
+    width = _first_width(config, plans)
+    patient_rows, reg_end, bg_days, rx, extra = [], [], [], [], []
+    counts = np.zeros((n, len(codes)), dtype=np.int64)
     injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
-    rng = np.random.Generator(np.random.PCG64(0))
-    # each patient's state is loaded by refilling these two dicts
-    bit_generator = rng.bit_generator
-    pcg_state = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg_state,
-                  "has_uint32": 0, "uinteger": 0}
-
-    for i, (state, inc) in enumerate(_pcg64_states(config.rng_seed, n)):
-        pcg_state["state"], pcg_state["inc"] = state, inc
-        bit_generator.state = full_state
-        reg = ORIGIN + int(rng.integers(0, max(1, span_days - 540)))
-        end = ORIGIN + span_days
-        if rng.random() < config.dropout_prob and reg + 540 < end:
-            end = reg + 540 + int(rng.integers(0, end - reg - 540))
-        death = end if rng.random() < config.death_prob else None
-        yob = ORIGIN_YEAR - int(rng.integers(20, 86))
-        gender = Gender.FEMALE if rng.random() < 0.5 else Gender.MALE
-        patient_rows.append((f"p{i:07d}", yob, gender, reg, death))
-        reg_end += (reg, end)
-
-        years = (end - reg) / 365.0
-        row = counts[i]
-        if by_run:
-            for rate, k, columns in runs:
-                row[columns] = rng.poisson(rate * years, k)
-        else:
-            row[:] = rng.poisson(rates * years)
-        total = int(row.sum())
-        if total:
-            bg_days.append(rng.integers(reg, end + 1, size=total))
-
-        lo, hi = reg + 380, end - 45
-        for d, (rate, repeat_rate, indication, draws) in enumerate(plans):
-            if rng.random() >= rate or hi <= lo:
-                continue
-            t0 = int(rng.integers(lo, hi + 1))
-            rx += (i, d, t0)
-            k = 1
-            while rng.random() < repeat_rate and t0 + 28 * k <= end:
-                rx += (i, d, t0 + 28 * k)
-                k += 1
-
-            if indication is not None:
-                code, mean = indication
-                n_extra = int(rng.poisson(mean))
-                for day in rng.integers(t0 - 60, t0, size=n_extra).tolist():
-                    extra += (i, code, day)
-
-            for code, key, p, first, days, counted in draws:
-                if rng.random() < p:
-                    extra += (i, code, t0 + first + int(rng.integers(0, days)))
-                    injected[key] += counted
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _BLOCK_RAWS // width))
+        streams = _Streams(states[start:stop], width)
+        block = _draw_block(streams, config, runs, plans, counts[start:stop])
+        if streams.overflowed():
+            width *= 2
+            continue
+        (reg, end, death, yob, female), block_days, block_rx, \
+            block_extra, block_injected = block
+        patient_rows += zip(
+            [f"p{i:07d}" for i in range(start, stop)], yob.tolist(),
+            [Gender.FEMALE if f else Gender.MALE for f in female.tolist()],
+            reg.tolist(),
+            [e if d else None for e, d in zip(end.tolist(), death.tolist())])
+        reg_end.append(np.column_stack((reg, end)).ravel())
+        bg_days.append(block_days)
+        for records, groups in ((rx, block_rx), (extra, block_extra)):
+            records += ((rows + start, np.full(len(rows), code), days)
+                        for rows, code, days in groups)
+        for key, added in block_injected:
+            injected[key] += added
+        start = stop
+    del states
 
     # event rows: visits, background, then the extra rows; each column
     # is built on its own, so only one is being assembled at a time
     patients = np.arange(n)
-    extra = np.array(extra, dtype=np.int64).reshape(-1, 3)
     ev_pid = np.concatenate([np.repeat(patients, 2),
                              np.repeat(patients, counts.sum(axis=1)),
-                             extra[:, 0]])
+                             *(r[0] for r in extra)])
     ev_code = np.concatenate([
         np.full(2 * n, visit),
         np.repeat(np.tile(np.arange(len(codes)), n), counts.ravel()),
-        extra[:, 1]])
-    ev_day = np.concatenate([np.array(reg_end, dtype=np.int64),
-                             *bg_days, extra[:, 2]])
+        *(r[1] for r in extra)])
+    ev_day = np.concatenate([*reg_end, *bg_days, *(r[2] for r in extra)])
     pid_values = [row[0] for row in patient_rows]
+    none = np.zeros(0, dtype=np.int64)
     return GenerationResult(
         patient_rows,
-        _table(pid_values, *np.array(rx, dtype=np.int64).reshape(-1, 3).T,
-               drugs),
+        _table(pid_values, *(np.concatenate([none, *(r[c] for r in rx)])
+                             for c in range(3)), drugs),
         _table(pid_values, ev_pid, ev_code, ev_day, list(event_index)),
         injected)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lodsig import evaluation
 from lodsig.evaluation import (AdrDictionary, AdrEntry, compare_algorithms,
                                emit_report, evaluate, map_score, precision_k,
                                signed_rank_one_sided, truth_vector)
@@ -238,6 +239,20 @@ class TestTruthAndEvaluate:
         rows = read_rows(tmp_path / "ranked_X_a1.csv", [
             ("event_code", str, None), ("y", int, lambda t: f"bad y {t!r}")])
         assert rows == list(zip(["A", "C", "D"], y))
+
+    def test_report_builds_one_all_vector_per_list(self, tmp_path,
+                                                   monkeypatch):
+        # the ranked CSV's y and the metrics share one "all" vector
+        modes = []
+
+        def counted(ranked_list, dictionary, mode="all"):
+            modes.append(mode)
+            return truth_vector(ranked_list, dictionary, mode)
+        monkeypatch.setattr(evaluation, "truth_vector", counted)
+        lists = [ranked(["A", "C", "D"]), ranked(["A"], drug="B")]
+        emit_report(tmp_path, lists, self._dictionary())
+        assert modes.count("all") == len(lists)
+        assert sorted(set(modes)) == ["all", "rare", "reaction_codes"]
 
 
 class TestSignedRank:

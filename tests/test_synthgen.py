@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodsig import synthgen
 from lodsig.store import load_database
+from lodsig.streams import _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, _pcg64_states, build_database,
                              generate, generate_tables, realized_truth)
@@ -60,6 +63,13 @@ class TestConfigValidation:
                         background_event_rates={"rash": rate},
                         drug_models={})
 
+    def test_years_span_past_the_last_date(self):
+        # the samplers' day ranges also stay below 2**32 this way
+        with pytest.raises(ValueError, match="years_span must be at most "
+                           "7995, not 7996"):
+            SynthConfig(n_patients=5, years_span=7996,
+                        background_event_rates={"rash": 0.5})
+
     @pytest.mark.parametrize("mult", [math.nan, math.inf, 1e300])
     def test_bad_indication_multiplier(self, mult):
         with pytest.raises(ValueError, match="indication multiplier of "
@@ -85,6 +95,117 @@ def test_pcg64_states_are_default_rng_streams(seed):
         assert state["bit_generator"] == "PCG64"
         want.append((state["state"]["state"], state["state"]["inc"]))
     assert _pcg64_states(seed, 1000) == want
+
+
+# Generator call sequences, each made for every patient: ("random",),
+# ("integers", low, high[, sizes]) and ("poisson", means, k), where a
+# patient i takes sizes[i % len(sizes)] values and the mean
+# means[i % len(means)]
+SAMPLER_CASES = {
+    "random": [("random",)] * 3,
+    # a range of one value returns low and draws nothing
+    "integers_0_1": [("integers", 0, 1), ("random",), ("integers", 0, 1),
+                     ("integers", 5, 9)],
+    # both halves of one raw, with a random() between them that neither
+    # reads nor clears the held half
+    "halves_of_one_raw": [("integers", 0, 100), ("random",),
+                          ("integers", 0, 100), ("integers", 0, 100)],
+    # Lemire's method rejects about half the draws of this range, so
+    # most rows draw their sized values one at a time
+    "lemire_rejects": [("integers", 0, 2 ** 31 + 1)] * 6 + [
+        ("integers", 0, 2 ** 31 + 1, (0, 1, 3, 4)), ("integers", 0, 9),
+        ("random",)],
+    # odd and even sizes after a held half, then what the sizes hold
+    "sizes_after_held_half": [
+        ("integers", 0, 7), ("integers", 733_000, 734_500, (0, 1, 2, 3, 5, 8)),
+        ("integers", 0, 7), ("integers", 10, 70, (4, 3)), ("integers", 0, 7)],
+    # a mean of 0 draws nothing, below 10 the multiplication method, from
+    # 10 PTRS; the held half outlives the draws
+    "poisson": [("integers", 0, 9),
+                ("poisson", (0.0, 0.08, 1.3, 9.99, 10.0, 40.0), 25),
+                ("integers", 0, 9), ("poisson", (40.0, 0.08), 1),
+                ("random",)],
+}
+SAMPLER_PATIENTS = 40
+
+
+def sampler_call(streams, call):
+    """One Generator call for every patient of a _Streams."""
+    rows = np.arange(SAMPLER_PATIENTS)
+    name, *args = call
+    if name == "random":
+        return streams.random(rows).tolist()
+    if name == "poisson":
+        means = np.resize(np.array(args[0]), SAMPLER_PATIENTS)
+        exp_neg = np.array([math.exp(-m) for m in means.tolist()])
+        return streams.poisson(rows, means, exp_neg, args[1]).tolist()
+    low, high, *sizes = args
+    if not sizes:
+        return (low + streams.integers(rows, high - low - 1)).tolist()
+    sizes = np.resize(np.array(sizes[0]), SAMPLER_PATIENTS)
+    values = (low + streams.integers_each(
+        rows, sizes, np.full(SAMPLER_PATIENTS, high - low - 1))).tolist()
+    return [values[a:b] for a, b in zip(np.cumsum(sizes) - sizes,
+                                        np.cumsum(sizes))]
+
+
+def numpy_call(rng, i, call):
+    """The same call on patient i's Generator."""
+    name, *args = call
+    if name == "random":
+        return rng.random()
+    if name == "poisson":
+        return rng.poisson(args[0][i % len(args[0])], args[1]).tolist()
+    low, high, *sizes = args
+    if not sizes:
+        return int(rng.integers(low, high))
+    return rng.integers(low, high, size=sizes[0][i % len(sizes[0])]).tolist()
+
+
+def assert_draws_what_default_rng_draws(case, seed):
+    streams = _Streams(_pcg64_states(seed, SAMPLER_PATIENTS), 1024)
+    rngs = [np.random.default_rng([seed, i]) for i in range(SAMPLER_PATIENTS)]
+    for call in SAMPLER_CASES[case]:
+        assert sampler_call(streams, call) == \
+            [numpy_call(rng, i, call) for i, rng in enumerate(rngs)], call
+    assert not streams.overflowed()
+
+
+class TestBlockSampler:
+    """_Streams makes, for a block of patients at once, the draws each
+    patient's `default_rng([seed, index])` makes, call for call.  It ports
+    numpy's samplers (numpy/random/src/distributions) to PCG64's raw
+    outputs: a numpy release that changes one fails here first."""
+
+    @pytest.mark.parametrize("case", SAMPLER_CASES)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 128))
+    def test_draws_what_default_rng_draws(self, case, seed):
+        assert_draws_what_default_rng_draws(case, seed)
+
+    def test_counts_past_the_listed_draws(self, monkeypatch):
+        # the multiplication method lists each row's draws within a reach
+        # of its position; rows whose counts run past it count again
+        count_products = _Streams._count_products
+        reaches = []
+
+        def short(self, rows, exp_neg, k, reach):
+            reaches.append(reach // 16)
+            return count_products(self, rows, exp_neg, k, reach // 16)
+        monkeypatch.setattr(_Streams, "_count_products", short)
+        assert_draws_what_default_rng_draws("poisson", 2024)
+        assert len(reaches) > 2
+
+    def test_reads_past_a_row_overflow(self):
+        streams = _Streams(_pcg64_states(7, SAMPLER_PATIENTS), 8)
+        rngs = [np.random.default_rng([7, i])
+                for i in range(SAMPLER_PATIENTS)]
+        for _ in range(8):
+            assert sampler_call(streams, ("random",)) == \
+                [rng.random() for rng in rngs]
+        assert not streams.overflowed()
+        streams.random(np.arange(1))
+        assert streams.overflowed()
 
 
 class TestBernoulliProb:

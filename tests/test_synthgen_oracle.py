@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lodsig import synthgen
 from lodsig.store import Database
-from lodsig.synthgen import (_MAX_POISSON_RUNS, INJECTION_KINDS, VISIT_CODE,
-                             DrugModel, Injection, SynthConfig,
-                             build_database, generate, generate_tables,
-                             realized_truth)
+from lodsig.synthgen import (INJECTION_KINDS, VISIT_CODE, DrugModel,
+                             Injection, SynthConfig, build_database,
+                             generate, generate_tables, realized_truth)
 
 from conftest import table_rows
 from oracles import (brute_from_records, brute_generate_tables,
@@ -126,12 +126,11 @@ def _config(rates, seed=404, indication=None):
 
 
 # configurations the strategy above never draws, one for each path of the
-# one-pass seeding and the per-run Poisson draws
+# one-pass seeding and the Poisson draws
 OFF_STRATEGY = {
-    # more runs of equal rates than the per-run calls pay for: one call
-    # over the rate array
+    # 13 runs of equal rates, one code each
     "array_path": _config({f"c{k:02d}": (0.1, 0.8)[k % 2]
-                           for k in range(2 * _MAX_POISSON_RUNS + 1)}),
+                           for k in range(13)}),
     "one_run": _config({c: 0.8 for c in EVENT_CODES}),
     # Poisson means of 10 and more take numpy's PTRS sampler, for the
     # background counts and the indication events alike
@@ -146,4 +145,37 @@ OFF_STRATEGY = {
 
 @pytest.mark.parametrize("config", OFF_STRATEGY.values(), ids=OFF_STRATEGY)
 def test_generator_matches_oracle_off_the_strategy(config):
+    assert_matches_oracle(config)
+
+
+# the strategy's few patients fit in one block, and its rows in the first
+# raw buffer: (configuration, raws a patient's first row holds, raws a
+# block holds)
+BLOCK_CASES = {
+    # blocks of 3 patients: the 40 patients make 14 blocks
+    "three_patient_blocks": (OFF_STRATEGY["large_means"], 1024, 3 * 1024),
+    # rows of 2 raws, which every patient outgrows before the background
+    # counts: the block is drawn again with rows twice as wide until they
+    # hold every patient's draws
+    "rows_outgrown": (OFF_STRATEGY["one_run"], 2, 2 ** 17),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_generator_matches_oracle_across_blocks(case, monkeypatch):
+    config, width, block_raws = BLOCK_CASES[case]
+    monkeypatch.setattr(synthgen, "_first_width", lambda *_: width)
+    monkeypatch.setattr(synthgen, "_BLOCK_RAWS", block_raws)
+    blocks = []   # (patients, raws a row) of each block drawn
+
+    class Streams(synthgen._Streams):
+        def __init__(self, states, row_raws):
+            blocks.append((len(states), row_raws))
+            super().__init__(states, row_raws)
+    monkeypatch.setattr(synthgen, "_Streams", Streams)
+    generate_tables(config)
+    if case == "three_patient_blocks":
+        assert blocks == [(3, width)] * 13 + [(1, width)]
+    else:
+        assert blocks[0] == (config.n_patients, width) and len(blocks) > 2
     assert_matches_oracle(config)
