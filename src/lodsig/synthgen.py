@@ -275,8 +275,9 @@ def _first_width(config: SynthConfig, plans) -> int:
     a block be drawn again; more make blocks hold fewer patients."""
     span_days = config.years_span * 365
 
-    def poisson(mean):   # raws of one Poisson draw and of that many days
-        return (0 if mean == 0 else 1 + mean if mean < 10 else 3) + mean / 2
+    def poisson(mean):   # raws of one Poisson draw and of that many days,
+        # for a mean at most this (by multiplication up to 10, PTRS after)
+        return (0 if mean == 0 else 1 + min(mean, 10)) + mean / 2
     raws = 6 + sum(poisson(rate * config.years_span)
                    for rate in config.background_event_rates.values())
     for _, repeat_rate, indication, draws in plans:
@@ -287,10 +288,13 @@ def _first_width(config: SynthConfig, plans) -> int:
     return int(raws + 4 * math.sqrt(raws)) + 16
 
 
-def _draw_block(s: _Streams, config: SynthConfig, runs, plans, counts):
+def _draw_block(s: _Streams, config: SynthConfig, background, plans,
+                counts):
     """Every patient's draws of one block, in numpy's order for each
     patient, made for all of them at once; fills counts, a row of
-    background counts a patient, but for the codes of rate 0.
+    background counts a patient, in the columns `drawn` of background =
+    (distinct nonzero rates, drawn, rate_of), the codes of a nonzero rate
+    and the index of each one's rate.
 
     Returns (reg, end, death, yob, female) arrays, the background days
     in patient order, the (rows, code, days) record groups of the
@@ -299,6 +303,7 @@ def _draw_block(s: _Streams, config: SynthConfig, runs, plans, counts):
     """
     every = np.arange(len(counts))
     span_days = config.years_span * 365
+    rates, drawn, rate_of = background
     reg = ORIGIN + s.integers(every, max(1, span_days - 540) - 1)
     end = np.full(len(every), ORIGIN + span_days)
     drop = np.flatnonzero((s.random(every) < config.dropout_prob)
@@ -308,10 +313,12 @@ def _draw_block(s: _Streams, config: SynthConfig, runs, plans, counts):
     yob = ORIGIN_YEAR - 20 - s.integers(every, 65)
     female = s.random(every) < 0.5
 
+    # the background means, rate times years, in a table of the block's
+    # day spans by the distinct rates
     span = end - reg
-    for first, k, means, exp_neg in runs:
-        counts[:, first:first + k] = s.poisson(every, means[span],
-                                               exp_neg[span], k)
+    spans, group = np.unique(span, return_inverse=True)
+    counts[:, drawn] = s.poisson(every, (spans / 365.0)[:, None] * rates,
+                                 group, rate_of)
     total = counts.sum(axis=1)
     bg_days = np.repeat(reg, total) + s.integers_each(every, total, span)
 
@@ -331,8 +338,9 @@ def _draw_block(s: _Streams, config: SynthConfig, runs, plans, counts):
 
         if indication is not None:
             code, mean = indication
-            n_extra = s.poisson(took, np.full(len(took), mean),
-                                np.full(len(took), math.exp(-mean)), 1)[:, 0]
+            n_extra = s.poisson(took, np.array([[mean]]),
+                                np.zeros(len(took), dtype=np.int64),
+                                np.zeros(1, dtype=np.int64))[:, 0]
             extra.append((np.repeat(took, n_extra), code,
                           np.repeat(t0 - 60, n_extra) + s.integers_each(
                               took, n_extra, np.full(len(took), 59))))
@@ -352,28 +360,17 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     in a fixed order that defines the output.  The streams' PCG64 states
     are derived for all patients in one pass (`_pcg64_states`), and the
     patients are drawn in blocks of about _BLOCK_RAWS raw outputs, every
-    draw for a whole block at once (`_Streams`, `_draw_block`).  The
-    Poisson means of the background counts are one per rate and day
-    span, so exp(-mean) is tabled once per run of equal rates.
+    draw for a whole block at once (`_Streams`, `_draw_block`).
     Background events are kept as per-patient counts and a day array per
     block; the few visit, indication, injected and prescription rows as
     (patient, code, day) int arrays.
     """
     n = config.n_patients
-    span_days = config.years_span * 365
     codes = sorted(config.background_event_rates)
-    rate_list = [config.background_event_rates[c] for c in codes]
-    # runs of equal consecutive rates: (first column, length, Poisson mean
-    # and exp(-mean) of each day span); a rate of 0 draws nothing
-    years = np.arange(span_days + 1) / 365.0
-    runs, start = [], 0
-    for rate, group in itertools.groupby(rate_list):
-        k = len(list(group))
-        if rate:
-            means = rate * years
-            runs.append((start, k, means,
-                         np.array([math.exp(-m) for m in means.tolist()])))
-        start += k
+    rate_list = np.array([config.background_event_rates[c] for c in codes])
+    # a rate of 0 draws nothing
+    drawn = np.flatnonzero(rate_list)
+    rates, rate_of = np.unique(rate_list[drawn], return_inverse=True)
     # event code indices: the background codes in sorted order, then the
     # visit marker and any indication code without a background rate
     event_index = {code: i for i, code in enumerate(codes)}
@@ -394,7 +391,8 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     while start < n:
         stop = min(n, start + max(1, _BLOCK_RAWS // width))
         streams = _Streams(states[start:stop], width)
-        block = _draw_block(streams, config, runs, plans, counts[start:stop])
+        block = _draw_block(streams, config, (rates, drawn, rate_of),
+                            plans, counts[start:stop])
         if streams.overflowed():
             width *= 2
             continue

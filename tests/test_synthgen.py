@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig import synthgen
+from lodsig import streams, synthgen
 from lodsig.store import load_database
 from lodsig.streams import _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
@@ -119,12 +119,40 @@ SAMPLER_CASES = {
     "sizes_after_held_half": [
         ("integers", 0, 7), ("integers", 733_000, 734_500, (0, 1, 2, 3, 5, 8)),
         ("integers", 0, 7), ("integers", 10, 70, (4, 3)), ("integers", 0, 7)],
+    # values past the first of a row that Lemire rejects: the row reads
+    # on from the rejected value's half in a further pass
+    "lemire_rejects_sized": [
+        ("integers", 0, 7),
+        ("integers", 0, 2 ** 31 + 1, (300, 301, 0, 45)), ("random",),
+        ("integers", 0, 2 ** 31 + 1, (3, 2)), ("integers", 0, 7)],
     # a mean of 0 draws nothing, below 10 the multiplication method, from
-    # 10 PTRS; the held half outlives the draws
+    # 10 PTRS; the held half outlives the draws.  A call is (table, cols):
+    # patient i draws a count for each column of cols at its mean in row
+    # i % rows of the table
     "poisson": [("integers", 0, 9),
-                ("poisson", (0.0, 0.08, 1.3, 9.99, 10.0, 40.0), 25),
-                ("integers", 0, 9), ("poisson", (40.0, 0.08), 1),
+                ("poisson", [(0.0,), (0.08,), (1.3,), (9.99,), (10.0,),
+                             (40.0,)], (0,) * 25),
+                ("integers", 0, 9), ("poisson", [(40.0,), (0.08,)], (0,)),
                 ("random",)],
+    # a run of one column whose means are all below 10 is counted on its
+    # own
+    "poisson_run": [("integers", 0, 9),
+                    ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)],
+                     (0,) * 25),
+                    ("random",)],
+    # means that change from count to count: alternating small means, a
+    # mean of 0 among them, runs of PTRS counts, counts above 0 far from
+    # the one before, and runs between shorter stretches
+    "poisson_per_count": [
+        ("poisson", [(0.02, 0.03) * 40, (0.5, 0.0, 12.0, 0.01) * 20,
+                     (11.0, 35.0, 10.0, 0.3) * 18 + (0.0,) * 8,
+                     (9.99, 10.0) * 40, (0.001,) * 79 + (3.0,)],
+         tuple(range(80))),
+        ("random",), ("poisson", [(0.02, 0.03)], (0, 1) * 150),
+        ("random",),
+        ("poisson", [(0.02, 0.3, 12.0), (1.5, 0.1, 9.5)],
+         (0,) * 6 + (1, 0) * 3 + (1,) * 9 + (2,) * 3 + (0,) * 5),
+        ("random",)],
 }
 SAMPLER_PATIENTS = 40
 
@@ -136,9 +164,8 @@ def sampler_call(streams, call):
     if name == "random":
         return streams.random(rows).tolist()
     if name == "poisson":
-        means = np.resize(np.array(args[0]), SAMPLER_PATIENTS)
-        exp_neg = np.array([math.exp(-m) for m in means.tolist()])
-        return streams.poisson(rows, means, exp_neg, args[1]).tolist()
+        table, cols = np.array(args[0]), np.array(args[1])
+        return streams.poisson(rows, table, rows % len(table), cols).tolist()
     low, high, *sizes = args
     if not sizes:
         return (low + streams.integers(rows, high - low - 1)).tolist()
@@ -155,7 +182,8 @@ def numpy_call(rng, i, call):
     if name == "random":
         return rng.random()
     if name == "poisson":
-        return rng.poisson(args[0][i % len(args[0])], args[1]).tolist()
+        means = args[0][i % len(args[0])]
+        return rng.poisson([means[c] for c in args[1]]).tolist()
     low, high, *sizes = args
     if not sizes:
         return int(rng.integers(low, high))
@@ -183,18 +211,58 @@ class TestBlockSampler:
     def test_draws_what_default_rng_draws(self, case, seed):
         assert_draws_what_default_rng_draws(case, seed)
 
-    def test_counts_past_the_listed_draws(self, monkeypatch):
-        # the multiplication method lists each row's draws within a reach
-        # of its position; rows whose counts run past it count again
-        count_products = _Streams._count_products
+    @pytest.mark.parametrize("case", ["poisson_run", "poisson_per_count"])
+    def test_counts_past_the_listed_draws(self, case, monkeypatch):
+        # each count pass lists the draws within a reach of each row's
+        # position; rows whose draws run past it count again
         reaches = []
-
-        def short(self, rows, exp_neg, k, reach):
-            reaches.append(reach // 16)
-            return count_products(self, rows, exp_neg, k, reach // 16)
-        monkeypatch.setattr(_Streams, "_count_products", short)
-        assert_draws_what_default_rng_draws("poisson", 2024)
+        for name in ("_count_run", "_count_codes"):
+            def short(self, *args, count=getattr(_Streams, name)):
+                reaches.append(args[-1] // 16)
+                return count(self, *args[:-1], args[-1] // 16)
+            monkeypatch.setattr(_Streams, name, short)
+        assert_draws_what_default_rng_draws(case, 2024)
         assert len(reaches) > 2
+
+    @pytest.mark.parametrize("case", ["poisson", "poisson_per_count"])
+    def test_counts_past_the_first_products(self, case, monkeypatch):
+        # the multiplication method multiplies each count's first draws
+        # at once, enough for most counts at the pass's means; the counts
+        # that run past them multiply on, and windows of one listed draw
+        # take a pass for each
+        count_products = _Streams._count_products
+        reached = []
+
+        def short(self, pos, exp_neg, most):
+            count, near = count_products(self, pos, exp_neg, 0)
+            reached.append(int(count.max(initial=0)))
+            return count, near
+        monkeypatch.setattr(_Streams, "_count_products", short)
+        monkeypatch.setattr(streams, "_WINDOW", 1)
+        assert_draws_what_default_rng_draws(case, 2024)
+        assert max(reached) > 4
+
+    @pytest.mark.parametrize("case", ["poisson", "poisson_per_count"])
+    def test_near_calls_use_the_c_library(self, case, monkeypatch):
+        # np.exp and np.log may be an ulp from the C library's exp and
+        # log; calls that close are decided with math.exp and math.log.
+        # Widened margins make every call close
+        settled, decided = [], []
+        settle, takes = _Streams._settle, streams._ptrs_takes
+
+        def spy_settle(entry, *tables):
+            settled.append(len(entry))
+            settle(entry, *tables)
+
+        def spy_takes(*args):
+            decided.append(args)
+            return takes(*args)
+        monkeypatch.setattr(_Streams, "_settle", staticmethod(spy_settle))
+        monkeypatch.setattr(streams, "_ptrs_takes", spy_takes)
+        monkeypatch.setattr(streams, "_NEAR", 1.0)
+        monkeypatch.setattr(streams, "_NEAR_CUT", 2 ** 54)
+        assert_draws_what_default_rng_draws(case, 7)
+        assert settled and decided
 
     def test_reads_past_a_row_overflow(self):
         streams = _Streams(_pcg64_states(7, SAMPLER_PATIENTS), 8)
