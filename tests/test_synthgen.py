@@ -135,10 +135,11 @@ SAMPLER_CASES = {
                 ("integers", 0, 9), ("poisson", [(40.0,), (0.08,)], (0,)),
                 ("random",)],
     # a run of one column whose means are all below 10 is counted on its
-    # own
+    # own; one with a mean of 10 or more is not
     "poisson_run": [("integers", 0, 9),
                     ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)],
                      (0,) * 25),
+                    ("random",), ("poisson", [(12.0,), (0.5,)], (0,) * 6),
                     ("random",)],
     # means that change from count to count: alternating small means, a
     # mean of 0 among them, runs of PTRS counts, counts above 0 far from
