@@ -1,12 +1,13 @@
 """Patients' `np.random.default_rng([seed, index])` streams, drawn for
-many patients at once without a Generator.
+many patients at once.
 
 `_pcg64_states` ports numpy's SeedSequence and PCG64 seeding to a column
 of patient indices; `_Streams` ports numpy's samplers (Generator.random,
-Lemire's bounded integers, Poisson by multiplication and by Hörmann's
-PTRS, from numpy/random/src/distributions) to blocks of PCG64's raw
-outputs.  Each is checked against numpy in tests/test_synthgen.py, on
-the oldest numpy the package allows as well as the latest.
+Lemire's bounded integers and Poisson by multiplication, from
+numpy/random/src/distributions) to blocks of PCG64's raw outputs.  The
+other Poisson counts it leaves to numpy's own Generator, one patient at
+a time.  Each is checked against numpy in tests/test_synthgen.py, on the
+oldest numpy the package allows as well as the latest.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # float64 on numpy 1 and 2 alike
 _U11, _U32 = np.uint64(11), np.uint64(32)
 _LOW32, _2_32 = np.uint64(_MASK32), np.uint64(2 ** 32)
-# above any draw's top 53 bits, and the largest raw
-_NEVER, _RAW_MAX = 2 ** 62, np.uint64(2 ** 64 - 1)
-# listed raws, and codes of Poisson means of 10 and more, a row of
-# `_Streams._count_codes` reads at once
-_WINDOW = 8
+# the largest raw
+_RAW_MAX = np.uint64(2 ** 64 - 1)
 # equal Poisson columns that `_Streams.poisson` counts on their own
 _RUN_CODES = 4
-# a relative gap under which numpy's exp or log and the C library's
-# (at most an ulp apart) could order two values differently, and the
-# same gap between a draw's top 53 bits and a cut, floor(exp(-mean) *
-# 2**53), in units
-_NEAR, _NEAR_CUT = 2.0 ** -40, 2
 
 
 def _hasher(init: int, mult: int):
@@ -101,45 +94,21 @@ def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
     return states
 
 
-# Stirling series coefficients of numpy's random_loggam
-_LOGGAM = (8.333333333333333e-02, -2.777777777777778e-03,
-           7.936507936507937e-04, -5.952380952380952e-04,
-           8.417508417508418e-04, -1.917526917526918e-03,
-           6.410256410256410e-03, -2.955065359477124e-02,
-           1.796443723688307e-01, -1.39243221690590e+00)
-
-
-def _loggam(x: float) -> float:
-    """numpy's random_loggam: log(gamma(x)) as PTRS computes it."""
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    n = int(7 - x) if x < 7.0 else 0
-    x0 = x + n
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = _LOGGAM[9]
-    for a in _LOGGAM[8::-1]:
-        gl0 *= x2
-        gl0 += a
-    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
-    for _ in range(n):
-        gl -= math.log(x0 - 1.0)
-        x0 -= 1.0
-    return gl
-
-
 class _Streams:
     """The `default_rng([seed, index])` streams of a block of patients,
     drawn as numpy's Generator draws them, for many patients at once.
 
-    Each patient's first `width` PCG64 outputs (raws) are one row of a
-    flat buffer.  pos is each patient's next raw as a position in that
-    buffer, and held the high half of a raw whose low half numpy's
-    next_uint32 returned (has_held).  Each method takes an array of
-    patients (rows) and makes, for each, the draws of one Generator call;
-    the samplers are numpy's (numpy/random/src/distributions), computed
-    on the raws.  A patient who reads past its row reads raws that are
-    not its own: `overflowed` says so, and the block must be drawn again
-    with wider rows.
+    Each patient's PCG64 (state, inc) is one of states, and its first
+    `width` PCG64 outputs (raws) are one row of a flat buffer.  pos is
+    each patient's next raw as a position in that buffer, and held the
+    high half of a raw whose low half numpy's next_uint32 returned
+    (has_held).  Each method takes an array of patients (rows) and makes,
+    for each, the draws of one Generator call; the samplers are numpy's
+    (numpy/random/src/distributions), computed on the raws, except the
+    Poisson counts that numpy's Generator draws from the states.  A
+    patient who reads past its row reads raws that are not its own:
+    `overflowed` says so, and the block must be drawn again with wider
+    rows.
     """
 
     def __init__(self, states: list[tuple[int, int]], width: int):
@@ -152,7 +121,7 @@ class _Streams:
         for row, (pcg["state"], pcg["inc"]) in zip(rows, states):
             bit_generator.state = state
             row[:] = bit_generator.random_raw(width)
-        self.raws, self.width = rows.ravel(), width
+        self.states, self.raws, self.width = states, rows.ravel(), width
         self.row_start = np.arange(n) * width
         self.pos = self.row_start.copy()
         self.held = np.zeros(n, dtype=np.uint64)
@@ -254,12 +223,11 @@ class _Streams:
         for each column of cols, in order, at the mean of that column in
         the row's group of the means table.
 
-        numpy draws a mean of 0 as 0 from no raw; one from 10 on by PTRS
-        tries of two raws each; one below 10 by multiplication, as 0 from
-        one raw when that draw is at or below exp(-mean).  A run of at
-        least _RUN_CODES equal columns whose means are all below 10 (and
-        above 0) is counted on its own (`_count_run`); the codes between
-        such runs together (`_count_codes`).
+        A run of equal columns whose means are all above 0 and below 10,
+        at least _RUN_CODES long or every column of the call, is counted
+        by numpy's multiplication method on the block's raws
+        (`_count_run`); every other stretch of columns by numpy's own
+        Generator, one row at a time (`_count_each`).
         """
         k = len(cols)
         counts = np.zeros((len(rows), k), dtype=np.int64)
@@ -268,188 +236,72 @@ class _Streams:
         starts = np.flatnonzero(np.diff(cols, prepend=-1)).tolist()
         for a, b in zip(starts, [*starts[1:], k]):
             mean = means[:, cols[a]]
-            if b - a >= _RUN_CODES and ((mean > 0) & (mean < 10)).all():
+            if (b - a >= _RUN_CODES or b - a == k) \
+                    and ((mean > 0) & (mean < 10)).all():
                 segments += [(done, a, False), (a, b, True)]
                 done = b
         segments.append((done, k, False))
         for a, b, run in segments:
             if a == b:
                 continue
-            mean = means[:, cols[a]] if run else means[:, cols[a:b]]
-            if run:
-                # math.exp's exp(-mean), as numpy's sampler computes it
-                exp_neg = np.array(list(map(math.exp, (-mean).tolist())))
+            if not run:
+                counts[:, a:b] = self._count_each(rows, means[:, cols[a:b]],
+                                                  group)
+                continue
+            mean = means[:, cols[a]]
+            # math.exp's exp(-mean), as numpy's sampler computes it
+            exp_neg = np.array(list(map(math.exp, (-mean).tolist())))
             # the draws of most rows fit in this many: b - a counts of 0,
             # with a few standard deviations of the draws that make counts
-            # above 0 (a PTRS count reads about 2 raws, as a mean of 2 does)
-            extra = (b - a) * min(float(mean.max()), 10)
+            # above 0
+            extra = (b - a) * float(mean.max())
             reach = int(b - a + extra + 3 * math.sqrt(extra)) + 8
             walk = np.arange(len(rows))
             while walk.size:
-                counts[walk, a:b], again = (
-                    self._count_run(rows[walk], exp_neg[group[walk]], b - a,
-                                    reach) if run else
-                    self._count_codes(rows[walk], means, group[walk],
-                                      cols[a:b], reach))
+                counts[walk, a:b], again = self._count_run(
+                    rows[walk], exp_neg[group[walk]], b - a, reach)
                 walk = walk[again]
                 reach *= 2
         return counts
 
-    def _count_codes(self, rows, means, group, cols, reach):
-        """`poisson`'s counts for codes of any means, in one pass over
-        them.  A count above 0 by multiplication starts at a draw above
-        the lowest exp(-mean) of the row's codes, so the raws above it
-        are listed; each row reads its next _WINDOW listed raws, each as
-        the first draw of the code it falls to had every count since been
-        0, and jumps to the first above its code's exp(-mean), whose
-        count `_count_products` makes.  Runs of codes of mean 10 or more
-        are tried _WINDOW at a time (`_ptrs_tries`), each as though the
-        try before were taken.
-
-        exp(-mean) is np.exp's, which may be an ulp from the C library's
-        exp that numpy's sampler calls; a draw near enough to an entry for
-        that ulp to matter makes the entry math.exp's, and the step is
-        made again.
-
-        The raws listed are those of each row's next `reach` raws at
-        least; returns the counts, and the positions in rows of those
-        whose draws went past them, which it leaves as they were.
-        """
-        k = len(cols)
-        counts = np.zeros((len(rows), k), dtype=np.int64)
-        # the table, with a column after the last that ends the codes
-        width = means.shape[1] + 1
-        means = np.column_stack((means, np.zeros(len(means))))
-        by_group = (np.arange(len(means)) * width)[:, None] + cols
-        means = means.ravel()
+    def _count_each(self, rows, means, group):
+        """Generator.poisson(means[group[i]]) for each row i, drawn by
+        numpy's own Generator from a PCG64 at the row's position.  The
+        call reads no raw for a mean of 0, the count plus one below 10,
+        and two a try from 10 on: a row's tries are found by loading its
+        stream again past one try a count and stepping it two raws at a
+        time to the state the call left.  Poisson reads whole raws only,
+        so the held half stays as it was."""
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg,
+                 "has_uint32": 0, "uinteger": 0}
         mult = (means > 0) & (means < 10)
-        exp_neg = np.exp(-means)
-        # a code counts above 0 when its first draw's top 53 bits are above
-        # its cut (-1 at the end); near is the cut of the entries whose
-        # exp(-mean) is np.exp's, and -3 for the others
-        cut = np.where(mult, np.floor(exp_neg * 2.0 ** 53), 0).astype(np.int64)
-        cut[width - 1::width] = -1
-        near = np.where(mult, cut, -3)
-        tables = means, exp_neg, cut, near
-        # the raws each row lists, in order: those whose top 53 bits are
-        # above the lowest cut of its codes (less 2), then one past all
-        # in the columns from the first row's draw to reach past the last
-        # (a row that read past its own raws lists none)
-        lowest = np.where(mult[by_group], cut[by_group], _NEVER).min(axis=1)
-        floor = np.full(len(self.pos), _RAW_MAX)
-        floor[rows] = np.where(lowest < _NEVER, lowest - 2, 0).astype(
-            np.uint64)[group] << _U11 | np.uint64(2047)
-        floor[rows[lowest[group] == _NEVER]] = _RAW_MAX
-        col = self.pos[rows] - self.row_start[rows]
-        lo = min(int(col.min()), self.width)
-        hi = int(min(self.width, (col + reach).max()))
-        listing = np.flatnonzero(
-            self.raws.reshape(len(floor), -1)[:, lo:hi] > floor[:, None])
-        span = max(hi - lo, 1)
-        listing = np.append(listing // span * self.width + lo
-                            + listing % span, _NEVER)
-        del floor
-        # each row's first raw not listed; its code stops the row, which
-        # counts again unless its draws run past the buffer
-        unlisted = self.row_start[rows] + (hi if hi < self.width else _NEVER)
-        again = np.zeros(len(rows), dtype=bool)
-        # for each group and code, the group's next code of mean 0 or
-        # from 10 on, and the next of mean below 10, from it on (k if none)
-        stops = runs = None
-        if not mult[by_group].all():
-            stops, runs = (_next_each(m) for m in (~mult[by_group],
-                                                   means[by_group] < 10))
-        steps = np.arange(_WINDOW)
-        cols = np.append(cols, width - 1)
-
-        # each row's (index in rows, first entry of its group, start,
-        # code): its codes from `code` on are drawn from the raws from
-        # start + code on, had every count between been 0
-        state = np.stack((np.arange(len(rows)), group * width,
-                          self.pos[rows], np.zeros(len(rows), np.int64)))
-        while state.shape[1]:
-            live, base, start, code = state
-            limit = k if stops is None else stops[
-                base // width * (k + 1) + code]
-            # codes from lim on are drawn otherwise, or past the listing
-            lim = np.minimum(limit, np.maximum(unlisted[live] - start, code))
-            drawn = listing.take(np.searchsorted(listing, start + code)[
-                :, None] + steps, mode="clip")
-            j = drawn - start[:, None]
-            entry = base[:, None] + cols.take(np.where(j < lim[:, None], j, k))
-            gap = (self.raws.take(drawn, mode="clip") >> _U11).view(
-                np.int64) - cut.take(entry)
-            close = entry[np.abs(gap) <= _NEAR_CUT]
-            close = close[near[close] != -3]
-            if close.size:
-                self._settle(close, *tables)
-                continue
-            # the first listed draw above its code's cut, or at the limit
-            first = (gap > 0).argmax(axis=1)
-            last = np.arange(len(live)), first
-            at = j[last]
-            hit = at < lim
-            seen = gap[last] > 0
-            h = np.flatnonzero(hit & seen)
-            if h.size:
-                e = entry[last][h]
-                count, close = self._count_products(
-                    start[h] + at[h], exp_neg[e], float(means[e].max()))
-                if (close & (near[e] != -3)).any():
-                    self._settle(e[close], *tables)
-                    continue
-                counts[live[h], at[h]] = count
-                start[h] += count
-            # past the listed draws each at or below its code's cut
-            code[:] = np.where(seen, np.minimum(at + hit, lim), j[:, -1] + 1)
-            paused = (code == lim) & (lim < limit)
-            if stops is not None:
-                self._draw_stops(live, start, code, limit, counts, means,
-                                 base, cols, runs[base // width * (k + 1)
-                                                  + np.minimum(code, k)],
-                                 steps)
-            done = code >= k
-            self.pos[rows[live[done]]] = start[done] + k
-            again[live[paused]] = True
-            if (done | paused).any():
-                state = state[:, ~(done | paused)]
-        return counts, np.flatnonzero(again)
-
-    def _draw_stops(self, live, start, code, limit, counts, means, base,
-                    cols, run_end, steps):
-        """`poisson`'s step for the rows at a code of mean 0 or of 10 and
-        more (code == limit), the next of mean below 10 at run_end."""
-        at = np.flatnonzero((code == limit) & (code < len(counts[0])))
-        entry = base[at] + cols[code[at]]
-        zero = means[entry] == 0
-        start[at[zero]] -= 1
-        code[at[zero]] += 1
-        at = at[~zero]
-        # a try for each of the next codes of mean 10 or more, as though
-        # each try before were taken: two raws after the one before
-        run = np.minimum(run_end[at] - code[at], len(steps))
-        tried = steps < run[:, None]
-        row = np.repeat(at, run)
-        c = (code[at][:, None] + steps)[tried]
-        taken, k = self._ptrs_tries(
-            (start[at][:, None] + code[at][:, None] + 2 * steps)[tried],
-            means[base[row] + cols[c]])
-        ok = np.zeros(tried.shape, dtype=bool)
-        ok[tried] = taken
-        # the codes before the first try not taken drew their counts; that
-        # one tries again after its two raws
-        n = np.where(ok.all(axis=1), run, (~ok).argmax(axis=1))
-        got = (steps < n[:, None])[tried]
-        counts[live[row[got]], c[got]] = k[got]
-        start[at] += n + 2 * (n < run)
-        code[at] += n
-
-    @staticmethod
-    def _settle(entry, means, exp_neg, cut, near):
-        """math.exp's exp(-mean) for the table entries `entry`."""
-        exp_neg[entry] = list(map(math.exp, (-means[entry]).tolist()))
-        cut[entry] = np.floor(exp_neg[entry] * 2.0 ** 53)
-        near[entry] = -3
+        tries = (means >= 10).sum(axis=1)[group]
+        counts = np.empty((len(rows), means.shape[1]), dtype=np.int64)
+        # the raws each row has read, and the state each row with a count
+        # from 10 on is left in
+        done = (self.pos[rows] - self.row_start[rows]).tolist()
+        left = {}
+        for i, (row, g, tried) in enumerate(zip(rows.tolist(), group.tolist(),
+                                                tries.tolist())):
+            pcg["state"], pcg["inc"] = self.states[row]
+            bit_generator.state = state
+            bit_generator.advance(done[i])
+            counts[i] = generator.poisson(means[g])
+            if tried:
+                left[i] = bit_generator.state["state"]["state"]
+        read = np.where(mult[group], counts + 1, 0).sum(axis=1) + 2 * tries
+        for i, end in left.items():
+            pcg["state"], pcg["inc"] = self.states[rows[i]]
+            bit_generator.state = state
+            bit_generator.advance(done[i] + int(read[i]))
+            while bit_generator.state["state"]["state"] != end:
+                bit_generator.advance(2)
+                read[i] += 2
+        self.pos[rows] += read
+        return counts
 
     def _count_run(self, rows, exp_neg, k, reach):
         """numpy's Poisson multiplication method, k counts a row at one
@@ -529,96 +381,3 @@ class _Streams:
         again = (col + start - pos0 + k > span) & (hi < width)
         self.pos[rows[~again]] = (start + k)[~again]
         return counts, np.flatnonzero(again)
-
-    def _count_products(self, pos, exp_neg, most):
-        """numpy's Poisson multiplication method from each position pos
-        whose draw is above exp_neg: the number of draws whose running
-        product stays above it (the count reads one more draw), and
-        whether a product came within _NEAR of exp_neg.  The
-        products are np.cumprod's over the next draws, enough for most of
-        the counts at means up to most; the counts that run past them
-        multiply on."""
-        reach = int(most + 4 * math.sqrt(most)) + 4
-        e = exp_neg[:, None]
-        prod = np.cumprod(self._doubles(pos[:, None] + np.arange(reach)),
-                          axis=1)
-        count = (prod > e).sum(axis=1)
-        near = (np.abs(prod - e) <= e * _NEAR).any(axis=1)
-        live = np.flatnonzero(count == reach)
-        prod, draw = prod[live, -1], pos[live] + reach
-        while live.size:
-            prod *= self._doubles(draw)
-            e = exp_neg[live]
-            near[live[np.abs(prod - e) <= e * _NEAR]] = True
-            more = prod > e
-            count[live[more]] += 1
-            live, prod, draw = live[more], prod[more], draw[more] + 1
-        return count, near
-
-    def _ptrs_tries(self, pos, lam):
-        """One try of numpy's random_poisson_ptrs (Hörmann's PTRS, for
-        lam >= 10) from each position pos, reading two doubles: whether
-        it is taken, and the count it gives if so.  The logarithms of
-        the tries the first test neither takes nor rejects are np.log's,
-        which may be an ulp from the C library's log; where that could
-        change the outcome, the try is decided with math.log instead
-        (`_ptrs_takes`)."""
-        b = 0.931 + 2.53 * np.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        u = self._doubles(pos) - 0.5
-        v = self._doubles(pos + 1)
-        us = 0.5 - np.abs(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.floor((2 * a / us + b) * u + lam + 0.43)
-        taken = (us >= 0.07) & (v <= 0.9277 - 3.6224 / (b - 2))
-        # an us of 0 makes numpy's k negative
-        maybe = np.flatnonzero(~taken & (us > 0) & (k >= 0)
-                               & ~((us < 0.013) & (v > us)))
-        lam, a, b, km, us, v = (x[maybe] for x in (lam, a, b, k, us, v))
-        loglam = np.log(lam)
-        with np.errstate(divide="ignore"):
-            lhs = np.log(v) + np.log(1.1239 + 1.1328 / (b - 3.4)) \
-                - np.log(a / (us * us) + b)
-        rhs = -lam + km * loglam - _loggam_each(km + 1)
-        # numpy's log(0) is -inf, which takes the try
-        taken[maybe] = lhs <= rhs
-        scale = np.abs(lhs) + np.abs(rhs) + lam + km * loglam + 1
-        for j in np.flatnonzero(~(np.abs(lhs - rhs) > scale * _NEAR)):
-            taken[maybe[j]] = _ptrs_takes(*(float(x[j])
-                                            for x in (lam, km, us, v)))
-        return taken, k
-
-
-def _ptrs_takes(lam: float, k: float, us: float, v: float) -> bool:
-    """numpy's random_poisson_ptrs' last test of a try, with math.log."""
-    b = 0.931 + 2.53 * math.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-    return v == 0 or (math.log(v) + math.log(invalpha)
-                      - math.log(a / (us * us) + b)
-                      <= -lam + k * math.log(lam) - _loggam(k + 1))
-
-
-def _next_each(marked):
-    """For each row of a boolean table and each column up to its width,
-    the first marked column from that one on (the width if none), as one
-    flat array of rows of width + 1."""
-    k = marked.shape[1]
-    first = np.where(marked, np.arange(k), k)
-    first = np.minimum.accumulate(first[:, ::-1], axis=1)[:, ::-1]
-    return np.column_stack((first, np.full(len(first), k))).ravel()
-
-
-def _loggam_each(x):
-    """_loggam of each of an array of values of at least 1, with np.log."""
-    n = np.where(x < 7, 7 - x, 0).astype(np.int64)
-    x0 = x + n
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = np.full(len(x), _LOGGAM[9])
-    for a in _LOGGAM[8::-1]:
-        gl0 *= x2
-        gl0 += a
-    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * np.log(x0) - x0
-    for step in range(1, 7):
-        gl -= np.where(n >= step, np.log(np.maximum(x0 - step, 1.0)), 0.0)
-    return np.where((x == 1.0) | (x == 2.0), 0.0, gl)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodsig import streams, synthgen
+from lodsig import synthgen
 from lodsig.store import load_database
 from lodsig.streams import _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
@@ -135,11 +135,14 @@ SAMPLER_CASES = {
                 ("integers", 0, 9), ("poisson", [(40.0,), (0.08,)], (0,)),
                 ("random",)],
     # a run of one column whose means are all below 10 is counted on its
-    # own; one with a mean of 10 or more is not
+    # own, as is a call of one column (a drug's indication draw); one with
+    # a mean of 10 or more is not
     "poisson_run": [("integers", 0, 9),
                     ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)],
                      (0,) * 25),
                     ("random",), ("poisson", [(12.0,), (0.5,)], (0,) * 6),
+                    ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)], (0,)),
+                    ("poisson", [(10.0,), (0.5,)], (0,) * 6),
                     ("random",)],
     # means that change from count to count: alternating small means, a
     # mean of 0 among them, runs of PTRS counts, counts above 0 far from
@@ -204,7 +207,9 @@ class TestBlockSampler:
     """_Streams makes, for a block of patients at once, the draws each
     patient's `default_rng([seed, index])` makes, call for call.  It ports
     numpy's samplers (numpy/random/src/distributions) to PCG64's raw
-    outputs: a numpy release that changes one fails here first."""
+    outputs, and draws the other Poisson counts with numpy's Generator
+    from a PCG64 it moves to each patient's position: a numpy release
+    that changes a sampler or PCG64's advance fails here first."""
 
     @pytest.mark.parametrize("case", SAMPLER_CASES)
     @settings(max_examples=15, deadline=None)
@@ -214,56 +219,17 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("case", ["poisson_run", "poisson_per_count"])
     def test_counts_past_the_listed_draws(self, case, monkeypatch):
-        # each count pass lists the draws within a reach of each row's
-        # position; rows whose draws run past it count again
+        # the count pass of a run lists the draws within a reach of each
+        # row's position; rows whose draws run past it count again
         reaches = []
-        for name in ("_count_run", "_count_codes"):
-            def short(self, *args, count=getattr(_Streams, name)):
-                reaches.append(args[-1] // 16)
-                return count(self, *args[:-1], args[-1] // 16)
-            monkeypatch.setattr(_Streams, name, short)
+        count = _Streams._count_run
+
+        def short(self, *args):
+            reaches.append(args[-1] // 16)
+            return count(self, *args[:-1], args[-1] // 16)
+        monkeypatch.setattr(_Streams, "_count_run", short)
         assert_draws_what_default_rng_draws(case, 2024)
         assert len(reaches) > 2
-
-    @pytest.mark.parametrize("case", ["poisson", "poisson_per_count"])
-    def test_counts_past_the_first_products(self, case, monkeypatch):
-        # the multiplication method multiplies each count's first draws
-        # at once, enough for most counts at the pass's means; the counts
-        # that run past them multiply on, and windows of one listed draw
-        # take a pass for each
-        count_products = _Streams._count_products
-        reached = []
-
-        def short(self, pos, exp_neg, most):
-            count, near = count_products(self, pos, exp_neg, 0)
-            reached.append(int(count.max(initial=0)))
-            return count, near
-        monkeypatch.setattr(_Streams, "_count_products", short)
-        monkeypatch.setattr(streams, "_WINDOW", 1)
-        assert_draws_what_default_rng_draws(case, 2024)
-        assert max(reached) > 4
-
-    @pytest.mark.parametrize("case", ["poisson", "poisson_per_count"])
-    def test_near_calls_use_the_c_library(self, case, monkeypatch):
-        # np.exp and np.log may be an ulp from the C library's exp and
-        # log; calls that close are decided with math.exp and math.log.
-        # Widened margins make every call close
-        settled, decided = [], []
-        settle, takes = _Streams._settle, streams._ptrs_takes
-
-        def spy_settle(entry, *tables):
-            settled.append(len(entry))
-            settle(entry, *tables)
-
-        def spy_takes(*args):
-            decided.append(args)
-            return takes(*args)
-        monkeypatch.setattr(_Streams, "_settle", staticmethod(spy_settle))
-        monkeypatch.setattr(streams, "_ptrs_takes", spy_takes)
-        monkeypatch.setattr(streams, "_NEAR", 1.0)
-        monkeypatch.setattr(streams, "_NEAR_CUT", 2 ** 54)
-        assert_draws_what_default_rng_draws(case, 7)
-        assert settled and decided
 
     def test_reads_past_a_row_overflow(self):
         streams = _Streams(_pcg64_states(7, SAMPLER_PATIENTS), 8)

@@ -140,6 +140,11 @@ OFF_STRATEGY = {
     # four seed words and the index overflow SeedSequence's 4-word pool
     "seed_past_pool": _config({"headache": 0.8, "a,b": 3.0},
                               seed=2 ** 100 + 7),
+    # no drug models: no prescription, indication or injected draws
+    "no_drugs": SynthConfig(n_patients=40, years_span=4,
+                            background_event_rates={"headache": 0.8,
+                                                    "a,b": 3.0},
+                            rng_seed=404, dropout_prob=0.3, death_prob=0.3),
 }
 
 
@@ -158,6 +163,9 @@ BLOCK_CASES = {
     # counts: the block is drawn again with rows twice as wide until they
     # hold every patient's draws
     "rows_outgrown": (OFF_STRATEGY["one_run"], 2, 2 ** 17),
+    # the same for counts numpy's Generator draws a row at a time, which
+    # move each row on past its raws
+    "rows_outgrown_each": (OFF_STRATEGY["large_means"], 2, 2 ** 17),
 }
 
 
