@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .store import distinct
+
 _MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -92,6 +94,23 @@ def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
         states.append((state, inc))
     return states
+
+
+def _raws_between(state: int, inc: int, end: int) -> int:
+    """The raws a PCG64 of (state, inc) outputs before it is at state
+    end, mod 2**128: its LCG's jump distance, found bit by bit as
+    pcg-cpp's distance() finds it, in one step per bit of the answer.
+    An odd inc, as every PCG64 has, reaches every state within 128."""
+    mult, raws = _PCG64_MULT, 0
+    for bit in range(128):
+        if state == end:
+            break
+        if (state ^ end) >> bit & 1:
+            state = (state * mult + inc) & _MASK128
+            raws |= 1 << bit
+        inc = (mult + 1) * inc & _MASK128
+        mult = mult * mult & _MASK128
+    return raws
 
 
 class _Streams:
@@ -200,8 +219,8 @@ class _Streams:
                                 np.where(half & 1, raw >> _U32, raw & _LOW32))
             rejected = np.flatnonzero((m & _LOW32) < _2_32 % excl)
             kept = need.copy()
-            # rejected is in order, so np.unique finds each row's first
-            bad, at = np.unique(owner[rejected], return_index=True)
+            # rejected is in order, so distinct finds each row's first
+            bad, at = distinct(owner[rejected], return_index=True)
             kept[bad] = nth[rejected[at]]
             keep = nth < kept[owner]
             out[start[todo][owner[keep]] + nth[keep]] = (m[keep] >> _U32)
@@ -268,10 +287,12 @@ class _Streams:
         """Generator.poisson(means[group[i]]) for each row i, drawn by
         numpy's own Generator from a PCG64 at the row's position.  The
         call reads no raw for a mean of 0, the count plus one below 10,
-        and two a try from 10 on: a row's tries are found by loading its
-        stream again past one try a count and stepping it two raws at a
-        time to the state the call left.  Poisson reads whole raws only,
-        so the held half stays as it was."""
+        and two a try from 10 on: a row's tries are read off the distance
+        from its stream's first state to the state the call left
+        (`_raws_between`), which must exceed the raws before the call and
+        one try a count by two raws a further try, or the row is a
+        RuntimeError.  Poisson reads whole raws only, so the held half
+        stays as it was."""
         bit_generator = np.random.PCG64(0)
         generator = np.random.Generator(bit_generator)
         pcg = {"state": 0, "inc": 0}
@@ -294,12 +315,14 @@ class _Streams:
                 left[i] = bit_generator.state["state"]["state"]
         read = np.where(mult[group], counts + 1, 0).sum(axis=1) + 2 * tries
         for i, end in left.items():
-            pcg["state"], pcg["inc"] = self.states[rows[i]]
-            bit_generator.state = state
-            bit_generator.advance(done[i] + int(read[i]))
-            while bit_generator.state["state"]["state"] != end:
-                bit_generator.advance(2)
-                read[i] += 2
+            further = (_raws_between(*self.states[rows[i]], end)
+                       - done[i] - int(read[i]))
+            if further < 0 or further % 2:
+                raise RuntimeError(
+                    f"stream row {rows[i]}: its Poisson call ended "
+                    f"{further} raws past one try a count after the "
+                    f"{done[i]} raws before it, not 2 a further try")
+            read[i] += further
         self.pos[rows] += read
         return counts
 

@@ -35,8 +35,8 @@ import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry, write_csv
 from .store import (Database, Gender, _int, _real, cache_database,
-                    first_per_patient, from_ordinal, record_order,
-                    row_columns, window_pairs)
+                    distinct, first_per_patient, from_ordinal,
+                    record_order, row_columns, window_pairs)
 from .streams import _pcg64_states, _Streams
 
 log = logging.getLogger(__name__)
@@ -315,7 +315,7 @@ def _draw_block(s: _Streams, config: SynthConfig, background, plans,
     # the background means, rate times years, in a table of the block's
     # day spans by the distinct rates
     span = end - reg
-    spans, group = np.unique(span, return_inverse=True)
+    spans, group = distinct(span, return_inverse=True)
     counts[:, drawn] = s.poisson(every, (spans / 365.0)[:, None] * rates,
                                  group, rate_of)
     total = counts.sum(axis=1)
@@ -369,7 +369,7 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     rate_list = np.array([config.background_event_rates[c] for c in codes])
     # a rate of 0 draws nothing
     drawn = np.flatnonzero(rate_list)
-    rates, rate_of = np.unique(rate_list[drawn], return_inverse=True)
+    rates, rate_of = distinct(rate_list[drawn], return_inverse=True)
     # event code indices: the background codes in sorted order, then the
     # visit marker and any indication code without a background rate
     event_index = {code: i for i, code in enumerate(codes)}

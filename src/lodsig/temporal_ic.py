@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .store import DAYS_PER_MONTH, Database, StudyConfig, window_pairs
+from .store import (DAYS_PER_MONTH, Database, StudyConfig, distinct,
+                    window_pairs)
 
 
 class Period(Enum):
@@ -96,10 +97,10 @@ def _patients_with_event(db: Database, episodes, config: StudyConfig):
         covered = (registered <= lo) & (active >= hi)
         p, i = pts[covered], idx[covered]
         row, code = window_pairs(db, p, i + lo, i + hi)[:2]
-        patient_code = np.unique(p[row] * n_codes + code)
+        patient_code = distinct(p[row] * n_codes + code)
         with_code.append(np.bincount(patient_code % n_codes,
                                      minlength=n_codes))
-        covering.append(len(np.unique(p)))
+        covering.append(len(distinct(p)))
     return np.array(with_code), np.array(covering)
 
 

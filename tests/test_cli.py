@@ -1,6 +1,8 @@
+import atexit
 import csv
 import dataclasses
 import datetime
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -963,38 +966,105 @@ def test_seed_sweep_script_runs():
 
 
 def test_import_does_not_load_scipy():
+    # run, summarize and the parser need neither; generate imports
+    # synthgen and streams when it is called
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, lodsig.cli; assert 'scipy' not in sys.modules"],
+         "import sys, lodsig.cli; "
+         "print(sorted({'scipy', 'lodsig.synthgen', 'lodsig.streams'} "
+         "& set(sys.modules)))"],
         env=_env_with_src(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
-def test_ror05_run_does_not_load_numpy_ma(tmp_path):
-    # numpy's unique imports numpy.ma (about 1.3 MB); a ror05 run that
-    # loads from the cache reaches no np.unique
-    env = _env_with_src()
+# lodsig.__all__ at the commit before the generator names became lazy
+PUBLIC_NAMES = [
+    "AdrDictionary", "AdrEntry", "Database", "DrugModel", "EvalReport",
+    "Gender", "Injection", "Period", "RankedEntry", "RankedSignalList",
+    "StudyConfig", "SynthConfig", "build_database", "cohort_summary",
+    "compare_algorithms", "evaluate", "evaluation", "generate", "ic",
+    "ic_credibility_bounds", "ic_delta_from", "load_database", "map_score",
+    "precision_k", "ranking", "realized_truth", "ror", "ror05", "srs",
+    "store", "streams", "synthgen", "temporal_ic", "truth_vector"]
+
+
+def test_public_names_unchanged_and_resolved():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, lodsig; "
+         "names = list(lodsig.__all__); "
+         "lazy = 'lodsig.synthgen' in sys.modules; "
+         "values = {n: getattr(lodsig, n) for n in names}; "
+         "print(json.dumps([names, lazy, "
+         "{n: getattr(v, '__module__', getattr(v, '__name__', None)) "
+         "for n, v in values.items()}]))"],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, lazy, owners = json.loads(proc.stdout)
+    assert names == PUBLIC_NAMES
+    assert not lazy
+    for name in ("DrugModel", "Injection", "SynthConfig", "build_database",
+                 "generate", "realized_truth"):
+        assert owners[name] == "lodsig.synthgen"
+        assert getattr(lodsig, name) is getattr(lodsig.synthgen, name)
+    assert owners["streams"] == "lodsig.streams"
+    assert "generate" in dir(lodsig)
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        lodsig.bogus
+
+
+def test_runs_do_not_load_numpy_ma(tmp_path):
+    # numpy's unique imports numpy.ma (about 1.3 MB): a generate and a
+    # cached run of every algorithm id reach none, and the run loads
+    # neither generator module
+    env = _env_with_src(XDG_CACHE_HOME=str(tmp_path / "cache"))
     bare = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy; print('numpy.ma' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     if bare.stdout.strip() != "False":
         pytest.skip("import numpy alone loads numpy.ma")
-    config = dataclasses.replace(demo_synth_config(), n_patients=300)
-    generate(config, tmp_path / "data")
     manifest = tmp_path / "manifest.yaml"
     manifest.write_text(yaml.safe_dump({
-        "database_dir": str(tmp_path / "data"), "drugs": ["drug_x"],
-        "algorithms": ["ror05"], "output_dir": str(tmp_path / "out")}))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from lodsig.cli import main; "
-         "status = main(['run', '--manifest', sys.argv[1]]); "
-         "print('numpy.ma' in sys.modules); sys.exit(status)",
-         str(manifest)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False"]
+        "database_dir": str(tmp_path / "data"),
+        "drugs": ["drug_x", "drug_other"], "algorithms": list(ALGORITHM_IDS),
+        "ground_truth": str(tmp_path / "data" / "ground_truth.csv"),
+        "output_dir": str(tmp_path / "out")}))
+    loaded = ("print(sorted({'numpy.ma', 'lodsig.synthgen', "
+              "'lodsig.streams'} & set(sys.modules)))")
+    for argv, want in (
+            (["generate", "--demo", "--output", str(tmp_path / "data")],
+             "['lodsig.streams', 'lodsig.synthgen']"),
+            (["run", "--manifest", str(manifest)], "[]")):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from lodsig.cli import main; "
+             f"status = main(json.loads(sys.argv[1])); {loaded}; "
+             "sys.exit(status)", json.dumps(argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [want], argv[0]
+    assert (tmp_path / "out" / "significance_map_all.csv").is_file()
+    assert len(list((tmp_path / "cache" / "lodsig").iterdir())) == 1
+
+
+def test_no_output_waits_on_a_finalizer(tmp_path):
+    # main freezes the heap at exit, so the final collection finalizes
+    # nothing: every file a generate and a run write must be closed
+    # before main returns, and an unclosed one warns when collected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--generate-demo", "--output",
+                     str(tmp_path)]) == 0
+        assert main(["summarize", str(tmp_path / "results")]) == 0
+        registered = atexit._ncallbacks()
+        assert main(["summarize", str(tmp_path / "results")]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] \
+        == []
+    # the freeze is registered once per process, however often main runs
+    assert atexit._ncallbacks() == registered
 
 
 def _main_with_log_level(level, output_dir):

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lodsig import mutara, srs, store, temporal_ic
 from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
-                          candidate_codes, cohort_summary, extract_exposures,
-                          first_per_patient, from_ordinal, load_database,
+                          candidate_codes, cohort_summary, distinct,
+                          extract_exposures, first_per_patient, from_ordinal, load_database,
                           previous_days, record_order, window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import build_database, generate
@@ -630,6 +631,67 @@ class TestRecordOrder:
         monkeypatch.setattr(np, "argsort", spy)
         record_order(*(np.array(c, dtype=np.int64) for c in columns))
         assert kinds == ([None] if packed else ["stable"] * len(columns))
+
+
+def assert_distinct_is_unique(values):
+    """distinct gives numpy's unique, in every combination of outputs."""
+    for index in (False, True):
+        for inverse in (False, True):
+            want = np.unique(values, return_index=index,
+                             return_inverse=inverse)
+            got = distinct(values, return_index=index,
+                           return_inverse=inverse)
+            if not (index or inverse):
+                want, got = (want,), (got,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w), (index, inverse)
+
+
+class TestDistinct:
+    """distinct, the package's sort-based dedup, against np.unique: the
+    distinct values, each one's first index and each value's index among
+    them, on unsorted, repeated and empty arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(st.sampled_from([np.int64, np.int32]),
+                  st.integers(0, 80),
+                  elements=st.integers(-3, 3) | st.integers(-(2 ** 31),
+                                                             2 ** 31 - 1)))
+    def test_matches_numpy_unique(self, values):
+        assert_distinct_is_unique(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.sampled_from([0.0, -0.0, 0.25, 3.0, np.inf])
+                  | st.floats(allow_nan=False)))
+    def test_matches_numpy_unique_on_floats(self, values):
+        # synthgen's rates and day spans go through it too
+        assert_distinct_is_unique(values)
+
+    @pytest.mark.parametrize("values", [
+        pytest.param([], id="empty"),
+        pytest.param([7], id="one"),
+        pytest.param([4, 4, 4, 4], id="constant"),
+        pytest.param([9, 7, 5, 3, 1, 0], id="descending"),
+        pytest.param([2, 1, 2, 1, 0, 2], id="repeats-out-of-order"),
+        pytest.param([2 ** 63 - 1, -(2 ** 63), 0, -(2 ** 63), 2 ** 63 - 1],
+                     id="int64-extremes"),
+    ])
+    def test_named_cases(self, values):
+        assert_distinct_is_unique(np.array(values, dtype=np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 900)),
+                    max_size=60))
+    def test_first_per_patient_is_unique_first_index(self, episodes):
+        pts = np.array([p for p, _ in episodes], dtype=np.int64)
+        idx = np.array([i for _, i in episodes], dtype=np.int64)
+        _, first = np.unique(pts, return_index=True)
+        got = first_per_patient(pts, idx)
+        assert np.array_equal(got[0], pts[first])
+        assert np.array_equal(got[1], idx[first])
 
 
 class TestFromColumns:

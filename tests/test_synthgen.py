@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from lodsig import synthgen
 from lodsig.store import load_database
-from lodsig.streams import _Streams
+from lodsig.streams import _raws_between, _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, _pcg64_states, build_database,
                              generate, generate_tables, realized_truth)
@@ -230,6 +231,45 @@ class TestBlockSampler:
         monkeypatch.setattr(_Streams, "_count_run", short)
         assert_draws_what_default_rng_draws(case, 2024)
         assert len(reaches) > 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 128), raws=st.one_of(
+        st.integers(0, 2 ** 12), st.integers(0, 2 ** 128 - 1)))
+    def test_raws_between_is_what_advance_moved(self, seed, raws):
+        bit_generator = np.random.PCG64(seed)
+        pcg = bit_generator.state["state"]
+        bit_generator.advance(raws)
+        assert _raws_between(pcg["state"], pcg["inc"],
+                             bit_generator.state["state"]["state"]) == raws
+
+    def test_lost_position_is_an_error_at_once(self, monkeypatch):
+        # the mutation "drop advance": each row's Generator draws from its
+        # stream's first raw, not past the 3 raws the row has read, so its
+        # PTRS tries cannot be found; the row is named within seconds
+        # where a search for them could run on for ever
+        def advance(self, delta):
+            return self
+
+        streams = _Streams(_pcg64_states(5, SAMPLER_PATIENTS), 1024)
+        rows = np.arange(SAMPLER_PATIENTS)
+        for _ in range(3):
+            streams.random(rows)
+        # named PCG64, as the state setter asks
+        monkeypatch.setattr(np.random, "PCG64", type(
+            "PCG64", (np.random.PCG64,), {"advance": advance}))
+
+        def hung(signum, frame):
+            raise TimeoutError("the Poisson raws were still being searched")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(RuntimeError, match=r"^stream row \d+: "):
+                streams.poisson(rows, np.array([[40.0, 0.5, 12.0]]),
+                                np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
+                                np.array([0, 1, 2]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_reads_past_a_row_overflow(self):
         streams = _Streams(_pcg64_states(7, SAMPLER_PATIENTS), 8)
