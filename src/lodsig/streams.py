@@ -289,9 +289,9 @@ class _Streams:
         call reads no raw for a mean of 0, the count plus one below 10,
         and two a try from 10 on: a row's tries are read off the distance
         from its stream's first state to the state the call left
-        (`_raws_between`), which must exceed the raws before the call and
-        one try a count by two raws a further try, or the row is a
-        RuntimeError.  Poisson reads whole raws only, so the held half
+        (`_raws_between`).  Past the raws before the call and one try a
+        count, what is left must be two raws a further try, or the row is
+        a RuntimeError.  Poisson reads whole raws only, so the held half
         stays as it was."""
         bit_generator = np.random.PCG64(0)
         generator = np.random.Generator(bit_generator)
