@@ -322,19 +322,31 @@ def synth_config_from_dict(raw: dict) -> synthgen.SynthConfig:
     return synthgen.SynthConfig(**config)
 
 
-def generate(config_path, output_dir, demo: bool = False,
-             seed: int | None = None, cache: bool = True) -> int:
-    """Write a synthetic database and, with cache, its load cache entry;
+def _scenario(config_path, demo: bool, seed: int | None):
+    """The SynthConfig of a scenario file or the demo, at seed if given;
     ValueError names a bad scenario file."""
-    from . import synthgen
     config = (demo_synth_config() if demo
               else _read_yaml(config_path, synth_config_from_dict))
     if seed is not None:
         config = dataclasses.replace(config, rng_seed=seed)
+    return config
+
+
+def _write_database(config, output_dir, cache: bool) -> int:
+    """Write a synthetic database and, with cache, its load cache entry."""
+    from . import synthgen
     paths = synthgen.generate(config, output_dir, cache)
     for name, path in paths.items():
         log.info("wrote %s: %s", name, path)
     return 0
+
+
+def generate(config_path, output_dir, demo: bool = False,
+             seed: int | None = None, cache: bool = True) -> int:
+    """Write a synthetic database and, with cache, its load cache entry;
+    ValueError names a bad scenario file."""
+    return _write_database(_scenario(config_path, demo, seed), output_dir,
+                           cache)
 
 
 # -- argument parsing -----------------------------------------------------
@@ -410,12 +422,15 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a demo run writes its database first
+    steps = []
     try:
         if args.command == "generate":
-            return generate(args.config, args.output, args.demo, args.seed,
-                            not args.no_cache)
-        if args.command == "summarize":
-            command = functools.partial(summarize, args.output_dir)
+            steps.append(functools.partial(
+                _write_database, _scenario(args.config, args.demo, args.seed),
+                args.output, not args.no_cache))
+        elif args.command == "summarize":
+            steps.append(functools.partial(summarize, args.output_dir))
         elif args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
         else:
@@ -438,14 +453,16 @@ def main(argv=None) -> int:
                     output_dir=str(Path(args.output, "results")),
                     seed=demo.rng_seed,
                     ground_truth=str(data / "ground_truth.csv")), **flags)
-                generate(None, data, demo=True, seed=manifest.seed,
-                         cache=not args.no_cache)
-            command = functools.partial(run, manifest, jobs=args.jobs,
-                                        cache=not args.no_cache)
+                steps.append(functools.partial(
+                    _write_database, _scenario(None, True, manifest.seed),
+                    data, not args.no_cache))
+            steps.append(functools.partial(run, manifest, jobs=args.jobs,
+                                           cache=not args.no_cache))
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        command()
+        for step in steps:
+            step()
         return 0
     except (OSError, DataFormatError) as exc:
         log.error("%s failed: %s", args.command, exc)

@@ -79,15 +79,6 @@ def from_ordinal(o: int) -> datetime.date:
 
 
 @dataclass(frozen=True)
-class ExposureEpisode:
-    """A qualifying first-in-13-months prescription with its follow-up window."""
-    patient_id: str
-    drug_code: str
-    index_date: int            # day ordinal of the qualifying prescription
-    followup_end: int          # index_date + T, clipped at last_active
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     drug_code: str
     T: int = 30
@@ -724,18 +715,13 @@ def first_per_patient(pts, idx):
     return pts[first], idx[first]
 
 
-def extract_exposures(db: Database, config: StudyConfig) -> list[ExposureEpisode]:
-    """`Database.episodes` of the study drug as a list, sorted by
-    (patient_id, index_date).
+def extract_exposures(db: Database, config: StudyConfig) -> np.ndarray:
+    """`Database.episodes` of the study drug as (patient, index day) rows.
 
     Kept with `candidate_events` for perfbench/run.py, whose input-size
-    probe calls both by name; the package itself uses the arrays.
+    probe calls both by name; the package itself calls `episodes`.
     """
-    pts, idx = db.episodes(config.drug_code)
-    return [ExposureEpisode(db.patient_ids[p], config.drug_code, i,
-                            min(i + config.T, last))
-            for p, i, last in zip(pts.tolist(), idx.tolist(),
-                                  db.last_active[pts].tolist())]
+    return np.column_stack(db.episodes(config.drug_code))
 
 
 def previous_days(db: Database, block: int = 1024):
@@ -803,14 +789,10 @@ def candidate_codes(db: Database, episodes, T: int,
 
 def candidate_events(db: Database, exposures, T: int,
                      excluded: frozenset[str] = frozenset(),
-                     include_day0: bool = False) -> set[str]:
-    """`candidate_codes` of an `extract_exposures` list, as a set of codes
-    (for the perfbench probe, like `extract_exposures`)."""
-    pts = np.array([db.patient_index(e.patient_id) for e in exposures],
-                   dtype=np.int64)
-    idx = np.array([e.index_date for e in exposures], dtype=np.int64)
-    return {db.event_codes[c] for c in candidate_codes(
-        db, (pts, idx), T, excluded, include_day0).tolist()}
+                     include_day0: bool = False) -> np.ndarray:
+    """`candidate_codes` of `extract_exposures` rows (for the perfbench
+    probe, like `extract_exposures`)."""
+    return candidate_codes(db, exposures.T, T, excluded, include_day0)
 
 
 def cohort_summary(db: Database, drug_code: str) -> dict:

@@ -133,6 +133,8 @@ class SynthConfig:
             setattr(self, name, _int(name, getattr(self, name)))
         if self.n_patients <= 0 or self.years_span <= 0:
             raise ValueError("n_patients and years_span must be positive")
+        if self.n_patients >= 2 ** 31:   # one uint32 seed word, int32 rows
+            raise ValueError("n_patients must be below 2**31")
         # the last day must be a date; the samplers also need every day
         # range below 2**32 (see streams._Streams.integers)
         if ORIGIN + 365 * self.years_span > _LAST_DAY:
@@ -287,20 +289,19 @@ def _first_width(config: SynthConfig, plans) -> int:
     return int(raws + 4 * math.sqrt(raws)) + 16
 
 
-def _draw_block(s: _Streams, config: SynthConfig, background, plans,
-                counts):
+def _draw_block(s: _Streams, config: SynthConfig, visit, background,
+                plans):
     """Every patient's draws of one block, in numpy's order for each
-    patient, made for all of them at once; fills counts, a row of
-    background counts a patient, in the columns `drawn` of background =
-    (distinct nonzero rates, drawn, rate_of), the codes of a nonzero rate
-    and the index of each one's rate.
+    patient, made for all of them at once.  background = (distinct
+    nonzero rates, drawn, rate_of): the codes of a nonzero rate and the
+    index of each one's rate; visit is the visit marker's code.
 
-    Returns (reg, end, death, yob, female) arrays, the background days
-    in patient order, the (rows, code, days) record groups of the
-    prescriptions and of the extra events, and (key, rows added) pairs
-    of the injected counts.
+    Returns (reg, end, death, yob, female) arrays, the (rows, code,
+    days) record groups of the prescriptions and of the events (visits,
+    background, then the extra ones), and (key, rows added) pairs of the
+    injected counts.  A group's code is one code or one a row.
     """
-    every = np.arange(len(counts))
+    every = np.arange(len(s.states))
     span_days = config.years_span * 365
     rates, drawn, rate_of = background
     reg = ORIGIN + s.integers(every, max(1, span_days - 540) - 1)
@@ -312,17 +313,22 @@ def _draw_block(s: _Streams, config: SynthConfig, background, plans,
     yob = ORIGIN_YEAR - 20 - s.integers(every, 65)
     female = s.random(every) < 0.5
 
-    # the background means, rate times years, in a table of the block's
-    # day spans by the distinct rates
+    # the background counts, a row a patient by the drawn codes, at means
+    # of rate times years in a table of the block's day spans by the
+    # distinct rates; each patient's days follow its codes in order
     span = end - reg
     spans, group = distinct(span, return_inverse=True)
-    counts[:, drawn] = s.poisson(every, (spans / 365.0)[:, None] * rates,
-                                 group, rate_of)
+    counts = s.poisson(every, (spans / 365.0)[:, None] * rates, group,
+                       rate_of)
     total = counts.sum(axis=1)
-    bg_days = np.repeat(reg, total) + s.integers_each(every, total, span)
+    events = [(np.repeat(every, 2), visit,
+               np.column_stack((reg, end)).ravel()),
+              (np.repeat(every, total),
+               np.repeat(np.broadcast_to(drawn, counts.shape), counts.ravel()),
+               np.repeat(reg, total) + s.integers_each(every, total, span))]
 
     lo, hi = reg + 380, end - 45
-    rx, extra = [], []
+    rx = []
     injected = []   # (key, rows added)
     for d, (rate, repeat_rate, indication, draws) in enumerate(plans):
         took = np.flatnonzero((s.random(every) < rate) & (hi > lo))
@@ -340,16 +346,16 @@ def _draw_block(s: _Streams, config: SynthConfig, background, plans,
             n_extra = s.poisson(took, np.array([[mean]]),
                                 np.zeros(len(took), dtype=np.int64),
                                 np.zeros(1, dtype=np.int64))[:, 0]
-            extra.append((np.repeat(took, n_extra), code,
-                          np.repeat(t0 - 60, n_extra) + s.integers_each(
-                              took, n_extra, np.full(len(took), 59))))
+            events.append((np.repeat(took, n_extra), code,
+                           np.repeat(t0 - 60, n_extra) + s.integers_each(
+                               took, n_extra, np.full(len(took), 59))))
 
         for code, key, p, first, days, counted in draws:
             hit = s.random(took) < p
-            extra.append((took[hit], code, t0[hit] + first
-                          + s.integers(took[hit], days - 1)))
+            events.append((took[hit], code, t0[hit] + first
+                           + s.integers(took[hit], days - 1)))
             injected.append((key, counted * int(hit.sum())))
-    return (reg, end, death, yob, female), bg_days, rx, extra, injected
+    return (reg, end, death, yob, female), rx, events, injected
 
 
 def generate_tables(config: SynthConfig) -> GenerationResult:
@@ -359,10 +365,10 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     in a fixed order that defines the output.  The streams' PCG64 states
     are derived for all patients in one pass (`_pcg64_states`), and the
     patients are drawn in blocks of about _BLOCK_RAWS raw outputs, every
-    draw for a whole block at once (`_Streams`, `_draw_block`).
-    Background events are kept as per-patient counts and a day array per
-    block; the few visit, indication, injected and prescription rows as
-    (patient, code, day) int arrays.
+    draw for a whole block at once (`_Streams`, `_draw_block`).  Each
+    block's records are kept as (patient, code, day) columns, int32
+    patients and codes and int64 days, which are joined a column at a
+    time once every block is drawn.
     """
     n = config.n_patients
     codes = sorted(config.background_event_rates)
@@ -383,53 +389,46 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
 
     states = _pcg64_states(config.rng_seed, n)
     width = _first_width(config, plans)
-    patient_rows, reg_end, bg_days, rx, extra = [], [], [], [], []
-    counts = np.zeros((n, len(codes)), dtype=np.int64)
+    patient_rows = []
+    # each table's patient, code and day parts
+    rx, ev = ([], [], []), ([], [], [])
     injected = {(i.drug_code, i.event_code): 0 for i in config.injections}
     start = 0
     while start < n:
         stop = min(n, start + max(1, _BLOCK_RAWS // width))
         streams = _Streams(states[start:stop], width)
-        block = _draw_block(streams, config, (rates, drawn, rate_of),
-                            plans, counts[start:stop])
+        block = _draw_block(streams, config, visit, (rates, drawn, rate_of),
+                            plans)
         if streams.overflowed():
             width *= 2
             continue
-        (reg, end, death, yob, female), block_days, block_rx, \
-            block_extra, block_injected = block
+        (reg, end, death, yob, female), block_rx, block_ev, \
+            block_injected = block
         patient_rows += zip(
             [f"p{i:07d}" for i in range(start, stop)], yob.tolist(),
             [Gender.FEMALE if f else Gender.MALE for f in female.tolist()],
             reg.tolist(),
             [e if d else None for e, d in zip(end.tolist(), death.tolist())])
-        reg_end.append(np.column_stack((reg, end)).ravel())
-        bg_days.append(block_days)
-        for records, groups in ((rx, block_rx), (extra, block_extra)):
-            records += ((rows + start, np.full(len(rows), code), days)
-                        for rows, code, days in groups)
+        for parts, groups in ((rx, block_rx), (ev, block_ev)):
+            for rows, code, days in groups:
+                parts[0].append((rows + start).astype(np.int32))
+                parts[1].append(np.full(len(rows), code, dtype=np.int32))
+                parts[2].append(days)
         for key, added in block_injected:
             injected[key] += added
         start = stop
     del states
 
-    # event rows: visits, background, then the extra rows; each column
-    # is built on its own, so only one is being assembled at a time
-    patients = np.arange(n)
-    ev_pid = np.concatenate([np.repeat(patients, 2),
-                             np.repeat(patients, counts.sum(axis=1)),
-                             *(r[0] for r in extra)])
-    ev_code = np.concatenate([
-        np.full(2 * n, visit),
-        np.repeat(np.tile(np.arange(len(codes)), n), counts.ravel()),
-        *(r[1] for r in extra)])
-    ev_day = np.concatenate([*reg_end, *bg_days, *(r[2] for r in extra)])
+    def join(parts):
+        # int32 patients and codes stay int32, and days int64
+        column = np.concatenate([np.zeros(0, dtype=np.int32), *parts])
+        parts.clear()
+        return column
     pid_values = [row[0] for row in patient_rows]
-    none = np.zeros(0, dtype=np.int64)
     return GenerationResult(
         patient_rows,
-        _table(pid_values, *(np.concatenate([none, *(r[c] for r in rx)])
-                             for c in range(3)), drugs),
-        _table(pid_values, ev_pid, ev_code, ev_day, list(event_index)),
+        *(_table(pid_values, *map(join, parts), names)
+          for parts, names in ((rx, drugs), (ev, list(event_index)))),
         injected)
 
 

@@ -1203,6 +1203,12 @@ def _event_of_a_living_patient_in_9999(text, data):
     return text + f"{pid},noise_00,9999-12-31\n".encode()
 
 
+def _output_is_a_file(text, data):
+    """Leaves events.csv as it is and makes the command's output a file."""
+    (data.parent / "res").write_bytes(b"")
+    return text
+
+
 BOUNDARY_ALGORITHMS = ["ror05", "oe1", "mutara60"]
 
 
@@ -1275,6 +1281,11 @@ BOUNDARY_CASES = {
         None, {}, ["run", "--generate-demo", "--manifest", "m.yaml"], 2),
     "demo_generate_and_config": (
         None, {}, ["generate", "--demo", "--config", "m.yaml"], 2),
+    # an output path that cannot be a directory once ended in a traceback
+    "generate_output_is_a_file": (
+        _output_is_a_file, {}, ["generate", "--demo", "--no-cache"], 1),
+    "demo_run_output_is_a_file": (
+        _output_is_a_file, {}, ["run", "--generate-demo", "--no-cache"], 1),
     # a bad rate once reached numpy, or was injected at full strength
     "scenario_rate_nan": (None, _scenario({"noise_05": math.nan}),
                           ["generate", "--config", "m.yaml"], 2),

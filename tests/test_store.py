@@ -32,7 +32,7 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_first_exposure_per_patient,
                      brute_generate_tables, brute_load_database,
                      brute_previous_days, brute_srs_cells,
-                     brute_support_counts, brute_window_pairs, patient_span)
+                     brute_support_counts, brute_window_pairs)
 from test_acceptance import _recovery_config
 
 
@@ -487,12 +487,24 @@ class TestMemoryBudget:
 
     def test_generate_peak(self, tmp_path):
         # recovery_csvs' database (46,972 events), generated and cached:
-        # 118.8 B an event (numpy 2.4.6), 5% under the budget; ff5f080,
-        # which kept the generated tables beside the Database to the end,
-        # made 135.9
+        # 120.4 B an event (numpy 2.4.6), 4% under the budget; the
+        # patients x codes count matrix made 124.6, and ff5f080, which
+        # kept the generated tables beside the Database to the end, 135.9
         config = dataclasses.replace(_recovery_config(404), n_patients=2000)
         _, peak = _peak_bytes(generate, config, tmp_path)
         assert peak / 46_972 < 125, peak
+
+    def test_generate_peak_many_codes(self, tmp_path):
+        # the wide shape on the recovery drugs, 400 codes at 0.02 and 5
+        # at 0.08 (58,388 events), generated and cached: 112.7-117.4 B an
+        # event (numpy 2.4.6), 22% under the budget; the patients x codes
+        # count matrix that generate_tables once kept made 262.5
+        rates = {f"noise_{i:02d}": 0.02 for i in range(400)}
+        rates.update({f"adr_{i}": 0.08 for i in range(5)})
+        config = dataclasses.replace(_recovery_config(404), n_patients=2000,
+                                     background_event_rates=rates)
+        _, peak = _peak_bytes(generate, config, tmp_path)
+        assert peak / 58_388 < 150, peak
 
     def test_score_drug_peak(self):
         # all seven ids for both drugs at 10,000 patients (233,651 events):
@@ -897,9 +909,7 @@ def assert_exposures_match_oracle(db, T):
         config = StudyConfig(drug_code=drug, T=T)
         want = brute_extract_exposures(db, config)
         assert episode_pairs(db, db.episodes(drug)) == want
-        assert [(e.patient_id, e.drug_code, e.index_date, e.followup_end)
-                for e in extract_exposures(db, config)] == [
-            (p, drug, d, min(d + T, patient_span(db, p)[1])) for p, d in want]
+        assert episode_pairs(db, extract_exposures(db, config).T) == want
         assert episode_pairs(db, first_per_patient(*db.episodes(drug))) == \
             brute_first_exposure_per_patient(want)
         # the old loop's sort was a no-op: patient indices follow sorted
@@ -934,11 +944,10 @@ class TestExposureArrays:
         config = StudyConfig(drug_code="X", T=60)
         # 760 is 395 days after 365, 1156 is 396 after 760; p2 keeps
         # exactly 30 days of follow-up and p3 29
-        assert [(e.patient_id, e.index_date, e.followup_end)
-                for e in extract_exposures(db, config)] == [
-            ("p1", day(365), day(425)), ("p1", day(1156), day(1216)),
-            ("p2", day(970), day(1000))]
-        assert extract_exposures(db, StudyConfig(drug_code="B")) == []
+        assert episode_pairs(db, extract_exposures(db, config).T) == [
+            ("p1", day(365)), ("p1", day(1156)), ("p2", day(970))]
+        assert extract_exposures(db, StudyConfig(drug_code="B")).shape == \
+            (0, 2)
         assert_exposures_match_oracle(db, 60)
 
 

@@ -71,6 +71,15 @@ class TestConfigValidation:
             SynthConfig(n_patients=5, years_span=7996,
                         background_event_rates={"rash": 0.5})
 
+    def test_patients_past_int32(self):
+        # the largest count passes; building a config allocates nothing
+        SynthConfig(n_patients=2 ** 31 - 1, years_span=4,
+                    background_event_rates={"rash": 0.5})
+        with pytest.raises(ValueError, match=re.escape(
+                "n_patients must be below 2**31")):
+            SynthConfig(n_patients=2 ** 31, years_span=4,
+                        background_event_rates={"rash": 0.5})
+
     @pytest.mark.parametrize("mult", [math.nan, math.inf, 1e300])
     def test_bad_indication_multiplier(self, mult):
         with pytest.raises(ValueError, match="indication multiplier of "
