@@ -24,6 +24,7 @@ of these fails a load.
 from __future__ import annotations
 
 import array
+import bisect
 import csv
 import datetime
 import functools
@@ -176,9 +177,9 @@ class Database:
         self.drug_codes: list[str] = list(drug_codes)
         self.event_codes: list[str] = list(event_codes)
         self.duplicates_dropped = int(duplicates_dropped)
-        self._pt_index, self._drug_index, self._event_index = (
+        self._drug_index, self._event_index = (
             dict(zip(texts, range(len(texts)))) for texts in
-            (self.patient_ids, self.drug_codes, self.event_codes))
+            (self.drug_codes, self.event_codes))
         for group in COLUMNS:
             for name, dtype in group.items():
                 if columns[name].ndim != 1 or columns[name].dtype != dtype:
@@ -288,10 +289,10 @@ class Database:
         return self._ev_key % _KEY_BASE
 
     def patient_index(self, patient_id: str) -> int:
-        try:
-            return self._pt_index[patient_id]
-        except KeyError:
-            raise KeyError(f"unknown patient_id {patient_id!r}") from None
+        i = bisect.bisect_left(self.patient_ids, patient_id)
+        if i == self.n_patients or self.patient_ids[i] != patient_id:
+            raise KeyError(f"unknown patient_id {patient_id!r}")
+        return i
 
     def drug_index(self, drug_code: str) -> int | None:
         return self._drug_index.get(drug_code)

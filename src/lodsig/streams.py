@@ -96,31 +96,15 @@ def _pcg64_states(seed: int, n: int) -> list[tuple[int, int]]:
     return states
 
 
-def _raws_between(state: int, inc: int, end: int) -> int:
-    """The raws a PCG64 of (state, inc) outputs before it is at state
-    end, mod 2**128: its LCG's jump distance, found bit by bit as
-    pcg-cpp's distance() finds it, in one step per bit of the answer.
-    An odd inc, as every PCG64 has, reaches every state within 128."""
-    mult, raws = _PCG64_MULT, 0
-    for bit in range(128):
-        if state == end:
-            break
-        if (state ^ end) >> bit & 1:
-            state = (state * mult + inc) & _MASK128
-            raws |= 1 << bit
-        inc = (mult + 1) * inc & _MASK128
-        mult = mult * mult & _MASK128
-    return raws
-
-
 class _Streams:
     """The `default_rng([seed, index])` streams of a block of patients,
     drawn as numpy's Generator draws them, for many patients at once.
 
-    Each patient's PCG64 (state, inc) is one of states, and its first
-    `width` PCG64 outputs (raws) are one row of a flat buffer.  pos is
-    each patient's next raw as a position in that buffer, and held the
-    high half of a raw whose low half numpy's next_uint32 returned
+    Each patient's PCG64 (state, inc) is one of states, a copy that a
+    restarted row changes (`_count_each`), and its `width` PCG64 outputs
+    from there (raws) are one row of a flat buffer.  pos is each
+    patient's next raw as a position in that buffer, and held the high
+    half of a raw whose low half numpy's next_uint32 returned
     (has_held).  Each method takes an array of patients (rows) and makes,
     for each, the draws of one Generator call; the samplers are numpy's
     (numpy/random/src/distributions), computed on the raws, except the
@@ -140,7 +124,7 @@ class _Streams:
         for row, (pcg["state"], pcg["inc"]) in zip(rows, states):
             bit_generator.state = state
             row[:] = bit_generator.random_raw(width)
-        self.states, self.raws, self.width = states, rows.ravel(), width
+        self.states, self.raws, self.width = list(states), rows.ravel(), width
         self.row_start = np.arange(n) * width
         self.pos = self.row_start.copy()
         self.held = np.zeros(n, dtype=np.uint64)
@@ -286,44 +270,37 @@ class _Streams:
     def _count_each(self, rows, means, group):
         """Generator.poisson(means[group[i]]) for each row i, drawn by
         numpy's own Generator from a PCG64 at the row's position.  The
-        call reads no raw for a mean of 0, the count plus one below 10,
-        and two a try from 10 on: a row's tries are read off the distance
-        from its stream's first state to the state the call left
-        (`_raws_between`).  Past the raws before the call and one try a
-        count, what is left must be two raws a further try, or the row is
-        a RuntimeError.  Poisson reads whole raws only, so the held half
+        call reads no raw for a mean of 0 and the count plus one below 10,
+        and the row moves on by those.  From 10 on it reads two a try, and
+        the row starts again where the call left its PCG64: that state is
+        the row's, its raws are drawn again from it and its position is
+        their first.  A row already past its raws stays there, for
+        `overflowed`.  Poisson reads whole raws only, so the held half
         stays as it was."""
         bit_generator = np.random.PCG64(0)
         generator = np.random.Generator(bit_generator)
         pcg = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg,
                  "has_uint32": 0, "uinteger": 0}
-        mult = (means > 0) & (means < 10)
-        tries = (means >= 10).sum(axis=1)[group]
         counts = np.empty((len(rows), means.shape[1]), dtype=np.int64)
-        # the raws each row has read, and the state each row with a count
-        # from 10 on is left in
-        done = (self.pos[rows] - self.row_start[rows]).tolist()
-        left = {}
-        for i, (row, g, tried) in enumerate(zip(rows.tolist(), group.tolist(),
-                                                tries.tolist())):
+        done = self.pos[rows] - self.row_start[rows]
+        restart = (means >= 10).any(axis=1)[group] & (done <= self.width)
+        raws = self.raws.reshape(-1, self.width)
+        for i, (row, g, n, again) in enumerate(zip(
+                rows.tolist(), group.tolist(), done.tolist(),
+                restart.tolist())):
             pcg["state"], pcg["inc"] = self.states[row]
             bit_generator.state = state
-            bit_generator.advance(done[i])
+            bit_generator.advance(n)
             counts[i] = generator.poisson(means[g])
-            if tried:
-                left[i] = bit_generator.state["state"]["state"]
-        read = np.where(mult[group], counts + 1, 0).sum(axis=1) + 2 * tries
-        for i, end in left.items():
-            further = (_raws_between(*self.states[rows[i]], end)
-                       - done[i] - int(read[i]))
-            if further < 0 or further % 2:
-                raise RuntimeError(
-                    f"stream row {rows[i]}: its Poisson call ended "
-                    f"{further} raws past one try a count after the "
-                    f"{done[i]} raws before it, not 2 a further try")
-            read[i] += further
-        self.pos[rows] += read
+            if again:
+                self.states[row] = (bit_generator.state["state"]["state"],
+                                    pcg["inc"])
+                raws[row] = bit_generator.random_raw(self.width)
+        mult = (means > 0) & (means < 10)
+        read = np.where(mult[group], counts + 1, 0).sum(axis=1)
+        self.pos[rows] = np.where(restart, self.row_start[rows],
+                                  self.pos[rows] + read)
         return counts
 
     def _count_run(self, rows, exp_neg, k, reach):

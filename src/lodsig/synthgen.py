@@ -533,12 +533,13 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
 
     With cache, the database built here is stored in the load cache as
     the files' load_database result (see store.cache_database).  The
-    files are written from the generated tables before the Database is
-    built, and the tables are dropped once it is.
+    directory is made first, so an output that cannot be one fails before
+    any patient is drawn.  The files are written from the generated tables
+    before the Database is built, and the tables are dropped once it is.
     """
-    result = generate_tables(config)
-    out = Path(out_dir)   # made only once the tables are built
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    result = generate_tables(config)
 
     paths = {
         "patients": out / "patients.csv",

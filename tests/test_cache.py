@@ -62,7 +62,7 @@ def assert_same_database(got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
     for name in ("patient_ids", "drug_codes", "event_codes"):
         assert getattr(got, name) == getattr(want, name), name
-    for name in ("_pt_index", "_drug_index", "_event_index"):
+    for name in ("_drug_index", "_event_index"):
         assert list(getattr(got, name).items()) == \
             list(getattr(want, name).items()), name
     assert got.duplicates_dropped == want.duplicates_dropped

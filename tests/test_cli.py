@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lodsig
+from lodsig import synthgen
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
                         _read_yaml, demo_synth_config, main, run, score_drug,
                         synth_config_from_dict)
@@ -1195,6 +1196,21 @@ def test_generate_demo_logs_duplicates_once(tmp_path, caplog):
     collapsed = [r.getMessage() for r in caplog.records
                  if "duplicate record rows" in r.getMessage()]
     assert len(collapsed) == 1, collapsed
+
+
+def test_generate_output_is_a_file_fails_before_drawing(tmp_path, caplog,
+                                                       monkeypatch):
+    # the output directory is made before a patient is drawn
+    def drawn(config):
+        raise AssertionError("patients drawn for an output that is a file")
+    monkeypatch.setattr(synthgen, "generate_tables", drawn)
+    output = tmp_path / "res"
+    output.write_bytes(b"")
+    with caplog.at_level("ERROR"):
+        assert main(["generate", "--demo", "--no-cache", "--output",
+                     str(output)]) == 1
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == \
+        ["generate failed"]
 
 
 def _event_of_a_living_patient_in_9999(text, data):

@@ -149,6 +149,16 @@ class TestLoad:
         assert str(exc.value) == (f"{paths[2]}, row 2: bad year_of_birth "
                                   "'99999999999999999999'")
 
+    def test_patient_index_is_the_sorted_position(self):
+        db, _ = build_database(dataclasses.replace(demo_synth_config(),
+                                                   n_patients=300))
+        assert [db.patient_index(p) for p in db.patient_ids] == \
+            list(range(300))
+        # one id that sorts between two present ids, one past the last
+        for pid in (db.patient_ids[4] + "0", db.patient_ids[-1] + "0"):
+            with pytest.raises(KeyError, match=f"unknown patient_id '{pid}'"):
+                db.patient_index(pid)
+
     def test_patients_are_columns_and_never_objects(self, tmp_path):
         assert not hasattr(store, "Patient")
         config = dataclasses.replace(demo_synth_config(), n_patients=300)

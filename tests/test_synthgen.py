@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lodsig import synthgen
 from lodsig.store import load_database
-from lodsig.streams import _raws_between, _Streams
+from lodsig.streams import _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, _pcg64_states, build_database,
                              generate, generate_tables, realized_truth)
@@ -241,44 +241,39 @@ class TestBlockSampler:
         assert_draws_what_default_rng_draws(case, 2024)
         assert len(reaches) > 2
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 128), raws=st.one_of(
-        st.integers(0, 2 ** 12), st.integers(0, 2 ** 128 - 1)))
-    def test_raws_between_is_what_advance_moved(self, seed, raws):
-        bit_generator = np.random.PCG64(seed)
-        pcg = bit_generator.state["state"]
-        bit_generator.advance(raws)
-        assert _raws_between(pcg["state"], pcg["inc"],
-                             bit_generator.state["state"]["state"]) == raws
-
-    def test_lost_position_is_an_error_at_once(self, monkeypatch):
+    def test_lost_position_returns_other_counts(self, monkeypatch):
         # the mutation "drop advance": each row's Generator draws from its
-        # stream's first raw, not past the 3 raws the row has read, so its
-        # PTRS tries cannot be found; the row is named within seconds
-        # where a search for them could run on for ever
+        # stream's first raw, not past the 3 raws the row has read; the
+        # call still returns at once, with counts that are not numpy's
         def advance(self, delta):
             return self
 
         streams = _Streams(_pcg64_states(5, SAMPLER_PATIENTS), 1024)
+        rngs = [np.random.default_rng([5, i])
+                for i in range(SAMPLER_PATIENTS)]
         rows = np.arange(SAMPLER_PATIENTS)
         for _ in range(3):
             streams.random(rows)
+            for rng in rngs:
+                rng.random()
         # named PCG64, as the state setter asks
         monkeypatch.setattr(np.random, "PCG64", type(
             "PCG64", (np.random.PCG64,), {"advance": advance}))
 
         def hung(signum, frame):
-            raise TimeoutError("the Poisson raws were still being searched")
+            raise TimeoutError("the Poisson call did not return")
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(10)
         try:
-            with pytest.raises(RuntimeError, match=r"^stream row \d+: "):
-                streams.poisson(rows, np.array([[40.0, 0.5, 12.0]]),
-                                np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
-                                np.array([0, 1, 2]))
+            counts = streams.poisson(
+                rows, np.array([[40.0, 0.5, 12.0]]),
+                np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
+                np.array([0, 1, 2]))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert counts.tolist() != \
+            [rng.poisson([40.0, 0.5, 12.0]).tolist() for rng in rngs]
 
     def test_reads_past_a_row_overflow(self):
         streams = _Streams(_pcg64_states(7, SAMPLER_PATIENTS), 8)
@@ -290,6 +285,29 @@ class TestBlockSampler:
         assert not streams.overflowed()
         streams.random(np.arange(1))
         assert streams.overflowed()
+
+    def test_restart_keeps_an_overflow(self):
+        # a row past its raws before a per-row Poisson call is not started
+        # again there, so the block is still drawn again with wider rows;
+        # the other rows start again and draw what default_rng draws, in
+        # the block's own copy of the states
+        states = _pcg64_states(7, SAMPLER_PATIENTS)
+        streams = _Streams(states, 8)
+        rngs = [np.random.default_rng([7, i])
+                for i in range(SAMPLER_PATIENTS)]
+        rows = np.arange(SAMPLER_PATIENTS)
+        for _ in range(9):
+            streams.random(rows[:1])
+        assert streams.overflowed()
+        counts = streams.poisson(rows, np.array([[12.0]]),
+                                 np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
+                                 np.array([0]))
+        assert streams.overflowed()
+        assert counts[1:, 0].tolist() == \
+            [rng.poisson(12.0) for rng in rngs[1:]]
+        assert streams.random(rows[1:]).tolist() == \
+            [rng.random() for rng in rngs[1:]]
+        assert states == _pcg64_states(7, SAMPLER_PATIENTS)
 
 
 class TestBernoulliProb:
