@@ -43,16 +43,16 @@ class AdrDictionary:
     entries: dict[tuple[str, str], AdrEntry] = field(default_factory=dict)
 
     def matches(self, drug_code: str, event_code: str, mode: str) -> bool:
+        if mode not in ("all", "rare", "reaction_codes"):
+            raise ValueError(f"unknown truth mode {mode!r}")
         entry = self.entries.get((drug_code, event_code))
         if entry is None:
             return False
-        if mode == "all":
-            return True
         if mode == "rare":
             return entry.frequency_class == "rare"
         if mode == "reaction_codes":
             return entry.is_reaction_code
-        raise ValueError(f"unknown truth mode {mode!r}")
+        return True
 
     @classmethod
     def from_csv(cls, path) -> "AdrDictionary":

@@ -2,17 +2,15 @@
 many patients at once.
 
 `_pcg64_states` ports numpy's SeedSequence and PCG64 seeding to a column
-of patient indices; `_Streams` ports numpy's samplers (Generator.random,
-Lemire's bounded integers and Poisson by multiplication, from
-numpy/random/src/distributions) to blocks of PCG64's raw outputs.  The
-other Poisson counts it leaves to numpy's own Generator, one patient at
-a time.  Each is checked against numpy in tests/test_synthgen.py, on the
-oldest numpy the package allows as well as the latest.
+of patient indices; `_Streams` ports numpy's samplers (Generator.random
+and Lemire's bounded integers, from numpy/random/src/distributions) to
+blocks of PCG64's raw outputs.  Every Poisson count it leaves to numpy's
+own Generator, one patient at a time.  Each is checked against numpy in
+tests/test_synthgen.py, on the oldest numpy the package allows as well
+as the latest.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,10 +23,9 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # float64 on numpy 1 and 2 alike
 _U11, _U32 = np.uint64(11), np.uint64(32)
 _LOW32, _2_32 = np.uint64(_MASK32), np.uint64(2 ** 32)
-# the largest raw
-_RAW_MAX = np.uint64(2 ** 64 - 1)
-# equal Poisson columns that `_Streams.poisson` counts on their own
-_RUN_CODES = 4
+# the most runs of equal columns that a `_Streams.poisson` call draws a
+# run at a time, at a scalar mean
+_SCALAR_RUNS = 4
 
 
 def _hasher(init: int, mult: int):
@@ -101,7 +98,7 @@ class _Streams:
     drawn as numpy's Generator draws them, for many patients at once.
 
     Each patient's PCG64 (state, inc) is one of states, a copy that a
-    restarted row changes (`_count_each`), and its `width` PCG64 outputs
+    restarted row changes (`poisson`), and its `width` PCG64 outputs
     from there (raws) are one row of a flat buffer.  pos is each
     patient's next raw as a position in that buffer, and held the high
     half of a raw whose low half numpy's next_uint32 returned
@@ -224,160 +221,53 @@ class _Streams:
     def poisson(self, rows, means, group, cols):
         """Generator.poisson(means[group[i], cols]) for each row i: a count
         for each column of cols, in order, at the mean of that column in
-        the row's group of the means table.
+        the row's group of the means table, drawn by numpy's own Generator
+        from a PCG64 at the row's position.  A call of at most
+        _SCALAR_RUNS runs of equal columns draws each run with one call at
+        a scalar mean, a cheaper call than one at an array of means; a
+        call of more runs draws each row with one call at its array.
 
-        A run of equal columns whose means are all above 0 and below 10,
-        at least _RUN_CODES long or every column of the call, is counted
-        by numpy's multiplication method on the block's raws
-        (`_count_run`); every other stretch of columns by numpy's own
-        Generator, one row at a time (`_count_each`).
-        """
-        k = len(cols)
-        counts = np.zeros((len(rows), k), dtype=np.int64)
-        # the segments of cols: (first, past the last, whether a run)
-        segments, done = [], 0
-        starts = np.flatnonzero(np.diff(cols, prepend=-1)).tolist()
-        for a, b in zip(starts, [*starts[1:], k]):
-            mean = means[:, cols[a]]
-            if (b - a >= _RUN_CODES or b - a == k) \
-                    and ((mean > 0) & (mean < 10)).all():
-                segments += [(done, a, False), (a, b, True)]
-                done = b
-        segments.append((done, k, False))
-        for a, b, run in segments:
-            if a == b:
-                continue
-            if not run:
-                counts[:, a:b] = self._count_each(rows, means[:, cols[a:b]],
-                                                  group)
-                continue
-            mean = means[:, cols[a]]
-            # math.exp's exp(-mean), as numpy's sampler computes it
-            exp_neg = np.array(list(map(math.exp, (-mean).tolist())))
-            # the draws of most rows fit in this many: b - a counts of 0,
-            # with a few standard deviations of the draws that make counts
-            # above 0
-            extra = (b - a) * float(mean.max())
-            reach = int(b - a + extra + 3 * math.sqrt(extra)) + 8
-            walk = np.arange(len(rows))
-            while walk.size:
-                counts[walk, a:b], again = self._count_run(
-                    rows[walk], exp_neg[group[walk]], b - a, reach)
-                walk = walk[again]
-                reach *= 2
-        return counts
-
-    def _count_each(self, rows, means, group):
-        """Generator.poisson(means[group[i]]) for each row i, drawn by
-        numpy's own Generator from a PCG64 at the row's position.  The
-        call reads no raw for a mean of 0 and the count plus one below 10,
-        and the row moves on by those.  From 10 on it reads two a try, and
-        the row starts again where the call left its PCG64: that state is
-        the row's, its raws are drawn again from it and its position is
+        The call reads no raw for a mean of 0 and the count plus one below
+        10, and the row moves on by those.  From 10 on it reads two a try,
+        and the row starts again where the call left its PCG64: that state
+        is the row's, its raws are drawn again from it and its position is
         their first.  A row already past its raws stays there, for
         `overflowed`.  Poisson reads whole raws only, so the held half
-        stays as it was."""
+        stays as it was.
+        """
         bit_generator = np.random.PCG64(0)
         generator = np.random.Generator(bit_generator)
         pcg = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg,
                  "has_uint32": 0, "uinteger": 0}
-        counts = np.empty((len(rows), means.shape[1]), dtype=np.int64)
+        table = means[:, cols]
+        starts = np.flatnonzero(np.diff(cols, prepend=-1)).tolist()
+        # (means, size) of each call a row makes: a run's means as floats,
+        # one per group, and its length; or the whole table, whose row g
+        # is the array of group g's means
+        if len(starts) <= _SCALAR_RUNS:
+            runs = [(table[:, a].tolist(), b - a)
+                    for a, b in zip(starts, [*starts[1:], len(cols)])]
+        else:
+            runs = [(table, None)]
         done = self.pos[rows] - self.row_start[rows]
-        restart = (means >= 10).any(axis=1)[group] & (done <= self.width)
+        restart = (table >= 10).any(axis=1)[group] & (done <= self.width)
         raws = self.raws.reshape(-1, self.width)
-        for i, (row, g, n, again) in enumerate(zip(
-                rows.tolist(), group.tolist(), done.tolist(),
-                restart.tolist())):
+        # an empty start, so that a call of no rows or no columns joins
+        draws = [np.zeros(0, dtype=np.int64)]
+        for row, g, n, again in zip(rows.tolist(), group.tolist(),
+                                    done.tolist(), restart.tolist()):
             pcg["state"], pcg["inc"] = self.states[row]
             bit_generator.state = state
             bit_generator.advance(n)
-            counts[i] = generator.poisson(means[g])
+            draws += [generator.poisson(mean[g], size) for mean, size in runs]
             if again:
                 self.states[row] = (bit_generator.state["state"]["state"],
                                     pcg["inc"])
                 raws[row] = bit_generator.random_raw(self.width)
-        mult = (means > 0) & (means < 10)
+        counts = np.concatenate(draws).reshape(len(rows), len(cols))
+        mult = (table > 0) & (table < 10)
         read = np.where(mult[group], counts + 1, 0).sum(axis=1)
         self.pos[rows] = np.where(restart, self.row_start[rows],
                                   self.pos[rows] + read)
         return counts
-
-    def _count_run(self, rows, exp_neg, k, reach):
-        """numpy's Poisson multiplication method, k counts a row at one
-        mean (below 10) a row: a count is the number of draws whose
-        running product stays above exp(-mean), so a count that starts at
-        or below it is 0 after one draw.  Lists the draws above exp(-mean) in each row's next
-        `reach` raws at least, the count each would start, and jumps
-        from one to the next.  Returns the counts, and the positions in
-        rows of those whose draws went past the listed raws, which it
-        leaves as they were."""
-        width = self.width
-        pos0 = self.pos[rows]
-        col = pos0 - self.row_start[rows]
-        # the columns listed: from the first row's draw, for reach past
-        # the last (a row that read past its own raws lists none)
-        lo = min(int(col.min()), width)
-        hi = int(min(width, (col + reach).max()))
-        # a draw is above e when its raw is above its row's limit
-        cut = np.minimum(np.floor(exp_neg * 2.0 ** 53), 2.0 ** 53 - 1)
-        limit = np.full(len(self.pos), _RAW_MAX)
-        limit[rows] = cut.astype(np.uint64) << _U11 | np.uint64(2047)
-        listed = self.raws.reshape(-1, width)[:, lo:hi] > limit[:, None]
-        if len(rows) < len(listed):
-            listed = listed[rows]
-        del limit
-        col -= lo
-        span = hi - lo
-        # listed draws as cells r * span + c of `listed` (int32, as are the
-        # positions, sizes and indices below: a dense run lists most of
-        # the block's raws), and their positions
-        cell = np.flatnonzero(listed).astype(np.int32)
-        row = cell // np.int32(span)
-        e = exp_neg[row]
-        above = (self.row_start[rows] + lo).astype(np.int32)[row] \
-            + cell % np.int32(span)
-        del row
-        # the count each listed draw starts: its draws past the first
-        count = np.ones(len(above), dtype=np.int32)
-        prod = self._doubles(above)
-        prod *= self._doubles(above + np.int32(1))
-        live = np.flatnonzero(prod > e).astype(np.int32)
-        prod, draw, e = prod[live], above[live] + np.int32(2), e[live]
-        while live.size:
-            count[live] += 1
-            prod *= self._doubles(draw)
-            more = prod > e
-            live, prod, draw, e = (live[more], prod[more], draw[more] + 1,
-                                   e[more])
-        del prod, draw, e
-        # first[r * span + c]: the index in `above` of the first listed
-        # draw of row r at or after column lo + c, for c up to span; after:
-        # that of the first listed draw past each one's count
-        first = np.zeros(listed.size + 1, dtype=np.int32)
-        np.cumsum(listed, dtype=np.int32, out=first[1:])
-        del listed
-        cell += np.minimum(count + np.int32(1), span - cell % np.int32(span))
-        after = first[cell]
-        at = first[np.arange(len(rows)) * span + np.minimum(col, span)]
-        del first, cell
-        above = np.append(above, np.int32(np.iinfo(np.int32).max))
-
-        counts = np.zeros((len(rows), k), dtype=np.int64)
-        # the position of each row's count 0, had every count before the
-        # next listed draw been 0
-        start = pos0.copy()
-        live = np.arange(len(rows))
-        while live.size:
-            code = above[at] - start[live]
-            more = code < k
-            if not more.all():
-                live, at, code = live[more], at[more], code[more]
-            counts[live, code] = count[at]
-            start[live] += count[at]
-            at = after[at]
-        # past column hi the draws were not listed: such rows count again,
-        # unless their draws run past the buffer, which overflowed tells
-        again = (col + start - pos0 + k > span) & (hi < width)
-        self.pos[rows[~again]] = (start + k)[~again]
-        return counts, np.flatnonzero(again)

@@ -10,13 +10,13 @@ byte-identical across runs and independent of generation scheduling.
 The streams' starting states are derived for all patients in one
 vectorised pass (a port of numpy's SeedSequence and PCG64 seeding), each
 block of patients has its PCG64 raw outputs drawn into one buffer, and
-ports of numpy's samplers to those raw outputs (random, Lemire's bounded
-integers, and Poisson by multiplication over runs of equal means) make
-each draw for the whole block at once; numpy's Generator draws the other
-Poisson counts, a patient at a time from a PCG64 moved to its position.
-Both are in `lodsig.streams`.  tests/test_synthgen.py checks them against
-numpy call for call, and tests/test_synthgen_oracle.py the generator
-against the per-patient default_rng generator it replaced.
+ports of numpy's samplers to those raw outputs (random and Lemire's
+bounded integers) make each draw for the whole block at once; numpy's
+Generator draws every Poisson count, a patient at a time from a PCG64
+moved to its position.  Both are in `lodsig.streams`.
+tests/test_synthgen.py checks them against numpy call for call, and
+tests/test_synthgen_oracle.py the generator against the per-patient
+default_rng generator it replaced.
 """
 
 from __future__ import annotations

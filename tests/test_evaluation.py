@@ -115,8 +115,11 @@ class TestTruthAndEvaluate:
         assert truth_vector(r, self._dictionary(), "reaction_codes") == [0]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            truth_vector(ranked(["A"]), self._dictionary(), "bogus")
+        # also on a list with no pair in the dictionary
+        for events in (["A"], ["D"]):
+            with pytest.raises(ValueError,
+                               match="unknown truth mode 'bogus'"):
+                truth_vector(ranked(events), self._dictionary(), "bogus")
 
     def test_evaluate_report_fields(self):
         r = ranked(["A", "C", "D"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lodsig import synthgen
 from lodsig.store import load_database
-from lodsig.streams import _Streams
+from lodsig.streams import _SCALAR_RUNS, _Streams
 from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              _bernoulli_prob, _pcg64_states, build_database,
                              generate, generate_tables, realized_truth)
@@ -144,9 +144,9 @@ SAMPLER_CASES = {
                              (40.0,)], (0,) * 25),
                 ("integers", 0, 9), ("poisson", [(40.0,), (0.08,)], (0,)),
                 ("random",)],
-    # a run of one column whose means are all below 10 is counted on its
-    # own, as is a call of one column (a drug's indication draw); one with
-    # a mean of 10 or more is not
+    # calls of one run of equal columns, each drawn at a scalar mean a
+    # row: means all below 10, a call of one column (a drug's indication
+    # draw), and means of 10 or more, whose rows start again
     "poisson_run": [("integers", 0, 9),
                     ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)],
                      (0,) * 25),
@@ -154,9 +154,11 @@ SAMPLER_CASES = {
                     ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)], (0,)),
                     ("poisson", [(10.0,), (0.5,)], (0,) * 6),
                     ("random",)],
-    # means that change from count to count: alternating small means, a
-    # mean of 0 among them, runs of PTRS counts, counts above 0 far from
-    # the one before, and runs between shorter stretches
+    # means that change from count to count, in calls of more than
+    # _SCALAR_RUNS runs of equal columns, each row drawn at its array of
+    # means: alternating small means, a mean of 0 among them, runs of PTRS
+    # counts, counts above 0 far from the one before, and runs between
+    # shorter stretches
     "poisson_per_count": [
         ("poisson", [(0.02, 0.03) * 40, (0.5, 0.0, 12.0, 0.01) * 20,
                      (11.0, 35.0, 10.0, 0.3) * 18 + (0.0,) * 8,
@@ -217,9 +219,9 @@ class TestBlockSampler:
     """_Streams makes, for a block of patients at once, the draws each
     patient's `default_rng([seed, index])` makes, call for call.  It ports
     numpy's samplers (numpy/random/src/distributions) to PCG64's raw
-    outputs, and draws the other Poisson counts with numpy's Generator
-    from a PCG64 it moves to each patient's position: a numpy release
-    that changes a sampler or PCG64's advance fails here first."""
+    outputs, and draws every Poisson count with numpy's Generator from a
+    PCG64 it moves to each patient's position: a numpy release that
+    changes a sampler or PCG64's advance fails here first."""
 
     @pytest.mark.parametrize("case", SAMPLER_CASES)
     @settings(max_examples=15, deadline=None)
@@ -227,19 +229,41 @@ class TestBlockSampler:
     def test_draws_what_default_rng_draws(self, case, seed):
         assert_draws_what_default_rng_draws(case, seed)
 
-    @pytest.mark.parametrize("case", ["poisson_run", "poisson_per_count"])
-    def test_counts_past_the_listed_draws(self, case, monkeypatch):
-        # the count pass of a run lists the draws within a reach of each
-        # row's position; rows whose draws run past it count again
-        reaches = []
-        count = _Streams._count_run
+    def test_scalar_means_for_few_runs(self, monkeypatch):
+        # a call of at most _SCALAR_RUNS runs of equal columns makes one
+        # Generator call a run and row, at a float mean; a call of more
+        # runs makes one a row, at the row's array of means
+        calls = []
 
-        def short(self, *args):
-            reaches.append(args[-1] // 16)
-            return count(self, *args[:-1], args[-1] // 16)
-        monkeypatch.setattr(_Streams, "_count_run", short)
-        assert_draws_what_default_rng_draws(case, 2024)
-        assert len(reaches) > 2
+        class Generator(np.random.Generator):
+            def poisson(self, lam=1.0, size=None):
+                calls.append((lam, size))
+                return super().poisson(lam, size)
+        monkeypatch.setattr(np.random, "Generator", Generator)
+
+        streams = _Streams(_pcg64_states(3, SAMPLER_PATIENTS), 1024)
+        rngs = [np.random.default_rng([3, i])
+                for i in range(SAMPLER_PATIENTS)]
+        rows = np.arange(SAMPLER_PATIENTS)
+        group = rows % 2
+        table = np.array([[0.5, 12.0, 0.0, 3.0], [2.0, 0.1, 10.0, 0.08]])
+        for cols, runs in [((0, 0, 1, 2, 2, 2, 3), 4), ((0, 1, 0, 1, 3), 5)]:
+            cols = np.array(cols)
+            calls.clear()
+            counts = streams.poisson(rows, table, group, cols)
+            assert counts.tolist() == \
+                [rng.poisson(table[g, cols]).tolist()
+                 for rng, g in zip(rngs, group)]
+            if runs <= _SCALAR_RUNS:
+                assert all(type(lam) is float for lam, _ in calls)
+                assert calls == [(table[g, c], n) for g in group
+                                 for c, n in [(0, 2), (1, 1), (2, 3), (3, 1)]]
+            else:
+                assert [(lam.tolist(), size) for lam, size in calls] == \
+                    [(table[g, cols].tolist(), None) for g in group]
+            assert streams.random(rows).tolist() == \
+                [rng.random() for rng in rngs]
+        assert not streams.overflowed()
 
     def test_lost_position_returns_other_counts(self, monkeypatch):
         # the mutation "drop advance": each row's Generator draws from its
@@ -287,10 +311,10 @@ class TestBlockSampler:
         assert streams.overflowed()
 
     def test_restart_keeps_an_overflow(self):
-        # a row past its raws before a per-row Poisson call is not started
-        # again there, so the block is still drawn again with wider rows;
-        # the other rows start again and draw what default_rng draws, in
-        # the block's own copy of the states
+        # a row past its raws before a Poisson call at a mean of 10 or more
+        # is not started again there, so the block is still drawn again
+        # with wider rows; the other rows start again and draw what
+        # default_rng draws, in the block's own copy of the states
         states = _pcg64_states(7, SAMPLER_PATIENTS)
         streams = _Streams(states, 8)
         rngs = [np.random.default_rng([7, i])
