@@ -79,12 +79,6 @@ def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
                                 include_day0)
         return cands, [db.event_codes[c] for c in cands.tolist()]
 
-    def at(vectors, cands):
-        # a pass's vectors, or a mapping of them, at the candidates
-        if isinstance(vectors, dict):
-            return {key: at(v, cands) for key, v in vectors.items()}
-        return tuple(v[cands].tolist() for v in vectors)
-
     ranked_lists = []
     for algorithm_id in algorithms:
         config = _base_config(algorithm_id, drug, seed,
@@ -92,7 +86,9 @@ def score_drug(db: Database, drug: str, algorithms, seed: int = 0,
         _, scoring_pass, view = ALGORITHMS[algorithm_id]
         cands, codes = candidates(config.T, config.excluded_event_codes,
                                   config.include_day0)
-        values = at(shared(scoring_pass, config), cands)
+        # each vector of the pass, or each row of a table, at the candidates
+        values = tuple(v[..., cands].tolist()
+                       for v in shared(scoring_pass, config))
         try:
             ranked_lists.append(build_ranked_list(algorithm_id, drug,
                                                   *view(codes, values)))
@@ -233,31 +229,41 @@ def _load_db(database_dir, cache: bool = True) -> Database:
 
 def run(manifest: RunManifest, jobs: int = 1, cache: bool = True) -> int:
     """Score every drug of the manifest and write all artifacts; cache
-    says whether the load may read and write the load cache."""
+    says whether the load may read and write the load cache.
+
+    The output directory is made before the load, so an output that
+    cannot be one fails first; a run that fails before writing removes
+    the directory again if it made it."""
     # the small ground-truth file is checked before the database load
     dictionary = None
     if manifest.ground_truth is not None:
         dictionary = AdrDictionary.from_csv(manifest.ground_truth)
-    db = _load_db(manifest.database_dir, cache)
-    for drug in manifest.drugs:
-        if db.drug_index(drug) is None:
-            raise DataFormatError(f"drug {drug!r} has no prescriptions in "
-                                  f"the database at {manifest.database_dir}")
-
-    score = functools.partial(score_drug, db, algorithms=manifest.algorithms,
-                              seed=manifest.seed, overrides=manifest.overrides)
-    # threads share the one loaded database and the arrays it caches
-    with concurrent.futures.ThreadPoolExecutor(
-            min(jobs, len(manifest.drugs))) as pool:
-        per_drug = list(pool.map(score, manifest.drugs))
+    out = Path(manifest.output_dir)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        db = _load_db(manifest.database_dir, cache)
+        for drug in manifest.drugs:
+            if db.drug_index(drug) is None:
+                raise DataFormatError(
+                    f"drug {drug!r} has no prescriptions in the database "
+                    f"at {manifest.database_dir}")
+        score = functools.partial(
+            score_drug, db, algorithms=manifest.algorithms,
+            seed=manifest.seed, overrides=manifest.overrides)
+        # threads share the one loaded database and the arrays it caches
+        with concurrent.futures.ThreadPoolExecutor(
+                min(jobs, len(manifest.drugs))) as pool:
+            per_drug = list(pool.map(score, manifest.drugs))
+    except BaseException:
+        if made:
+            out.rmdir()
+        raise
     ranked_lists = []
     for drug, lists in zip(manifest.drugs, per_drug):
         log.info("scored %s: %s", drug, ", ".join(
             f"{r.algorithm} {len(r.entries)}" for r in lists))
         ranked_lists += lists
-
-    out = Path(manifest.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     emit_report(out, ranked_lists, dictionary)
     with open(out / "manifest_resolved.yaml", "w", encoding="utf-8") as fh:
         yaml.safe_dump(manifest.to_dict(), fh, sort_keys=True)

@@ -38,13 +38,17 @@ class AdrEntry:
                 f"unknown frequency_class {self.frequency_class!r}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("all", "rare", "reaction_codes"):
+        raise ValueError(f"unknown truth mode {mode!r}")
+
+
 @dataclass
 class AdrDictionary:
     entries: dict[tuple[str, str], AdrEntry] = field(default_factory=dict)
 
     def matches(self, drug_code: str, event_code: str, mode: str) -> bool:
-        if mode not in ("all", "rare", "reaction_codes"):
-            raise ValueError(f"unknown truth mode {mode!r}")
+        _check_mode(mode)
         entry = self.entries.get((drug_code, event_code))
         if entry is None:
             return False
@@ -92,6 +96,7 @@ class EvalReport:
 def truth_vector(ranked: RankedSignalList, dictionary: AdrDictionary,
                  mode: str = "all") -> list[int]:
     """Binary relevance labels aligned to the ranked list."""
+    _check_mode(mode)   # an empty list calls no matches
     return [int(dictionary.matches(ranked.drug_code, e.event_code, mode))
             for e in ranked.entries]
 

@@ -685,14 +685,13 @@ def _qualifying_episodes(db: Database):
     return drug[qualifies], pid[qualifies], day[qualifies]
 
 
-def distinct(values, return_index=False, return_inverse=False):
-    """numpy's unique(values, return_index, return_inverse) of a 1-d
-    array, by a sort and a neighbour mask: the ascending distinct values,
-    then, if asked, each one's first index in values and each value's
-    index among them.  The package's one dedup: numpy 2's unique hashes,
-    20-65x slower than this sort, and imports numpy.ma."""
+def distinct(values, return_index=False):
+    """numpy's unique(values, return_index) of a 1-d array, by a sort and
+    a neighbour mask: the ascending distinct values, then, if asked, each
+    one's first index in values.  The package's one dedup: numpy 2's
+    unique hashes, 20-65x slower than this sort, and imports numpy.ma."""
     values = np.asarray(values)
-    if return_index or return_inverse:
+    if return_index:
         # stable, so each group's first entry is its value's first index
         order = np.argsort(values, kind="stable")
         ordered = values[order]
@@ -700,14 +699,7 @@ def distinct(values, return_index=False, return_inverse=False):
         ordered = np.sort(values)
     new = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    out = [ordered[new]]
-    if return_index:
-        out.append(order[new])
-    if return_inverse:
-        inverse = np.empty(len(values), dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        out.append(inverse)
-    return out[0] if len(out) == 1 else tuple(out)
+    return (ordered[new], order[new]) if return_index else ordered[new]
 
 
 def first_per_patient(pts, idx):

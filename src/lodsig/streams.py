@@ -23,8 +23,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # float64 on numpy 1 and 2 alike
 _U11, _U32 = np.uint64(11), np.uint64(32)
 _LOW32, _2_32 = np.uint64(_MASK32), np.uint64(2 ** 32)
-# the most runs of equal columns that a `_Streams.poisson` call draws a
-# run at a time, at a scalar mean
+# the most runs of equal rates that a `_Streams.poisson` call draws a run
+# at a time, at a scalar mean
 _SCALAR_RUNS = 4
 
 
@@ -218,14 +218,13 @@ class _Streams:
             todo = todo[left[todo] > 0]
         return out
 
-    def poisson(self, rows, means, group, cols):
-        """Generator.poisson(means[group[i], cols]) for each row i: a count
-        for each column of cols, in order, at the mean of that column in
-        the row's group of the means table, drawn by numpy's own Generator
-        from a PCG64 at the row's position.  A call of at most
-        _SCALAR_RUNS runs of equal columns draws each run with one call at
-        a scalar mean, a cheaper call than one at an array of means; a
-        call of more runs draws each row with one call at its array.
+    def poisson(self, rows, scale, rates):
+        """Generator.poisson(scale[i] * rates) for each row i: a count for
+        each rate, in order, drawn by numpy's own Generator from a PCG64
+        at the row's position.  A call of at most _SCALAR_RUNS runs of
+        equal rates draws each run with one call at a scalar mean, a
+        cheaper call than one at an array of means; a call of more runs
+        draws each row with one call at its array.
 
         The call reads no raw for a mean of 0 and the count plus one below
         10, and the row moves on by those.  From 10 on it reads two a try,
@@ -240,34 +239,32 @@ class _Streams:
         pcg = {"state": 0, "inc": 0}
         state = {"bit_generator": "PCG64", "state": pcg,
                  "has_uint32": 0, "uinteger": 0}
-        table = means[:, cols]
-        starts = np.flatnonzero(np.diff(cols, prepend=-1)).tolist()
+        means = np.multiply.outer(scale, rates)
+        starts = np.flatnonzero(np.diff(rates, prepend=np.nan)).tolist()
         # (means, size) of each call a row makes: a run's means as floats,
-        # one per group, and its length; or the whole table, whose row g
-        # is the array of group g's means
+        # one per row, and its length; or the rows' arrays of means
         if len(starts) <= _SCALAR_RUNS:
-            runs = [(table[:, a].tolist(), b - a)
-                    for a, b in zip(starts, [*starts[1:], len(cols)])]
+            runs = [(means[:, a].tolist(), b - a)
+                    for a, b in zip(starts, [*starts[1:], len(rates)])]
         else:
-            runs = [(table, None)]
+            runs = [(means, None)]
         done = self.pos[rows] - self.row_start[rows]
-        restart = (table >= 10).any(axis=1)[group] & (done <= self.width)
+        restart = (means >= 10).any(axis=1) & (done <= self.width)
         raws = self.raws.reshape(-1, self.width)
-        # an empty start, so that a call of no rows or no columns joins
+        # an empty start, so that a call of no rows or no rates joins
         draws = [np.zeros(0, dtype=np.int64)]
-        for row, g, n, again in zip(rows.tolist(), group.tolist(),
-                                    done.tolist(), restart.tolist()):
+        for i, (row, n, again) in enumerate(zip(
+                rows.tolist(), done.tolist(), restart.tolist())):
             pcg["state"], pcg["inc"] = self.states[row]
             bit_generator.state = state
             bit_generator.advance(n)
-            draws += [generator.poisson(mean[g], size) for mean, size in runs]
+            draws += [generator.poisson(mean[i], size) for mean, size in runs]
             if again:
                 self.states[row] = (bit_generator.state["state"]["state"],
                                     pcg["inc"])
                 raws[row] = bit_generator.random_raw(self.width)
-        counts = np.concatenate(draws).reshape(len(rows), len(cols))
-        mult = (table > 0) & (table < 10)
-        read = np.where(mult[group], counts + 1, 0).sum(axis=1)
+        counts = np.concatenate(draws).reshape(len(rows), len(rates))
+        read = np.where((means > 0) & (means < 10), counts + 1, 0).sum(axis=1)
         self.pos[rows] = np.where(restart, self.row_start[rows],
                                   self.pos[rows] + read)
         return counts

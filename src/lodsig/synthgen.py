@@ -35,8 +35,8 @@ import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry, write_csv
 from .store import (Database, Gender, _int, _real, cache_database,
-                    distinct, first_per_patient, from_ordinal,
-                    record_order, row_columns, window_pairs)
+                    first_per_patient, from_ordinal, record_order,
+                    row_columns, window_pairs)
 from .streams import _pcg64_states, _Streams
 
 log = logging.getLogger(__name__)
@@ -292,9 +292,9 @@ def _first_width(config: SynthConfig, plans) -> int:
 def _draw_block(s: _Streams, config: SynthConfig, visit, background,
                 plans):
     """Every patient's draws of one block, in numpy's order for each
-    patient, made for all of them at once.  background = (distinct
-    nonzero rates, drawn, rate_of): the codes of a nonzero rate and the
-    index of each one's rate; visit is the visit marker's code.
+    patient, made for all of them at once.  background = (rates, drawn):
+    the nonzero background rates and their codes; visit is the visit
+    marker's code.
 
     Returns (reg, end, death, yob, female) arrays, the (rows, code,
     days) record groups of the prescriptions and of the events (visits,
@@ -303,7 +303,7 @@ def _draw_block(s: _Streams, config: SynthConfig, visit, background,
     """
     every = np.arange(len(s.states))
     span_days = config.years_span * 365
-    rates, drawn, rate_of = background
+    rates, drawn = background
     reg = ORIGIN + s.integers(every, max(1, span_days - 540) - 1)
     end = np.full(len(every), ORIGIN + span_days)
     drop = np.flatnonzero((s.random(every) < config.dropout_prob)
@@ -314,12 +314,9 @@ def _draw_block(s: _Streams, config: SynthConfig, visit, background,
     female = s.random(every) < 0.5
 
     # the background counts, a row a patient by the drawn codes, at means
-    # of rate times years in a table of the block's day spans by the
-    # distinct rates; each patient's days follow its codes in order
+    # of years times rate; each patient's days follow its codes in order
     span = end - reg
-    spans, group = distinct(span, return_inverse=True)
-    counts = s.poisson(every, (spans / 365.0)[:, None] * rates, group,
-                       rate_of)
+    counts = s.poisson(every, span / 365.0, rates)
     total = counts.sum(axis=1)
     events = [(np.repeat(every, 2), visit,
                np.column_stack((reg, end)).ravel()),
@@ -343,9 +340,8 @@ def _draw_block(s: _Streams, config: SynthConfig, visit, background,
 
         if indication is not None:
             code, mean = indication
-            n_extra = s.poisson(took, np.array([[mean]]),
-                                np.zeros(len(took), dtype=np.int64),
-                                np.zeros(1, dtype=np.int64))[:, 0]
+            n_extra = s.poisson(took, np.ones(len(took)),
+                                np.array([mean]))[:, 0]
             events.append((np.repeat(took, n_extra), code,
                            np.repeat(t0 - 60, n_extra) + s.integers_each(
                                took, n_extra, np.full(len(took), 59))))
@@ -375,7 +371,6 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     rate_list = np.array([config.background_event_rates[c] for c in codes])
     # a rate of 0 draws nothing
     drawn = np.flatnonzero(rate_list)
-    rates, rate_of = distinct(rate_list[drawn], return_inverse=True)
     # event code indices: the background codes in sorted order, then the
     # visit marker and any indication code without a background rate
     event_index = {code: i for i, code in enumerate(codes)}
@@ -397,8 +392,8 @@ def generate_tables(config: SynthConfig) -> GenerationResult:
     while start < n:
         stop = min(n, start + max(1, _BLOCK_RAWS // width))
         streams = _Streams(states[start:stop], width)
-        block = _draw_block(streams, config, visit, (rates, drawn, rate_of),
-                            plans)
+        block = _draw_block(streams, config, visit,
+                            (rate_list[drawn], drawn), plans)
         if streams.overflowed():
             width *= 2
             continue

@@ -134,25 +134,23 @@ def _period_vectors(db: Database, x_episodes, config: StudyConfig):
 # -- scoring and ranking --------------------------------------------------
 
 def oe_scores(db: Database, config: StudyConfig):
-    """{period: (n_xy, expected) of every code}: the pass both variants
-    score."""
+    """(n_xy, expected) of every code, a row per period in Period order:
+    the pass both variants score."""
     n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
         db, db.episodes(config.drug_code), config)
-    expected = _expected(n_x_dot[:, None], n_dot_y, n_dot_dot[:, None])
-    return dict(zip(Period, zip(n_xy, expected)))
+    return n_xy, _expected(n_x_dot[:, None], n_dot_y, n_dot_dot[:, None])
 
 
-def oe_view(codes, periods, variant: int):
+def oe_view(codes, values, variant: int):
     """(IC delta of each candidate filter variant 1 or 2 keeps, the filter
     reason of each one it drops)."""
     # a period that expects nothing has an IC of 0, and IC delta falls
     # back to the follow-up IC through the shrunk control ratio
-    u, v = periods[Period.FOLLOWUP_U], periods[Period.CONTROL_V]
+    (n_u, n_v, n_prior, n_day0), (e_u, e_v, e_prior, e_day0) = values
     kept, filtered = {}, {}
     for code, ic_u, ic_prior, ic_day0, delta in zip(
-            codes, map(ic, *u), map(ic, *periods[Period.MONTH_PRIOR]),
-            map(ic, *periods[Period.DAY_OF_PRESCRIPTION]),
-            map(ic_delta_from, *u, *v)):
+            codes, map(ic, n_u, e_u), map(ic, n_prior, e_prior),
+            map(ic, n_day0, e_day0), map(ic_delta_from, n_u, e_u, n_v, e_v)):
         if ic_prior > ic_u:
             filtered[code] = "prior_month"
         elif variant == 2 and ic_day0 > ic_u:

@@ -24,6 +24,7 @@ from lodsig import synthgen
 from lodsig.cli import (ALGORITHM_IDS, RunManifest, _base_config,
                         _read_yaml, demo_synth_config, main, run, score_drug,
                         synth_config_from_dict)
+from lodsig.store import DataFormatError
 from lodsig.synthgen import DrugModel, generate
 
 from conftest import random_small_db
@@ -413,6 +414,30 @@ class TestMain:
         assert "Traceback" not in "\n".join(err)
         assert "'a/b'" in err[-1]
         assert not (tmp_path / "res").exists()
+
+    def test_output_is_a_file_fails_before_the_load(
+            self, demo_data, tmp_path, caplog, monkeypatch):
+        # the output directory is made before the database is loaded
+        loads = []
+
+        def load(*args, **kwargs):
+            loads.append(args)
+            raise DataFormatError("the database was loaded")
+        monkeypatch.setattr(lodsig.cli, "load_database", load)
+        output = tmp_path / "res"
+        output.write_bytes(b"")
+        path = tmp_path / "m.yaml"
+        path.write_text(yaml.safe_dump({
+            "database_dir": str(demo_data[1]), "drugs": ["drug_x"],
+            "algorithms": ["ror05"], "output_dir": str(output)}))
+        with caplog.at_level("ERROR"):
+            assert main(["run", "--manifest", str(path)]) == 1
+        failures = [r.getMessage() for r in caplog.records
+                    if "run failed" in r.getMessage()]
+        assert len(failures) == 1
+        assert "File exists" in failures[0]
+        assert loads == []
+        assert output.read_bytes() == b""
 
     def test_drug_missing_from_database_is_data_error(
             self, demo_data, tmp_path, caplog):

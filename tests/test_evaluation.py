@@ -115,8 +115,8 @@ class TestTruthAndEvaluate:
         assert truth_vector(r, self._dictionary(), "reaction_codes") == [0]
 
     def test_unknown_mode_rejected(self):
-        # also on a list with no pair in the dictionary
-        for events in (["A"], ["D"]):
+        # also on a list with no pair in the dictionary, or no entry
+        for events in (["A"], ["D"], []):
             with pytest.raises(ValueError,
                                match="unknown truth mode 'bogus'"):
                 truth_vector(ranked(events), self._dictionary(), "bogus")

@@ -108,9 +108,9 @@ def test_pcg64_states_are_default_rng_streams(seed):
 
 
 # Generator call sequences, each made for every patient: ("random",),
-# ("integers", low, high[, sizes]) and ("poisson", means, k), where a
-# patient i takes sizes[i % len(sizes)] values and the mean
-# means[i % len(means)]
+# ("integers", low, high[, sizes]) and ("poisson", scales, rates), where
+# a patient i takes sizes[i % len(sizes)] values and a count at each rate
+# times scales[i % len(scales)]
 SAMPLER_CASES = {
     "random": [("random",)] * 3,
     # a range of one value returns low and draws nothing
@@ -136,38 +136,35 @@ SAMPLER_CASES = {
         ("integers", 0, 2 ** 31 + 1, (300, 301, 0, 45)), ("random",),
         ("integers", 0, 2 ** 31 + 1, (3, 2)), ("integers", 0, 7)],
     # a mean of 0 draws nothing, below 10 the multiplication method, from
-    # 10 PTRS; the held half outlives the draws.  A call is (table, cols):
-    # patient i draws a count for each column of cols at its mean in row
-    # i % rows of the table
+    # 10 PTRS; the held half outlives the draws
     "poisson": [("integers", 0, 9),
-                ("poisson", [(0.0,), (0.08,), (1.3,), (9.99,), (10.0,),
-                             (40.0,)], (0,) * 25),
-                ("integers", 0, 9), ("poisson", [(40.0,), (0.08,)], (0,)),
+                ("poisson", (0.0, 0.08, 1.3, 9.99, 10.0, 40.0), (1.0,) * 25),
+                ("integers", 0, 9), ("poisson", (40.0, 0.08), (1.0,)),
                 ("random",)],
-    # calls of one run of equal columns, each drawn at a scalar mean a
-    # row: means all below 10, a call of one column (a drug's indication
-    # draw), and means of 10 or more, whose rows start again
+    # calls of one run of equal rates, each drawn at a scalar mean a row:
+    # means all below 10, a call of one rate (a drug's indication draw),
+    # and means of 10 or more, whose rows start again
     "poisson_run": [("integers", 0, 9),
-                    ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)],
-                     (0,) * 25),
-                    ("random",), ("poisson", [(12.0,), (0.5,)], (0,) * 6),
-                    ("poisson", [(0.08,), (1.3,), (9.99,), (0.001,)], (0,)),
-                    ("poisson", [(10.0,), (0.5,)], (0,) * 6),
+                    ("poisson", (0.08, 1.3, 9.99, 0.001), (1.0,) * 25),
+                    ("random",), ("poisson", (12.0, 0.5), (1.0,) * 6),
+                    ("poisson", (0.08, 1.3, 9.99, 0.001), (1.0,)),
+                    ("poisson", (10.0, 0.5), (1.0,) * 6),
                     ("random",)],
     # means that change from count to count, in calls of more than
-    # _SCALAR_RUNS runs of equal columns, each row drawn at its array of
+    # _SCALAR_RUNS runs of equal rates, each row drawn at its array of
     # means: alternating small means, a mean of 0 among them, runs of PTRS
     # counts, counts above 0 far from the one before, and runs between
     # shorter stretches
     "poisson_per_count": [
-        ("poisson", [(0.02, 0.03) * 40, (0.5, 0.0, 12.0, 0.01) * 20,
-                     (11.0, 35.0, 10.0, 0.3) * 18 + (0.0,) * 8,
-                     (9.99, 10.0) * 40, (0.001,) * 79 + (3.0,)],
-         tuple(range(80))),
-        ("random",), ("poisson", [(0.02, 0.03)], (0, 1) * 150),
+        ("poisson", (1.0, 0.5, 2.0, 0.001),
+         (0.02, 0.03) * 10 + (0.5, 0.0, 12.0, 0.01) * 5
+         + (11.0, 35.0, 10.0, 0.3) * 5 + (9.99, 10.0) * 5 + (0.001,) * 9
+         + (3.0,)),
+        ("random",), ("poisson", (1.0,), (0.02, 0.03) * 150),
         ("random",),
-        ("poisson", [(0.02, 0.3, 12.0), (1.5, 0.1, 9.5)],
-         (0,) * 6 + (1, 0) * 3 + (1,) * 9 + (2,) * 3 + (0,) * 5),
+        ("poisson", (1.0, 4.0),
+         (0.02,) * 6 + (0.3, 0.02) * 3 + (0.3,) * 9 + (12.0,) * 3
+         + (0.02,) * 5),
         ("random",)],
 }
 SAMPLER_PATIENTS = 40
@@ -180,8 +177,9 @@ def sampler_call(streams, call):
     if name == "random":
         return streams.random(rows).tolist()
     if name == "poisson":
-        table, cols = np.array(args[0]), np.array(args[1])
-        return streams.poisson(rows, table, rows % len(table), cols).tolist()
+        scales, rates = np.array(args[0]), np.array(args[1])
+        return streams.poisson(rows, scales[rows % len(scales)],
+                               rates).tolist()
     low, high, *sizes = args
     if not sizes:
         return (low + streams.integers(rows, high - low - 1)).tolist()
@@ -198,8 +196,8 @@ def numpy_call(rng, i, call):
     if name == "random":
         return rng.random()
     if name == "poisson":
-        means = args[0][i % len(args[0])]
-        return rng.poisson([means[c] for c in args[1]]).tolist()
+        scale = args[0][i % len(args[0])]
+        return rng.poisson([scale * rate for rate in args[1]]).tolist()
     low, high, *sizes = args
     if not sizes:
         return int(rng.integers(low, high))
@@ -230,9 +228,10 @@ class TestBlockSampler:
         assert_draws_what_default_rng_draws(case, seed)
 
     def test_scalar_means_for_few_runs(self, monkeypatch):
-        # a call of at most _SCALAR_RUNS runs of equal columns makes one
-        # Generator call a run and row, at a float mean; a call of more
-        # runs makes one a row, at the row's array of means
+        # a call of at most _SCALAR_RUNS runs of equal rates makes one
+        # Generator call a run and row, at the float mean of the row's own
+        # scale times the rate; a call of more runs makes one a row, at
+        # the row's array of means.  Equal rates apart are runs apart
         calls = []
 
         class Generator(np.random.Generator):
@@ -245,22 +244,28 @@ class TestBlockSampler:
         rngs = [np.random.default_rng([3, i])
                 for i in range(SAMPLER_PATIENTS)]
         rows = np.arange(SAMPLER_PATIENTS)
-        group = rows % 2
-        table = np.array([[0.5, 12.0, 0.0, 3.0], [2.0, 0.1, 10.0, 0.08]])
-        for cols, runs in [((0, 0, 1, 2, 2, 2, 3), 4), ((0, 1, 0, 1, 3), 5)]:
-            cols = np.array(cols)
+        # a scale a row, from 0.5 to 10.25: means from 0 to 12.3
+        scale = 0.5 + 0.25 * rows
+        # rates and their runs as (first, length), None for too many runs
+        for rates, runs in [
+                ((0.5, 0.5, 1.2, 0.0, 0.0, 0.0, 0.3),
+                 [(0, 2), (2, 1), (3, 3), (6, 1)]),
+                ((0.3, 0.08, 0.3), [(0, 1), (1, 1), (2, 1)]),
+                ((0.5, 1.2, 0.5, 1.2, 0.3), None)]:
+            rates = np.array(rates)
             calls.clear()
-            counts = streams.poisson(rows, table, group, cols)
+            counts = streams.poisson(rows, scale, rates)
             assert counts.tolist() == \
-                [rng.poisson(table[g, cols]).tolist()
-                 for rng, g in zip(rngs, group)]
-            if runs <= _SCALAR_RUNS:
+                [rng.poisson(s * rates).tolist()
+                 for rng, s in zip(rngs, scale)]
+            if runs is not None:
+                assert len(runs) <= _SCALAR_RUNS
                 assert all(type(lam) is float for lam, _ in calls)
-                assert calls == [(table[g, c], n) for g in group
-                                 for c, n in [(0, 2), (1, 1), (2, 3), (3, 1)]]
+                assert calls == [(s * rates[a], n) for s in scale
+                                 for a, n in runs]
             else:
                 assert [(lam.tolist(), size) for lam, size in calls] == \
-                    [(table[g, cols].tolist(), None) for g in group]
+                    [((s * rates).tolist(), None) for s in scale]
             assert streams.random(rows).tolist() == \
                 [rng.random() for rng in rngs]
         assert not streams.overflowed()
@@ -289,10 +294,8 @@ class TestBlockSampler:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(10)
         try:
-            counts = streams.poisson(
-                rows, np.array([[40.0, 0.5, 12.0]]),
-                np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
-                np.array([0, 1, 2]))
+            counts = streams.poisson(rows, np.ones(SAMPLER_PATIENTS),
+                                     np.array([40.0, 0.5, 12.0]))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -323,9 +326,8 @@ class TestBlockSampler:
         for _ in range(9):
             streams.random(rows[:1])
         assert streams.overflowed()
-        counts = streams.poisson(rows, np.array([[12.0]]),
-                                 np.zeros(SAMPLER_PATIENTS, dtype=np.int64),
-                                 np.array([0]))
+        counts = streams.poisson(rows, np.ones(SAMPLER_PATIENTS),
+                                 np.array([12.0]))
         assert streams.overflowed()
         assert counts[1:, 0].tolist() == \
             [rng.poisson(12.0) for rng in rngs[1:]]

@@ -29,8 +29,9 @@ def oe_score_of(db, config, event_code):
     """{period: IC} and IC delta of one code, from the vectors of
     oe_scores."""
     c = db.event_index(event_code)
-    counts = {period: (n_xy[c].item(), expected[c].item())
-              for period, (n_xy, expected) in oe_scores(db, config).items()}
+    n_xy, expected = oe_scores(db, config)
+    counts = {period: (n_xy[row, c].item(), expected[row, c].item())
+              for row, period in enumerate(Period)}
     (n_u, e_u), (n_v, e_v) = counts[Period.FOLLOWUP_U], \
         counts[Period.CONTROL_V]
     return ({period: ic(*pair) for period, pair in counts.items()},
