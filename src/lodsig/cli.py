@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import concurrent.futures
 import dataclasses
 import functools
 import gc
@@ -251,10 +250,16 @@ def run(manifest: RunManifest, jobs: int = 1, cache: bool = True) -> int:
         score = functools.partial(
             score_drug, db, algorithms=manifest.algorithms,
             seed=manifest.seed, overrides=manifest.overrides)
-        # threads share the one loaded database and the arrays it caches
-        with concurrent.futures.ThreadPoolExecutor(
-                min(jobs, len(manifest.drugs))) as pool:
-            per_drug = list(pool.map(score, manifest.drugs))
+        workers = min(jobs, len(manifest.drugs))
+        if workers == 1:
+            # a pool thread would get a malloc arena of its own
+            per_drug = list(map(score, manifest.drugs))
+        else:
+            import concurrent.futures
+            # threads share the one loaded database and the arrays it
+            # caches
+            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+                per_drug = list(pool.map(score, manifest.drugs))
     except BaseException:
         if made:
             out.rmdir()
@@ -395,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="set the manifest's seed entry")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker threads (at least 1)")
+                       help="worker threads (at least 1); one worker "
+                            "scores in the calling thread")
     p_run.add_argument("--output", type=_path,
                        help="set the manifest's output_dir entry")
     p_run.add_argument("--no-cache", action="store_true",

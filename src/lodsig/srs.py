@@ -50,29 +50,42 @@ def ror05(cells, correct: bool = True) -> float | None:
     return math.exp(math.log(point) - Z_90_ONE_SIDED * se)
 
 
-def srs_cells(db: Database, config: StudyConfig):
-    """(w00, w01, w10, w11) of every event code, from the pseudo-report
-    projection: the pass ROR05 scores.
+def _reports(db: Database, T: int):
+    """(reports of each (drug, event code), reports of each code): the
+    pseudo-report counts every drug reads, with one kernel call.
 
     A report is a distinct (prescription, event_code, event_date) triple
     with the event inside (rx_date, rx_date + T].  Every prescription of
     every drug contributes, mirroring the report analogy; identical rows
     were already collapsed at load so same-day repeats of one drug do not
-    double-count an event date.  w00 counts the reports of the event
-    after the study drug, w01 those of other events after it, w10 and w11
-    the same after other drugs.
+    double-count an event date.
     """
     pair_rx, pair_event = window_pairs(db, db.rx_pid, db.rx_day + 1,
-                                       db.rx_day + config.T)[:2]
-    # an unknown drug matches no prescription (drug indices are >= 0)
-    di = db.drug_index(config.drug_code)
-    pair_is_x = db.rx_drug[pair_rx] == (-1 if di is None else di)
+                                       db.rx_day + T)[:2]
+    n_drugs, n_codes = len(db.drug_codes), len(db.event_codes)
+    # int64 first: on numpy 1 an int32 column times an int stays int32
+    cell = db.rx_drug[pair_rx].astype(np.int64) * n_codes + pair_event
+    by_drug = np.bincount(cell, minlength=n_drugs * n_codes).reshape(
+        n_drugs, n_codes)
+    return by_drug, by_drug.sum(axis=0)
 
-    n_codes = len(db.event_codes)
-    w00 = np.bincount(pair_event[pair_is_x], minlength=n_codes)
-    w10 = np.bincount(pair_event, minlength=n_codes) - w00
-    total_x = int(pair_is_x.sum())
-    return w00, total_x - w00, w10, len(pair_rx) - total_x - w10
+
+def srs_cells(db: Database, config: StudyConfig):
+    """(w00, w01, w10, w11) of every event code, from the pseudo-report
+    projection: the pass ROR05 scores.
+
+    w00 counts the reports (see `_reports`) of the event after the study
+    drug, w01 those of other events after it, w10 and w11 the same after
+    other drugs.  The reports are counted once per database for each T;
+    a drug reads its row, and an unknown drug has none.
+    """
+    by_drug, every = db.cached(("srs reports", config.T),
+                               lambda: _reports(db, config.T))
+    di = db.drug_index(config.drug_code)
+    w00 = np.zeros_like(every) if di is None else by_drug[di]
+    w10 = every - w00
+    total_x, total = int(w00.sum()), int(every.sum())
+    return w00, total_x - w00, w10, total - total_x - w10
 
 
 def ror_view(codes, cells):

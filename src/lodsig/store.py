@@ -312,13 +312,15 @@ class Database:
         mask = self.rx_drug == self._drug_index.get(drug_code, -1)
         return self.rx_pid[mask], self.rx_day[mask]
 
-    def episodes(self, drug_code: str | None = None):
+    def all_episodes(self):
+        """(drug index, patient index, index day) arrays of every drug's
+        qualifying episodes, in (drug, patient, day) order."""
+        return self.cached("episodes", lambda: _qualifying_episodes(self))
+
+    def episodes(self, drug_code: str):
         """(patient index, index day) arrays of the qualifying episodes of
-        one drug, in (patient, day) order, or of all drugs, drug by drug."""
-        drug, pts, idx = self.cached("episodes",
-                                     lambda: _qualifying_episodes(self))
-        if drug_code is None:
-            return pts, idx
+        one drug, in (patient, day) order."""
+        drug, pts, idx = self.all_episodes()
         di = self._drug_index.get(drug_code, -1)
         lo, hi = np.searchsorted(drug, [di, di + 1])
         return pts[lo:hi], idx[lo:hi]

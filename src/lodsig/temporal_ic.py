@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .store import (DAYS_PER_MONTH, Database, StudyConfig, distinct,
-                    window_pairs)
+                    record_order, window_pairs)
 
 
 class Period(Enum):
@@ -76,48 +76,71 @@ def ic_delta_from(n_u: float, e_u: float, n_v: float, e_v: float) -> float:
 
 # -- period counting ------------------------------------------------------
 
-def _patients_with_event(db: Database, episodes, config: StudyConfig):
-    """(patients with each event code in each period, patients covering
-    each period): a row per period in Period order.
+def _patients_with_event(db: Database, config: StudyConfig):
+    """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of every drug's episodes, with
+    one kernel call a period.
 
-    The first item is indexed by (period, event code).  A patient counts
-    once however many episodes or repeat events they have; episodes
-    whose registration-to-last-active span does not cover the whole
-    period window are ignored for both counts.  One kernel call a period.
+    n_xy is indexed by (drug, period, event code) and n_x_dot by (drug,
+    period): the patients with the drug's episode then the event in the
+    period, and those with the drug's episode covering the period.
+    n_dot_y (period, event code) and n_dot_dot (period) count the same
+    over every drug's episodes.  A patient counts once however many
+    episodes or repeat events they have; episodes whose
+    registration-to-last-active span does not cover the whole period
+    window are ignored for all four.  Periods are in Period order.
     """
-    pts, idx = episodes
+    drug, pts, idx = db.all_episodes()
     a, b = config.control_period
     # each period's inclusive day bounds from the index day, in Period order
     offsets = ((1, config.T), (-a * DAYS_PER_MONTH, -b * DAYS_PER_MONTH - 1),
                (-DAYS_PER_MONTH, -1), (0, 0))
     registered, active = db.registration[pts] - idx, db.last_active[pts] - idx
-    n_codes = len(db.event_codes)
-    with_code, covering = [], []
+    n_drugs, n_codes = len(db.drug_codes), len(db.event_codes)
+    n_xy, n_x_dot, n_dot_y, n_dot_dot = [], [], [], []
     for lo, hi in offsets:
         covered = (registered <= lo) & (active >= hi)
-        p, i = pts[covered], idx[covered]
+        d, p, i = drug[covered], pts[covered], idx[covered]
         row, code = window_pairs(db, p, i + lo, i + hi)[:2]
-        patient_code = distinct(p[row] * n_codes + code)
-        with_code.append(np.bincount(patient_code % n_codes,
-                                     minlength=n_codes))
-        covering.append(len(distinct(p)))
-    return np.array(with_code), np.array(covering)
+        # each pair's (patient, code, drug), sorted: the first of each
+        # (patient, code) and of each (patient, code, drug) is new
+        pair_p, pair_d = p[row], d[row]
+        order = record_order(pair_p, code, pair_d)
+        pair_p, code, pair_d = pair_p[order], code[order], pair_d[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (pair_p[1:] != pair_p[:-1]) | (code[1:] != code[:-1])
+        n_dot_y.append(np.bincount(code[new], minlength=n_codes))
+        new[1:] |= pair_d[1:] != pair_d[:-1]
+        # int64 first: on numpy 1 an int32 column times an int stays int32
+        cell = pair_d[new].astype(np.int64) * n_codes + code[new]
+        n_xy.append(np.bincount(cell, minlength=n_drugs * n_codes).reshape(
+            n_drugs, n_codes))
+        # episodes are in (drug, patient) order: a drug's patient is new
+        # where either changes
+        first = np.ones(len(p), dtype=bool)
+        first[1:] = (d[1:] != d[:-1]) | (p[1:] != p[:-1])
+        n_x_dot.append(np.bincount(d[first], minlength=n_drugs))
+        n_dot_dot.append(len(distinct(p)))
+    return (np.stack(n_xy, axis=1), np.stack(n_x_dot, axis=1),
+            np.array(n_dot_y), np.array(n_dot_dot))
 
 
-def _period_vectors(db: Database, x_episodes, config: StudyConfig):
-    """(n_xy, n_x_dot, n_dot_y, n_dot_dot): a row per period, in order.
+def _period_vectors(db: Database, drug_code: str, config: StudyConfig):
+    """The `_patients_with_event` counts with drug_code's row of n_xy and
+    n_x_dot: a row per period, in order; n_xy and n_dot_y are indexed by
+    (period, event code).
 
-    n_xy counts the patients with the study drug then the event in the
-    period, n_x_dot those with the study drug and full coverage of the
-    period; n_dot_y and n_dot_dot count the same over every drug's
-    episodes.  n_xy and n_dot_y are indexed by (period, event code).
-    The all-drug half reads only T and the control period of config, so
-    it is counted once per database for each pair of them.
+    The counts read only T and the control period of config, so they are
+    counted once per database for each pair of them; an unknown drug's
+    row is zeros.
     """
-    n_xy, n_x_dot = _patients_with_event(db, x_episodes, config)
-    n_dot_y, n_dot_dot = db.cached(
-        ("all-drug periods", config.T, config.control_period),
-        lambda: _patients_with_event(db, db.episodes(), config))
+    n_xy, n_x_dot, n_dot_y, n_dot_dot = db.cached(
+        ("periods", config.T, config.control_period),
+        lambda: _patients_with_event(db, config))
+    di = db.drug_index(drug_code)
+    if di is None:
+        n_xy, n_x_dot = np.zeros_like(n_dot_y), np.zeros_like(n_dot_dot)
+    else:
+        n_xy, n_x_dot = n_xy[di], n_x_dot[di]
     x_dot, dot_dot = n_x_dot[:, None], n_dot_dot[:, None]
     bad = (n_xy > np.minimum(x_dot, n_dot_y)) | \
         (np.maximum(x_dot, n_dot_y) > dot_dot)
@@ -137,7 +160,7 @@ def oe_scores(db: Database, config: StudyConfig):
     """(n_xy, expected) of every code, a row per period in Period order:
     the pass both variants score."""
     n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
-        db, db.episodes(config.drug_code), config)
+        db, config.drug_code, config)
     return n_xy, _expected(n_x_dot[:, None], n_dot_y, n_dot_dot[:, None])
 
 

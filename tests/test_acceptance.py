@@ -45,10 +45,11 @@ def test_criterion_1_worked_map_example():
 
 
 def test_criterion_2_oracle_equivalence():
-    # the counts come from the passes score_drug runs: the episode arrays
-    # of Database.episodes through srs_cells, _period_vectors and
-    # _support_vectors; the oracles get their episodes from the
-    # per-patient brute_exposures
+    # the counts come from the passes score_drug runs: srs_cells and
+    # _period_vectors read the drug's row of counts made for every drug,
+    # and _support_vectors reads the episode arrays of Database.episodes;
+    # the oracles get their episodes from the per-patient brute_exposures.
+    # "none" has no prescriptions: its SRS and OE rows are zeros
     rng = np.random.default_rng(2024)
     base = StudyConfig(drug_code="X", pre_window=60, rng_seed=5)
     mismatches = 0
@@ -57,22 +58,28 @@ def test_criterion_2_oracle_equivalence():
         config = dataclasses.replace(base, rng_seed=trial)
         codes = (*db.event_codes, "absent")
 
-        cells = srs_cells(db, config)
-        want = brute_srs_cells(db, "X")
-        mismatches += sum(counts_of(db, cells, code) != want[code]
-                          for code in db.event_codes)
-
-        pairs = brute_exposures(db, config)
         any_pairs = brute_all_drug_exposures(db, config)
-        vectors = _period_vectors(db, db.episodes("X"), config)
-        for row, period in enumerate(Period):
-            for code in codes:
-                if counts_of(db, [v[row] for v in vectors], code) != \
-                        brute_period_counts(db, pairs, code, period, config,
-                                            any_pairs):
-                    mismatches += 1
+        for drug in ("X", "none"):
+            drug_config = dataclasses.replace(config, drug_code=drug)
+            cells = srs_cells(db, drug_config)
+            want = brute_srs_cells(db, drug)
+            mismatches += sum(counts_of(db, cells, code) != want[code]
+                              for code in db.event_codes)
 
-        first_pairs = brute_first_exposure_per_patient(pairs)
+            pairs = brute_exposures(db, drug_config)
+            vectors = _period_vectors(db, drug, drug_config)
+            for row, period in enumerate(Period):
+                for code in codes:
+                    if counts_of(db, [v[row] for v in vectors], code) != \
+                            brute_period_counts(db, pairs, code, period,
+                                                config, any_pairs):
+                        mismatches += 1
+            if drug == "none":
+                mismatches += sum(bool(v.any())
+                                  for v in (*cells[:2], *vectors[:2]))
+
+        first_pairs = brute_first_exposure_per_patient(
+            brute_exposures(db, config))
         vectors = _support_vectors(db, db.episodes("X"), config)
         for code in codes:
             if counts_of(db, vectors, code) != brute_support_counts(
@@ -81,7 +88,8 @@ def test_criterion_2_oracle_equivalence():
 
     ok = mismatches == 0
     _report(2, ok, "50 random databases, SRS / period / support counts "
-                   "of every event code and an absent one, from the "
+                   "of every event code and an absent one, SRS and period "
+                   "counts of a drug with no prescriptions too, from the "
                    "passes score_drug runs, vs brute force, "
                    f"{mismatches} mismatches")
     assert ok

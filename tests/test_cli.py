@@ -1,4 +1,5 @@
 import atexit
+import concurrent.futures
 import csv
 import dataclasses
 import datetime
@@ -286,6 +287,40 @@ class TestRun:
                           if p.name != "manifest_resolved.yaml"})
         assert len(trees[0]) == 3 * len(ALGORITHM_IDS) + 5
         assert trees[0] == trees[1]
+
+    def test_one_worker_scores_without_a_pool(self, demo_data, tmp_path,
+                                              monkeypatch):
+        # two drugs at jobs 2 make one pool of two threads; jobs 1, and
+        # jobs 4 with one drug, score in the calling thread and write the
+        # same files
+        def tree(out):
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                    if p.name != "manifest_resolved.yaml"}
+        made = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                made.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recording)
+        manifest = demo_manifest(demo_data, tmp_path / "pool", ALGORITHM_IDS)
+        manifest.drugs = ["drug_x", "drug_other"]
+        assert run(manifest, jobs=2) == 0
+        assert made == [2]
+        pooled = tree(tmp_path / "pool")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker run made a thread pool")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        manifest.output_dir = str(tmp_path / "one")
+        assert run(manifest, jobs=1) == 0
+        assert tree(tmp_path / "one") == pooled
+        manifest.drugs, manifest.output_dir = ["drug_x"], str(tmp_path / "x")
+        assert run(manifest, jobs=4) == 0
+        ranked = [f"ranked_drug_x_{a}.csv" for a in ALGORITHM_IDS]
+        assert [tree(tmp_path / "x")[name] for name in ranked] == \
+            [pooled[name] for name in ranked]
 
     def test_one_short_list_warning_per_run(self, demo_data, tmp_path,
                                             caplog):

@@ -924,7 +924,7 @@ def assert_exposures_match_oracle(db, T):
         pid, day_ = db.prescriptions_of_drug(drug)
         assert db.patient_ids == sorted(db.patient_ids)
         assert np.array_equal(np.lexsort((day_, pid)), np.arange(len(pid)))
-    assert episode_pairs(db, db.episodes()) == \
+    assert episode_pairs(db, db.all_episodes()[1:]) == \
         brute_all_drug_exposures(db, StudyConfig(drug_code="X", T=T))
 
 
@@ -1077,24 +1077,28 @@ class TestWindowPairs:
                     brute_support_counts(db, pairs, code, config, trial)
 
     @pytest.mark.parametrize("modules, calls", [
-        ((store, temporal_ic, mutara), (11, 7)),
-        ((store, temporal_ic, mutara, srs), (12, 8))], ids=["no_srs", "srs"])
+        ((store, temporal_ic, mutara), (7, 3)),
+        ((store, temporal_ic, mutara, srs), (8, 3))], ids=["no_srs", "srs"])
     def test_calls_per_drug_independent_of_candidates(self, modules, calls,
                                                       monkeypatch):
         # the seven ids share one window, so score_drug selects their
         # candidates with one call; of the four scoring passes (ror05;
-        # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 8 for
-        # the first drug (4 periods x 2 populations) and 4 for a second
-        # one, which reuses the all-drug population's counts, each support
-        # pass 1 (the exposed and background windows together) and SRS 1,
-        # however many codes there are
+        # oe1+oe2; mutara60+hunt60; mutara180+hunt180) OE then makes 4
+        # for the first drug (one a period, counting every drug's
+        # episodes) and SRS 1 (every drug's prescriptions), and none for
+        # a second drug, which reads its row of those counts; each
+        # support pass makes 1 a drug (the exposed and background windows
+        # together), however many codes there are
         seen = []
 
-        def counting(*args):
-            seen.append(args)
-            return window_pairs(*args)
+        def counting(name):
+            def wrapper(*args):
+                seen.append(name)
+                return window_pairs(*args)
+            return wrapper
         for module in modules:
-            monkeypatch.setattr(module, "window_pairs", counting)
+            monkeypatch.setattr(module, "window_pairs",
+                                counting(module.__name__))
         rng = np.random.default_rng(17)
         n_candidates = set()
         for codes in ("AC", "ABCDEFGHIJKL"):
@@ -1103,6 +1107,9 @@ class TestWindowPairs:
                 seen.clear()
                 ranked = score_drug(db, drug, ALGORITHM_IDS, 3)
                 assert len(seen) == drug_calls
+                if drug == "B":
+                    assert not {"lodsig.srs", "lodsig.temporal_ic"} & \
+                        set(seen)
                 oe1 = ranked[ALGORITHM_IDS.index("oe1")]
                 n_candidates.add((drug, len(oe1.entries) + len(oe1.filtered)))
         # each drug's candidates differ between the two databases
@@ -1111,44 +1118,48 @@ class TestWindowPairs:
 
     def test_exposure_arrays_and_digests_built_once(self, monkeypatch):
         # one score_drug over all seven ids reads one episode pass, one
-        # all-drug OE count per (T, control_period), one digest array per
-        # seed and one previous-day column; a second drug reuses all four
+        # SRS report count per T, one OE count of every drug per (T,
+        # control_period), one digest array per seed and one previous-day
+        # column; a second drug reuses all five
         built = []
 
-        def counting(name, build):
+        def counting(name, build, key=lambda *args: args[1:]):
             def wrapper(*args):
-                built.append((name, *args[1:]))
+                built.append((name, *key(*args)))
                 return build(*args)
             return wrapper
-
-        def periods(db, episodes, config):
-            # the all-drug episodes are the cached arrays themselves
-            if episodes[0] is db.episodes()[0]:
-                built.append(("periods", config.T, config.control_period))
-            return patients_with_event(db, episodes, config)
-        patients_with_event = temporal_ic._patients_with_event
-        monkeypatch.setattr(temporal_ic, "_patients_with_event", periods)
         monkeypatch.setattr(store, "_qualifying_episodes",
                             counting("episodes", store._qualifying_episodes))
+        monkeypatch.setattr(srs, "_reports", counting("reports", srs._reports))
+        monkeypatch.setattr(temporal_ic, "_patients_with_event", counting(
+            "periods", temporal_ic._patients_with_event,
+            lambda db, config: (config.T, config.control_period)))
         monkeypatch.setattr(mutara, "_background_digests",
                             counting("digests", mutara._background_digests))
         monkeypatch.setattr(mutara, "previous_days",
                             counting("previous days", store.previous_days))
         db = random_small_db(np.random.default_rng(17), n_patients=40)
         score_drug(db, "X", ALGORITHM_IDS, 3)
-        once = [("episodes",), ("periods", 30, (27, 21)), ("digests", 3),
-                ("previous days",)]
+        once = [("episodes",), ("reports", 30), ("periods", 30, (27, 21)),
+                ("digests", 3), ("previous days",)]
         assert built == once
         score_drug(db, "B", ALGORITHM_IDS, 3,
                    {"hunt180": {"rng_seed": 4}})
         assert built == [*once, ("digests", 4)]
-        # the all-drug half reads T and control_period, and only those
+        # the SRS reports read T, and the OE counts T and control_period,
+        # and only those
         score_drug(db, "B", ["oe1", "oe2", "ror05"], 3,
                    {"oe1": {"T": 60, "pre_window": 60},
                     "oe2": {"control_period": [12, 6]},
-                    "ror05": {"T": 60}})
+                    "ror05": {"T": 60, "pre_window": 60}})
         assert built == [*once, ("digests", 4), ("periods", 60, (27, 21)),
-                         ("periods", 30, (12, 6))]
+                         ("periods", 30, (12, 6)), ("reports", 60)]
+        # the first drug reads them under those keys too
+        before = list(built)
+        score_drug(db, "X", ["oe1", "ror05"], 3,
+                   {"oe1": {"T": 60, "control_period": [27, 21]},
+                    "ror05": {"T": 60, "control_period": [12, 6]}})
+        assert built == before
 
 
     def test_concurrent_scoring_shares_cached_arrays(self):
@@ -1164,7 +1175,8 @@ class TestWindowPairs:
 
         def score(drug):
             barrier.wait(timeout=30)
-            return score_drug(db, drug, ALGORITHM_IDS, 3), db.episodes()[0]
+            return (score_drug(db, drug, ALGORITHM_IDS, 3),
+                    db.all_episodes()[1])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

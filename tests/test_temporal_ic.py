@@ -20,7 +20,7 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
 def period_counts(db, event_code, period, config):
     """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one code in one period, by
     the pass oe_scores runs."""
-    vectors = _period_vectors(db, db.episodes(config.drug_code), config)
+    vectors = _period_vectors(db, config.drug_code, config)
     row = list(Period).index(period)
     return counts_of(db, [v[row] for v in vectors], event_code)
 
@@ -62,27 +62,30 @@ class TestExpectedCount:
 
     def test_inconsistent_counts_rejected(self, simple_config,
                                           monkeypatch):
-        # (n_xy, n_x_dot) and (n_dot_y, n_dot_dot) of the one code A in
-        # one period; both halves count nothing in every other period
+        # (n_xy, n_x_dot, n_dot_y, n_dot_dot) of the one drug X and the
+        # one code A in one period; every count is 0 in the other periods
         control, day0 = Period.CONTROL_V, Period.DAY_OF_PRESCRIPTION
         for period, counts in (
-                (control, (([5], 3), ([10], 100))),     # n_xy > n_x_dot
-                (control, (([5], 10), ([3], 100))),     # n_xy > n_dot_y
-                (control, (([0], 10), ([200], 100))),   # n_dot_y > n_dot_dot
-                (control, (([0], 200), ([0], 100))),    # n_x_dot > n_dot_dot
-                (day0, (([5], 3), ([10], 100)))):       # n_xy > n_x_dot
+                (control, ([5], 3, [10], 100)),     # n_xy > n_x_dot
+                (control, ([5], 10, [3], 100)),     # n_xy > n_dot_y
+                (control, ([0], 10, [200], 100)),   # n_dot_y > n_dot_dot
+                (control, ([0], 200, [0], 100)),    # n_x_dot > n_dot_dot
+                (day0, ([5], 3, [10], 100))):       # n_xy > n_x_dot
             at = np.array([p is period for p in Period])
-            given = iter([(np.where(at[:, None], v, 0), np.where(at, n, 0))
-                          for v, n in counts])
-            monkeypatch.setattr(temporal_ic, "_patients_with_event",
-                                lambda *args: next(given))
-            # a fresh database: the all-drug half is cached in it
+            n_xy, n_x_dot, n_dot_y, n_dot_dot = (
+                np.where(at[:, None] if np.ndim(n) else at, n, 0)
+                for n in counts)
+            # the per-drug counts have a row per drug
+            monkeypatch.setattr(
+                temporal_ic, "_patients_with_event", lambda *args: (
+                    n_xy[None], n_x_dot[None], n_dot_y, n_dot_dot))
+            # a fresh database: every drug's counts are cached in it
             db = make_db([("p0", -900, 1000)], rx=[("p0", "X", 0)],
                          events=[("p0", "A", 5)])
             with pytest.raises(ValueError,
                                match=rf"inconsistent {period.value} period "
                                      r"counts of event codes \['A'\]"):
-                _period_vectors(db, db.episodes("X"), simple_config)
+                _period_vectors(db, "X", simple_config)
 
 
 class TestIc:
@@ -209,14 +212,22 @@ class TestPeriodCounts:
             db = random_small_db(rng)
             for config in (simple_config,
                            dataclasses.replace(simple_config, T=60)):
-                exposures = brute_exposures(db, config)
                 any_exp = brute_all_drug_exposures(db, config)
-                for period in Period:
-                    for code in (*db.event_codes, "absent"):
-                        got = period_counts(db, code, period, config)
-                        want = brute_period_counts(db, exposures, code,
-                                                   period, config, any_exp)
-                        assert got == want
+                # "none" has no prescriptions: its row is zeros
+                for drug in ("X", "none"):
+                    drug_config = dataclasses.replace(config, drug_code=drug)
+                    exposures = brute_exposures(db, drug_config)
+                    for period in Period:
+                        for code in (*db.event_codes, "absent"):
+                            got = period_counts(db, code, period,
+                                                drug_config)
+                            want = brute_period_counts(
+                                db, exposures, code, period, config,
+                                any_exp)
+                            assert got == want
+                    if drug == "none":
+                        assert not any(v.any() for v in _period_vectors(
+                            db, drug, drug_config)[:2])
 
     def test_all_drug_half_cached_per_window(self):
         # one database scored under several windows, in turn and again,
