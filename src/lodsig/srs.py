@@ -17,34 +17,24 @@ from .store import Database, StudyConfig, window_pairs
 Z_90_ONE_SIDED = 1.645
 
 
-def _cells(cells, correct: bool):
+def _cells(cells):
     low = min(cells)
     if low < 0:
         raise ValueError(f"contingency cells must be non-negative: {cells}")
-    if low > 0:
-        return cells
-    if not correct:
-        return None
-    # Haldane-Anscombe continuity correction
-    return tuple(c + 0.5 for c in cells)
+    # Haldane-Anscombe continuity correction of a zero cell
+    return cells if low > 0 else tuple(c + 0.5 for c in cells)
 
 
-def ror(cells, correct: bool = True) -> float | None:
+def ror(cells) -> float:
     """Reporting odds ratio (w00/w10)/(w01/w11) of the cells (w00, w01,
-    w10, w11); None when undefined."""
-    cells = _cells(cells, correct)
-    if cells is None:
-        return None
-    a, b, c, d = cells
+    w10, w11), each plus 0.5 when one is zero."""
+    a, b, c, d = _cells(cells)
     return (a / c) / (b / d)
 
 
-def ror05(cells, correct: bool = True) -> float | None:
-    """Left bound of the 90% CI of the ROR; None when undefined."""
-    cells = _cells(cells, correct)
-    if cells is None:
-        return None
-    a, b, c, d = cells
+def ror05(cells) -> float:
+    """Left bound of the 90% CI of the ROR, with `ror`'s correction."""
+    a, b, c, d = _cells(cells)
     point = (a / c) / (b / d)
     se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
     return math.exp(math.log(point) - Z_90_ONE_SIDED * se)

@@ -257,8 +257,7 @@ class Database:
             code = code[order]
             del order
             # an exact duplicate follows its first copy
-            keep = np.ones(len(key), dtype=bool)
-            keep[1:] = (key[1:] != key[:-1]) | (code[1:] != code[:-1])
+            keep = run_starts(key, code)
             return code_of, code[keep], key[keep], len(keep) - keep.sum()
 
         drug_index, rx_drug, rx_key, rx_dropped = records(*rx, "prescriptions")
@@ -679,34 +678,31 @@ def _qualifying_episodes(db: Database):
     # after the latest earlier one of its drug and patient, if any
     order = np.argsort(db.rx_drug, kind="stable")
     drug, pid, day = db.rx_drug[order], db.rx_pid[order], db.rx_day[order]
-    qualifies = np.ones(len(pid), dtype=bool)
-    qualifies[1:] = ((drug[1:] != drug[:-1]) | (pid[1:] != pid[:-1])
-                     | (day[1:] - day[:-1] > DAYS_13_MONTHS))
+    qualifies = run_starts(drug, pid)
+    qualifies[1:] |= day[1:] - day[:-1] > DAYS_13_MONTHS
     qualifies &= day - db.registration[pid] >= DAYS_12_MONTHS
     qualifies &= db.last_active[pid] - day >= MIN_ACTIVE_FOLLOWUP_DAYS
     return drug[qualifies], pid[qualifies], day[qualifies]
 
 
-def distinct(values, return_index=False):
-    """numpy's unique(values, return_index) of a 1-d array, by a sort and
-    a neighbour mask: the ascending distinct values, then, if asked, each
-    one's first index in values.  The package's one dedup: numpy 2's
-    unique hashes, 20-65x slower than this sort, and imports numpy.ma."""
-    values = np.asarray(values)
-    if return_index:
-        # stable, so each group's first entry is its value's first index
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-    else:
-        ordered = np.sort(values)
-    new = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return (ordered[new], order[new]) if return_index else ordered[new]
+def run_starts(*columns):
+    """Bool mask, True at row 0 and at every row that differs from the
+    row before in any column: on rows sorted by the columns, the first
+    row of each distinct row.  The package's one neighbour rule, and with
+    a sort its one dedup: numpy 2's unique hashes, 20-65x slower than a
+    sort, and imports numpy.ma."""
+    starts = np.zeros(len(columns[0]), dtype=bool)
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    starts[:1] = True
+    return starts
 
 
 def first_per_patient(pts, idx):
-    """Each patient's first episode (MUTARA/HUNT convention), by patient."""
-    _, first = distinct(pts, return_index=True)
+    """Each patient's first episode (MUTARA/HUNT convention), by patient,
+    of episodes in (patient, day) order, as `Database.episodes` gives
+    them."""
+    first = run_starts(pts)
     return pts[first], idx[first]
 
 
@@ -803,8 +799,7 @@ def cohort_summary(db: Database, drug_code: str) -> dict:
     if len(pid) == 0:
         return {"total": 0, "first": 0, "thirteen_month": 0,
                 "mean_age": None, "sd_age": None, "gender_ratio": None}
-    first = np.ones(len(pid), dtype=bool)
-    first[1:] = pid[1:] != pid[:-1]
+    first = run_starts(pid)
     gap = first.copy()
     gap[1:] |= day[1:] - day[:-1] > DAYS_13_MONTHS
     years = (day - _EPOCH).astype("datetime64[D]").astype("datetime64[Y]")

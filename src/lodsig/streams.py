@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .store import distinct
+from .store import run_starts
 
 _MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
@@ -200,9 +200,10 @@ class _Streams:
                                 np.where(half & 1, raw >> _U32, raw & _LOW32))
             rejected = np.flatnonzero((m & _LOW32) < _2_32 % excl)
             kept = need.copy()
-            # rejected is in order, so distinct finds each row's first
-            bad, at = distinct(owner[rejected], return_index=True)
-            kept[bad] = nth[rejected[at]]
+            # rejected is in order: each row's first starts its run
+            bad = owner[rejected]
+            at = run_starts(bad)
+            kept[bad[at]] = nth[rejected[at]]
             keep = nth < kept[owner]
             out[start[todo][owner[keep]] + nth[keep]] = (m[keep] >> _U32)
             # the halves read: the kept values' and a rejected one's; a

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .store import (DAYS_PER_MONTH, Database, StudyConfig, distinct,
-                    record_order, window_pairs)
+from .store import (DAYS_PER_MONTH, Database, StudyConfig, record_order,
+                    run_starts, window_pairs)
 
 
 class Period(Enum):
@@ -106,20 +106,18 @@ def _patients_with_event(db: Database, config: StudyConfig):
         pair_p, pair_d = p[row], d[row]
         order = record_order(pair_p, code, pair_d)
         pair_p, code, pair_d = pair_p[order], code[order], pair_d[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (pair_p[1:] != pair_p[:-1]) | (code[1:] != code[:-1])
+        new = run_starts(pair_p, code)
         n_dot_y.append(np.bincount(code[new], minlength=n_codes))
-        new[1:] |= pair_d[1:] != pair_d[:-1]
+        new |= run_starts(pair_d)
         # int64 first: on numpy 1 an int32 column times an int stays int32
         cell = pair_d[new].astype(np.int64) * n_codes + code[new]
         n_xy.append(np.bincount(cell, minlength=n_drugs * n_codes).reshape(
             n_drugs, n_codes))
         # episodes are in (drug, patient) order: a drug's patient is new
         # where either changes
-        first = np.ones(len(p), dtype=bool)
-        first[1:] = (d[1:] != d[:-1]) | (p[1:] != p[:-1])
+        first = run_starts(d, p)
         n_x_dot.append(np.bincount(d[first], minlength=n_drugs))
-        n_dot_dot.append(len(distinct(p)))
+        n_dot_dot.append(np.count_nonzero(run_starts(np.sort(p))))
     return (np.stack(n_xy, axis=1), np.stack(n_x_dot, axis=1),
             np.array(n_dot_y), np.array(n_dot_dot))
 

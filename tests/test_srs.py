@@ -30,10 +30,7 @@ class TestRor:
     def test_zero_cell_with_correction(self):
         t = (0, 10, 10, 100)
         assert ror(t) == pytest.approx((0.5 / 10.5) / (10.5 / 100.5))
-
-    def test_zero_cell_without_correction_is_undefined(self):
-        assert ror((0, 10, 10, 100), correct=False) is None
-        assert ror05((0, 10, 10, 100), correct=False) is None
+        assert ror05(t) == ror05((0.5, 10.5, 10.5, 100.5))
 
     def test_negative_cell_rejected(self):
         # corrected to (-0.5, 0.5, 0.5, 0.5), the cells would read as an

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from lodsig import mutara, srs, store, temporal_ic
 from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
-                          candidate_codes, cohort_summary, distinct,
+                          candidate_codes, cohort_summary,
                           extract_exposures, first_per_patient, from_ordinal, load_database,
-                          previous_days, record_order, window_pairs)
+                          previous_days, record_order, run_starts,
+                          window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
 from lodsig.synthgen import build_database, generate
 
@@ -655,39 +655,52 @@ class TestRecordOrder:
         assert kinds == ([None] if packed else ["stable"] * len(columns))
 
 
-def assert_distinct_is_unique(values):
-    """distinct gives numpy's unique, with and without first indices."""
-    for index in (False, True):
-        want = np.unique(values, return_index=index)
-        got = distinct(values, return_index=index)
-        if not index:
-            want, got = (want,), (got,)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w), index
+@st.composite
+def run_rows(draw):
+    """One to three int32 or int64 columns, their dtypes mixed as OE
+    passes them, whose rows are drawn from a few distinct ones so that
+    they repeat, next to each other and apart."""
+    dtypes = draw(st.lists(st.sampled_from([np.int32, np.int64]),
+                           min_size=1, max_size=3))
+    values = [st.integers(-3, 3) | st.integers(int(np.iinfo(t).min),
+                                               int(np.iinfo(t).max))
+              for t in dtypes]
+    distinct = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                         max_size=40))
+    return [np.array([row[k] for row in rows], dtype=t)
+            for k, t in enumerate(dtypes)]
 
 
-class TestDistinct:
-    """distinct, the package's sort-based dedup, against np.unique: the
-    distinct values and each one's first index, on unsorted, repeated and
-    empty arrays."""
+def assert_marks_run_starts(columns):
+    """run_starts is True exactly where a row differs from the row before
+    it, and at row 0."""
+    rows = list(zip(*(c.tolist() for c in columns)))
+    want = [i == 0 or rows[i] != rows[i - 1] for i in range(len(rows))]
+    got = run_starts(*columns)
+    assert got.dtype == bool
+    assert got.tolist() == want
+
+
+class TestRunStarts:
+    """run_starts, the package's one neighbour rule: on lexsorted rows it
+    marks numpy's unique first indices, and on any rows the start of each
+    run of equal adjacent rows."""
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(st.sampled_from([np.int64, np.int32]),
-                  st.integers(0, 80),
-                  elements=st.integers(-3, 3) | st.integers(-(2 ** 31),
-                                                             2 ** 31 - 1)))
-    def test_matches_numpy_unique(self, values):
-        assert_distinct_is_unique(values)
+    @given(run_rows())
+    def test_matches_numpy_unique(self, columns):
+        order = np.lexsort(columns[::-1])
+        columns = [c[order] for c in columns]
+        _, first = np.unique(np.stack(columns, axis=1), axis=0,
+                             return_index=True)
+        assert np.array_equal(np.flatnonzero(run_starts(*columns)),
+                              np.sort(first))
 
-    @settings(max_examples=100, deadline=None)
-    @given(arrays(np.float64, st.integers(0, 40),
-                  elements=st.sampled_from([0.0, -0.0, 0.25, 3.0, np.inf])
-                  | st.floats(allow_nan=False)))
-    def test_matches_numpy_unique_on_floats(self, values):
-        # synthgen's rates and day spans go through it too
-        assert_distinct_is_unique(values)
+    @settings(max_examples=300, deadline=None)
+    @given(run_rows())
+    def test_marks_runs_of_unsorted_rows(self, columns):
+        assert_marks_run_starts(columns)
 
     @pytest.mark.parametrize("values", [
         pytest.param([], id="empty"),
@@ -695,16 +708,17 @@ class TestDistinct:
         pytest.param([4, 4, 4, 4], id="constant"),
         pytest.param([9, 7, 5, 3, 1, 0], id="descending"),
         pytest.param([2, 1, 2, 1, 0, 2], id="repeats-out-of-order"),
-        pytest.param([2 ** 63 - 1, -(2 ** 63), 0, -(2 ** 63), 2 ** 63 - 1],
+        pytest.param([-(2 ** 63), -(2 ** 63), 0, 2 ** 63 - 1, 2 ** 63 - 1],
                      id="int64-extremes"),
     ])
     def test_named_cases(self, values):
-        assert_distinct_is_unique(np.array(values, dtype=np.int64))
+        assert_marks_run_starts([np.array(values, dtype=np.int64)])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 900)),
-                    max_size=60))
+                    max_size=60).map(sorted))
     def test_first_per_patient_is_unique_first_index(self, episodes):
+        # in (patient, day) order, as Database.episodes gives them
         pts = np.array([p for p, _ in episodes], dtype=np.int64)
         idx = np.array([i for _, i in episodes], dtype=np.int64)
         _, first = np.unique(pts, return_index=True)
