@@ -42,8 +42,7 @@ def _background_starts(db: Database, seed: int, T: int) -> np.ndarray:
     A start is uniform over [registration + 365, last_active - T], drawn
     by the (seed, patient_id) digest.
     """
-    digests = db.cached(("background digests", seed),
-                        lambda: _background_digests(db, seed))
+    digests = db.cached(_background_digests, seed)
     lo = db.registration + DAYS_12_MONTHS
     span = db.last_active - T - lo + 1
     fits = span > 0
@@ -61,7 +60,7 @@ def _window_supports(db: Database, pts, start, T: int, pre: int,
     be distinct patients, so a row count is a patient count.
     """
     row, code, event = window_pairs(db, pts, start + 1, start + T)
-    previous = db.cached("previous days", lambda: previous_days(db))[event]
+    previous = db.cached(previous_days)[event]
     start = start[row]
     first = previous <= start    # no earlier event of the code in the window
     unexpected = previous < start - pre if pre else first

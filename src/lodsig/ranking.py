@@ -21,15 +21,6 @@ class RankedSignalList:
     # event_code -> reason, for events removed before ranking (OE filters)
     filtered: dict[str, str] = field(default_factory=dict)
 
-    def event_codes(self) -> list[str]:
-        return [e.event_code for e in self.entries]
-
-    def rank_of(self, event_code: str) -> int | None:
-        for e in self.entries:
-            if e.event_code == event_code:
-                return e.rank
-        return None
-
 
 def _sort_key(item):
     code, score = item

@@ -69,8 +69,7 @@ def srs_cells(db: Database, config: StudyConfig):
     other drugs.  The reports are counted once per database for each T;
     a drug reads its row, and an unknown drug has none.
     """
-    by_drug, every = db.cached(("srs reports", config.T),
-                               lambda: _reports(db, config.T))
+    by_drug, every = db.cached(_reports, config.T)
     di = db.drug_index(config.drug_code)
     w00 = np.zeros_like(every) if di is None else by_drug[di]
     w10 = every - w00

@@ -24,7 +24,6 @@ of these fails a load.
 from __future__ import annotations
 
 import array
-import bisect
 import csv
 import datetime
 import functools
@@ -164,9 +163,9 @@ class Database:
     index, day, code index).  Prescriptions are `rx_pid`, `rx_drug` and
     `rx_day`.  The event table, by far the largest, is 12 bytes an event:
     the int64 key `_ev_key` packing (patient index, day) as
-    pid * _KEY_BASE + day, and the int32 `ev_code`; `ev_pid` and `ev_day`
-    are derived from the key on each access.  Queries are read-only; the
-    derived arrays they cache are built once under a lock, so the store
+    pid * _KEY_BASE + day, and the int32 `ev_code`; `ev_pid` is derived
+    from the key on each access.  Queries are read-only; the derived
+    arrays they cache are built once under a lock (`cached`), so the store
     stays safe for concurrent use.
     """
 
@@ -282,28 +281,20 @@ class Database:
         """Each event's patient index, derived from `_ev_key`."""
         return self._ev_key // _KEY_BASE
 
-    @property
-    def ev_day(self):
-        """Each event's day ordinal, derived from `_ev_key`."""
-        return self._ev_key % _KEY_BASE
-
-    def patient_index(self, patient_id: str) -> int:
-        i = bisect.bisect_left(self.patient_ids, patient_id)
-        if i == self.n_patients or self.patient_ids[i] != patient_id:
-            raise KeyError(f"unknown patient_id {patient_id!r}")
-        return i
-
     def drug_index(self, drug_code: str) -> int | None:
         return self._drug_index.get(drug_code)
 
     def event_index(self, event_code: str) -> int | None:
         return self._event_index.get(event_code)
 
-    def cached(self, key, build):
-        """build(), once per key; concurrent callers wait for that build."""
+    def cached(self, build, *args):
+        """build(self, *args), once per (build, *args); concurrent callers
+        wait for that build.  A build is a module-level function, so the
+        call names everything it reads."""
+        key = (build, *args)
         with self._cache_lock:
             if key not in self._cache:
-                self._cache[key] = build()
+                self._cache[key] = build(self, *args)
             return self._cache[key]
 
     def prescriptions_of_drug(self, drug_code: str):
@@ -314,7 +305,7 @@ class Database:
     def all_episodes(self):
         """(drug index, patient index, index day) arrays of every drug's
         qualifying episodes, in (drug, patient, day) order."""
-        return self.cached("episodes", lambda: _qualifying_episodes(self))
+        return self.cached(_qualifying_episodes)
 
     def episodes(self, drug_code: str):
         """(patient index, index day) arrays of the qualifying episodes of

@@ -76,7 +76,8 @@ def ic_delta_from(n_u: float, e_u: float, n_v: float, e_v: float) -> float:
 
 # -- period counting ------------------------------------------------------
 
-def _patients_with_event(db: Database, config: StudyConfig):
+def _patients_with_event(db: Database, T: int,
+                         control_period: tuple[int, int]):
     """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of every drug's episodes, with
     one kernel call a period.
 
@@ -90,9 +91,9 @@ def _patients_with_event(db: Database, config: StudyConfig):
     window are ignored for all four.  Periods are in Period order.
     """
     drug, pts, idx = db.all_episodes()
-    a, b = config.control_period
+    a, b = control_period
     # each period's inclusive day bounds from the index day, in Period order
-    offsets = ((1, config.T), (-a * DAYS_PER_MONTH, -b * DAYS_PER_MONTH - 1),
+    offsets = ((1, T), (-a * DAYS_PER_MONTH, -b * DAYS_PER_MONTH - 1),
                (-DAYS_PER_MONTH, -1), (0, 0))
     registered, active = db.registration[pts] - idx, db.last_active[pts] - idx
     n_drugs, n_codes = len(db.drug_codes), len(db.event_codes)
@@ -122,19 +123,18 @@ def _patients_with_event(db: Database, config: StudyConfig):
             np.array(n_dot_y), np.array(n_dot_dot))
 
 
-def _period_vectors(db: Database, drug_code: str, config: StudyConfig):
-    """The `_patients_with_event` counts with drug_code's row of n_xy and
-    n_x_dot: a row per period, in order; n_xy and n_dot_y are indexed by
-    (period, event code).
+def _period_vectors(db: Database, config: StudyConfig):
+    """The `_patients_with_event` counts with the config drug's row of n_xy
+    and n_x_dot: a row per period, in order; n_xy and n_dot_y are indexed
+    by (period, event code).
 
     The counts read only T and the control period of config, so they are
     counted once per database for each pair of them; an unknown drug's
     row is zeros.
     """
     n_xy, n_x_dot, n_dot_y, n_dot_dot = db.cached(
-        ("periods", config.T, config.control_period),
-        lambda: _patients_with_event(db, config))
-    di = db.drug_index(drug_code)
+        _patients_with_event, config.T, config.control_period)
+    di = db.drug_index(config.drug_code)
     if di is None:
         n_xy, n_x_dot = np.zeros_like(n_dot_y), np.zeros_like(n_dot_dot)
     else:
@@ -157,8 +157,7 @@ def _period_vectors(db: Database, drug_code: str, config: StudyConfig):
 def oe_scores(db: Database, config: StudyConfig):
     """(n_xy, expected) of every code, a row per period in Period order:
     the pass both variants score."""
-    n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(
-        db, config.drug_code, config)
+    n_xy, n_x_dot, n_dot_y, n_dot_dot = _period_vectors(db, config)
     return n_xy, _expected(n_x_dot[:, None], n_dot_y, n_dot_dot[:, None])
 
 

@@ -5,6 +5,7 @@ database's columns, deliberately avoiding the vectorized counting paths
 in the package.
 """
 
+import bisect
 import csv
 import dataclasses
 import datetime
@@ -22,17 +23,44 @@ from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
 
 
+def patient_index(db, patient_id):
+    """A patient id's index in the sorted `db.patient_ids`."""
+    i = bisect.bisect_left(db.patient_ids, patient_id)
+    if i == db.n_patients or db.patient_ids[i] != patient_id:
+        raise KeyError(f"unknown patient_id {patient_id!r}")
+    return i
+
+
+def ev_day(db):
+    """Each event's day ordinal, derived from `_ev_key`."""
+    return db._ev_key % _KEY_BASE
+
+
+def event_codes(ranked):
+    """The event codes of a RankedSignalList, in rank order."""
+    return [e.event_code for e in ranked.entries]
+
+
+def rank_of(ranked, event_code):
+    """An event code's rank in a RankedSignalList, None when unranked."""
+    for e in ranked.entries:
+        if e.event_code == event_code:
+            return e.rank
+    return None
+
+
 def patient_records(db, pid):
-    i = db.patient_index(pid)
+    i = patient_index(db, pid)
     rx = [(db.drug_codes[c], d) for p, c, d in zip(
         db.rx_pid.tolist(), db.rx_drug.tolist(), db.rx_day.tolist()) if p == i]
     events = [(db.event_codes[c], d) for p, c, d in zip(
-        db.ev_pid.tolist(), db.ev_code.tolist(), db.ev_day.tolist()) if p == i]
+        db.ev_pid.tolist(), db.ev_code.tolist(), ev_day(db).tolist())
+        if p == i]
     return rx, events
 
 
 def patient_span(db, pid):
-    i = db.patient_index(pid)
+    i = patient_index(db, pid)
     return int(db.registration[i]), int(db.last_active[i])
 
 

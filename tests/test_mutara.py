@@ -12,7 +12,8 @@ from lodsig.store import StudyConfig
 
 from conftest import counts_of, day, make_db, random_small_db
 from oracles import (brute_background_start, brute_exposures,
-                     brute_first_exposure_per_patient, brute_support_counts)
+                     brute_first_exposure_per_patient, brute_support_counts,
+                     event_codes, rank_of)
 
 
 class TestBackgroundWindow:
@@ -201,26 +202,26 @@ class TestRanking:
 
     def test_mutara_puts_adverse_event_first(self):
         db = self._signal_db()
-        assert ranked_list(db, "mutara180").event_codes()[0] == "A"
+        assert event_codes(ranked_list(db, "mutara180"))[0] == "A"
 
     def test_mutara_demotes_predictable_event(self):
         db = self._signal_db()
         with_filter = ranked_list(db, "mutara180")
         without = ranked_list(db, "mutara180", pre_window=0)
-        assert with_filter.rank_of("F") > without.rank_of("F")
+        assert rank_of(with_filter, "F") > rank_of(without, "F")
 
     def test_hunt_rank_ratio_demotes_failure_event(self):
         db = self._signal_db()
         hunt = ranked_list(db, "hunt180")
         mutara = ranked_list(db, "mutara180")
-        assert set(hunt.event_codes()) == set(mutara.event_codes())
-        assert hunt.rank_of("F") > hunt.rank_of("A")
+        assert set(event_codes(hunt)) == set(event_codes(mutara))
+        assert rank_of(hunt, "F") > rank_of(hunt, "A")
 
     def test_hunt_neutral_when_filter_disabled(self):
         # pre_window 0 makes unexlev equal leverage, so every rank ratio
         # is 1 and HUNT falls back to lexicographic order
         db = self._signal_db()
         hunt = ranked_list(db, "hunt180", pre_window=0)
-        codes = hunt.event_codes()
+        codes = event_codes(hunt)
         assert codes == sorted(codes)
         assert all(e.score == pytest.approx(1.0) for e in hunt.entries)

@@ -10,7 +10,7 @@ from lodsig.srs import ror, ror05, srs_cells
 from lodsig.store import Gender, StudyConfig
 
 from conftest import counts_of, db_from_rows, make_db, random_small_db
-from oracles import brute_srs_cells, brute_srs_counts
+from oracles import brute_srs_cells, brute_srs_counts, ev_day, event_codes
 
 
 def cells_by_code(db, drug_code, T=30):
@@ -131,7 +131,7 @@ class TestRankRor:
             events=[(f"p{i}", "A", 5) for i in range(4)]
             + [(f"p{i}", "C", 5) for i in range(2, 8)])
         ranked = ror_ranking(db, StudyConfig(drug_code="X"))
-        assert ranked.event_codes() == ["A", "C"]
+        assert event_codes(ranked) == ["A", "C"]
 
     def test_ties_broken_lexicographically(self):
         db = make_db(
@@ -140,7 +140,7 @@ class TestRankRor:
             events=[("p1", "A", 5), ("p1", "C", 6),
                     ("p2", "A", 5), ("p2", "C", 6)])
         ranked = ror_ranking(db, StudyConfig(drug_code="X"))
-        assert ranked.event_codes() == ["A", "C"]
+        assert event_codes(ranked) == ["A", "C"]
         scores = [e.score for e in ranked.entries]
         assert scores[0] == scores[1]
 
@@ -156,7 +156,7 @@ class TestRankRor:
         rx = [(db.patient_ids[p], db.drug_codes[c], int(d)) for p, c, d in
               zip(db.rx_pid, db.rx_drug, db.rx_day)]
         ev = [(db.patient_ids[p], db.event_codes[c], int(d)) for p, c, d in
-              zip(db.ev_pid, db.ev_code, db.ev_day)]
+              zip(db.ev_pid, db.ev_code, ev_day(db))]
         db2 = db_from_rows(patients[::-1], rx[::-1], ev[::-1])
         ranked2 = ror_ranking(db2, StudyConfig(drug_code="X"))
         assert ranked.entries == ranked2.entries

@@ -32,7 +32,8 @@ from oracles import (brute_all_drug_exposures, brute_exposures,
                      brute_first_exposure_per_patient,
                      brute_generate_tables, brute_load_database,
                      brute_previous_days, brute_srs_cells,
-                     brute_support_counts, brute_window_pairs)
+                     brute_support_counts, brute_window_pairs, ev_day,
+                     patient_index)
 from test_acceptance import _recovery_config
 
 
@@ -61,7 +62,7 @@ class TestLoad:
         db = load_database(*paths)
         assert db.patient_ids == ["p1", "p2"]
         assert db.ev_pid.tolist() == [0, 0, 1]
-        assert db.ev_day[0] < db.ev_day[1]
+        assert ev_day(db)[0] < ev_day(db)[1]
         assert db.duplicates_dropped == 0
         # last_active derives from records / death
         assert db.last_active.tolist() == [
@@ -152,12 +153,12 @@ class TestLoad:
     def test_patient_index_is_the_sorted_position(self):
         db, _ = build_database(dataclasses.replace(demo_synth_config(),
                                                    n_patients=300))
-        assert [db.patient_index(p) for p in db.patient_ids] == \
+        assert [patient_index(db, p) for p in db.patient_ids] == \
             list(range(300))
         # one id that sorts between two present ids, one past the last
         for pid in (db.patient_ids[4] + "0", db.patient_ids[-1] + "0"):
             with pytest.raises(KeyError, match=f"unknown patient_id '{pid}'"):
-                db.patient_index(pid)
+                patient_index(db, pid)
 
     def test_patients_are_columns_and_never_objects(self, tmp_path):
         assert not hasattr(store, "Patient")
@@ -751,7 +752,7 @@ class TestFromColumns:
             ([], none, [], none, none),
             (pid_values, pid_index, code_values, code_index, day))
 
-        pid = np.array([db.patient_index(p) for p in pid_values])[pid_index]
+        pid = np.array([patient_index(db, p) for p in pid_values])[pid_index]
         code = np.array([db.event_codes.index(c)
                          for c in code_values])[code_index]
         rows = np.stack([pid, code, day])[:, np.lexsort((code, day, pid))]
@@ -759,9 +760,9 @@ class TestFromColumns:
         keep[1:] = np.any(rows[:, 1:] != rows[:, :-1], axis=0)
         np.testing.assert_array_equal(db.ev_pid, rows[0, keep])
         np.testing.assert_array_equal(db.ev_code, rows[1, keep])
-        np.testing.assert_array_equal(db.ev_day, rows[2, keep])
+        np.testing.assert_array_equal(ev_day(db), rows[2, keep])
         assert db.duplicates_dropped == n - keep.sum()
-        assert db.ev_pid.dtype == db.ev_day.dtype == np.int64
+        assert db.ev_pid.dtype == ev_day(db).dtype == np.int64
         assert db.ev_code.dtype == np.int32
 
     @settings(max_examples=200, deadline=None)
@@ -828,20 +829,19 @@ class TestSlimEventTable:
         assert db.ev_code.dtype == np.int32
         with pytest.raises(AttributeError):
             db.ev_pid = db._ev_key
-        with pytest.raises(AttributeError):
-            db.ev_day = db._ev_key
+        assert not hasattr(db, "ev_day")
 
     def test_derived_columns_equal_the_key_and_the_oracle(self, built):
         config, db = built
         pid, day_ = np.divmod(db._ev_key, store._KEY_BASE)
         np.testing.assert_array_equal(db.ev_pid, pid)
-        np.testing.assert_array_equal(db.ev_day, day_)
+        np.testing.assert_array_equal(ev_day(db), day_)
         # the oracle generator's rows, exact duplicates collapsed, in
         # (patient index, day, code index) order
         _, _, ev_rows, _ = brute_generate_tables(config)
-        rows = sorted({(db.patient_index(p), d, db.event_index(c))
+        rows = sorted({(patient_index(db, p), d, db.event_index(c))
                        for p, c, d in ev_rows})
-        assert list(zip(db.ev_pid.tolist(), db.ev_day.tolist(),
+        assert list(zip(db.ev_pid.tolist(), ev_day(db).tolist(),
                         db.ev_code.tolist())) == rows
 
     def test_load_keeps_the_slim_layout(self, built, tmp_path):
@@ -974,7 +974,7 @@ class TestExposureArrays:
 
 def window_count(db, patient_id, lo, hi, event_code):
     """Events of one code for one patient in [lo, hi], by window_pairs."""
-    pts = np.array([db.patient_index(patient_id)], dtype=np.int64)
+    pts = np.array([patient_index(db, patient_id)], dtype=np.int64)
     _, codes, events = window_pairs(db, pts, np.array([lo]), np.array([hi]))
     assert (db.ev_code[events] == codes).all()
     return [db.event_codes[c] for c in codes.tolist()].count(event_code)
@@ -1039,8 +1039,8 @@ class TestWindowPairs:
         assert list(row) == sorted(row)
         # each pair names its event: that event's patient, day and code
         assert (db.ev_pid[event] == pts[row]).all()
-        assert ((lo[row] <= db.ev_day[event])
-                & (db.ev_day[event] <= hi[row])).all()
+        assert ((lo[row] <= ev_day(db)[event])
+                & (ev_day(db)[event] <= hi[row])).all()
         assert (db.ev_code[event] == code).all()
 
     def test_int32_patient_indices_pack_in_int64(self):
@@ -1137,17 +1137,16 @@ class TestWindowPairs:
         # column; a second drug reuses all five
         built = []
 
-        def counting(name, build, key=lambda *args: args[1:]):
+        def counting(name, build):
             def wrapper(*args):
-                built.append((name, *key(*args)))
+                built.append((name, *args[1:]))
                 return build(*args)
             return wrapper
         monkeypatch.setattr(store, "_qualifying_episodes",
                             counting("episodes", store._qualifying_episodes))
         monkeypatch.setattr(srs, "_reports", counting("reports", srs._reports))
         monkeypatch.setattr(temporal_ic, "_patients_with_event", counting(
-            "periods", temporal_ic._patients_with_event,
-            lambda db, config: (config.T, config.control_period)))
+            "periods", temporal_ic._patients_with_event))
         monkeypatch.setattr(mutara, "_background_digests",
                             counting("digests", mutara._background_digests))
         monkeypatch.setattr(mutara, "previous_days",
@@ -1202,6 +1201,53 @@ class TestWindowPairs:
             assert [r.entries for r in lists] == \
                 [r.entries for r in want[drug]]
             assert pts is got[0][1]
+
+
+class TestCached:
+    # Database.cached(build, *args) keys each shared build by its call
+
+    @pytest.fixture
+    def db(self):
+        return make_db([("p0", 0, 900)], events=[("p0", "A", 5)])
+
+    def test_equal_args_of_two_builds_are_two_entries(self, db):
+        calls = []
+
+        def first(db, T):
+            calls.append(("first", T))
+            return ["first", T]
+
+        def second(db, T):
+            calls.append(("second", T))
+            return ["second", T]
+        got = [db.cached(build, 30) for build in (first, second) * 2]
+        assert calls == [("first", 30), ("second", 30)]
+        assert got[0] == ["first", 30] and got[1] == ["second", 30]
+        assert got[2] is got[0] and got[3] is got[1]
+
+    def test_a_build_that_raises_stores_nothing(self, db):
+        calls = []
+
+        def build(db):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise RuntimeError("first build fails")
+            return len(calls)
+        with pytest.raises(RuntimeError, match="first build fails"):
+            db.cached(build)
+        assert db.cached(build) == 2
+        assert db.cached(build) == 2
+        assert calls == [0, 1]
+
+    def test_the_build_receives_the_database_and_its_args(self, db):
+        received = []
+
+        def build(*args, **kwargs):
+            received.append((args, kwargs))
+            return len(received)
+        assert db.cached(build) == 1
+        assert db.cached(build, 30, (27, 21)) == 2
+        assert received == [((db,), {}), ((db, 30, (27, 21)), {})]
 
 
 class TestPreviousDays:
@@ -1342,7 +1388,7 @@ class TestCohortSummary:
                      db.rx_day.tolist())],
                 [(db.patient_ids[p], db.event_codes[c], d) for p, c, d in
                  zip(db.ev_pid.tolist(), db.ev_code.tolist(),
-                     db.ev_day.tolist())])
+                     ev_day(db).tolist())])
             assert set(db.gender) == {"F", "M", "U"}
             # (year of birth, Gender, day) of each prescription of X
             rows = [(int(db.year_of_birth[p]), Gender(db.gender[p]), d)

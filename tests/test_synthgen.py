@@ -15,7 +15,7 @@ from lodsig.synthgen import (DrugModel, Injection, SynthConfig, VISIT_CODE,
                              generate, generate_tables, realized_truth)
 
 from conftest import table_rows
-from oracles import brute_write_tables
+from oracles import brute_write_tables, patient_index
 
 
 def small_config(seed=0, injections=(), n_patients=300):
@@ -366,7 +366,7 @@ class TestGenerateTables:
     def test_visit_markers_pin_last_active(self):
         db, result = build_database(small_config(seed=1))
         for pid, _, _, reg, death in result.patient_rows:
-            i = db.patient_index(pid)
+            i = patient_index(db, pid)
             assert db.registration[i] == reg
             assert db.last_active[i] >= reg + 540 or death is not None
 

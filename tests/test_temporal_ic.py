@@ -14,13 +14,13 @@ from lodsig.temporal_ic import (Period, _expected, _period_vectors,
 
 from conftest import counts_of, make_db, random_small_db
 from oracles import (brute_all_drug_exposures, brute_exposures,
-                     brute_period_counts, gammainc_oracle)
+                     brute_period_counts, event_codes, gammainc_oracle)
 
 
 def period_counts(db, event_code, period, config):
     """(n_xy, n_x_dot, n_dot_y, n_dot_dot) of one code in one period, by
     the pass oe_scores runs."""
-    vectors = _period_vectors(db, config.drug_code, config)
+    vectors = _period_vectors(db, config)
     row = list(Period).index(period)
     return counts_of(db, [v[row] for v in vectors], event_code)
 
@@ -85,7 +85,7 @@ class TestExpectedCount:
             with pytest.raises(ValueError,
                                match=rf"inconsistent {period.value} period "
                                      r"counts of event codes \['A'\]"):
-                _period_vectors(db, "X", simple_config)
+                _period_vectors(db, simple_config)
 
 
 class TestIc:
@@ -227,7 +227,7 @@ class TestPeriodCounts:
                             assert got == want
                     if drug == "none":
                         assert not any(v.any() for v in _period_vectors(
-                            db, drug, drug_config)[:2])
+                            db, drug_config)[:2])
 
     def test_all_drug_half_cached_per_window(self):
         # one database scored under several windows, in turn and again,
@@ -269,20 +269,20 @@ class TestRankOe:
             self, simple_config):
         for ranked in oe_lists(self._filter_db(prior=True), simple_config):
             assert ranked.filtered.get("F") == "prior_month"
-            assert "F" not in ranked.event_codes()
+            assert "F" not in event_codes(ranked)
 
     def test_day0_spike_kept_by_variant1_filtered_by_variant2(
             self, simple_config):
         r1, r2 = oe_lists(self._filter_db(day0=True), simple_config)
-        assert "F" in r1.event_codes() and "F" not in r1.filtered
+        assert "F" in event_codes(r1) and "F" not in r1.filtered
         assert r2.filtered.get("F") == "day_of_prescription"
 
     def test_candidate_requires_followup_occurrence(self, simple_config):
         # an event seen only on day 0 never becomes a candidate at all
         db = self._filter_db(post_n=0, day0=True)
         r1, _ = oe_lists(db, simple_config)
-        assert "F" not in r1.event_codes() and "F" not in r1.filtered
-        assert "G" in r1.event_codes()
+        assert "F" not in event_codes(r1) and "F" not in r1.filtered
+        assert "G" in event_codes(r1)
 
     def test_uncovered_control_period_falls_back_to_followup_ic(
             self, simple_config):
@@ -295,7 +295,7 @@ class TestRankOe:
         ics, delta = oe_score_of(db, simple_config, "F")
         assert ics[Period.CONTROL_V] == 0.0
         assert delta == ics[Period.FOLLOWUP_U]
-        assert oe_lists(db, simple_config)[0].event_codes() == ["F"]
+        assert event_codes(oe_lists(db, simple_config)[0]) == ["F"]
 
     def test_scores_are_ic_delta(self, simple_config):
         db = self._filter_db()
