@@ -352,14 +352,6 @@ def _write_database(config, output_dir, cache: bool) -> int:
     return 0
 
 
-def generate(config_path, output_dir, demo: bool = False,
-             seed: int | None = None, cache: bool = True) -> int:
-    """Write a synthetic database and, with cache, its load cache entry;
-    ValueError names a bad scenario file."""
-    return _write_database(_scenario(config_path, demo, seed), output_dir,
-                           cache)
-
-
 # -- argument parsing -----------------------------------------------------
 
 def _path(text: str) -> str:

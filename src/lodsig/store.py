@@ -74,10 +74,6 @@ _GENDER_ALIASES = {
 _EPOCH = datetime.date(1970, 1, 1).toordinal()
 
 
-def from_ordinal(o: int) -> datetime.date:
-    return datetime.date.fromordinal(o)
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     drug_code: str
@@ -708,20 +704,17 @@ def extract_exposures(db: Database, config: StudyConfig) -> np.ndarray:
 
 def previous_days(db: Database, block: int = 1024):
     """Each event's day of its patient's previous event of its code, or
-    the int32 minimum (before every window): int32, sorted a block of
-    whole patients at a time so that the keys fit int32 and stay small."""
-    n_codes = max(len(db.event_codes), 1)
-    block = max(1, min(block, (2 ** 31 - 1) // n_codes))
+    the int32 minimum (before every window): int32, put in (patient, code,
+    day) order a block of whole patients at a time to allocate little."""
     previous = np.full(len(db._ev_key), np.iinfo(np.int32).min, np.int32)
     for first in range(0, db.n_patients, block):
         lo, hi = np.searchsorted(db._ev_key, [first * _KEY_BASE,
                                               (first + block) * _KEY_BASE])
         pid, day = np.divmod(db._ev_key[lo:hi], _KEY_BASE)
-        # a stable sort keeps each (patient, code) group in day order
-        group = ((pid - first) * n_codes + db.ev_code[lo:hi]).astype(np.int32)
-        order = np.argsort(group, kind="stable")
-        same = group[order[1:]] == group[order[:-1]]
-        previous[lo + order[1:][same]] = day[order[:-1][same]]
+        code = db.ev_code[lo:hi]
+        order = record_order(pid, code, day)
+        later = ~run_starts(pid[order], code[order])[1:]
+        previous[lo + order[1:][later]] = day[order[:-1][later]]
     return previous
 
 

@@ -35,8 +35,7 @@ import numpy as np
 
 from .evaluation import AdrDictionary, AdrEntry, write_csv
 from .store import (Database, Gender, _int, _real, cache_database,
-                    first_per_patient, from_ordinal, record_order,
-                    row_columns, window_pairs)
+                    first_per_patient, record_order, row_columns, window_pairs)
 from .streams import _pcg64_states, _Streams
 
 log = logging.getLogger(__name__)
@@ -511,7 +510,7 @@ def _write_records(path, header, table, pid_ranks, pid_fields) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        dates = np.array([from_ordinal(d).isoformat()
+        dates = np.array([datetime.date.fromordinal(d).isoformat()
                           + writer.dialect.lineterminator
                           for d in days.tolist()], dtype=object)
         fields = ((pid_fields, pid),
@@ -542,7 +541,7 @@ def generate(config: SynthConfig, out_dir, cache: bool = True
         "events": out / "events.csv",
         "ground_truth": out / "ground_truth.csv",
     }
-    iso = functools.cache(lambda day: from_ordinal(day).isoformat())
+    iso = functools.cache(lambda d: datetime.date.fromordinal(d).isoformat())
     write_csv(paths["patients"], ["patient_id", "year_of_birth", "gender",
                                   "registration_date", "death_date"],
               ([pid, yob, gender.value, iso(reg), iso(death) if death else ""]

@@ -17,7 +17,7 @@ import numpy as np
 from lodsig.store import (_GENDER_ALIASES, _KEY_BASE, DAYS_12_MONTHS,
                           DAYS_13_MONTHS, DAYS_PER_MONTH,
                           MIN_ACTIVE_FOLLOWUP_DAYS, Database, DataFormatError,
-                          Gender, from_ordinal)
+                          Gender)
 from lodsig.evaluation import FREQUENCY_CLASSES, TRUTH_COLUMNS, AdrEntry
 from lodsig.synthgen import ORIGIN, ORIGIN_YEAR, VISIT_CODE, _bernoulli_prob
 from lodsig.temporal_ic import Period
@@ -335,6 +335,10 @@ def brute_generate_tables(config):
     return patient_rows, rx_rows, ev_rows, injected
 
 
+def _iso(day):
+    return datetime.date.fromordinal(day).isoformat()
+
+
 def brute_write_tables(patient_rows, rx_rows, ev_rows, out):
     """The `sorted(tuples)` CSV writer that `synthgen.generate` replaced."""
     with open(out / "patients.csv", "w", newline="", encoding="utf-8") as fh:
@@ -342,20 +346,19 @@ def brute_write_tables(patient_rows, rx_rows, ev_rows, out):
         writer.writerow(["patient_id", "year_of_birth", "gender",
                          "registration_date", "death_date"])
         for pid, yob, gender, reg, death in patient_rows:
-            writer.writerow([pid, yob, gender.value,
-                             from_ordinal(reg).isoformat(),
-                             from_ordinal(death).isoformat() if death else ""])
+            writer.writerow([pid, yob, gender.value, _iso(reg),
+                             _iso(death) if death else ""])
     with open(out / "prescriptions.csv", "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "drug_code", "date"])
         for pid, drug, day in sorted(rx_rows):
-            writer.writerow([pid, drug, from_ordinal(day).isoformat()])
+            writer.writerow([pid, drug, _iso(day)])
     with open(out / "events.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "event_code", "date"])
         for pid, code, day in sorted(ev_rows):
-            writer.writerow([pid, code, from_ordinal(day).isoformat()])
+            writer.writerow([pid, code, _iso(day)])
 
 
 def brute_exposures(db, config):

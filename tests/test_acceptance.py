@@ -220,7 +220,8 @@ def test_criterion_6_filter_variant_contrast():
 
 def test_criterion_7_parallel_determinism(tmp_path):
     data_dir = tmp_path / "data"
-    cli.generate(None, data_dir, demo=True, seed=11)
+    assert cli.main(["generate", "--demo", "--seed", "11",
+                     "--output", str(data_dir)]) == 0
     out = tmp_path / "results"
 
     def run_once(jobs):

@@ -15,14 +15,15 @@ import sys
 from pathlib import Path
 
 from lodsig import store
-from lodsig.cli import ALGORITHM_IDS, RunManifest, generate, run
+from lodsig.cli import ALGORITHM_IDS, RunManifest, main, run
 
 GOLDEN = Path(__file__).parent / "golden" / "demo_seed7.json"
 
 
 def _tree_digests(cache: bool = False) -> dict[str, str]:
     # relative paths, so manifest_resolved.yaml does not depend on the cwd
-    assert generate(None, "data", demo=True, seed=7, cache=cache) == 0
+    assert main(["generate", "--demo", "--seed", "7", "--output", "data"]
+                + ([] if cache else ["--no-cache"])) == 0
     manifest = RunManifest("data", ["drug_x", "drug_other"],
                            list(ALGORITHM_IDS), "results", 7,
                            "data/ground_truth.csv")

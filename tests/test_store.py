@@ -20,7 +20,7 @@ from lodsig import mutara, srs, store, temporal_ic
 from lodsig.cli import ALGORITHM_IDS, _base_config, score_drug
 from lodsig.store import (Database, DataFormatError, Gender, StudyConfig,
                           candidate_codes, cohort_summary,
-                          extract_exposures, first_per_patient, from_ordinal, load_database,
+                          extract_exposures, first_per_patient, load_database,
                           previous_days, record_order, run_starts,
                           window_pairs)
 from lodsig.cli import demo_synth_config, synth_config_from_dict
@@ -1400,7 +1400,7 @@ class TestCohortSummary:
             if not rows:
                 assert s["mean_age"] is s["sd_age"] is None
                 continue
-            ages = [from_ordinal(d).year - yob for yob, _, d in rows]
+            ages = [datetime.date.fromordinal(d).year - yob for yob, _, d in rows]
             mean = sum(ages) / len(ages)
             sd = (sum((a - mean) ** 2 for a in ages) / len(ages)) ** 0.5
             assert s["mean_age"] == pytest.approx(mean, abs=1e-9)
